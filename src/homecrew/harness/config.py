@@ -9,6 +9,7 @@ named environment variable when a request is sent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,14 +31,36 @@ BACKENDS = ("heuristic", "remote", "scripted")
 DEFAULT_MAX_STEPS = 250
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RemoteConfig:
+    """Where text decisions go and how long each may take. timeout_s and
+    transport_retries bound every request; max_concurrency bounds how many
+    of one tick's decisions are in flight at once (1 sends them in turn)."""
+
     endpoint_url: str = ""
     model: str = ""
     api_key_env: str = DEFAULT_KEY_ENV
     timeout_s: float = 30.0
     transport_retries: int = 2
     max_concurrency: int = 4
+
+    def __post_init__(self):
+        timeout = self.timeout_s
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf
+        ):
+            raise ConfigError(
+                f"timeout must be a positive number of seconds, got {timeout!r}"
+            )
+        _check_count("transport_retries", self.transport_retries, 0)
+        _check_count("max_concurrency", self.max_concurrency, 1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +85,7 @@ class EpisodeConfig:
             raise ConfigError("num_agents must be 1, 2, or 3")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
+        _check_count("parse_retries", self.parse_retries, 0)
         for name in (self.manager_backend, self.member_backend):
             if name not in BACKENDS:
                 raise ConfigError(f"unknown backend {name!r}")
@@ -93,8 +117,6 @@ def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
             endpoint_url=remote.endpoint_url,
             model=remote.model,
             api_key_env=remote.api_key_env,
-            timeout_s=remote.timeout_s,
-            max_concurrency=remote.max_concurrency,
         )
     if backend == "scripted":
         if not config.fixtures_path:

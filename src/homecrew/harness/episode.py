@@ -8,12 +8,23 @@ allocation disabled, each member self-executes its own candidate), macros
 expand to primitives against the team belief, and the world transitions.
 The lowest agent id doubles as manager; a single-agent run is the same loop
 with a one-entry team.
+
+Proposals never read the summary, so within a tick the summary call and every
+member's proposal call form one round. When a backend is remote and
+max_concurrency > 1 the round runs on a thread pool bounded by
+max_concurrency, and allocation starts once the whole round has returned.
+Each call records its exchanges into its own buffer, and the buffers are
+appended in the order a sequential run writes them (summary, then proposals
+by agent id), so the trace does not depend on which call finished first.
+Every other backend runs the round inline, in that same order.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..agents import (
     Belief,
@@ -36,6 +47,7 @@ from ..reasoner import (
     Reasoner,
     ReasonerRequest,
     ReasonerResponse,
+    RemoteReasoner,
     ScriptedReasoner,
     TEXT,
 )
@@ -88,8 +100,9 @@ class EpisodeResult:
 
 class RecordingReasoner(Reasoner):
     """Pass-through wrapper that appends every text exchange (response or
-    transport failure) to the trace sink. Structured backends leave no
-    exchanges; they are reproduced by rerunning, not by replaying text."""
+    transport failure) to the list it was given: the trace sink, or one
+    round call's own buffer. Structured backends leave no exchanges; they
+    are reproduced by rerunning, not by replaying text."""
 
     def __init__(self, inner: Reasoner, sink: List[dict]):
         self.inner = inner
@@ -117,22 +130,74 @@ class RecordingReasoner(Reasoner):
         return response
 
 
+# One decision call of a round: the backend, and the step that asks it.
+Call = Tuple[Reasoner, Callable[[Reasoner], object]]
+
+
+def _recorded(
+    inner: Reasoner, step: Callable[[Reasoner], object]
+) -> Tuple[object, List[dict]]:
+    exchanges: List[dict] = []
+    return step(RecordingReasoner(inner, exchanges)), exchanges
+
+
+def _play_round(
+    pool: Optional[ThreadPoolExecutor], calls: Sequence[Call]
+) -> List[Tuple[object, List[dict]]]:
+    """Each call's result and exchanges, in call order. Without a pool the
+    calls run one after another on this thread. With one they all run at
+    once, and every result is read, so the first failure in call order
+    reaches the caller."""
+    if pool is None:
+        return [_recorded(inner, step) for inner, step in calls]
+    futures = [pool.submit(_recorded, inner, step) for inner, step in calls]
+    return [future.result() for future in futures]
+
+
 def run_episode(
     config: EpisodeConfig,
     manager: Optional[Reasoner] = None,
     member: Optional[Reasoner] = None,
 ) -> EpisodeResult:
+    built: List[Reasoner] = []
+    pool: Optional[ThreadPoolExecutor] = None
+    try:
+        if manager is None:
+            manager = build_reasoner(config, config.manager_backend)
+            built.append(manager)
+        if member is None:
+            if config.member_backend == config.manager_backend:
+                member = manager
+            else:
+                member = build_reasoner(config, config.member_backend)
+                built.append(member)
+        if config.remote.max_concurrency > 1 and any(
+            isinstance(r, RemoteReasoner) for r in (manager, member)
+        ):
+            pool = ThreadPoolExecutor(
+                max_workers=config.remote.max_concurrency,
+                thread_name_prefix="homecrew-round",
+            )
+        return _play_episode(config, manager, member, pool)
+    finally:
+        # Sessions close before the workers are joined, so a server running
+        # in this process gets the join to see those connections end before
+        # the next episode opens its own.
+        for reasoner in built:
+            reasoner.close()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _play_episode(
+    config: EpisodeConfig,
+    manager: Reasoner,
+    member: Reasoner,
+    pool: Optional[ThreadPoolExecutor],
+) -> EpisodeResult:
     state, goal = init_world(config.task, config.num_agents, config.seed)
     agent_ids = sorted(state.agents)
     budget = config.budget()
-    if manager is None:
-        manager = build_reasoner(config, config.manager_backend)
-    if member is None:
-        member = (
-            manager
-            if config.member_backend == config.manager_backend
-            else build_reasoner(config, config.member_backend)
-        )
     sink: List[dict] = [
         {
             "type": "header",
@@ -148,7 +213,6 @@ def run_episode(
         }
     ]
     recording_manager = RecordingReasoner(manager, sink)
-    recording_member = RecordingReasoner(member, sink)
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     team = Belief.empty()
@@ -181,60 +245,88 @@ def run_episode(
                 )
             pending = []
         believed = evaluate_progress(team, goal)
+        # Whether a summary is due, and the window it moves, never depend on
+        # the summary's text, so both are settled before the round starts.
+        calls: List[Call] = []
+        summary_due = False
         if config.use_summaries and detect_change(believed, last_believed):
             window = slice_history(history, t_last, state.tick)
             if window:
-                summary = summarize(
-                    recording_manager,
-                    window,
-                    believed.satisfied - last_believed.satisfied,
-                    (t_last, state.tick),
-                    index=len(collected) + 1,
-                    goal_text=goal.render(),
-                    budget=budget,
-                    template=config.template,
-                )
-                collected = append(collected, summary)
-                degraded += int(summary.degraded)
-                sink.append(
-                    {
-                        "type": "summary",
-                        "tick": state.tick,
-                        "index": summary.index,
-                        "interval": list(summary.interval),
-                        "delta": summary.delta,
-                        "text": summary.text,
-                        "degraded": summary.degraded,
-                    }
+                summary_due = True
+                calls.append(
+                    (
+                        manager,
+                        partial(
+                            summarize,
+                            records=window,
+                            delta_progress=believed.satisfied - last_believed.satisfied,
+                            interval=(t_last, state.tick),
+                            index=len(collected) + 1,
+                            goal_text=goal.render(),
+                            budget=budget,
+                            template=config.template,
+                        ),
+                    )
                 )
                 t_last = state.tick
                 last_believed = believed
         progress = evaluate_progress(state, goal)
+        finished = progress.done() or state.tick >= config.max_steps
+        if not finished:
+            window_records = tuple(slice_history(history, t_last, state.tick))
+            for i in agent_ids:
+                view = AgentView(
+                    agent_id=i,
+                    tick=state.tick,
+                    num_agents=config.num_agents,
+                    house=state.house,
+                    goal=goal,
+                    progress=believed,
+                    observation=observations[i],
+                    belief=beliefs[i],
+                    history_window=window_records,
+                )
+                # Proposals are member work even for the agent carrying the
+                # manager role; only ALLOCATE/SUMMARIZE use the manager backend.
+                calls.append(
+                    (
+                        member,
+                        partial(
+                            make_proposal,
+                            view=view,
+                            budget=budget,
+                            template=config.template,
+                        ),
+                    )
+                )
+        outcomes = _play_round(pool, calls)
+        if summary_due:
+            summary, exchanges = outcomes.pop(0)
+            sink.extend(exchanges)
+            collected = append(collected, summary)
+            degraded += int(summary.degraded)
+            sink.append(
+                {
+                    "type": "summary",
+                    "tick": state.tick,
+                    "index": summary.index,
+                    "interval": list(summary.interval),
+                    "delta": summary.delta,
+                    "text": summary.text,
+                    "degraded": summary.degraded,
+                }
+            )
         if progress.done():
             success = True
             steps = state.tick
             break
-        if state.tick >= config.max_steps:
+        if finished:
             steps = config.max_steps
             break
 
-        window_records = tuple(slice_history(history, t_last, state.tick))
         proposals = []
-        for i in agent_ids:
-            view = AgentView(
-                agent_id=i,
-                tick=state.tick,
-                num_agents=config.num_agents,
-                house=state.house,
-                goal=goal,
-                progress=believed,
-                observation=observations[i],
-                belief=beliefs[i],
-                history_window=window_records,
-            )
-            # Proposals are member work even for the agent carrying the
-            # manager role; only ALLOCATE/SUMMARIZE use the manager backend.
-            proposal = make_proposal(recording_member, view, budget, config.template)
+        for proposal, exchanges in outcomes:
+            sink.extend(exchanges)
             degraded += int(proposal.degraded)
             proposals.append(proposal)
         proposal_lines = {str(p.agent_id): p.candidate.render() for p in proposals}

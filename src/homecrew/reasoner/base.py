@@ -65,3 +65,6 @@ class Reasoner:
 
     def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open; nothing by default."""

@@ -3,16 +3,19 @@
 Requests are sent at temperature 0 with the rendered prompt as a single user
 message. The API key is read from an environment variable at call time and
 never stored on the instance, logged, or echoed into traces. Transport
-failures retry with a short backoff up to the request budget, then surface
-as RemoteBackendError for the caller's fallback path to handle.
+failures, timeouts (408), throttling (429) and server errors retry with a
+short backoff up to the request budget; any other 4xx cannot succeed on a
+retry and fails at once. Either way the failure surfaces as
+RemoteBackendError for the caller's fallback path to handle.
+
+One instance may serve several threads at once; how many calls are in flight
+is bounded by the caller (the episode loop's round pool), not here.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from typing import Optional
 
 import requests
 
@@ -21,6 +24,8 @@ from .base import TEXT, Reasoner, ReasonerRequest, ReasonerResponse
 
 DEFAULT_KEY_ENV = "HOMECREW_API_KEY"
 RETRY_BACKOFF_S = 0.05
+# Client errors that a later attempt can still get past.
+RETRYABLE_4XX = (408, 429)
 
 
 class RemoteReasoner(Reasoner):
@@ -32,17 +37,16 @@ class RemoteReasoner(Reasoner):
         endpoint_url: str,
         model: str,
         api_key_env: str = DEFAULT_KEY_ENV,
-        timeout_s: Optional[float] = None,
-        max_concurrency: int = 4,
     ):
         if not endpoint_url:
             raise RemoteBackendError("remote backend needs an endpoint URL")
         self.endpoint_url = endpoint_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        self._gate = threading.Semaphore(max(1, max_concurrency))
         self._session = requests.Session()
+
+    def close(self) -> None:
+        self._session.close()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -57,25 +61,31 @@ class RemoteReasoner(Reasoner):
             "temperature": 0,
             "messages": [{"role": "user", "content": request.rendered_prompt}],
         }
-        timeout = self.timeout_s if self.timeout_s is not None else request.budget.timeout_s
         url = f"{self.endpoint_url}/chat/completions"
         attempts = 1 + request.budget.transport_retries
         last_error = "no attempt made"
-        for attempt in range(attempts):
-            if attempt:
+        made = 0
+        while made < attempts:
+            if made:
                 time.sleep(RETRY_BACKOFF_S)
+            made += 1
             started = time.monotonic()
             try:
-                with self._gate:
-                    reply = self._session.post(
-                        url, json=body, headers=self._headers(), timeout=timeout
-                    )
+                reply = self._session.post(
+                    url,
+                    json=body,
+                    headers=self._headers(),
+                    timeout=request.budget.timeout_s,
+                )
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc.__class__.__name__}"
                 continue
             latency = time.monotonic() - started
-            if reply.status_code != 200:
-                last_error = f"HTTP {reply.status_code}"
+            status = reply.status_code
+            if status != 200:
+                last_error = f"HTTP {status}"
+                if 400 <= status < 500 and status not in RETRYABLE_4XX:
+                    break
                 continue
             try:
                 payload = reply.json()
@@ -92,6 +102,4 @@ class RemoteReasoner(Reasoner):
             return ReasonerResponse(
                 raw_text=str(text), latency_s=latency, token_counts=counts
             )
-        raise RemoteBackendError(
-            f"{last_error} after {attempts} attempt(s) to {url}"
-        )
+        raise RemoteBackendError(f"{last_error} after {made} attempt(s) to {url}")

@@ -1,12 +1,15 @@
 """A local stdlib HTTP stub speaking just enough of the chat-completions
 shape for backend tests: queued replies first, then a policy callable that
-answers from the request body. Every request lands in ``seen``."""
+answers from the request body. Every request lands in ``seen``; each one is
+held for ``delay_s`` before the reply goes out, and ``max_in_flight`` is the
+most requests it was handling at once."""
 
 from __future__ import annotations
 
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -26,6 +29,9 @@ class StubServer(ThreadingHTTPServer):
         self.seen = []
         self.replies = []
         self.policy = None
+        self.delay_s = 0.0
+        self.in_flight = 0
+        self.max_in_flight = 0
         self.lock = threading.Lock()
 
     @property
@@ -45,21 +51,29 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        with self.server.lock:
-            self.server.seen.append(
+        server = self.server
+        with server.lock:
+            server.seen.append(
                 {
                     "path": self.path,
                     "authorization": self.headers.get("Authorization"),
                     "body": body,
                 }
             )
-        status, payload = self.server.next_reply(body)
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+            server.in_flight += 1
+            server.max_in_flight = max(server.max_in_flight, server.in_flight)
+        try:
+            status, payload = server.next_reply(body)
+            time.sleep(server.delay_s)
+            data = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        finally:
+            with server.lock:
+                server.in_flight -= 1
 
     def log_message(self, *args):
         pass
@@ -96,3 +110,35 @@ def approve_candidates(body):
             lines.append(f"{agent_id}: {option}")
             break
     return 200, completion("```\n" + "\n".join(lines) + "\n```")
+
+
+def propose_goal_objects(body):
+    """Member policy on top of approve_candidates: propose fetching the
+    remembered goal objects (by predicate, then object id) that are neither at
+    their target nor in another agent's hand, while the predicate still has
+    units to place; otherwise explore, unvisited rooms first, starting at a
+    room picked by agent id."""
+    prompt = body["messages"][0]["content"]
+    me = re.match(r"You are household robot agent (\d+)", prompt)
+    if me is None:
+        return approve_candidates(body)
+    agent = int(me.group(1))
+    facts = re.findall(r"^fact: (\S+) \((\S+)\) at (\S+) t=", prompt, re.M)
+    options = []
+    for count, cls, rel, target in re.findall(
+        r"^- (?:place|put) (\d+) x (\S+) (ON|IN) (\S+)$", prompt, re.M
+    ):
+        goal = ("container:" if rel == "IN" else "surface:") + target
+        if sum(1 for _, c, loc in facts if c == cls and loc == goal) >= int(count):
+            continue
+        for object_id, c, loc in sorted(facts):
+            held_elsewhere = loc.startswith("agent:") and loc != f"agent:{agent}"
+            if c == cls and loc != goal and not held_elsewhere:
+                options.append(f"FETCH({object_id}, {rel}, {target})")
+    rooms = re.search(r" rooms: (.+)$", prompt, re.M).group(1).split(", ")
+    visited = set(re.findall(r"^visited: (\S+) t=", prompt, re.M))
+    rooms = rooms[agent % len(rooms):] + rooms[: agent % len(rooms)]
+    rooms.sort(key=lambda room: room in visited)
+    options.append(f"EXPLORE({rooms[0]})")
+    lines = [f"propose: {options[0]}"] + [f"alt: {task}" for task in options[1:4]]
+    return 200, completion("\n".join(lines))

@@ -4,21 +4,27 @@ Covered, in order: efficiency-improvement arithmetic anchors; allocator
 equality with an exhaustive argmax on 1000 randomized instances; conflict
 freedom on 500 contention-heavy instances; summary intervals partitioning
 the acted history; pinned golden trace digests; larger teams finishing
-faster; ablation ordering; exact replay of recorded remote traces; and a
-stub-backed remote episode end to end. Each test prints one
+faster; ablation ordering; exact replay of recorded remote traces; a
+stub-backed remote episode end to end; and a concurrent remote round that
+records the same trace as a sequential one. Each test prints one
 "acceptance <name>: PASS|FAIL" line.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
 import random
+import sys
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
-from stubserver import approve_candidates, completion
+import pytest
+
+from stubserver import approve_candidates, completion, propose_goal_objects
 from homecrew.agents import Belief, Fact, MacroTask
 from homecrew.coordination import (
     JointAction,
@@ -37,6 +43,7 @@ from homecrew.harness import (
 )
 from homecrew.harness.metrics import compute_ei
 from homecrew.harness.trace import action_stream, render_trace, trace_sha256
+from homecrew.reasoner import PROPOSE, RemoteReasoner
 from homecrew.summaries import CollaborativeSummary
 from homecrew.world import (
     evaluate_progress,
@@ -398,3 +405,53 @@ def test_stub_remote_episode_end_to_end(stub):
         degraded_run = run_episode(remote_episode_config(stub))
         assert degraded_run.success
         assert degraded_run.degraded_exchanges >= 1
+
+
+class CrashingReasoner(RemoteReasoner):
+    """A remote backend whose call for one agent's proposal raises."""
+
+    def invoke(self, request):
+        if (request.kind, request.tick, request.agent_id) == (PROPOSE, 2, 2):
+            raise RuntimeError("backend crashed")
+        return super().invoke(request)
+
+
+def test_concurrent_remote_round_matches_sequential(stub):
+    stub.policy = propose_goal_objects
+    stub.delay_s = 0.01
+    with criterion("concurrent remote round matches sequential"):
+        base = remote_episode_config(stub, num_agents=3, member_backend="remote")
+        digests, peaks = {}, {}
+        for limit in (1, 4):
+            config = dataclasses.replace(
+                base, remote=dataclasses.replace(base.remote, max_concurrency=limit)
+            )
+            stub.max_in_flight = 0
+            # Frequent thread switches shake out any order the trace might
+            # take from which call finished first.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                result = run_episode(config)
+            finally:
+                sys.setswitchinterval(interval)
+            peaks[limit] = stub.max_in_flight
+            records = list(result.records)
+            digests[limit] = trace_sha256(records)
+            assert result.success and result.num_summaries >= 1
+            assert result.degraded_exchanges == 0
+            replayed, ok, message = replay_trace(records)
+            assert ok, message
+        assert digests[1] == digests[4]
+        assert peaks[1] == 1
+        assert 2 <= peaks[4] <= 4
+
+        crashing = CrashingReasoner(stub.url, "house-7b")
+        try:
+            with pytest.raises(RuntimeError, match="backend crashed"):
+                run_episode(config, crashing, crashing)
+        finally:
+            crashing.close()
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("homecrew-round")
+        ]

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homecrew.errors import ConfigError, ContractViolation
 from homecrew.harness.benchmark import (
@@ -19,7 +21,7 @@ from homecrew.harness.benchmark import (
     variant_flags,
 )
 from homecrew.harness.cli import main, parse_backend, parse_seeds
-from homecrew.harness.config import EpisodeConfig
+from homecrew.harness.config import EpisodeConfig, RemoteConfig
 from homecrew.harness.episode import config_from_header, replay_trace, run_episode
 from homecrew.harness.metrics import (
     VARIANT_ORDER,
@@ -302,6 +304,73 @@ class TestReplay:
         assert rebuilt.use_allocation is False
         assert rebuilt.use_summaries is False
         assert rebuilt.variant == "no_allocation+no_summary"
+
+
+def _valid_count(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+class TestConfigBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parse_retries=st.one_of(st.integers(-4, 4), st.booleans()),
+        timeout_s=st.one_of(
+            st.floats(), st.integers(-4, 4), st.booleans(), st.just("5"), st.none()
+        ),
+        transport_retries=st.one_of(st.integers(-4, 4), st.just(1.0)),
+        max_concurrency=st.integers(-4, 8),
+    )
+    def test_bad_numbers_rejected_at_construction(
+        self, parse_retries, timeout_s, transport_retries, max_concurrency
+    ):
+        timeout_ok = (
+            isinstance(timeout_s, (int, float))
+            and not isinstance(timeout_s, bool)
+            and 0 < timeout_s < math.inf
+        )
+        valid = (
+            _valid_count(parse_retries, 0)
+            and timeout_ok
+            and _valid_count(transport_retries, 0)
+            and _valid_count(max_concurrency, 1)
+        )
+        try:
+            episode_config(
+                parse_retries=parse_retries,
+                remote=RemoteConfig(
+                    timeout_s=timeout_s,
+                    transport_retries=transport_retries,
+                    max_concurrency=max_concurrency,
+                ),
+            )
+        except ConfigError:
+            assert not valid
+        else:
+            assert valid
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--parse-retries", "-1"],
+            ["--timeout", "-5"],
+            ["--timeout", "0"],
+            ["--timeout", "nan"],
+        ],
+    )
+    def test_cli_rejects_bad_numbers(self, flags, capsys):
+        assert main(["run", "--task", "WashDishes", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "values", [{"timeout": None}, {"timeout": [5]}, {"parse-retries": -1}]
+    )
+    def test_config_file_values_are_checked_too(self, values, tmp_path, capsys):
+        # argparse converts only string defaults, so these reach the config.
+        config_path = str(tmp_path / "defaults.json")
+        with open(config_path, "w") as handle:
+            json.dump(values, handle)
+        assert main(["run", "--task", "WashDishes", "--config", config_path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCliParsing:

@@ -1,9 +1,9 @@
 """Remote backend tests against a local stdlib HTTP stub.
 
 The stub speaks just enough of the chat-completions shape to pin the wire
-format (auth header, temperature, model), the retry ladder, and one full
-episode where every manager decision crosses HTTP while members stay
-structured.
+format (auth header, temperature, model), the retry ladder (which statuses
+are retried and which fail at once), and one full episode where every
+manager decision crosses HTTP while members stay structured.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_epis
 from homecrew.reasoner import Budget, PROPOSE, ReasonerRequest, RemoteReasoner
 
 
-def wire_request(prompt="ping", transport_retries=2):
+def wire_request(prompt="ping", transport_retries=2, timeout_s=5.0):
     return ReasonerRequest(
         kind=PROPOSE,
         rendered_prompt=prompt,
         structured_payload=None,
-        budget=Budget(timeout_s=5.0, transport_retries=transport_retries),
+        budget=Budget(timeout_s=timeout_s, transport_retries=transport_retries),
     )
 
 
@@ -64,6 +64,29 @@ class TestRetries:
         assert "HTTP 500" in str(err.value)
         assert "3 attempt(s)" in str(err.value)
         assert len(stub.seen) == 3
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_throttle_statuses_are_retried(self, stub, status):
+        stub.replies = [(status, {"error": "later"}), (200, completion("ok"))]
+        response = RemoteReasoner(stub.url, "m").invoke(wire_request())
+        assert response.raw_text == "ok"
+        assert len(stub.seen) == 2
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_other_client_errors_fail_after_one_attempt(self, stub, status):
+        stub.replies = [(status, {"error": "bad request"})] * 3
+        with pytest.raises(RemoteBackendError) as err:
+            RemoteReasoner(stub.url, "m").invoke(wire_request(transport_retries=2))
+        assert f"HTTP {status} after 1 attempt(s)" in str(err.value)
+        assert len(stub.seen) == 1
+
+    def test_budget_timeout_bounds_each_attempt(self, stub):
+        stub.delay_s = 0.3
+        with pytest.raises(RemoteBackendError) as err:
+            RemoteReasoner(stub.url, "m").invoke(
+                wire_request(transport_retries=0, timeout_s=0.05)
+            )
+        assert "transport error: ReadTimeout" in str(err.value)
 
     def test_malformed_payload_retries_then_succeeds(self, stub):
         stub.replies = [(200, {"nope": True}), (200, completion("fine"))]
