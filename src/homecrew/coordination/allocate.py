@@ -2,20 +2,22 @@
 
 The manager assembles every agent's proposal, belief digest, and observation
 into one shared context, then picks the joint assignment. The deterministic
-path enumerates each agent's candidate plus alternatives plus Idle, filters
-joints that violate the conflict rules, and takes the first strict maximum of
-score_joint (agents ascending, option order as listed). Text backends are
-asked for an assignment line per agent and fall back to that same
-deterministic path after budget.parse_retries unusable responses.
+path returns the first strict maximum of score_joint over each agent's
+candidate plus alternatives plus Idle, among joints that pass the conflict
+rules (agents ascending, option order as listed). It finds that joint with a
+pruned search over per-option terms; enumerate_joint_space and score_joint
+state the same result directly. Text backends are asked for an assignment
+line per agent and fall back to that same deterministic path after
+budget.parse_retries unusable responses.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..agents.belief import Belief, merge_team_belief
+from ..agents.belief import Belief, TeamBelief, merge_team_belief
 from ..agents.execution import (
     EXPLORE_ROOM,
     FETCH_PLACE,
@@ -239,19 +241,107 @@ def score_joint(
     return total
 
 
+# One agent option as the search sees it: own score term, predicate key,
+# bound object id, and the room whose novelty bonus it would claim.
+_Term = Tuple[int, Optional[Tuple[str, str, str]], Optional[str], Optional[str]]
+
+
+def _option_term(
+    task: MacroTask,
+    entry: ContextEntry,
+    team: TeamBelief,
+    remaining: Dict[Tuple[str, str, str], int],
+    house: HouseMap,
+) -> _Term:
+    """score_joint's share for this agent doing this task, with the novelty
+    bonus left out. In a conflict-free joint no predicate is loaded past its
+    remaining units, so every assignee of a needed predicate is within
+    quota and the fetch term depends on this agent alone."""
+    if task.kind == FETCH_PLACE:
+        key = task.predicate_key()
+        relevant = remaining.get(key, 0) > 0 and _can_complete(task, entry, house)
+        own = RELEVANCE_WEIGHT * int(relevant) - _fetch_distance(task, entry, house)
+        return own, key, task.object_id, None
+    if task.kind == EXPLORE_ROOM:
+        room = str(task.room)
+        novel = room if room_hides_content(team, room, house) else None
+        own = -house.distance(entry.observation.room, room)
+        return own, None, task.object_id, novel
+    return 0, None, task.object_id, None
+
+
 def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
-    """First strict maximum of score_joint over the enumerated joint space.
-    The all-Idle joint always survives the conflict filter, so this never
-    comes up empty."""
+    """First strict maximum of score_joint over the enumerated joint space,
+    found without scoring each joint. A conflict-free joint scores the sum of
+    its options' own terms plus NOVELTY_WEIGHT per distinct novel room it
+    explores (the bonus goes to one explorer, whichever it is). A depth-first
+    walk in enumeration order carries the units each predicate has left, the
+    bound ids and the claimed rooms, drops any branch that cannot beat the best leaf so far even if
+    every later agent took its best option with the bonus, and replaces the
+    best leaf only on a strictly higher score. The all-Idle joint always
+    survives the conflict filter, so this never comes up empty."""
+    context = inputs.context
+    house = context.house
     remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    best: Optional[JointAction] = None
+    team = merge_team_belief([entry.belief for entry in context.entries])
+    options = [_agent_options(entry, JOINT_ALTERNATIVES) for entry in context.entries]
+    terms = [
+        [_option_term(task, entry, team, remaining, house) for task in row]
+        for entry, row in zip(context.entries, options)
+    ]
+    # ceiling[i]: the most agents i.. can still add to a joint's score.
+    ceiling = [0] * (len(terms) + 1)
+    for i in reversed(range(len(terms))):
+        ceiling[i] = ceiling[i + 1] + max(
+            own + NOVELTY_WEIGHT * (room is not None) for own, _, _, room in terms[i]
+        )
+    units_left = dict(remaining)
+    bound_ids: Set[str] = set()
+    claimed: Set[str] = set()
+    picks: List[int] = []
+    best: Optional[List[int]] = None
     best_score = 0
-    for joint in enumerate_joint_space(inputs.context, JOINT_ALTERNATIVES, remaining):
-        score = score_joint(joint, inputs.context, inputs.progress, inputs.goal)
-        if best is None or score > best_score:
-            best, best_score = joint, score
+
+    def descend(depth: int, score: int) -> None:
+        nonlocal best, best_score
+        if depth == len(terms):
+            # The bound below lets a leaf through only if it beats the best
+            # strictly (ceiling[len(terms)] is 0), or if it is the first.
+            best, best_score = list(picks), score
+            return
+        for index, (own, key, object_id, room) in enumerate(terms[depth]):
+            if units_left.get(key) == 0:
+                continue
+            if object_id is not None and object_id in bound_ids:
+                continue
+            novel = room is not None and room not in claimed
+            gain = own + NOVELTY_WEIGHT * int(novel)
+            if best is not None and score + gain + ceiling[depth + 1] <= best_score:
+                continue
+            if key in units_left:
+                units_left[key] -= 1
+            if object_id is not None:
+                bound_ids.add(object_id)
+            if novel:
+                claimed.add(room)
+            picks.append(index)
+            descend(depth + 1, score + gain)
+            picks.pop()
+            if novel:
+                claimed.discard(room)
+            if object_id is not None:
+                bound_ids.discard(object_id)
+            if key in units_left:
+                units_left[key] += 1
+
+    descend(0, 0)
     assert best is not None
-    return best
+    return JointAction(
+        tasks={
+            entry.agent_id: row[pick]
+            for entry, row, pick in zip(context.entries, options, best)
+        }
+    )
 
 
 def _allocate_request(

@@ -24,15 +24,21 @@ from ..reasoner import (
     load_fixtures,
 )
 from ..reasoner.remote import DEFAULT_KEY_ENV
-from ..world import task_categories
+from ..world import scenarios, task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
 
 DEFAULT_MAX_STEPS = 250
 
 
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    _check_int(name, value)
+    if value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -81,10 +87,13 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.task not in task_categories():
             raise ConfigError(f"unknown task category {self.task!r}")
-        if not 1 <= self.num_agents <= 3:
-            raise ConfigError("num_agents must be 1, 2, or 3")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be positive")
+        _check_int("num_agents", self.num_agents)
+        if not 1 <= self.num_agents <= scenarios.MAX_AGENTS:
+            raise ConfigError(
+                f"num_agents must be in 1..{scenarios.MAX_AGENTS}, got {self.num_agents}"
+            )
+        _check_int("seed", self.seed)
+        _check_count("max_steps", self.max_steps, 1)
         _check_count("parse_retries", self.parse_retries, 0)
         for name in (self.manager_backend, self.member_backend):
             if name not in BACKENDS:

@@ -41,7 +41,7 @@ from ..coordination import (
     assemble_context,
     make_proposal,
 )
-from ..errors import RemoteBackendError
+from ..errors import ContractViolation, RemoteBackendError
 from ..reasoner import (
     HeuristicReasoner,
     Reasoner,
@@ -348,20 +348,23 @@ def _play_episode(
             )
             degraded += int(report.degraded)
             mode, attempts, was_degraded = "centralized", report.attempts, report.degraded
+            note = report.note
         else:
             joint = JointAction(tasks={p.agent_id: p.candidate for p in proposals})
-            mode, attempts, was_degraded = "self", 0, False
-        sink.append(
-            {
-                "type": "allocation",
-                "tick": state.tick,
-                "mode": mode,
-                "attempts": attempts,
-                "degraded": was_degraded,
-                "joint": {str(a): task.render() for a, task in joint.items()},
-                "proposals": proposal_lines,
-            }
-        )
+            mode, attempts, was_degraded, note = "self", 0, False, ""
+        allocation = {
+            "type": "allocation",
+            "tick": state.tick,
+            "mode": mode,
+            "attempts": attempts,
+            "degraded": was_degraded,
+            "joint": {str(a): task.render() for a, task in joint.items()},
+            "proposals": proposal_lines,
+        }
+        # Only a degraded decision has a note, so clean traces keep their bytes.
+        if note:
+            allocation["note"] = note
+        sink.append(allocation)
         actions = {
             i: expand_macro(joint.task_for(i), team, observations[i], state.house)
             for i in agent_ids
@@ -408,24 +411,32 @@ def _play_episode(
 
 
 def config_from_header(header: dict) -> EpisodeConfig:
+    """The config a trace was recorded under. Field values are checked by
+    EpisodeConfig; a variant it would not name the same way is refused."""
     variant = header["variant"]
-    return EpisodeConfig(
+    if not isinstance(variant, str):
+        raise ContractViolation(f"trace header variant {variant!r} is not a string")
+    config = EpisodeConfig(
         task=header["task"],
-        num_agents=int(header["num_agents"]),
-        seed=int(header["seed"]),
+        num_agents=header["num_agents"],
+        seed=header["seed"],
         manager_backend=header["manager_backend"],
         member_backend=header["member_backend"],
         use_allocation="no_allocation" not in variant,
         use_summaries="no_summary" not in variant,
-        max_steps=int(header["max_steps"]),
+        max_steps=header["max_steps"],
         template=header["template"],
     )
+    if config.variant != variant:
+        raise ContractViolation(f"trace header names unknown variant {variant!r}")
+    return config
 
 
 def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
     """Rerun a trace with its text exchanges scripted back and compare step
     count plus the per-tick action stream against the recording."""
     header = header_of(records)
+    recorded_end = end_of(records)
     config = config_from_header(header)
     scripted = ScriptedReasoner.from_exchanges(exchanges_of(records))
     manager = (
@@ -439,13 +450,12 @@ def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
         else scripted
     )
     result = run_episode(config, manager, member)
-    recorded_end = end_of(records)
     problems = []
-    if result.steps != int(recorded_end["steps"]):
+    if result.steps != recorded_end["steps"]:
         problems.append(
             f"steps diverged: recorded {recorded_end['steps']}, replayed {result.steps}"
         )
-    if bool(recorded_end["success"]) != result.success:
+    if recorded_end["success"] != result.success:
         problems.append("success flag diverged")
     original = action_stream(records)
     replayed = action_stream(list(result.records))

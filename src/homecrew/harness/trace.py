@@ -17,6 +17,19 @@ from ..errors import ContractViolation
 
 TRACE_FORMAT = 1
 
+# What a replay rebuilds the run from; a header missing any of them is refused.
+HEADER_FIELDS = (
+    "format",
+    "task",
+    "num_agents",
+    "seed",
+    "variant",
+    "manager_backend",
+    "member_backend",
+    "max_steps",
+    "template",
+)
+
 
 def render_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -37,24 +50,42 @@ def write_trace(records: List[dict], path: str) -> None:
 
 def load_trace(path: str) -> List[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {number} is not a JSON object")
+                records.append(record)
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"cannot read trace {path}: {exc}")
     return records
 
 
 def header_of(records: List[dict]) -> dict:
     if not records or records[0].get("type") != "header":
         raise ContractViolation("trace does not start with a header record")
-    return records[0]
+    header = records[0]
+    missing = [name for name in HEADER_FIELDS if name not in header]
+    if missing:
+        raise ContractViolation(f"trace header lacks {', '.join(missing)}")
+    if header["format"] != TRACE_FORMAT:
+        raise ContractViolation(
+            f"trace format {header['format']!r} is not {TRACE_FORMAT}"
+        )
+    return header
 
 
 def end_of(records: List[dict]) -> dict:
     if not records or records[-1].get("type") != "end":
         raise ContractViolation("trace does not finish with an end record")
-    return records[-1]
+    end = records[-1]
+    if not isinstance(end.get("steps"), int) or not isinstance(end.get("success"), bool):
+        raise ContractViolation("trace end record lacks integer steps or a success flag")
+    return end
 
 
 def exchanges_of(

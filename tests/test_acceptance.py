@@ -2,7 +2,8 @@
 
 Covered, in order: efficiency-improvement arithmetic anchors; allocator
 equality with an exhaustive argmax on 1000 randomized instances; conflict
-freedom on 500 contention-heavy instances; summary intervals partitioning
+freedom on 500 contention-heavy instances; the same two checks on teams of
+4-6 with the team-size cap lifted for the test; summary intervals partitioning
 the acted history; pinned golden trace digests; larger teams finishing
 faster; ablation ordering; exact replay of recorded remote traces; a
 stub-backed remote episode end to end; and a concurrent remote round that
@@ -21,6 +22,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
+from typing import Optional
 
 import pytest
 
@@ -50,6 +52,7 @@ from homecrew.world import (
     init_world,
     legal_actions,
     observe,
+    scenarios,
     transition,
 )
 
@@ -80,12 +83,16 @@ def criterion(name):
 # ---------------------------------------------------------------- generators
 
 
-def random_instance(rng: random.Random, contentious: bool = False) -> AllocationInputs:
+def random_instance(
+    rng: random.Random, contentious: bool = False, num_agents: Optional[int] = None
+) -> AllocationInputs:
     """A full allocation instance over a randomized world: thinned beliefs,
     synthetic proposals with up to three alternatives each. Contentious mode
-    points every agent at the same bound object and goal slot."""
+    points every agent at the same bound object and goal slot. The team size
+    is drawn (1-3, or 2-3 when contentious) unless num_agents pins it."""
     task = rng.choice(TASKS)
-    num_agents = rng.randint(2, 3) if contentious else rng.randint(1, 3)
+    if num_agents is None:
+        num_agents = rng.randint(2, 3) if contentious else rng.randint(1, 3)
     state, goal = init_world(task, num_agents, rng.randrange(10**6))
     for _ in range(rng.randint(0, 4)):
         joint = {
@@ -291,6 +298,31 @@ def test_contended_allocations_stay_conflict_free():
     with criterion("500 contended allocations conflict-free"):
         for trial in range(500):
             inputs = random_instance(rng, contentious=True)
+            joint = heuristic_allocation(inputs)
+            remaining = remaining_by_predicate(inputs.goal, inputs.progress)
+            assert conflict_violations(joint, remaining) == [], f"trial {trial}"
+            assert sorted(joint.tasks) == sorted(inputs.context.agent_ids())
+
+
+def test_allocator_stays_exact_on_larger_teams(monkeypatch):
+    # Teams past the shipped cap: the search must still equal the flat scan.
+    monkeypatch.setattr(scenarios, "MAX_AGENTS", 6)
+    rng = random.Random(43)
+    with criterion("allocator equals exhaustive argmax on teams of 4-6"):
+        for trial in range(120):
+            inputs = random_instance(rng, num_agents=4 + trial % 2)
+            assert heuristic_allocation(inputs) == exhaustive_argmax(inputs), (
+                f"trial {trial} diverged"
+            )
+        for trial in range(8):
+            inputs = random_instance(rng, num_agents=6)
+            joint = heuristic_allocation(inputs)
+            remaining = remaining_by_predicate(inputs.goal, inputs.progress)
+            assert conflict_violations(joint, remaining) == [], f"trial {trial}"
+            assert sorted(joint.tasks) == sorted(inputs.context.agent_ids())
+            assert joint == exhaustive_argmax(inputs), f"trial {trial} diverged"
+        for trial in range(60):
+            inputs = random_instance(rng, contentious=True, num_agents=4 + trial % 3)
             joint = heuristic_allocation(inputs)
             remaining = remaining_by_predicate(inputs.goal, inputs.progress)
             assert conflict_violations(joint, remaining) == [], f"trial {trial}"

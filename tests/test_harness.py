@@ -373,6 +373,36 @@ class TestConfigBounds:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.fixed_dictionaries(
+            {},
+            optional={
+                key: st.one_of(
+                    st.integers(-2, 12),
+                    st.booleans(),
+                    st.none(),
+                    st.floats(allow_nan=False),
+                    st.lists(st.integers(0, 3), max_size=2),
+                )
+                for key in ("max-steps", "seed", "agents")
+            },
+        )
+    )
+    def test_config_file_counts_are_checked(self, values, tmp_path_factory):
+        valid = (
+            _valid_count(values.get("max-steps", 1), 1)
+            and _valid_count(values.get("seed", 0), -2)
+            and _valid_count(values.get("agents", 1), 1)
+            and values.get("agents", 1) <= 3
+        )
+        config_path = str(tmp_path_factory.mktemp("cfg") / "defaults.json")
+        with open(config_path, "w") as handle:
+            json.dump({"max-steps": 8, **values}, handle)
+        code = main(["run", "--task", "WashDishes", "--config", config_path])
+        assert code == (0 if valid else 2)
+
+
 class TestCliParsing:
     def test_backend_shorthand(self):
         assert parse_backend("heuristic") == ("heuristic", "heuristic")
@@ -425,6 +455,38 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(["replay", "--trace", out]) == 1
         assert "replay FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda records: records[0].pop("variant"),
+            lambda records: records[0].pop("format"),
+            lambda records: records[0].update(format=99),
+            lambda records: records[0].update(variant="sideways"),
+            lambda records: records[0].update(variant=3),
+            lambda records: records[0].update(num_agents="2"),
+            lambda records: records[0].update(max_steps=None),
+            lambda records: records[-1].pop("steps"),
+            lambda records: records[-1].update(success="yes"),
+        ],
+    )
+    def test_replay_refuses_a_bad_header_or_end(self, tmp_path, capsys, damage):
+        argv, out = self.run_argv(tmp_path)
+        main(argv)
+        records = load_trace(out)
+        damage(records)
+        write_trace(records, out)
+        capsys.readouterr()
+        assert main(["replay", "--trace", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["", "{not json\n", "[1, 2]\n"])
+    def test_replay_refuses_an_unreadable_trace(self, tmp_path, capsys, text):
+        out = str(tmp_path / "bad.jsonl")
+        with open(out, "w") as handle:
+            handle.write(text)
+        assert main(["replay", "--trace", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bench_and_report_agree(self, tmp_path, capsys):
         out_dir = str(tmp_path / "bench")

@@ -160,3 +160,24 @@ class TestRemoteEpisode:
         result = run_episode(remote_manager_config(stub))
         assert result.success
         assert result.degraded_exchanges >= 1
+
+    def test_degraded_allocation_records_its_reason(self, stub):
+        def garbage_allocations(body):
+            prompt = body["messages"][0]["content"]
+            if prompt.startswith("You are the team manager writing"):
+                return approve_candidates(body)
+            return 200, completion("not an assignment at all")
+
+        stub.policy = garbage_allocations
+        result = run_episode(remote_manager_config(stub))
+        allocations = [r for r in result.records if r["type"] == "allocation"]
+        assert allocations
+        for record in allocations:
+            assert record["degraded"] and record["attempts"] == 3
+            assert isinstance(record["note"], str) and record["note"]
+        _, ok, message = replay_trace(list(result.records))
+        assert ok, message
+        clean = run_episode(EpisodeConfig(task="WashDishes", num_agents=2, seed=1))
+        assert all(
+            "note" not in r for r in clean.records if r["type"] == "allocation"
+        )
