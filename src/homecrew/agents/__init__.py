@@ -17,7 +17,6 @@ from .textify import (
     render_belief,
     render_history,
     render_observation,
-    render_text,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "render_belief",
     "render_history",
     "render_observation",
-    "render_text",
 ]

@@ -48,9 +48,6 @@ class Belief:
             fact = self.facts[object_id]
             yield object_id, fact.object_class, fact.location
 
-    def last_visit(self, room: str) -> Optional[int]:
-        return self.visited_rooms.get(room)
-
     def believed_open(self, container_id: str) -> Optional[bool]:
         entry = self.container_flags.get(container_id)
         return None if entry is None else entry[0]

@@ -17,13 +17,12 @@ from ..world.types import (
     IN,
     LOC_AGENT,
     LOC_CONTAINER,
-    LOC_SURFACE,
     WAIT,
     Action,
     HouseMap,
-    Location,
     Observation,
     go_to,
+    goal_location,
     grab,
     open_container,
     put_in,
@@ -114,17 +113,13 @@ def sweep_targets(belief: TeamBelief, house: HouseMap, from_room: str) -> List[s
     return sorted(house.rooms, key=rank)
 
 
-def _goal_location(relation: str, target: str) -> Location:
-    return Location(LOC_CONTAINER if relation == IN else LOC_SURFACE, target)
-
-
 def believed_instance(
     task: MacroTask, belief: TeamBelief, from_room: str, house: HouseMap
 ) -> Optional[Fact]:
     """The fact to chase for a fetch task: the bound object if any, else the
     nearest believed instance of the class that is not already at the target
     and not in someone's hand. Ties break by object id."""
-    target_loc = _goal_location(str(task.relation), str(task.target))
+    target_loc = goal_location(str(task.relation), str(task.target))
     if task.object_id is not None:
         fact = belief.facts.get(task.object_id)
         if fact is None or fact.location == target_loc:
@@ -170,7 +165,9 @@ def _unload_step(obs: Observation, house: HouseMap) -> Action:
     return go_to(house.next_hop(obs.room, nearest))
 
 
-def _held_matches(task: MacroTask, held: str, house: HouseMap) -> bool:
+def held_matches(task: MacroTask, held: str, house: HouseMap) -> bool:
+    """Whether the object in hand is what the fetch task wants: the bound
+    object itself, else any object of the task's class."""
     if task.object_id is not None:
         return held == task.object_id
     return house.object_classes.get(held) == task.object_class
@@ -189,7 +186,7 @@ def expand_macro(
         return WAIT
 
     if obs.held is not None:
-        if not _held_matches(task, obs.held, house):
+        if not held_matches(task, obs.held, house):
             return _unload_step(obs, house)
         target_room = house.room_of(str(task.target))
         if obs.room != target_room:

@@ -13,12 +13,10 @@ class HistoryRecord:
     """What one agent did at one tick and what came of it.
 
     tick is the post-transition tick: the first tick at which the action's
-    effects are part of the world. belief_digest is a compact rendering of
-    the merged team belief at that same tick.
+    effects are part of the world.
     """
 
     tick: int
     agent_id: int
     action: Action
     events: Tuple[Event, ...] = ()
-    belief_digest: str = ""

@@ -1,13 +1,13 @@
 """Deterministic text renderings of beliefs, observations, and history.
 
-These strings go into reasoner prompts and trace records, so they must be a
-pure function of their input with a stable line order. Two different beliefs
+These strings go into text-backend prompts, so they must be a pure function
+of their input with a stable line order. Two different beliefs
 never render identically: every fact, flag, and visit is included.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..world.types import GoalSpec, Observation
 from .belief import Belief
@@ -58,19 +58,8 @@ def render_history(records: Sequence[HistoryRecord]) -> str:
     return "\n".join(lines)
 
 
-def render_text(item) -> str:
-    """Render a Belief, an Observation, or a history slice."""
-    if isinstance(item, Belief):
-        return render_belief(item)
-    if isinstance(item, Observation):
-        return render_observation(item)
-    if isinstance(item, (list, tuple)):
-        return render_history(item)
-    raise TypeError(f"cannot render {type(item).__name__}")
-
-
 def belief_digest(belief: Belief, goal: GoalSpec) -> str:
-    """One-line team-belief digest for history records: where every believed
+    """One-line belief digest for allocation prompts: where every believed
     goal-class object sits right now."""
     goal_classes = {p.object_class for p in goal.predicates}
     placements = [

@@ -1,14 +1,14 @@
 """Centralized allocation over the members' proposals.
 
-The manager assembles every agent's proposal, belief digest, and observation
-into one shared context, then picks the joint assignment. The deterministic
+The manager assembles every agent's proposal, belief, and observation into
+one shared context, then picks the joint assignment. The deterministic
 path returns the first strict maximum of score_joint over each agent's
 candidate plus alternatives plus Idle, among joints that pass the conflict
 rules (agents ascending, option order as listed). It finds that joint with a
 pruned search over per-option terms; enumerate_joint_space and score_joint
 state the same result directly. Text backends are asked for an assignment
 line per agent and fall back to that same deterministic path after
-budget.parse_retries unusable responses.
+parse_retries unusable responses.
 """
 
 from __future__ import annotations
@@ -24,24 +24,28 @@ from ..agents.execution import (
     IDLE,
     MacroTask,
     believed_instance,
+    held_matches,
     room_hides_content,
 )
 from ..agents.textify import belief_digest, render_observation
 from ..errors import RemoteBackendError, ResponseParseError
-from ..reasoner.base import ALLOCATE, Budget, Reasoner, ReasonerRequest, STRUCTURED
+from ..reasoner.base import (
+    ALLOCATE,
+    DEFAULT_PARSE_RETRIES,
+    STRUCTURED,
+    Reasoner,
+    ReasonerRequest,
+)
 from ..reasoner.parsing import parse_allocation
 from ..reasoner.prompts import TEMPLATE_V1, AgentBlock, AllocatePayload, render_prompt
 from ..summaries import CollaborativeSummary
 from ..world.types import (
+    LOC_AGENT,
     GoalSpec,
     HouseMap,
-    IN,
-    LOC_AGENT,
-    LOC_CONTAINER,
-    LOC_SURFACE,
-    Location,
     Observation,
     TaskProgress,
+    goal_location,
 )
 from .types import (
     AllocationInputs,
@@ -49,7 +53,6 @@ from .types import (
     CrossAgentContext,
     JointAction,
     Proposal,
-    Vocabulary,
     check_conflicts,
     remaining_by_predicate,
 )
@@ -78,7 +81,6 @@ def assemble_context(
     beliefs: Dict[int, Belief],
     observations: Dict[int, Observation],
     house: HouseMap,
-    goal: GoalSpec,
 ) -> CrossAgentContext:
     """Bundle every agent's round contribution, ordered by agent id."""
     ordered = sorted(proposals, key=lambda p: p.agent_id)
@@ -86,18 +88,13 @@ def assemble_context(
         ContextEntry(
             agent_id=p.agent_id,
             proposal=p,
-            belief_digest=belief_digest(beliefs[p.agent_id], goal),
-            observation_digest=render_observation(observations[p.agent_id]),
             belief=beliefs[p.agent_id],
             observation=observations[p.agent_id],
         )
         for p in ordered
     )
     tick = entries[0].observation.tick if entries else 0
-    vocabulary = Vocabulary.from_house(house, tuple(e.agent_id for e in entries))
-    return CrossAgentContext(
-        tick=tick, entries=entries, vocabulary=vocabulary, house=house
-    )
+    return CrossAgentContext(tick=tick, entries=entries, house=house)
 
 
 def _agent_options(entry: ContextEntry, k: int) -> List[MacroTask]:
@@ -131,17 +128,6 @@ def enumerate_joint_space(
     return joints
 
 
-def _held_matches(task: MacroTask, held: str, house: HouseMap) -> bool:
-    if task.object_id is not None:
-        return held == task.object_id
-    return house.object_classes.get(held) == task.object_class
-
-
-def _goal_location(task: MacroTask) -> Location:
-    kind = LOC_CONTAINER if task.relation == IN else LOC_SURFACE
-    return Location(kind, str(task.target))
-
-
 def _fetch_distance(task: MacroTask, entry: ContextEntry, house: HouseMap) -> int:
     """Believed rooms of travel left: straight to the target when the agent
     already holds a matching object, else out to the believed object and from
@@ -151,7 +137,7 @@ def _fetch_distance(task: MacroTask, entry: ContextEntry, house: HouseMap) -> in
     room = entry.observation.room
     target_room = house.room_of(str(task.target))
     held = entry.observation.held
-    if held is not None and _held_matches(task, held, house):
+    if held is not None and held_matches(task, held, house):
         return house.distance(room, target_room)
     fact = believed_instance(task, entry.belief, room, house)
     if fact is None or fact.location.kind == LOC_AGENT:
@@ -165,9 +151,9 @@ def _can_complete(task: MacroTask, entry: ContextEntry, house: HouseMap) -> bool
     (or some instance of the class) is not already at the target and not in
     another agent's hand. Unknown objects stay optimistic."""
     held = entry.observation.held
-    if held is not None and _held_matches(task, held, house):
+    if held is not None and held_matches(task, held, house):
         return True
-    target_loc = _goal_location(task)
+    target_loc = goal_location(str(task.relation), str(task.target))
     if task.object_id is not None:
         fact = entry.belief.facts.get(task.object_id)
         if fact is None:
@@ -344,9 +330,7 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     )
 
 
-def _allocate_request(
-    inputs: AllocationInputs, budget: Budget, template: str
-) -> ReasonerRequest:
+def _allocate_request(inputs: AllocationInputs, template: str) -> ReasonerRequest:
     context = inputs.context
     blocks = tuple(
         AgentBlock(
@@ -354,8 +338,8 @@ def _allocate_request(
             proposal_line=entry.proposal.candidate.render(),
             rationale=entry.proposal.rationale,
             alternative_lines=entry.proposal.render_alternatives(),
-            belief_text=entry.belief_digest,
-            observation_text=entry.observation_digest,
+            belief_text=belief_digest(entry.belief, inputs.goal),
+            observation_text=render_observation(entry.observation),
         )
         for entry in context.entries
     )
@@ -374,9 +358,8 @@ def _allocate_request(
     manager_id = min(context.agent_ids()) if context.entries else 0
     return ReasonerRequest(
         kind=ALLOCATE,
-        rendered_prompt=render_prompt(ALLOCATE, payload, template),
         structured_payload=inputs,
-        budget=budget,
+        rendered_prompt=render_prompt(ALLOCATE, payload, template),
         tick=context.tick,
         agent_id=manager_id,
     )
@@ -388,24 +371,25 @@ def allocate_with_report(
     summaries: CollaborativeSummary,
     progress: TaskProgress,
     goal: GoalSpec,
-    budget: Budget = Budget(),
+    parse_retries: int = DEFAULT_PARSE_RETRIES,
     template: str = TEMPLATE_V1,
 ) -> Tuple[JointAction, AllocationReport]:
     """Allocation plus how it went. Text backends re-ask with the identical
-    prompt after malformed or conflicting responses; once the budget is
-    spent (or the backend errors out) the deterministic path takes over and
-    the report is marked degraded."""
+    prompt after malformed or conflicting responses; after parse_retries
+    re-asks (or once the backend errors out) the deterministic path takes
+    over and the report is marked degraded. A structured backend gets the
+    inputs alone; no prompt is built for it."""
     inputs = AllocationInputs(
         context=context, summaries=summaries, progress=progress, goal=goal
     )
-    request = _allocate_request(inputs, budget, template)
     if reasoner.produces == STRUCTURED:
-        joint = reasoner.invoke(request).parsed
+        joint = reasoner.invoke(ReasonerRequest(ALLOCATE, inputs)).parsed
         return joint, AllocationReport(attempts=1, degraded=False)
+    request = _allocate_request(inputs, template)
     remaining = remaining_by_predicate(goal, progress)
     attempts = 0
     note = ""
-    for _ in range(1 + budget.parse_retries):
+    for _ in range(1 + parse_retries):
         attempts += 1
         try:
             response = reasoner.invoke(request)
@@ -428,11 +412,11 @@ def allocate(
     summaries: CollaborativeSummary,
     progress: TaskProgress,
     goal: GoalSpec,
-    budget: Budget = Budget(),
+    parse_retries: int = DEFAULT_PARSE_RETRIES,
     template: str = TEMPLATE_V1,
 ) -> JointAction:
     """The joint assignment alone; see allocate_with_report."""
     joint, _ = allocate_with_report(
-        reasoner, context, summaries, progress, goal, budget, template
+        reasoner, context, summaries, progress, goal, parse_retries, template
     )
     return joint

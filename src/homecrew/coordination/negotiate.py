@@ -14,11 +14,17 @@ from typing import List, Tuple
 from ..agents.execution import MacroTask, sweep_targets
 from ..agents.textify import render_belief, render_history, render_observation
 from ..errors import RemoteBackendError, ResponseParseError
-from ..reasoner.base import PROPOSE, Budget, Reasoner, ReasonerRequest, STRUCTURED
+from ..reasoner.base import (
+    DEFAULT_PARSE_RETRIES,
+    PROPOSE,
+    STRUCTURED,
+    Reasoner,
+    ReasonerRequest,
+)
 from ..reasoner.parsing import parse_proposal
 from ..reasoner.prompts import TEMPLATE_V1, ProposePayload, render_prompt
 from ..world.engine import evaluate_progress
-from ..world.types import IN, LOC_AGENT, LOC_CONTAINER, LOC_SURFACE, Location
+from ..world.types import LOC_AGENT, goal_location
 from .types import AgentView, Proposal, Vocabulary
 
 # How many ranked backups a proposal carries; the allocator never reads more.
@@ -35,8 +41,7 @@ def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, str]]:
         have = believed.by_predicate[idx] if idx < len(believed.by_predicate) else 0
         if have >= pred.count:
             continue
-        target_kind = LOC_CONTAINER if pred.relation == IN else LOC_SURFACE
-        target_loc = Location(target_kind, pred.target)
+        target_loc = goal_location(pred.relation, pred.target)
         for object_id in sorted(view.belief.facts):
             fact = view.belief.facts[object_id]
             if fact.object_class != pred.object_class:
@@ -93,10 +98,9 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     )
 
 
-def _propose_request(view: AgentView, budget: Budget, template: str) -> ReasonerRequest:
-    vocabulary = Vocabulary.from_house(
-        view.house, tuple(range(1, view.num_agents + 1))
-    )
+def _propose_request(
+    view: AgentView, vocabulary: Vocabulary, template: str
+) -> ReasonerRequest:
     own_records = tuple(
         rec for rec in view.history_window if rec.agent_id == view.agent_id
     )
@@ -116,9 +120,8 @@ def _propose_request(view: AgentView, budget: Budget, template: str) -> Reasoner
     )
     return ReasonerRequest(
         kind=PROPOSE,
-        rendered_prompt=render_prompt(PROPOSE, payload, template),
         structured_payload=view,
-        budget=budget,
+        rendered_prompt=render_prompt(PROPOSE, payload, template),
         tick=view.tick,
         agent_id=view.agent_id,
     )
@@ -127,19 +130,20 @@ def _propose_request(view: AgentView, budget: Budget, template: str) -> Reasoner
 def make_proposal(
     reasoner: Reasoner,
     view: AgentView,
-    budget: Budget = Budget(),
+    parse_retries: int = DEFAULT_PARSE_RETRIES,
     template: str = TEMPLATE_V1,
 ) -> Proposal:
     """One member's proposal via the given backend, never raising on bad
     responses: text parse failures re-ask with the identical prompt up to
-    budget.parse_retries times, then degrade to a deterministic sweep."""
-    request = _propose_request(view, budget, template)
+    parse_retries times, then degrade to a deterministic sweep. A structured
+    backend gets the view alone; no prompt is built for it."""
     if reasoner.produces == STRUCTURED:
-        return reasoner.invoke(request).parsed
+        return reasoner.invoke(ReasonerRequest(PROPOSE, view)).parsed
     vocabulary = Vocabulary.from_house(
         view.house, tuple(range(1, view.num_agents + 1))
     )
-    for _ in range(1 + budget.parse_retries):
+    request = _propose_request(view, vocabulary, template)
+    for _ in range(1 + parse_retries):
         try:
             response = reasoner.invoke(request)
         except RemoteBackendError:

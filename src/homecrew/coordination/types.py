@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..agents.belief import Belief, TeamBelief
+from ..agents.belief import Belief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
 from ..summaries import CollaborativeSummary
@@ -61,14 +61,11 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class ContextEntry:
-    """One agent's contribution to the shared round context: its proposal and
-    digest renderings for prompts, plus the structured belief/observation the
-    deterministic scorer works from."""
+    """One agent's contribution to the shared round context: its proposal,
+    belief and observation."""
 
     agent_id: int
     proposal: Proposal
-    belief_digest: str
-    observation_digest: str
     belief: Belief
     observation: Observation
 
@@ -77,8 +74,12 @@ class ContextEntry:
 class CrossAgentContext:
     tick: int
     entries: Tuple[ContextEntry, ...]
-    vocabulary: Vocabulary
     house: HouseMap
+
+    @property
+    def vocabulary(self) -> Vocabulary:
+        """Built on demand: only text prompts and text responses need it."""
+        return Vocabulary.from_house(self.house, self.agent_ids())
 
     def entry(self, agent_id: int) -> ContextEntry:
         for entry in self.entries:

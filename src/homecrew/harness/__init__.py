@@ -1,12 +1,13 @@
 """Episode driver, benchmark grids, metrics, and trace tools."""
 
-from .benchmark import BenchmarkResult, BenchmarkSpec, run_benchmark, variant_flags
+from .benchmark import BenchmarkResult, BenchmarkSpec, run_benchmark
 from .config import (
     DEFAULT_MAX_STEPS,
     EpisodeConfig,
     RemoteConfig,
     build_reasoner,
     load_config_file,
+    variant_flags,
 )
 from .episode import EpisodeResult, replay_trace, run_episode
 from .metrics import (

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..reasoner import Reasoner
-from .config import EpisodeConfig
+from .config import EpisodeConfig, variant_flags
 from .episode import EpisodeResult, run_episode
 from .metrics import (
     CellMetrics,
@@ -47,10 +47,6 @@ class BenchmarkResult:
     rows: Tuple[dict, ...]
     cells: Tuple[CellMetrics, ...]
     results: Tuple[EpisodeResult, ...] = field(default=(), repr=False)
-
-
-def variant_flags(variant: str) -> Tuple[bool, bool]:
-    return ("no_allocation" not in variant, "no_summary" not in variant)
 
 
 def cell_configs(spec: BenchmarkSpec) -> List[EpisodeConfig]:

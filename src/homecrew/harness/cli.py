@@ -9,7 +9,8 @@ from typing import List, Optional, Tuple
 
 from ..errors import EngineError
 from ..reasoner import TEMPLATE_V1
-from ..reasoner.remote import DEFAULT_KEY_ENV
+from ..reasoner.base import DEFAULT_PARSE_RETRIES
+from ..reasoner.remote import DEFAULT_KEY_ENV, DEFAULT_TIMEOUT_S
 from ..world import task_categories
 from .benchmark import BenchmarkSpec, run_benchmark
 from .config import (
@@ -63,10 +64,10 @@ def add_common_options(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_KEY_ENV,
         help="environment variable holding the remote API key",
     )
-    parser.add_argument("--timeout", type=float, default=30.0)
+    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
     parser.add_argument("--fixtures", default=None, help="scripted fixtures JSONL")
     parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    parser.add_argument("--parse-retries", type=int, default=2)
+    parser.add_argument("--parse-retries", type=int, default=DEFAULT_PARSE_RETRIES)
     parser.add_argument("--template", default=TEMPLATE_V1)
     parser.add_argument(
         "--config", default=None, help="JSON file of defaults for these options"

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..errors import ConfigError
 from ..reasoner import (
-    Budget,
     HeuristicReasoner,
     Reasoner,
     RemoteReasoner,
@@ -23,7 +22,13 @@ from ..reasoner import (
     TEMPLATE_V1,
     load_fixtures,
 )
-from ..reasoner.remote import DEFAULT_KEY_ENV
+from ..reasoner.base import DEFAULT_PARSE_RETRIES
+from ..reasoner.prompts import check_template
+from ..reasoner.remote import (
+    DEFAULT_KEY_ENV,
+    DEFAULT_TIMEOUT_S,
+    DEFAULT_TRANSPORT_RETRIES,
+)
 from ..world import scenarios, task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
@@ -51,8 +56,8 @@ class RemoteConfig:
     endpoint_url: str = ""
     model: str = ""
     api_key_env: str = DEFAULT_KEY_ENV
-    timeout_s: float = 30.0
-    transport_retries: int = 2
+    timeout_s: float = DEFAULT_TIMEOUT_S
+    transport_retries: int = DEFAULT_TRANSPORT_RETRIES
     max_concurrency: int = 4
 
     def __post_init__(self):
@@ -79,7 +84,7 @@ class EpisodeConfig:
     use_allocation: bool = True
     use_summaries: bool = True
     max_steps: int = DEFAULT_MAX_STEPS
-    parse_retries: int = 2
+    parse_retries: int = DEFAULT_PARSE_RETRIES
     template: str = TEMPLATE_V1
     remote: RemoteConfig = field(default_factory=RemoteConfig)
     fixtures_path: Optional[str] = None
@@ -95,6 +100,7 @@ class EpisodeConfig:
         _check_int("seed", self.seed)
         _check_count("max_steps", self.max_steps, 1)
         _check_count("parse_retries", self.parse_retries, 0)
+        check_template(self.template)
         for name in (self.manager_backend, self.member_backend):
             if name not in BACKENDS:
                 raise ConfigError(f"unknown backend {name!r}")
@@ -107,12 +113,11 @@ class EpisodeConfig:
             return "no_allocation+no_summary"
         return "no_allocation" if not self.use_allocation else "no_summary"
 
-    def budget(self) -> Budget:
-        return Budget(
-            timeout_s=self.remote.timeout_s,
-            parse_retries=self.parse_retries,
-            transport_retries=self.remote.transport_retries,
-        )
+
+def variant_flags(variant: str) -> Tuple[bool, bool]:
+    """(use_allocation, use_summaries) for a variant name; the inverse of
+    EpisodeConfig.variant for the names it produces."""
+    return ("no_allocation" not in variant, "no_summary" not in variant)
 
 
 def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
@@ -126,6 +131,8 @@ def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
             endpoint_url=remote.endpoint_url,
             model=remote.model,
             api_key_env=remote.api_key_env,
+            timeout_s=remote.timeout_s,
+            transport_retries=remote.transport_retries,
         )
     if backend == "scripted":
         if not config.fixtures_path:

@@ -1,11 +1,12 @@
 """One episode end to end, plus trace replay.
 
-Per tick: everyone observes and folds the observation into their belief, the
-merged team belief stamps the pending history records, a summary is written
-if the believed satisfied-count moved (covering exactly the records since
-the last change), then members propose, the manager allocates (or, with
-allocation disabled, each member self-executes its own candidate), macros
-expand to primitives against the team belief, and the world transitions.
+Per tick: everyone observes and folds the observation into their belief,
+the beliefs merge into the team belief, a summary is written if the believed
+satisfied-count moved (covering exactly the records since the last change),
+then members propose, the manager allocates (or, with allocation disabled,
+each member self-executes its own candidate), macros expand to primitives
+against the team belief, the world transitions, and each agent's action and
+events enter the history.
 The lowest agent id doubles as manager; a single-agent run is the same loop
 with a one-entry team.
 
@@ -26,13 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..agents import (
-    Belief,
-    belief_digest,
-    expand_macro,
-    merge_team_belief,
-    perceive,
-)
+from ..agents import Belief, expand_macro, merge_team_belief, perceive
 from ..agents.records import HistoryRecord
 from ..coordination import (
     AgentView,
@@ -65,7 +60,7 @@ from ..world import (
     observe,
     transition,
 )
-from .config import EpisodeConfig, build_reasoner
+from .config import EpisodeConfig, build_reasoner, variant_flags
 from .trace import TRACE_FORMAT, action_stream, end_of, exchanges_of, header_of
 
 
@@ -197,7 +192,6 @@ def _play_episode(
 ) -> EpisodeResult:
     state, goal = init_world(config.task, config.num_agents, config.seed)
     agent_ids = sorted(state.agents)
-    budget = config.budget()
     sink: List[dict] = [
         {
             "type": "header",
@@ -215,14 +209,12 @@ def _play_episode(
     recording_manager = RecordingReasoner(manager, sink)
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
-    team = Belief.empty()
     history: List[HistoryRecord] = []
     collected = CollaborativeSummary.empty()
     last_believed = TaskProgress(
         0, goal.total_units(), tuple(0 for _ in goal.predicates)
     )
     t_last = 0
-    pending: List[Tuple[int, object, tuple]] = []
     degraded = 0
     success = False
 
@@ -231,19 +223,6 @@ def _play_episode(
         for i in agent_ids:
             beliefs[i] = perceive(observations[i], beliefs[i])
         team = merge_team_belief([beliefs[i] for i in agent_ids])
-        if pending:
-            digest = belief_digest(team, goal)
-            for agent_id, action, events in pending:
-                history.append(
-                    HistoryRecord(
-                        tick=state.tick,
-                        agent_id=agent_id,
-                        action=action,
-                        events=events,
-                        belief_digest=digest,
-                    )
-                )
-            pending = []
         believed = evaluate_progress(team, goal)
         # Whether a summary is due, and the window it moves, never depend on
         # the summary's text, so both are settled before the round starts.
@@ -262,8 +241,7 @@ def _play_episode(
                             delta_progress=believed.satisfied - last_believed.satisfied,
                             interval=(t_last, state.tick),
                             index=len(collected) + 1,
-                            goal_text=goal.render(),
-                            budget=budget,
+                            goal=goal,
                             template=config.template,
                         ),
                     )
@@ -294,7 +272,7 @@ def _play_episode(
                         partial(
                             make_proposal,
                             view=view,
-                            budget=budget,
+                            parse_retries=config.parse_retries,
                             template=config.template,
                         ),
                     )
@@ -331,9 +309,7 @@ def _play_episode(
             proposals.append(proposal)
         proposal_lines = {str(p.agent_id): p.candidate.render() for p in proposals}
         if config.use_allocation:
-            context = assemble_context(
-                proposals, beliefs, observations, state.house, goal
-            )
+            context = assemble_context(proposals, beliefs, observations, state.house)
             prompt_summaries = (
                 collected if config.use_summaries else CollaborativeSummary.empty()
             )
@@ -343,7 +319,7 @@ def _play_episode(
                 prompt_summaries,
                 believed,
                 goal,
-                budget,
+                config.parse_retries,
                 config.template,
             )
             degraded += int(report.degraded)
@@ -370,10 +346,12 @@ def _play_episode(
             for i in agent_ids
         }
         state, events = transition(state, actions)
-        pending = [
-            (i, actions[i], tuple(e for e in events if e.agent_id == i))
+        history.extend(
+            HistoryRecord(
+                state.tick, i, actions[i], tuple(e for e in events if e.agent_id == i)
+            )
             for i in agent_ids
-        ]
+        )
         sink.append(
             {
                 "type": "tick",
@@ -416,14 +394,15 @@ def config_from_header(header: dict) -> EpisodeConfig:
     variant = header["variant"]
     if not isinstance(variant, str):
         raise ContractViolation(f"trace header variant {variant!r} is not a string")
+    use_allocation, use_summaries = variant_flags(variant)
     config = EpisodeConfig(
         task=header["task"],
         num_agents=header["num_agents"],
         seed=header["seed"],
         manager_backend=header["manager_backend"],
         member_backend=header["member_backend"],
-        use_allocation="no_allocation" not in variant,
-        use_summaries="no_summary" not in variant,
+        use_allocation=use_allocation,
+        use_summaries=use_summaries,
         max_steps=header["max_steps"],
         template=header["template"],
     )
@@ -434,10 +413,12 @@ def config_from_header(header: dict) -> EpisodeConfig:
 
 def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
     """Rerun a trace with its text exchanges scripted back and compare step
-    count plus the per-tick action stream against the recording."""
+    count plus the per-tick action stream against the recording. Every record
+    replay reads is checked before the rerun starts."""
     header = header_of(records)
     recorded_end = end_of(records)
     config = config_from_header(header)
+    original = action_stream(records)
     scripted = ScriptedReasoner.from_exchanges(exchanges_of(records))
     manager = (
         HeuristicReasoner()
@@ -457,7 +438,6 @@ def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
         )
     if recorded_end["success"] != result.success:
         problems.append("success flag diverged")
-    original = action_stream(records)
     replayed = action_stream(list(result.records))
     if original != replayed:
         first_bad = next(

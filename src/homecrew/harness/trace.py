@@ -14,6 +14,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ContractViolation
+from ..reasoner.base import REQUEST_KINDS
 
 TRACE_FORMAT = 1
 
@@ -79,11 +80,15 @@ def header_of(records: List[dict]) -> dict:
     return header
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def end_of(records: List[dict]) -> dict:
     if not records or records[-1].get("type") != "end":
         raise ContractViolation("trace does not finish with an end record")
     end = records[-1]
-    if not isinstance(end.get("steps"), int) or not isinstance(end.get("success"), bool):
+    if not _is_int(end.get("steps")) or not isinstance(end.get("success"), bool):
         raise ContractViolation("trace end record lacks integer steps or a success flag")
     return end
 
@@ -92,18 +97,39 @@ def exchanges_of(
     records: List[dict],
 ) -> List[Tuple[str, int, int, Optional[str]]]:
     """(kind, tick, agent_id, response) tuples in recorded order, ready for
-    ScriptedReasoner.from_exchanges."""
-    return [
-        (r["kind"], int(r["tick"]), int(r["agent_id"]), r.get("response"))
-        for r in records
-        if r.get("type") == "exchange"
-    ]
+    ScriptedReasoner.from_exchanges. An exchange record needs a known kind,
+    int tick and agent_id, and a response that is a string or null."""
+    exchanges = []
+    for number, r in enumerate(records, 1):
+        if r.get("type") != "exchange":
+            continue
+        kind, tick, agent_id = r.get("kind"), r.get("tick"), r.get("agent_id")
+        response = r.get("response")
+        if (
+            kind not in REQUEST_KINDS
+            or not _is_int(tick)
+            or not _is_int(agent_id)
+            or "response" not in r
+            or not (response is None or isinstance(response, str))
+        ):
+            raise ContractViolation(f"trace record {number} is a malformed exchange")
+        exchanges.append((kind, tick, agent_id, response))
+    return exchanges
 
 
 def action_stream(records: List[dict]) -> List[Tuple[int, Dict[str, str]]]:
-    """Per-tick primitive actions, the unit replay fidelity is judged on."""
-    return [
-        (int(r["tick"]), dict(r["actions"]))
-        for r in records
-        if r.get("type") == "tick"
-    ]
+    """Per-tick primitive actions, the unit replay fidelity is judged on. A
+    tick record needs an int tick and an actions object of strings."""
+    stream = []
+    for number, r in enumerate(records, 1):
+        if r.get("type") != "tick":
+            continue
+        tick, actions = r.get("tick"), r.get("actions")
+        if not (
+            _is_int(tick)
+            and isinstance(actions, dict)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in actions.items())
+        ):
+            raise ContractViolation(f"trace record {number} is a malformed tick")
+        stream.append((tick, dict(actions)))
+    return stream

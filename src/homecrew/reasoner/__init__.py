@@ -3,11 +3,9 @@
 from .base import (
     ALLOCATE,
     PROPOSE,
-    REQUEST_KINDS,
     STRUCTURED,
     SUMMARIZE,
     TEXT,
-    Budget,
     Reasoner,
     ReasonerRequest,
     ReasonerResponse,
@@ -35,13 +33,11 @@ __all__ = [
     "ALLOCATE",
     "AgentBlock",
     "AllocatePayload",
-    "Budget",
     "DEFAULT_KEY_ENV",
     "HeuristicReasoner",
     "NO_SUMMARIES_MARKER",
     "PROPOSE",
     "ProposePayload",
-    "REQUEST_KINDS",
     "Reasoner",
     "ReasonerRequest",
     "ReasonerResponse",

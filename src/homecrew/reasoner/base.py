@@ -21,26 +21,18 @@ REQUEST_KINDS = (PROPOSE, ALLOCATE, SUMMARIZE)
 STRUCTURED = "structured"
 TEXT = "text"
 
-
-@dataclass(frozen=True)
-class Budget:
-    """Retry/timeout limits for one decision point.
-
-    parse_retries bounds re-asks after malformed or conflicting responses;
-    transport_retries bounds network-level retrying inside the remote client.
-    """
-
-    timeout_s: float = 30.0
-    parse_retries: int = 2
-    transport_retries: int = 2
+# How many times a decision re-asks a text backend after an unusable reply.
+DEFAULT_PARSE_RETRIES = 2
 
 
 @dataclass(frozen=True)
 class ReasonerRequest:
+    """rendered_prompt is built only for text backends; structured ones read
+    structured_payload alone."""
+
     kind: str
-    rendered_prompt: str
     structured_payload: Any
-    budget: Budget = Budget()
+    rendered_prompt: str = ""
     tick: int = 0
     agent_id: int = 0
 
@@ -52,7 +44,6 @@ class ReasonerResponse:
 
     raw_text: Optional[str] = None
     parsed: Any = None
-    degraded: bool = False
     latency_s: float = 0.0
     token_counts: Mapping[str, int] = field(default_factory=dict)
 

@@ -93,6 +93,7 @@ def parse_allocation(
     from ..coordination.types import JointAction, check_conflicts
 
     expected = set(context.agent_ids())
+    vocabulary = context.vocabulary
     tasks: Dict[int, MacroTask] = {}
     for line in _fenced_body(raw_response).split("\n"):
         if not line.strip():
@@ -105,7 +106,7 @@ def parse_allocation(
             raise ResponseParseError(f"unknown agent id {agent_id}", line)
         if agent_id in tasks:
             raise ResponseParseError(f"agent {agent_id} assigned twice", line)
-        tasks[agent_id] = parse_task(match.group(2), context.vocabulary)
+        tasks[agent_id] = parse_task(match.group(2), vocabulary)
     missing = sorted(expected - set(tasks))
     if missing:
         raise ResponseParseError(f"no assignment for agent(s) {missing}")

@@ -165,9 +165,15 @@ def _render_summarize(p: SummarizePayload) -> str:
     return "\n".join(lines)
 
 
-def render_prompt(kind: str, payload, template: str = TEMPLATE_V1) -> str:
+def check_template(template: str) -> None:
+    """Refuse a template name no renderer knows. Configs check it up front,
+    since a run on a structured backend renders no prompt."""
     if template != TEMPLATE_V1:
         raise ConfigError(f"unknown prompt template: {template}")
+
+
+def render_prompt(kind: str, payload, template: str = TEMPLATE_V1) -> str:
+    check_template(template)
     if kind == PROPOSE:
         return _render_propose(payload)
     if kind == ALLOCATE:

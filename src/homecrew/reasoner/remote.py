@@ -4,7 +4,7 @@ Requests are sent at temperature 0 with the rendered prompt as a single user
 message. The API key is read from an environment variable at call time and
 never stored on the instance, logged, or echoed into traces. Transport
 failures, timeouts (408), throttling (429) and server errors retry with a
-short backoff up to the request budget; any other 4xx cannot succeed on a
+short backoff up to transport_retries times; any other 4xx cannot succeed on a
 retry and fails at once. Either way the failure surfaces as
 RemoteBackendError for the caller's fallback path to handle.
 
@@ -23,6 +23,9 @@ from ..errors import RemoteBackendError
 from .base import TEXT, Reasoner, ReasonerRequest, ReasonerResponse
 
 DEFAULT_KEY_ENV = "HOMECREW_API_KEY"
+# Each attempt's connect and each wait for reply data.
+DEFAULT_TIMEOUT_S = 30.0
+DEFAULT_TRANSPORT_RETRIES = 2
 RETRY_BACKOFF_S = 0.05
 # Client errors that a later attempt can still get past.
 RETRYABLE_4XX = (408, 429)
@@ -37,12 +40,16 @@ class RemoteReasoner(Reasoner):
         endpoint_url: str,
         model: str,
         api_key_env: str = DEFAULT_KEY_ENV,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
+        transport_retries: int = DEFAULT_TRANSPORT_RETRIES,
     ):
         if not endpoint_url:
             raise RemoteBackendError("remote backend needs an endpoint URL")
         self.endpoint_url = endpoint_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
+        self.timeout_s = timeout_s
+        self.transport_retries = transport_retries
         self._session = requests.Session()
 
     def close(self) -> None:
@@ -62,7 +69,7 @@ class RemoteReasoner(Reasoner):
             "messages": [{"role": "user", "content": request.rendered_prompt}],
         }
         url = f"{self.endpoint_url}/chat/completions"
-        attempts = 1 + request.budget.transport_retries
+        attempts = 1 + self.transport_retries
         last_error = "no attempt made"
         made = 0
         while made < attempts:
@@ -75,7 +82,7 @@ class RemoteReasoner(Reasoner):
                     url,
                     json=body,
                     headers=self._headers(),
-                    timeout=request.budget.timeout_s,
+                    timeout=self.timeout_s,
                 )
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc.__class__.__name__}"

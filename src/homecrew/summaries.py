@@ -11,20 +11,14 @@ lo < tick <= hi, and consecutive summaries tile the history exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .agents.records import HistoryRecord
 from .agents.textify import render_history
 from .errors import ContractViolation, RemoteBackendError, ResponseParseError
-from .reasoner.base import (
-    SUMMARIZE,
-    STRUCTURED,
-    Budget,
-    Reasoner,
-    ReasonerRequest,
-)
-from .reasoner.prompts import SummarizePayload, render_prompt
-from .world.types import TaskProgress
+from .reasoner.base import SUMMARIZE, STRUCTURED, Reasoner, ReasonerRequest
+from .reasoner.prompts import TEMPLATE_V1, SummarizePayload, render_prompt
+from .world.types import GoalSpec, TaskProgress
 
 SUMMARY_CHAR_BUDGET = 512
 
@@ -107,42 +101,42 @@ def summarize(
     delta_progress: int,
     interval: Tuple[int, int],
     index: int = 1,
-    goal_text: str = "",
-    budget: Budget = Budget(),
-    template: str = "template_v1",
+    goal: Optional[GoalSpec] = None,
+    template: str = TEMPLATE_V1,
 ) -> Summary:
     """Condense one interval's records into a bounded Summary.
 
     Text backends get a prompt and may answer freely; on transport failure or
     an empty answer the deterministic template digest is used instead and the
-    summary is flagged degraded. The text is always clipped to the character
-    budget.
+    summary is flagged degraded. No answer is re-asked, so there is no parse
+    retry count here. A structured backend gets the records alone; no prompt
+    is built for it. The text is always clipped to the character budget.
     """
     if not records:
         raise ContractViolation("cannot summarize an empty record slice")
     if delta_progress == 0:
         raise ContractViolation("summaries are only written when progress changed")
-    payload = SummarizePayload(
-        interval=interval,
-        delta=delta_progress,
-        goal_text=goal_text if goal_text else "(objective not provided)",
-        record_lines=tuple(render_history(records).split("\n")),
-    )
-    request = ReasonerRequest(
-        kind=SUMMARIZE,
-        rendered_prompt=render_prompt(SUMMARIZE, payload, template),
-        structured_payload=SummaryInputs(
-            records=tuple(records), delta=delta_progress, interval=interval
-        ),
-        budget=budget,
-        tick=interval[1],
-        agent_id=0,
+    inputs = SummaryInputs(
+        records=tuple(records), delta=delta_progress, interval=interval
     )
     text = None
     degraded = False
     if reasoner.produces == STRUCTURED:
-        text = reasoner.invoke(request).parsed
+        text = reasoner.invoke(ReasonerRequest(SUMMARIZE, inputs)).parsed
     else:
+        payload = SummarizePayload(
+            interval=interval,
+            delta=delta_progress,
+            goal_text=goal.render() if goal is not None else "(objective not provided)",
+            record_lines=tuple(render_history(records).split("\n")),
+        )
+        request = ReasonerRequest(
+            kind=SUMMARIZE,
+            structured_payload=inputs,
+            rendered_prompt=render_prompt(SUMMARIZE, payload, template),
+            tick=interval[1],
+            agent_id=0,
+        )
         try:
             response = reasoner.invoke(request)
             raw = (response.raw_text or "").strip()

@@ -20,7 +20,6 @@ from .types import (
     LOC_CONTAINER,
     LOC_ROOM,
     LOC_SURFACE,
-    ON,
     WAIT,
     Action,
     Event,
@@ -32,6 +31,7 @@ from .types import (
     WorldState,
     close_container,
     go_to,
+    goal_location,
     grab,
     open_container,
     put_in,
@@ -254,11 +254,6 @@ def observe(state: WorldState, agent_id: int) -> Observation:
     )
 
 
-def _goal_location(relation: str, target: str) -> Location:
-    kind = LOC_SURFACE if relation == ON else LOC_CONTAINER
-    return Location(kind, target)
-
-
 def evaluate_progress(source, goal: GoalSpec) -> TaskProgress:
     """Count satisfied goal units in a WorldState or a belief.
 
@@ -269,7 +264,7 @@ def evaluate_progress(source, goal: GoalSpec) -> TaskProgress:
     raw = [0] * len(goal.predicates)
     for _object_id, object_class, location in source.object_placements():
         for idx, pred in enumerate(goal.predicates):
-            if object_class == pred.object_class and location == _goal_location(
+            if object_class == pred.object_class and location == goal_location(
                 pred.relation, pred.target
             ):
                 raw[idx] += 1
@@ -279,8 +274,3 @@ def evaluate_progress(source, goal: GoalSpec) -> TaskProgress:
         total=goal.total_units(),
         by_predicate=by_predicate,
     )
-
-
-def reward(before: TaskProgress, after: TaskProgress) -> int:
-    """Per-tick team reward: newly satisfied goal units (negative on regress)."""
-    return after.satisfied - before.satisfied

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -119,9 +120,12 @@ def build_goal(catalog: dict, task_category: str) -> GoalSpec:
 
 
 def build_house(catalog: dict) -> HouseMap:
+    """The catalog's floor plan with every mapping in sorted key order and no
+    objects registered yet."""
+    rooms = tuple(sorted(catalog["rooms"]))
     return HouseMap(
-        rooms=tuple(sorted(catalog["rooms"])),
-        adjacency={r: tuple(sorted(nbs)) for r, nbs in catalog["adjacency"].items()},
+        rooms=rooms,
+        adjacency={r: tuple(sorted(catalog["adjacency"][r])) for r in rooms},
         containers=dict(sorted(catalog["containers"].items())),
         surfaces=dict(sorted(catalog["surfaces"].items())),
         object_classes={},
@@ -147,9 +151,10 @@ def init_world(
     goal = build_goal(catalog, task_category)
     rng = random.Random(seed)
 
-    containers = dict(sorted(catalog["containers"].items()))
-    surfaces = dict(sorted(catalog["surfaces"].items()))
-    rooms = sorted(catalog["rooms"])
+    house = build_house(catalog)
+    rooms = house.rooms
+    surfaces = house.surfaces
+    containers = house.containers
 
     container_open = {cid: rng.random() < _OPEN_PROBABILITY for cid in sorted(containers)}
     start_room = rng.choice(rooms)
@@ -183,13 +188,7 @@ def init_world(
     while pool and len(locations) < total:
         place(rng.choice(pool), rng.choice(all_spots))
 
-    house = HouseMap(
-        rooms=tuple(rooms),
-        adjacency={r: tuple(sorted(catalog["adjacency"][r])) for r in rooms},
-        containers=containers,
-        surfaces=surfaces,
-        object_classes=object_classes,
-    )
+    house = replace(house, object_classes=object_classes)
     agents = {i: AgentState(room=start_room, held=None) for i in range(1, num_agents + 1)}
     state = WorldState(
         tick=0,

@@ -107,6 +107,12 @@ class Event:
         return f"t={self.tick} agent {self.agent_id}: {body}"
 
 
+def goal_location(relation: str, target: str) -> Location:
+    """Where a goal predicate wants its objects: ON a surface or IN a
+    container named target."""
+    return Location(LOC_SURFACE if relation == ON else LOC_CONTAINER, target)
+
+
 @dataclass(frozen=True)
 class GoalPredicate:
     """One goal unit family: ``count`` objects of ``object_class`` placed
@@ -181,12 +187,6 @@ class HouseMap:
             return self.surfaces[fixture_id]
         raise KeyError(f"unknown fixture: {fixture_id}")
 
-    def is_container(self, fixture_id: str) -> bool:
-        return fixture_id in self.containers
-
-    def is_surface(self, fixture_id: str) -> bool:
-        return fixture_id in self.surfaces
-
     def containers_in(self, room: str) -> List[str]:
         return sorted(c for c, r in self.containers.items() if r == room)
 
@@ -256,12 +256,6 @@ class WorldState:
 
     def object_class(self, object_id: str) -> str:
         return self.house.object_classes[object_id]
-
-    def holder_of(self, object_id: str) -> Optional[int]:
-        loc = self.locations[object_id]
-        if loc.kind == LOC_AGENT:
-            return int(loc.ref)
-        return None
 
     def object_placements(self):
         """(object_id, object_class, Location) triples in stable id order.

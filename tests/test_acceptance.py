@@ -4,11 +4,12 @@ Covered, in order: efficiency-improvement arithmetic anchors; allocator
 equality with an exhaustive argmax on 1000 randomized instances; conflict
 freedom on 500 contention-heavy instances; the same two checks on teams of
 4-6 with the team-size cap lifted for the test; summary intervals partitioning
-the acted history; pinned golden trace digests; larger teams finishing
-faster; ablation ordering; exact replay of recorded remote traces; a
-stub-backed remote episode end to end; and a concurrent remote round that
-records the same trace as a sequential one. Each test prints one
-"acceptance <name>: PASS|FAIL" line.
+the acted history; pinned golden trace digests; the same digests with every
+text renderer made to raise, so heuristic episodes build no prompt or digest
+text; larger teams finishing faster; ablation ordering; exact replay of
+recorded remote traces; a stub-backed remote episode end to end; and a
+concurrent remote round that records the same trace as a sequential one.
+Each test prints one "acceptance <name>: PASS|FAIL" line.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def random_instance(
                 alternatives=alternatives,
             )
         )
-    context = assemble_context(proposals, beliefs, observations, house, goal)
+    context = assemble_context(proposals, beliefs, observations, house)
     return AllocationInputs(
         context=context,
         summaries=CollaborativeSummary.empty(),
@@ -375,19 +376,55 @@ def test_summary_intervals_partition_history():
         assert episodes >= 50
 
 
+def golden_key(config):
+    return f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
+
+
 def test_golden_traces_stay_pinned():
     with criterion("golden trace digests"):
         with open(GOLDEN_PATH) as handle:
             stored = json.load(handle)
         assert len(stored) == len(GOLDEN_CONFIGS) == 5
         for config in GOLDEN_CONFIGS:
-            key = f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
+            key = golden_key(config)
             first = run_episode(config)
             second = run_episode(config)
             assert render_trace(list(first.records)) == render_trace(
                 list(second.records)
             )
             assert trace_sha256(list(first.records)) == stored[key], key
+
+
+# Everything that turns beliefs, observations, history or a payload into text.
+TEXT_RENDERERS = (
+    "render_prompt",
+    "render_belief",
+    "render_observation",
+    "render_history",
+    "belief_digest",
+)
+
+
+def test_heuristic_episodes_render_no_text(monkeypatch):
+    with criterion("heuristic episodes render no text"):
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a heuristic episode rendered text")
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "homecrew" or module is None:
+                continue
+            for attr in TEXT_RENDERERS:
+                if callable(getattr(module, attr, None)):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched.add(attr)
+        assert patched == set(TEXT_RENDERERS)
+        with open(GOLDEN_PATH) as handle:
+            stored = json.load(handle)
+        for config in GOLDEN_CONFIGS:
+            result = run_episode(config)
+            assert trace_sha256(list(result.records)) == stored[golden_key(config)]
 
 
 def test_larger_teams_cut_mean_steps():

@@ -21,7 +21,6 @@ from homecrew.agents import (
     render_belief,
     render_history,
     render_observation,
-    render_text,
     room_hides_content,
     sweep_targets,
 )
@@ -226,7 +225,6 @@ class TestRendering:
         state, _ = init_world("WashDishes", 2, 1)
         obs = observe(state, 1)
         text = render_observation(obs)
-        assert text == render_text(obs)
         assert text.splitlines()[0].startswith("observation: agent 1 in ")
 
     def test_render_history_lines(self):

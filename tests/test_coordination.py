@@ -36,7 +36,6 @@ from homecrew.errors import RemoteBackendError, ResponseParseError
 from homecrew.reasoner import (
     ALLOCATE,
     PROPOSE,
-    Budget,
     HeuristicReasoner,
     Reasoner,
     ScriptedReasoner,
@@ -133,7 +132,7 @@ def build_inputs(task, num_agents, seed, drop_rate=0.0) -> AllocationInputs:
         beliefs[agent_id] = belief
         observations[agent_id] = observe(state, agent_id)
         proposals.append(heuristic_proposal(make_view(state, goal, agent_id, belief)))
-    context = assemble_context(proposals, beliefs, observations, state.house, goal)
+    context = assemble_context(proposals, beliefs, observations, state.house)
     return AllocationInputs(
         context=context,
         summaries=CollaborativeSummary.empty(),
@@ -364,7 +363,7 @@ class TestScore:
                 container_flags=rest[0] if rest else {},
             )
             observations[agent_id] = fab_observation(agent_id, room, held)
-        context = assemble_context(proposals, beliefs, observations, house, goal)
+        context = assemble_context(proposals, beliefs, observations, house)
         return context, goal
 
     def test_relevant_fetch_two_rooms_away_scores_eight(self):
@@ -613,7 +612,7 @@ class TestMakeProposal:
         scripted = ScriptedReasoner(
             {(PROPOSE, view.tick, 1): ["bad", "bad", "bad"]}
         )
-        proposal = make_proposal(scripted, view, Budget(parse_retries=2))
+        proposal = make_proposal(scripted, view, parse_retries=2)
         assert proposal.degraded
         assert proposal.candidate == MacroTask.explore("livingroom")
         assert scripted.pending() == 0
@@ -624,10 +623,29 @@ class TestContext:
         inputs = build_inputs("PrepareAMeal", 3, seed=2)
         context = inputs.context
         assert context.agent_ids() == (1, 2, 3)
-        for entry in context.entries:
-            assert entry.belief_digest.startswith("goal objects:")
-            assert f"agent {entry.agent_id}" in entry.observation_digest or entry.observation_digest
         assert context.vocabulary.agent_ids == (1, 2, 3)
+        prompts = []
+
+        class CapturingReasoner(Reasoner):
+            name = "capturing"
+            produces = TEXT
+
+            def invoke(self, request):
+                prompts.append(request.rendered_prompt)
+                raise RemoteBackendError("no reply")
+
+        allocate_with_report(
+            CapturingReasoner(),
+            context,
+            inputs.summaries,
+            inputs.progress,
+            inputs.goal,
+        )
+        blocks = prompts[0].split("\n### agent ")[1:]
+        assert [block.split("\n")[0] for block in blocks] == ["1", "2", "3"]
+        for agent_id, block in zip((1, 2, 3), blocks):
+            assert "\n  goal objects: " in block
+            assert f"\n  observation: agent {agent_id} in " in block
 
     def test_remaining_by_predicate_counts_down(self):
         state, goal = init_world("WashDishes", 1, seed=0)

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stubserver import approve_candidates
 from homecrew.errors import ConfigError, ContractViolation
 from homecrew.harness.benchmark import (
     BenchmarkSpec,
@@ -48,6 +49,10 @@ def episode_config(**overrides) -> EpisodeConfig:
     base = dict(task="WashDishes", num_agents=2, seed=3, max_steps=60)
     base.update(overrides)
     return EpisodeConfig(**base)
+
+
+def first(records, record_type) -> dict:
+    return next(r for r in records if r["type"] == record_type)
 
 
 def row(task, variant, num_agents, seed, success, steps) -> dict:
@@ -468,6 +473,8 @@ class TestCliCommands:
             lambda records: records[0].update(max_steps=None),
             lambda records: records[-1].pop("steps"),
             lambda records: records[-1].update(success="yes"),
+            lambda records: records[0].update(template="template_v999"),
+            lambda records: records[-1].update(steps=True),
         ],
     )
     def test_replay_refuses_a_bad_header_or_end(self, tmp_path, capsys, damage):
@@ -479,6 +486,53 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(["replay", "--trace", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda records: first(records, "tick").pop("actions"),
+            lambda records: first(records, "tick").update(tick="1"),
+            lambda records: first(records, "tick").update(tick=True),
+            lambda records: first(records, "tick").update(actions={"1": 3}),
+            lambda records: first(records, "tick").update(actions=["WAIT"]),
+            lambda records: first(records, "exchange").pop("kind"),
+            lambda records: first(records, "exchange").update(kind="DAYDREAM"),
+            lambda records: first(records, "exchange").update(tick="0"),
+            lambda records: first(records, "exchange").update(agent_id=True),
+            lambda records: first(records, "exchange").update(response=5),
+            lambda records: first(records, "exchange").pop("response"),
+        ],
+        ids=[
+            "tick-without-actions",
+            "tick-str-tick",
+            "tick-bool-tick",
+            "tick-int-action",
+            "tick-list-actions",
+            "exchange-without-kind",
+            "exchange-unknown-kind",
+            "exchange-str-tick",
+            "exchange-bool-agent",
+            "exchange-int-response",
+            "exchange-without-response",
+        ],
+    )
+    def test_replay_refuses_a_malformed_tick_or_exchange(
+        self, tmp_path, capsys, stub, damage
+    ):
+        stub.policy = approve_candidates
+        argv, out = self.run_argv(
+            tmp_path,
+            "--backend", "manager=remote,members=heuristic",
+            "--endpoint-url", stub.url, "--model", "m",
+        )
+        assert main(argv) == 0
+        records = load_trace(out)
+        damage(records)
+        write_trace(records, out)
+        capsys.readouterr()
+        assert main(["replay", "--trace", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace record ") and "malformed" in err
 
     @pytest.mark.parametrize("text", ["", "{not json\n", "[1, 2]\n"])
     def test_replay_refuses_an_unreadable_trace(self, tmp_path, capsys, text):
@@ -526,6 +580,10 @@ class TestCliCommands:
             json.dump({"bogus": 1}, handle)
         assert main(["run", "--task", "WashDishes", "--config", config_path]) == 2
         assert "unknown option 'bogus'" in capsys.readouterr().err
+
+    def test_unknown_template_is_an_error(self, capsys):
+        assert main(["run", "--task", "WashDishes", "--template", "nope"]) == 2
+        assert "unknown prompt template: nope" in capsys.readouterr().err
 
     def test_unknown_backend_is_an_error(self, capsys):
         assert main(["run", "--task", "WashDishes", "--backend", "nope"]) == 2

@@ -13,15 +13,16 @@ import pytest
 from stubserver import approve_candidates, completion
 from homecrew.errors import RemoteBackendError
 from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_episode
-from homecrew.reasoner import Budget, PROPOSE, ReasonerRequest, RemoteReasoner
+from homecrew.reasoner import PROPOSE, ReasonerRequest, RemoteReasoner
 
 
-def wire_request(prompt="ping", transport_retries=2, timeout_s=5.0):
-    return ReasonerRequest(
-        kind=PROPOSE,
-        rendered_prompt=prompt,
-        structured_payload=None,
-        budget=Budget(timeout_s=timeout_s, transport_retries=transport_retries),
+def wire_request(prompt="ping"):
+    return ReasonerRequest(kind=PROPOSE, structured_payload=None, rendered_prompt=prompt)
+
+
+def remote(url, transport_retries=2, timeout_s=5.0):
+    return RemoteReasoner(
+        url, "m", timeout_s=timeout_s, transport_retries=transport_retries
     )
 
 
@@ -53,14 +54,14 @@ class TestWireFormat:
 class TestRetries:
     def test_recovers_after_one_500(self, stub):
         stub.replies = [(500, {"error": "boom"}), (200, completion("ok"))]
-        response = RemoteReasoner(stub.url, "m").invoke(wire_request())
+        response = remote(stub.url).invoke(wire_request())
         assert response.raw_text == "ok"
         assert len(stub.seen) == 2
 
     def test_persistent_500_raises_after_budget(self, stub):
         stub.replies = [(500, {"error": "boom"})] * 5
         with pytest.raises(RemoteBackendError) as err:
-            RemoteReasoner(stub.url, "m").invoke(wire_request(transport_retries=2))
+            remote(stub.url, transport_retries=2).invoke(wire_request())
         assert "HTTP 500" in str(err.value)
         assert "3 attempt(s)" in str(err.value)
         assert len(stub.seen) == 3
@@ -68,7 +69,7 @@ class TestRetries:
     @pytest.mark.parametrize("status", [408, 429])
     def test_timeout_and_throttle_statuses_are_retried(self, stub, status):
         stub.replies = [(status, {"error": "later"}), (200, completion("ok"))]
-        response = RemoteReasoner(stub.url, "m").invoke(wire_request())
+        response = remote(stub.url).invoke(wire_request())
         assert response.raw_text == "ok"
         assert len(stub.seen) == 2
 
@@ -76,33 +77,25 @@ class TestRetries:
     def test_other_client_errors_fail_after_one_attempt(self, stub, status):
         stub.replies = [(status, {"error": "bad request"})] * 3
         with pytest.raises(RemoteBackendError) as err:
-            RemoteReasoner(stub.url, "m").invoke(wire_request(transport_retries=2))
+            remote(stub.url, transport_retries=2).invoke(wire_request())
         assert f"HTTP {status} after 1 attempt(s)" in str(err.value)
         assert len(stub.seen) == 1
 
     def test_budget_timeout_bounds_each_attempt(self, stub):
         stub.delay_s = 0.3
         with pytest.raises(RemoteBackendError) as err:
-            RemoteReasoner(stub.url, "m").invoke(
-                wire_request(transport_retries=0, timeout_s=0.05)
-            )
+            remote(stub.url, transport_retries=0, timeout_s=0.05).invoke(wire_request())
         assert "transport error: ReadTimeout" in str(err.value)
 
     def test_malformed_payload_retries_then_succeeds(self, stub):
         stub.replies = [(200, {"nope": True}), (200, completion("fine"))]
-        response = RemoteReasoner(stub.url, "m").invoke(wire_request())
+        response = remote(stub.url).invoke(wire_request())
         assert response.raw_text == "fine"
 
     def test_unreachable_endpoint_raises(self):
-        reasoner = RemoteReasoner("http://127.0.0.1:1", "m")
-        request = ReasonerRequest(
-            kind=PROPOSE,
-            rendered_prompt="x",
-            structured_payload=None,
-            budget=Budget(timeout_s=0.5, transport_retries=0),
-        )
+        reasoner = remote("http://127.0.0.1:1", transport_retries=0, timeout_s=0.5)
         with pytest.raises(RemoteBackendError) as err:
-            reasoner.invoke(request)
+            reasoner.invoke(wire_request("x"))
         assert "transport error" in str(err.value)
 
 

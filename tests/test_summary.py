@@ -41,13 +41,12 @@ from homecrew.world import (
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 
 
-def record(tick, agent_id=1, events=(), digest=""):
+def record(tick, agent_id=1, events=()):
     return HistoryRecord(
         tick=tick,
         agent_id=agent_id,
         action=WAIT,
         events=tuple(events),
-        belief_digest=digest,
     )
 
 
@@ -98,7 +97,7 @@ def run_partitioned(task, num_agents, seed, ticks=120):
                 progress.satisfied - last.satisfied,
                 (t_last, state.tick),
                 index=len(collected) + 1,
-                goal_text=goal.render(),
+                goal=goal,
             )
             collected = append(collected, summary)
             t_last = state.tick

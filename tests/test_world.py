@@ -28,7 +28,6 @@ from homecrew.world import (
     GoalPredicate,
     GoalSpec,
     Location,
-    TaskProgress,
     close_container,
     evaluate_progress,
     go_to,
@@ -40,7 +39,6 @@ from homecrew.world import (
     open_container,
     put_in,
     put_on,
-    reward,
     task_categories,
     transition,
 )
@@ -388,13 +386,6 @@ class TestProgressAndReward:
             progress = evaluate_progress(state, goal)
             assert progress.satisfied == sum(progress.by_predicate)
             assert len(progress.by_predicate) == len(goal.predicates)
-
-    def test_reward_is_progress_delta(self):
-        before = TaskProgress(1, 4, (1, 0))
-        after = TaskProgress(3, 4, (2, 1))
-        assert reward(before, after) == 2
-        assert reward(after, before) == -2
-        assert reward(after, after) == 0
 
 
 class TestReachability:
