@@ -8,7 +8,7 @@ rules (agents ascending, option order as listed). It finds that joint with a
 pruned search over per-option terms; enumerate_joint_space and score_joint
 state the same result directly. Text backends are asked for an assignment
 line per agent and fall back to that same deterministic path after
-parse_retries unusable responses.
+PARSE_RETRIES re-asks.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from ..agents.textify import belief_digest, render_observation
 from ..errors import RemoteBackendError, ResponseParseError
 from ..reasoner.base import (
     ALLOCATE,
-    DEFAULT_PARSE_RETRIES,
+    PARSE_RETRIES,
     STRUCTURED,
     Reasoner,
     ReasonerRequest,
 )
 from ..reasoner.parsing import parse_allocation
-from ..reasoner.prompts import TEMPLATE_V1, AgentBlock, AllocatePayload, render_prompt
+from ..reasoner.prompts import AgentBlock, AllocatePayload, render_prompt
 from ..summaries import CollaborativeSummary
 from ..world.types import (
     LOC_AGENT,
@@ -330,7 +330,7 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     )
 
 
-def _allocate_request(inputs: AllocationInputs, template: str) -> ReasonerRequest:
+def _allocate_request(inputs: AllocationInputs) -> ReasonerRequest:
     context = inputs.context
     blocks = tuple(
         AgentBlock(
@@ -359,7 +359,7 @@ def _allocate_request(inputs: AllocationInputs, template: str) -> ReasonerReques
     return ReasonerRequest(
         kind=ALLOCATE,
         structured_payload=inputs,
-        rendered_prompt=render_prompt(ALLOCATE, payload, template),
+        rendered_prompt=render_prompt(ALLOCATE, payload),
         tick=context.tick,
         agent_id=manager_id,
     )
@@ -371,11 +371,9 @@ def allocate_with_report(
     summaries: CollaborativeSummary,
     progress: TaskProgress,
     goal: GoalSpec,
-    parse_retries: int = DEFAULT_PARSE_RETRIES,
-    template: str = TEMPLATE_V1,
 ) -> Tuple[JointAction, AllocationReport]:
     """Allocation plus how it went. Text backends re-ask with the identical
-    prompt after malformed or conflicting responses; after parse_retries
+    prompt after malformed or conflicting responses; after PARSE_RETRIES
     re-asks (or once the backend errors out) the deterministic path takes
     over and the report is marked degraded. A structured backend gets the
     inputs alone; no prompt is built for it."""
@@ -385,11 +383,11 @@ def allocate_with_report(
     if reasoner.produces == STRUCTURED:
         joint = reasoner.invoke(ReasonerRequest(ALLOCATE, inputs)).parsed
         return joint, AllocationReport(attempts=1, degraded=False)
-    request = _allocate_request(inputs, template)
+    request = _allocate_request(inputs)
     remaining = remaining_by_predicate(goal, progress)
     attempts = 0
     note = ""
-    for _ in range(1 + parse_retries):
+    for _ in range(1 + PARSE_RETRIES):
         attempts += 1
         try:
             response = reasoner.invoke(request)
@@ -412,11 +410,7 @@ def allocate(
     summaries: CollaborativeSummary,
     progress: TaskProgress,
     goal: GoalSpec,
-    parse_retries: int = DEFAULT_PARSE_RETRIES,
-    template: str = TEMPLATE_V1,
 ) -> JointAction:
     """The joint assignment alone; see allocate_with_report."""
-    joint, _ = allocate_with_report(
-        reasoner, context, summaries, progress, goal, parse_retries, template
-    )
+    joint, _ = allocate_with_report(reasoner, context, summaries, progress, goal)
     return joint

@@ -2,9 +2,9 @@
 
 Each member ranks candidate tasks from its own belief: believed goal objects
 by travel distance, or a sweep of the room most likely to still hide one when
-none are known. Text backends get one retry per parse_retries with the
-identical prompt; after that the member falls back to a deterministic sweep
-proposal flagged as degraded.
+none are known. Text backends are re-asked with the identical prompt up to
+PARSE_RETRIES times; after that the member falls back to a deterministic
+sweep proposal flagged as degraded.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from ..agents.execution import MacroTask, sweep_targets
 from ..agents.textify import render_belief, render_history, render_observation
 from ..errors import RemoteBackendError, ResponseParseError
 from ..reasoner.base import (
-    DEFAULT_PARSE_RETRIES,
+    PARSE_RETRIES,
     PROPOSE,
     STRUCTURED,
     Reasoner,
     ReasonerRequest,
 )
 from ..reasoner.parsing import parse_proposal
-from ..reasoner.prompts import TEMPLATE_V1, ProposePayload, render_prompt
+from ..reasoner.prompts import ProposePayload, render_prompt
 from ..world.engine import evaluate_progress
 from ..world.types import LOC_AGENT, goal_location
 from .types import AgentView, Proposal, Vocabulary
@@ -98,9 +98,7 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     )
 
 
-def _propose_request(
-    view: AgentView, vocabulary: Vocabulary, template: str
-) -> ReasonerRequest:
+def _propose_request(view: AgentView, vocabulary: Vocabulary) -> ReasonerRequest:
     own_records = tuple(
         rec for rec in view.history_window if rec.agent_id == view.agent_id
     )
@@ -121,29 +119,24 @@ def _propose_request(
     return ReasonerRequest(
         kind=PROPOSE,
         structured_payload=view,
-        rendered_prompt=render_prompt(PROPOSE, payload, template),
+        rendered_prompt=render_prompt(PROPOSE, payload),
         tick=view.tick,
         agent_id=view.agent_id,
     )
 
 
-def make_proposal(
-    reasoner: Reasoner,
-    view: AgentView,
-    parse_retries: int = DEFAULT_PARSE_RETRIES,
-    template: str = TEMPLATE_V1,
-) -> Proposal:
+def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
     """One member's proposal via the given backend, never raising on bad
     responses: text parse failures re-ask with the identical prompt up to
-    parse_retries times, then degrade to a deterministic sweep. A structured
+    PARSE_RETRIES times, then degrade to a deterministic sweep. A structured
     backend gets the view alone; no prompt is built for it."""
     if reasoner.produces == STRUCTURED:
         return reasoner.invoke(ReasonerRequest(PROPOSE, view)).parsed
     vocabulary = Vocabulary.from_house(
         view.house, tuple(range(1, view.num_agents + 1))
     )
-    request = _propose_request(view, vocabulary, template)
-    for _ in range(1 + parse_retries):
+    request = _propose_request(view, vocabulary)
+    for _ in range(1 + PARSE_RETRIES):
         try:
             response = reasoner.invoke(request)
         except RemoteBackendError:

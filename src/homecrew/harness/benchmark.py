@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..reasoner import Reasoner
 from .config import EpisodeConfig, variant_flags
 from .episode import EpisodeResult, run_episode
 from .metrics import (
@@ -77,18 +76,10 @@ def trace_filename(result: EpisodeResult) -> str:
     )
 
 
-def run_benchmark(
-    spec: BenchmarkSpec,
-    out_dir: Optional[str] = None,
-    manager: Optional[Reasoner] = None,
-    member: Optional[Reasoner] = None,
-) -> BenchmarkResult:
-    """Run every cell; optionally write traces and metric files under
-    out_dir. Passing shared reasoner instances is only sound for stateless
-    backends; scripted fixtures must be rebuilt per episode via the config."""
-    results = []
-    for config in cell_configs(spec):
-        results.append(run_episode(config, manager, member))
+def run_benchmark(spec: BenchmarkSpec, out_dir: Optional[str] = None) -> BenchmarkResult:
+    """Run every cell, each on backends built from its own config; optionally
+    write traces and metric files under out_dir."""
+    results = [run_episode(config) for config in cell_configs(spec)]
     rows = tuple(result.as_row() for result in results)
     cells = tuple(aggregate(rows))
     if out_dir is not None:

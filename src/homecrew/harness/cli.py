@@ -7,9 +7,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from ..errors import EngineError
-from ..reasoner import TEMPLATE_V1
-from ..reasoner.base import DEFAULT_PARSE_RETRIES
+from ..errors import ConfigError, EngineError
 from ..reasoner.remote import DEFAULT_KEY_ENV, DEFAULT_TIMEOUT_S
 from ..world import task_categories
 from .benchmark import BenchmarkSpec, run_benchmark
@@ -24,30 +22,38 @@ from .metrics import aggregate, format_table, read_long_csv
 from .trace import load_trace, trace_sha256, write_trace
 
 
+def split_list(value: str) -> Tuple[str, ...]:
+    """The non-blank items of a comma-separated flag, stripped."""
+    return tuple(item.strip() for item in value.split(",") if item.strip())
+
+
 def parse_backend(value: str) -> Tuple[str, str]:
     """'heuristic' for both roles, or 'manager=remote,members=heuristic'."""
     if "=" not in value:
         return value, value
     parts = {}
-    for item in value.split(","):
-        if not item:
-            continue
-        key, _, name = item.partition("=")
-        parts[key.strip()] = name.strip()
+    for item in split_list(value):
+        key, _, name = (part.strip() for part in item.partition("="))
+        if key not in ("manager", "members", "member") or not name:
+            raise ConfigError(f"--backend item {item!r} is not manager=, members= or member=NAME")
+        parts[key] = name
     manager = parts.get("manager", "heuristic")
     member = parts.get("members", parts.get("member", "heuristic"))
     return manager, member
 
 
 def parse_int_list(value: str) -> Tuple[int, ...]:
-    return tuple(int(item) for item in value.split(",") if item.strip())
+    try:
+        return tuple(int(item) for item in split_list(value))
+    except ValueError:
+        raise ConfigError(f"{value!r} is not a comma-separated list of integers")
 
 
 def parse_seeds(value: str) -> Tuple[int, ...]:
     """A bare count N means seeds 0..N-1; otherwise an explicit list."""
     stripped = value.strip()
     if "," not in stripped and stripped.isdigit():
-        return tuple(range(int(stripped)))
+        return tuple(range(parse_int_list(stripped)[0]))
     return parse_int_list(value)
 
 
@@ -67,8 +73,6 @@ def add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
     parser.add_argument("--fixtures", default=None, help="scripted fixtures JSONL")
     parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    parser.add_argument("--parse-retries", type=int, default=DEFAULT_PARSE_RETRIES)
-    parser.add_argument("--template", default=TEMPLATE_V1)
     parser.add_argument(
         "--config", default=None, help="JSON file of defaults for these options"
     )
@@ -125,6 +129,11 @@ def apply_config_file(args, subparser) -> bool:
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("command", "config"):
             raise EngineError(f"config file sets unknown option {key!r}")
+        # Numbers are checked by the configs; text and on/off options here.
+        default = subparser.get_default(dest)
+        expected = str if default is None else type(default)
+        if expected in (str, bool) and not isinstance(value, expected):
+            raise ConfigError(f"config file sets {key!r} to {value!r}, not a {expected.__name__}")
         mapped[dest] = value
     subparser.set_defaults(**mapped)
     return True
@@ -149,8 +158,6 @@ def episode_config_from_args(
         use_allocation=use_allocation,
         use_summaries=use_summaries,
         max_steps=args.max_steps,
-        parse_retries=args.parse_retries,
-        template=args.template,
         remote=remote,
         fixtures_path=args.fixtures,
     )
@@ -181,14 +188,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    tasks = tuple(item for item in args.tasks.split(",") if item.strip())
-    base = episode_config_from_args(args, task=tasks[0], num_agents=1, seed=0)
     spec = BenchmarkSpec(
-        base=base,
-        tasks=tasks,
+        # Every cell sets its own task, team size and seed on this base.
+        base=episode_config_from_args(args, task_categories()[0], num_agents=1, seed=0),
+        tasks=split_list(args.tasks),
         agent_counts=parse_int_list(args.agents),
         seeds=parse_seeds(args.seeds),
-        variants=tuple(item for item in args.variants.split(",") if item.strip()),
+        variants=split_list(args.variants),
     )
     outcome = run_benchmark(spec, out_dir=args.out)
     print(format_table(outcome.cells))

@@ -19,16 +19,9 @@ from ..reasoner import (
     Reasoner,
     RemoteReasoner,
     ScriptedReasoner,
-    TEMPLATE_V1,
     load_fixtures,
 )
-from ..reasoner.base import DEFAULT_PARSE_RETRIES
-from ..reasoner.prompts import check_template
-from ..reasoner.remote import (
-    DEFAULT_KEY_ENV,
-    DEFAULT_TIMEOUT_S,
-    DEFAULT_TRANSPORT_RETRIES,
-)
+from ..reasoner.remote import DEFAULT_KEY_ENV, DEFAULT_TIMEOUT_S
 from ..world import scenarios, task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
@@ -49,15 +42,14 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class RemoteConfig:
-    """Where text decisions go and how long each may take. timeout_s and
-    transport_retries bound every request; max_concurrency bounds how many
-    of one tick's decisions are in flight at once (1 sends them in turn)."""
+    """Where text decisions go and how long each may take. timeout_s bounds
+    every attempt of a request; max_concurrency bounds how many of one
+    tick's decisions are in flight at once (1 sends them in turn)."""
 
     endpoint_url: str = ""
     model: str = ""
     api_key_env: str = DEFAULT_KEY_ENV
     timeout_s: float = DEFAULT_TIMEOUT_S
-    transport_retries: int = DEFAULT_TRANSPORT_RETRIES
     max_concurrency: int = 4
 
     def __post_init__(self):
@@ -70,7 +62,6 @@ class RemoteConfig:
             raise ConfigError(
                 f"timeout must be a positive number of seconds, got {timeout!r}"
             )
-        _check_count("transport_retries", self.transport_retries, 0)
         _check_count("max_concurrency", self.max_concurrency, 1)
 
 
@@ -84,8 +75,6 @@ class EpisodeConfig:
     use_allocation: bool = True
     use_summaries: bool = True
     max_steps: int = DEFAULT_MAX_STEPS
-    parse_retries: int = DEFAULT_PARSE_RETRIES
-    template: str = TEMPLATE_V1
     remote: RemoteConfig = field(default_factory=RemoteConfig)
     fixtures_path: Optional[str] = None
 
@@ -99,8 +88,6 @@ class EpisodeConfig:
             )
         _check_int("seed", self.seed)
         _check_count("max_steps", self.max_steps, 1)
-        _check_count("parse_retries", self.parse_retries, 0)
-        check_template(self.template)
         for name in (self.manager_backend, self.member_backend):
             if name not in BACKENDS:
                 raise ConfigError(f"unknown backend {name!r}")
@@ -132,7 +119,6 @@ def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
             model=remote.model,
             api_key_env=remote.api_key_env,
             timeout_s=remote.timeout_s,
-            transport_retries=remote.transport_retries,
         )
     if backend == "scripted":
         if not config.fixtures_path:

@@ -44,6 +44,7 @@ from ..reasoner import (
     ReasonerResponse,
     RemoteReasoner,
     ScriptedReasoner,
+    TEMPLATE_V1,
     TEXT,
 )
 from ..summaries import (
@@ -203,7 +204,7 @@ def _play_episode(
             "manager_backend": manager.name,
             "member_backend": member.name,
             "max_steps": config.max_steps,
-            "template": config.template,
+            "template": TEMPLATE_V1,
         }
     ]
     recording_manager = RecordingReasoner(manager, sink)
@@ -242,7 +243,6 @@ def _play_episode(
                             interval=(t_last, state.tick),
                             index=len(collected) + 1,
                             goal=goal,
-                            template=config.template,
                         ),
                     )
                 )
@@ -266,17 +266,7 @@ def _play_episode(
                 )
                 # Proposals are member work even for the agent carrying the
                 # manager role; only ALLOCATE/SUMMARIZE use the manager backend.
-                calls.append(
-                    (
-                        member,
-                        partial(
-                            make_proposal,
-                            view=view,
-                            parse_retries=config.parse_retries,
-                            template=config.template,
-                        ),
-                    )
-                )
+                calls.append((member, partial(make_proposal, view=view)))
         outcomes = _play_round(pool, calls)
         if summary_due:
             summary, exchanges = outcomes.pop(0)
@@ -319,8 +309,6 @@ def _play_episode(
                 prompt_summaries,
                 believed,
                 goal,
-                config.parse_retries,
-                config.template,
             )
             degraded += int(report.degraded)
             mode, attempts, was_degraded = "centralized", report.attempts, report.degraded
@@ -390,7 +378,12 @@ def _play_episode(
 
 def config_from_header(header: dict) -> EpisodeConfig:
     """The config a trace was recorded under. Field values are checked by
-    EpisodeConfig; a variant it would not name the same way is refused."""
+    EpisodeConfig; a variant it would not name the same way, or a prompt
+    layout other than the one this program renders, is refused."""
+    if header["template"] != TEMPLATE_V1:
+        raise ContractViolation(
+            f"trace header names unknown prompt template {header['template']!r}"
+        )
     variant = header["variant"]
     if not isinstance(variant, str):
         raise ContractViolation(f"trace header variant {variant!r} is not a string")
@@ -404,7 +397,6 @@ def config_from_header(header: dict) -> EpisodeConfig:
         use_allocation=use_allocation,
         use_summaries=use_summaries,
         max_steps=header["max_steps"],
-        template=header["template"],
     )
     if config.variant != variant:
         raise ContractViolation(f"trace header names unknown variant {variant!r}")

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ContractViolation
+
 VARIANT_ORDER = ("full", "no_summary", "no_allocation", "no_allocation+no_summary")
 
 
@@ -124,14 +126,22 @@ def long_csv(rows: Sequence[dict]) -> str:
 
 
 def read_long_csv(path: str) -> List[dict]:
+    """The rows of a long.csv as long_csv wrote them; any other file is
+    refused, naming the first line that is not such a row."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            row["num_agents"] = int(row["num_agents"])
-            row["seed"] = int(row["seed"])
-            row["steps"] = int(row["steps"])
-            row["success"] = row["success"] == "True"
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            for row in reader:
+                values = [row.get(name) for name in LONG_FIELDS]
+                if None in row or None in values or row["success"] not in ("True", "False"):
+                    raise ValueError(f"line {reader.line_num} is not a long.csv row")
+                for name in ("num_agents", "seed", "steps"):
+                    row[name] = int(row[name])
+                row["success"] = row["success"] == "True"
+                rows.append(row)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ContractViolation(f"cannot read {path}: {exc}")
     return rows
 
 

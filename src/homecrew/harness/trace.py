@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ContractViolation
-from ..reasoner.base import REQUEST_KINDS
+from ..reasoner.scripted import Exchange, exchange_entry, is_int
 
 TRACE_FORMAT = 1
 
@@ -80,40 +80,27 @@ def header_of(records: List[dict]) -> dict:
     return header
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def end_of(records: List[dict]) -> dict:
     if not records or records[-1].get("type") != "end":
         raise ContractViolation("trace does not finish with an end record")
     end = records[-1]
-    if not _is_int(end.get("steps")) or not isinstance(end.get("success"), bool):
+    if not is_int(end.get("steps")) or not isinstance(end.get("success"), bool):
         raise ContractViolation("trace end record lacks integer steps or a success flag")
     return end
 
 
-def exchanges_of(
-    records: List[dict],
-) -> List[Tuple[str, int, int, Optional[str]]]:
+def exchanges_of(records: List[dict]) -> List[Exchange]:
     """(kind, tick, agent_id, response) tuples in recorded order, ready for
-    ScriptedReasoner.from_exchanges. An exchange record needs a known kind,
-    int tick and agent_id, and a response that is a string or null."""
+    ScriptedReasoner.from_exchanges. An exchange record is checked as a
+    fixture line is (exchange_entry)."""
     exchanges = []
     for number, r in enumerate(records, 1):
         if r.get("type") != "exchange":
             continue
-        kind, tick, agent_id = r.get("kind"), r.get("tick"), r.get("agent_id")
-        response = r.get("response")
-        if (
-            kind not in REQUEST_KINDS
-            or not _is_int(tick)
-            or not _is_int(agent_id)
-            or "response" not in r
-            or not (response is None or isinstance(response, str))
-        ):
+        entry = exchange_entry(r)
+        if entry is None:
             raise ContractViolation(f"trace record {number} is a malformed exchange")
-        exchanges.append((kind, tick, agent_id, response))
+        exchanges.append(entry)
     return exchanges
 
 
@@ -126,7 +113,7 @@ def action_stream(records: List[dict]) -> List[Tuple[int, Dict[str, str]]]:
             continue
         tick, actions = r.get("tick"), r.get("actions")
         if not (
-            _is_int(tick)
+            is_int(tick)
             and isinstance(actions, dict)
             and all(isinstance(k, str) and isinstance(v, str) for k, v in actions.items())
         ):

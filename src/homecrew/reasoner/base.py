@@ -22,7 +22,7 @@ STRUCTURED = "structured"
 TEXT = "text"
 
 # How many times a decision re-asks a text backend after an unusable reply.
-DEFAULT_PARSE_RETRIES = 2
+PARSE_RETRIES = 2
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Versioned prompt templates.
+"""The prompt layout.
 
-Rendering is a pure function of (kind, payload, template): the payloads here
-are plain text bundles prepared by the calling module, so the same payload
-always yields byte-identical prompts. Only template_v1 exists today; new
-layouts must be added as new template names, never by editing v1 in place.
+Rendering is a pure function of (kind, payload): the payloads here are plain
+text bundles prepared by the calling module, so the same payload always
+yields byte-identical prompts. There is one layout; its name, TEMPLATE_V1,
+is written into every trace header so that a trace names the layout its
+prompts were rendered with. A new layout gets a new name, never an edit of
+this one in place.
 """
 
 from __future__ import annotations
@@ -165,15 +167,7 @@ def _render_summarize(p: SummarizePayload) -> str:
     return "\n".join(lines)
 
 
-def check_template(template: str) -> None:
-    """Refuse a template name no renderer knows. Configs check it up front,
-    since a run on a structured backend renders no prompt."""
-    if template != TEMPLATE_V1:
-        raise ConfigError(f"unknown prompt template: {template}")
-
-
-def render_prompt(kind: str, payload, template: str = TEMPLATE_V1) -> str:
-    check_template(template)
+def render_prompt(kind: str, payload) -> str:
     if kind == PROPOSE:
         return _render_propose(payload)
     if kind == ALLOCATE:

@@ -4,7 +4,7 @@ Requests are sent at temperature 0 with the rendered prompt as a single user
 message. The API key is read from an environment variable at call time and
 never stored on the instance, logged, or echoed into traces. Transport
 failures, timeouts (408), throttling (429) and server errors retry with a
-short backoff up to transport_retries times; any other 4xx cannot succeed on a
+short backoff up to TRANSPORT_RETRIES times; any other 4xx cannot succeed on a
 retry and fails at once. Either way the failure surfaces as
 RemoteBackendError for the caller's fallback path to handle.
 
@@ -25,7 +25,7 @@ from .base import TEXT, Reasoner, ReasonerRequest, ReasonerResponse
 DEFAULT_KEY_ENV = "HOMECREW_API_KEY"
 # Each attempt's connect and each wait for reply data.
 DEFAULT_TIMEOUT_S = 30.0
-DEFAULT_TRANSPORT_RETRIES = 2
+TRANSPORT_RETRIES = 2
 RETRY_BACKOFF_S = 0.05
 # Client errors that a later attempt can still get past.
 RETRYABLE_4XX = (408, 429)
@@ -41,7 +41,6 @@ class RemoteReasoner(Reasoner):
         model: str,
         api_key_env: str = DEFAULT_KEY_ENV,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        transport_retries: int = DEFAULT_TRANSPORT_RETRIES,
     ):
         if not endpoint_url:
             raise RemoteBackendError("remote backend needs an endpoint URL")
@@ -49,7 +48,6 @@ class RemoteReasoner(Reasoner):
         self.model = model
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        self.transport_retries = transport_retries
         self._session = requests.Session()
 
     def close(self) -> None:
@@ -69,7 +67,7 @@ class RemoteReasoner(Reasoner):
             "messages": [{"role": "user", "content": request.rendered_prompt}],
         }
         url = f"{self.endpoint_url}/chat/completions"
-        attempts = 1 + self.transport_retries
+        attempts = 1 + TRANSPORT_RETRIES
         last_error = "no attempt made"
         made = 0
         while made < attempts:

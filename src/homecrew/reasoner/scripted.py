@@ -12,13 +12,32 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..errors import FixtureExhausted, RemoteBackendError
-from .base import TEXT, Reasoner, ReasonerRequest, ReasonerResponse
+from ..errors import ConfigError, FixtureExhausted, RemoteBackendError
+from .base import REQUEST_KINDS, TEXT, Reasoner, ReasonerRequest, ReasonerResponse
 
 FixtureKey = Tuple[str, int, int]
 
 # A None response replays a recorded transport failure.
 FixtureValue = Optional[str]
+
+Exchange = Tuple[str, int, int, FixtureValue]
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool, as a JSON record field."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def exchange_entry(record) -> Optional[Exchange]:
+    """(kind, tick, agent_id, response) of a fixture line or a trace exchange
+    record, which carry the same four fields; None unless the kind is a
+    request kind, tick and agent_id are ints and response a string or null."""
+    if not isinstance(record, dict) or "response" not in record:
+        return None
+    entry = tuple(record.get(name) for name in ("kind", "tick", "agent_id", "response"))
+    kind, tick, agent_id, response = entry
+    typed = is_int(tick) and is_int(agent_id) and (response is None or isinstance(response, str))
+    return entry if kind in REQUEST_KINDS and typed else None
 
 
 class ScriptedReasoner(Reasoner):
@@ -31,9 +50,7 @@ class ScriptedReasoner(Reasoner):
         }
 
     @classmethod
-    def from_exchanges(
-        cls, exchanges: Iterable[Tuple[str, int, int, FixtureValue]]
-    ) -> "ScriptedReasoner":
+    def from_exchanges(cls, exchanges: Iterable[Exchange]) -> "ScriptedReasoner":
         """Build from (kind, tick, agent_id, raw_text) tuples in replay order."""
         fixtures: Dict[FixtureKey, List[FixtureValue]] = {}
         for kind, tick, agent_id, raw_text in exchanges:
@@ -54,17 +71,28 @@ class ScriptedReasoner(Reasoner):
         return ReasonerResponse(raw_text=value)
 
 
-def load_fixtures(path: str) -> Dict[FixtureKey, List[str]]:
+def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
     """Read fixtures from JSONL: one object per line with kind, tick,
     agent_id, and response fields (a null response replays a transport
-    failure). Repeated keys queue in file order."""
+    failure). Repeated keys queue in file order. A file that cannot be read
+    or a line that is not such an object is refused, naming the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read fixtures {path}: {exc}")
     fixtures: Dict[FixtureKey, List[FixtureValue]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            key = (record["kind"], int(record["tick"]), int(record["agent_id"]))
-            fixtures.setdefault(key, []).append(record.get("response"))
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entry = exchange_entry(json.loads(line))
+        except ValueError:
+            entry = None
+        if entry is None:
+            raise ConfigError(
+                f"fixtures {path} line {number} is not an object with a request "
+                "kind, int tick and agent_id, and a string or null response"
+            )
+        fixtures.setdefault(entry[:3], []).append(entry[3])
     return fixtures

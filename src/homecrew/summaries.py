@@ -17,7 +17,7 @@ from .agents.records import HistoryRecord
 from .agents.textify import render_history
 from .errors import ContractViolation, RemoteBackendError, ResponseParseError
 from .reasoner.base import SUMMARIZE, STRUCTURED, Reasoner, ReasonerRequest
-from .reasoner.prompts import TEMPLATE_V1, SummarizePayload, render_prompt
+from .reasoner.prompts import SummarizePayload, render_prompt
 from .world.types import GoalSpec, TaskProgress
 
 SUMMARY_CHAR_BUDGET = 512
@@ -102,7 +102,6 @@ def summarize(
     interval: Tuple[int, int],
     index: int = 1,
     goal: Optional[GoalSpec] = None,
-    template: str = TEMPLATE_V1,
 ) -> Summary:
     """Condense one interval's records into a bounded Summary.
 
@@ -133,7 +132,7 @@ def summarize(
         request = ReasonerRequest(
             kind=SUMMARIZE,
             structured_payload=inputs,
-            rendered_prompt=render_prompt(SUMMARIZE, payload, template),
+            rendered_prompt=render_prompt(SUMMARIZE, payload),
             tick=interval[1],
             agent_id=0,
         )

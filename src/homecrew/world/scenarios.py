@@ -1,10 +1,10 @@
 """Scenario catalog loading and seeded world generation.
 
-The built-in catalog ships with the package as ``catalog.json``; an external
-file with the same schema can be supplied to swap the house layout or the
-task recipes without touching code. Generation is a pure function of
-(task category, agent count, seed): the same triple always yields the same
-initial WorldState and GoalSpec.
+The catalog ships with the package as ``catalog.json`` and is the one every
+episode is generated from; load_catalog also validates an external file
+with the same schema. Generation is a pure function of (task category,
+agent count, seed): the same triple always yields the same initial
+WorldState and GoalSpec.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ def load_catalog(path: Optional[str] = None) -> dict:
     return catalog
 
 
-def task_categories(catalog: Optional[dict] = None) -> List[str]:
-    catalog = catalog or load_catalog()
-    return sorted(catalog["tasks"])
+def task_categories() -> List[str]:
+    return sorted(load_catalog()["tasks"])
 
 
 def _validate_catalog(catalog: dict) -> None:
@@ -133,10 +132,7 @@ def build_house(catalog: dict) -> HouseMap:
 
 
 def init_world(
-    task_category: str,
-    num_agents: int,
-    seed: int,
-    catalog: Optional[dict] = None,
+    task_category: str, num_agents: int, seed: int
 ) -> Tuple[WorldState, GoalSpec]:
     """Build the tick-0 state for one episode.
 
@@ -147,7 +143,7 @@ def init_world(
     """
     if not 1 <= num_agents <= MAX_AGENTS:
         raise ConfigError(f"num_agents must be in 1..{MAX_AGENTS}, got {num_agents}")
-    catalog = catalog or load_catalog()
+    catalog = load_catalog()
     goal = build_goal(catalog, task_category)
     rng = random.Random(seed)
 

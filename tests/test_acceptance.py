@@ -267,7 +267,6 @@ def remote_episode_config(stub, **overrides):
             endpoint_url=stub.url,
             model="house-7b",
             timeout_s=5.0,
-            transport_retries=1,
         ),
     )
     base.update(overrides)

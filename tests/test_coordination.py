@@ -612,7 +612,7 @@ class TestMakeProposal:
         scripted = ScriptedReasoner(
             {(PROPOSE, view.tick, 1): ["bad", "bad", "bad"]}
         )
-        proposal = make_proposal(scripted, view, parse_retries=2)
+        proposal = make_proposal(scripted, view)
         assert proposal.degraded
         assert proposal.candidate == MacroTask.explore("livingroom")
         assert scripted.pending() == 0

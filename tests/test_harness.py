@@ -3,7 +3,9 @@ benchmark grids, and the command line entry points."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from stubserver import approve_candidates
 from homecrew.errors import ConfigError, ContractViolation
 from homecrew.harness.benchmark import (
+    BenchmarkResult,
     BenchmarkSpec,
     cell_configs,
     run_benchmark,
@@ -23,7 +26,12 @@ from homecrew.harness.benchmark import (
 )
 from homecrew.harness.cli import main, parse_backend, parse_seeds
 from homecrew.harness.config import EpisodeConfig, RemoteConfig
-from homecrew.harness.episode import config_from_header, replay_trace, run_episode
+from homecrew.harness.episode import (
+    EpisodeResult,
+    config_from_header,
+    replay_trace,
+    run_episode,
+)
 from homecrew.harness.metrics import (
     VARIANT_ORDER,
     aggregate,
@@ -318,35 +326,21 @@ def _valid_count(value, least):
 class TestConfigBounds:
     @settings(max_examples=300, deadline=None)
     @given(
-        parse_retries=st.one_of(st.integers(-4, 4), st.booleans()),
         timeout_s=st.one_of(
             st.floats(), st.integers(-4, 4), st.booleans(), st.just("5"), st.none()
         ),
-        transport_retries=st.one_of(st.integers(-4, 4), st.just(1.0)),
         max_concurrency=st.integers(-4, 8),
     )
-    def test_bad_numbers_rejected_at_construction(
-        self, parse_retries, timeout_s, transport_retries, max_concurrency
-    ):
+    def test_bad_numbers_rejected_at_construction(self, timeout_s, max_concurrency):
         timeout_ok = (
             isinstance(timeout_s, (int, float))
             and not isinstance(timeout_s, bool)
             and 0 < timeout_s < math.inf
         )
-        valid = (
-            _valid_count(parse_retries, 0)
-            and timeout_ok
-            and _valid_count(transport_retries, 0)
-            and _valid_count(max_concurrency, 1)
-        )
+        valid = timeout_ok and _valid_count(max_concurrency, 1)
         try:
             episode_config(
-                parse_retries=parse_retries,
-                remote=RemoteConfig(
-                    timeout_s=timeout_s,
-                    transport_retries=transport_retries,
-                    max_concurrency=max_concurrency,
-                ),
+                remote=RemoteConfig(timeout_s=timeout_s, max_concurrency=max_concurrency)
             )
         except ConfigError:
             assert not valid
@@ -356,10 +350,10 @@ class TestConfigBounds:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--parse-retries", "-1"],
             ["--timeout", "-5"],
             ["--timeout", "0"],
             ["--timeout", "nan"],
+            ["--max-steps", "0"],
         ],
     )
     def test_cli_rejects_bad_numbers(self, flags, capsys):
@@ -367,10 +361,21 @@ class TestConfigBounds:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "values", [{"timeout": None}, {"timeout": [5]}, {"parse-retries": -1}]
+        "values",
+        [
+            {"timeout": None},
+            {"timeout": [5]},
+            {"parse-retries": -1},
+            {"template": "template_v1"},
+            {"backend": 5},
+            {"fixtures": 5},
+            {"no-summary": "yes"},
+        ],
     )
     def test_config_file_values_are_checked_too(self, values, tmp_path, capsys):
-        # argparse converts only string defaults, so these reach the config.
+        # argparse converts only string defaults, so the timeouts reach the
+        # config; the retry count and the prompt layout are no options at all;
+        # text and on/off options refuse a value of another JSON type.
         config_path = str(tmp_path / "defaults.json")
         with open(config_path, "w") as handle:
             json.dump(values, handle)
@@ -421,6 +426,22 @@ class TestCliParsing:
         assert parse_seeds("3") == (0, 1, 2)
         assert parse_seeds("0,2,5") == (0, 2, 5)
         assert parse_seeds("7,") == (7,)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "manger=remote",
+            "manager=",
+            "manager,members=remote",
+            "=remote",
+            "members=heuristic,bogus=x",
+        ],
+    )
+    def test_backend_with_unknown_role_or_no_name_is_refused(self, value, capsys):
+        with pytest.raises(ConfigError):
+            parse_backend(value)
+        assert main(["run", "--task", "WashDishes", "--backend", value]) == 2
+        assert capsys.readouterr().err.startswith("error: --backend item")
 
     def test_task_catalog_is_sorted(self):
         names = task_categories()
@@ -581,10 +602,100 @@ class TestCliCommands:
         assert main(["run", "--task", "WashDishes", "--config", config_path]) == 2
         assert "unknown option 'bogus'" in capsys.readouterr().err
 
-    def test_unknown_template_is_an_error(self, capsys):
-        assert main(["run", "--task", "WashDishes", "--template", "nope"]) == 2
-        assert "unknown prompt template: nope" in capsys.readouterr().err
-
     def test_unknown_backend_is_an_error(self, capsys):
         assert main(["run", "--task", "WashDishes", "--backend", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (None, "cannot read fixtures"),
+            ("{not json\n", "line 1 "),
+            ('\n{"tick": 0, "agent_id": 1, "response": "x"}\n', "line 2 "),
+            ('{"kind": "PROPOSE", "tick": true, "agent_id": 1, "response": "x"}\n', "line 1 "),
+            ('{"kind": "PROPOSE", "tick": 0, "agent_id": 1, "response": 5}\n', "line 1 "),
+            ('{"kind": "propose", "tick": 0, "agent_id": 1, "response": "x"}\n', "line 1 "),
+        ],
+        ids=["missing", "not-json", "no-kind", "bool-tick", "int-response", "unknown-kind"],
+    )
+    def test_scripted_fixtures_are_checked(self, tmp_path, capsys, text, where):
+        path = str(tmp_path / "fixtures.jsonl")
+        if text is not None:
+            with open(path, "w") as handle:
+                handle.write(text)
+        argv = ["run", "--task", "WashDishes", "--backend", "scripted", "--fixtures", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err and where in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--agents", "x"], ["--seeds", "a,b"], ["--tasks", ""], ["--tasks", ",,"]],
+    )
+    def test_bench_refuses_bad_lists(self, flags, capsys):
+        assert main(["bench", "--max-steps", "5", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "task,variant\nx\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,True,many,1,1,0,0\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,maybe,4,1,1,0,0\n",
+        ],
+        ids=["missing", "short-row", "str-steps", "bad-success"],
+    )
+    def test_report_refuses_a_missing_or_malformed_long_csv(self, tmp_path, capsys, text):
+        if text is not None:
+            with open(tmp_path / "long.csv", "w") as handle:
+                handle.write(text)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "long.csv" in err
+
+
+_LIST_ITEM = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(
+        task_categories() + ["manager", "members", "member", "heuristic", "remote"]
+    ),
+    st.text(max_size=3),
+)
+_LIST_FLAG = st.lists(
+    st.one_of(_LIST_ITEM, st.tuples(_LIST_ITEM, _LIST_ITEM).map("=".join)),
+    max_size=4,
+).map(",".join)
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(tasks=_LIST_FLAG, agents=_LIST_FLAG, seeds=_LIST_FLAG, backend=_LIST_FLAG)
+    def test_list_and_backend_flags_end_in_a_result_or_an_error(
+        self, tasks, agents, seeds, backend
+    ):
+        def fake_episode(config, *_):
+            return EpisodeResult(
+                config.task, config.num_agents, config.seed, config.variant,
+                True, 0, 0, 1, 0, 0, (),
+            )
+
+        argvs = [
+            ["run", "--task", "WashDishes", f"--backend={backend}"],
+            ["bench", f"--tasks={tasks}", f"--agents={agents}",
+             f"--seeds={seeds}", f"--backend={backend}"],
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            # Only argument handling runs: no episode, no grid.
+            patch.setattr("homecrew.harness.cli.run_episode", fake_episode)
+            patch.setattr(
+                "homecrew.harness.cli.run_benchmark",
+                lambda spec, out_dir=None: BenchmarkResult(rows=(), cells=()),
+            )
+            for argv in argvs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code == 0 or (code == 2 and err.getvalue().startswith("error:"))

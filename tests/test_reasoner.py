@@ -108,10 +108,6 @@ class TestPrompts:
         assert "by 2 unit(s)" in text
         assert "t=5 agent 1: GRAB(cup_1)" in text
 
-    def test_unknown_template_rejected(self):
-        with pytest.raises(ConfigError):
-            render_prompt(PROPOSE, propose_payload(), template="template_v999")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             render_prompt("daydream", propose_payload())
@@ -156,13 +152,13 @@ class TestScripted:
     def test_load_fixtures_round_trip(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
         path.write_text(
-            '{"kind": "propose", "tick": 2, "agent_id": 1, "response": "one"}\n'
+            '{"kind": "PROPOSE", "tick": 2, "agent_id": 1, "response": "one"}\n'
             "\n"
-            '{"kind": "propose", "tick": 2, "agent_id": 1, "response": "two"}\n',
+            '{"kind": "PROPOSE", "tick": 2, "agent_id": 1, "response": "two"}\n',
             encoding="utf-8",
         )
         fixtures = load_fixtures(str(path))
-        assert fixtures == {("propose", 2, 1): ["one", "two"]}
+        assert fixtures == {(PROPOSE, 2, 1): ["one", "two"]}
 
 
 class TestHeuristicBackend:

@@ -8,22 +8,25 @@ manager decision crosses HTTP while members stay structured.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from stubserver import approve_candidates, completion
 from homecrew.errors import RemoteBackendError
 from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_episode
+from homecrew.harness.episode import config_from_header
+from homecrew.harness.trace import header_of
 from homecrew.reasoner import PROPOSE, ReasonerRequest, RemoteReasoner
+from homecrew.reasoner.base import PARSE_RETRIES
 
 
 def wire_request(prompt="ping"):
     return ReasonerRequest(kind=PROPOSE, structured_payload=None, rendered_prompt=prompt)
 
 
-def remote(url, transport_retries=2, timeout_s=5.0):
-    return RemoteReasoner(
-        url, "m", timeout_s=timeout_s, transport_retries=transport_retries
-    )
+def remote(url, timeout_s=5.0):
+    return RemoteReasoner(url, "m", timeout_s=timeout_s)
 
 
 class TestWireFormat:
@@ -61,7 +64,7 @@ class TestRetries:
     def test_persistent_500_raises_after_budget(self, stub):
         stub.replies = [(500, {"error": "boom"})] * 5
         with pytest.raises(RemoteBackendError) as err:
-            remote(stub.url, transport_retries=2).invoke(wire_request())
+            remote(stub.url).invoke(wire_request())
         assert "HTTP 500" in str(err.value)
         assert "3 attempt(s)" in str(err.value)
         assert len(stub.seen) == 3
@@ -77,14 +80,14 @@ class TestRetries:
     def test_other_client_errors_fail_after_one_attempt(self, stub, status):
         stub.replies = [(status, {"error": "bad request"})] * 3
         with pytest.raises(RemoteBackendError) as err:
-            remote(stub.url, transport_retries=2).invoke(wire_request())
+            remote(stub.url).invoke(wire_request())
         assert f"HTTP {status} after 1 attempt(s)" in str(err.value)
         assert len(stub.seen) == 1
 
     def test_budget_timeout_bounds_each_attempt(self, stub):
         stub.delay_s = 0.3
         with pytest.raises(RemoteBackendError) as err:
-            remote(stub.url, transport_retries=0, timeout_s=0.05).invoke(wire_request())
+            remote(stub.url, timeout_s=0.05).invoke(wire_request())
         assert "transport error: ReadTimeout" in str(err.value)
 
     def test_malformed_payload_retries_then_succeeds(self, stub):
@@ -93,7 +96,7 @@ class TestRetries:
         assert response.raw_text == "fine"
 
     def test_unreachable_endpoint_raises(self):
-        reasoner = remote("http://127.0.0.1:1", transport_retries=0, timeout_s=0.5)
+        reasoner = remote("http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(RemoteBackendError) as err:
             reasoner.invoke(wire_request("x"))
         assert "transport error" in str(err.value)
@@ -111,11 +114,18 @@ def remote_manager_config(stub, **overrides):
             endpoint_url=stub.url,
             model="house-7b",
             timeout_s=5.0,
-            transport_retries=1,
         ),
     )
     base.update(overrides)
     return EpisodeConfig(**base)
+
+
+def garbage_allocations(body):
+    """Sensible summaries, but no usable ALLOCATE reply ever."""
+    prompt = body["messages"][0]["content"]
+    if prompt.startswith("You are the team manager writing"):
+        return approve_candidates(body)
+    return 200, completion("not an assignment at all")
 
 
 class TestRemoteEpisode:
@@ -155,12 +165,6 @@ class TestRemoteEpisode:
         assert result.degraded_exchanges >= 1
 
     def test_degraded_allocation_records_its_reason(self, stub):
-        def garbage_allocations(body):
-            prompt = body["messages"][0]["content"]
-            if prompt.startswith("You are the team manager writing"):
-                return approve_candidates(body)
-            return 200, completion("not an assignment at all")
-
         stub.policy = garbage_allocations
         result = run_episode(remote_manager_config(stub))
         allocations = [r for r in result.records if r["type"] == "allocation"]
@@ -174,3 +178,18 @@ class TestRemoteEpisode:
         assert all(
             "note" not in r for r in clean.records if r["type"] == "allocation"
         )
+
+    def test_header_names_every_setting_the_exchanges_depend_on(self, stub):
+        # Degraded allocations make the exchange count depend on the retry
+        # count, so the header must pin it for the trace to replay.
+        stub.policy = garbage_allocations
+        config = remote_manager_config(stub)
+        records = list(run_episode(config).records)
+        allocations = [r for r in records if r["type"] == "allocation"]
+        assert allocations
+        assert all(r["attempts"] == 1 + PARSE_RETRIES for r in allocations)
+        # Only where the replies came from is left out of the header.
+        rebuilt = config_from_header(header_of(records))
+        assert rebuilt == dataclasses.replace(config, remote=RemoteConfig())
+        _, ok, message = replay_trace(records)
+        assert ok, message

@@ -78,7 +78,7 @@ class TestCatalog:
     def test_default_catalog_loads_and_lists_tasks(self):
         catalog = load_catalog()
         assert catalog["version"] == 1
-        assert task_categories(catalog) == ALL_TASKS
+        assert task_categories() == ALL_TASKS
 
     def test_external_catalog_file_round_trip(self, tmp_path):
         import json
