@@ -1,7 +1,6 @@
 """Negotiation round and centralized allocation."""
 
 from .allocate import (
-    AllocationReport,
     allocate,
     allocate_with_report,
     assemble_context,
@@ -9,11 +8,10 @@ from .allocate import (
     heuristic_allocation,
     score_joint,
 )
-from .negotiate import MAX_ALTERNATIVES, heuristic_proposal, make_proposal
+from .negotiate import heuristic_proposal, make_proposal
 from .types import (
     AgentView,
     AllocationInputs,
-    ContextEntry,
     CrossAgentContext,
     JointAction,
     Proposal,
@@ -25,11 +23,8 @@ from .types import (
 __all__ = [
     "AgentView",
     "AllocationInputs",
-    "AllocationReport",
-    "ContextEntry",
     "CrossAgentContext",
     "JointAction",
-    "MAX_ALTERNATIVES",
     "Proposal",
     "Vocabulary",
     "allocate",

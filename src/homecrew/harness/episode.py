@@ -218,6 +218,9 @@ def _play_episode(
     t_last = 0
     degraded = 0
     success = False
+    # Ground truth for the current state: computed once per state, it feeds
+    # the tick record that closes a tick and the done check that opens the next.
+    progress = evaluate_progress(state, goal)
 
     while True:
         observations = {i: observe(state, i) for i in agent_ids}
@@ -248,7 +251,6 @@ def _play_episode(
                 )
                 t_last = state.tick
                 last_believed = believed
-        progress = evaluate_progress(state, goal)
         finished = progress.done() or state.tick >= config.max_steps
         if not finished:
             window_records = tuple(slice_history(history, t_last, state.tick))
@@ -340,13 +342,14 @@ def _play_episode(
             )
             for i in agent_ids
         )
+        progress = evaluate_progress(state, goal)
         sink.append(
             {
                 "type": "tick",
                 "tick": state.tick,
                 "actions": {str(i): actions[i].render() for i in agent_ids},
                 "events": [e.render() for e in events],
-                "satisfied": evaluate_progress(state, goal).satisfied,
+                "satisfied": progress.satisfied,
             }
         )
 

@@ -31,7 +31,6 @@ from .types import (
     WorldState,
     close_container,
     go_to,
-    goal_location,
     grab,
     open_container,
     put_in,
@@ -250,7 +249,7 @@ def observe(state: WorldState, agent_id: int) -> Observation:
         objects=sightings,
         containers=containers,
         agents_here=agents_here,
-        surfaces_here=tuple(state.house.surfaces_in(room)),
+        surfaces_here=state.house.surfaces_in(room),
     )
 
 
@@ -262,11 +261,10 @@ def evaluate_progress(source, goal: GoalSpec) -> TaskProgress:
     Belief (what the team thinks) do. Counts cap at each predicate's demand.
     """
     raw = [0] * len(goal.predicates)
+    targets = goal.targets
     for _object_id, object_class, location in source.object_placements():
-        for idx, pred in enumerate(goal.predicates):
-            if object_class == pred.object_class and location == goal_location(
-                pred.relation, pred.target
-            ):
+        for idx, target in targets.get(object_class, ()):
+            if location == target:
                 raw[idx] += 1
     by_predicate = tuple(min(pred.count, raw[idx]) for idx, pred in enumerate(goal.predicates))
     return TaskProgress(

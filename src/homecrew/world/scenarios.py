@@ -1,19 +1,22 @@
 """Scenario catalog loading and seeded world generation.
 
 The catalog ships with the package as ``catalog.json`` and is the one every
-episode is generated from; load_catalog also validates an external file
-with the same schema. Generation is a pure function of (task category,
-agent count, seed): the same triple always yields the same initial
-WorldState and GoalSpec.
+episode is generated from. It is parsed once per process, into the house
+with its path tables and one GoalSpec per task, which every episode shares;
+load_catalog also validates an external file with the same schema.
+Generation is a pure function of (task category, agent count, seed): the
+same triple always yields the same initial WorldState and GoalSpec.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
 from .types import (
@@ -39,14 +42,30 @@ _MAX_OBJECTS = 18
 _OPEN_PROBABILITY = 0.4
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """What every episode reads from the embedded catalog."""
+
+    house: HouseMap
+    goals: Mapping[str, GoalSpec]
+    distractors: Tuple[str, ...]
+    # Floors, then surfaces, then containers, each in name order.
+    spots: Tuple[Location, ...]
+
+
 def load_catalog(path: Optional[str] = None) -> dict:
     """Load and validate a scenario catalog. With no path, the embedded
-    default is used."""
-    if path is None:
-        raw = resources.files(__package__).joinpath("catalog.json").read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+    default is used. Each call parses afresh and returns a new dict, so a
+    caller may change it freely; episodes read a copy parsed once per
+    process."""
+    try:
+        if path is None:
+            raw = resources.files(__package__).joinpath("catalog.json").read_text("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read catalog: {exc}") from exc
     try:
         catalog = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -55,63 +74,101 @@ def load_catalog(path: Optional[str] = None) -> dict:
     return catalog
 
 
+@functools.lru_cache(maxsize=None)
+def _default_tables() -> _Tables:
+    """The embedded catalog, parsed and validated once per process."""
+    catalog = load_catalog()
+    house = build_house(catalog)
+    goals = {name: build_goal(catalog, name) for name in sorted(catalog["tasks"])}
+    return _Tables(
+        house=house,
+        goals=MappingProxyType(goals),
+        distractors=tuple(sorted(catalog.get("distractor_classes", []))),
+        spots=tuple(
+            [Location(LOC_ROOM, r) for r in house.rooms]
+            + [Location(LOC_SURFACE, s) for s in house.surfaces]
+            + [Location(LOC_CONTAINER, c) for c in house.containers]
+        ),
+    )
+
+
 def task_categories() -> List[str]:
-    return sorted(load_catalog()["tasks"])
+    return list(_default_tables().goals)
 
 
-def _validate_catalog(catalog: dict) -> None:
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_name_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_name_map(value: object) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+def _validate_catalog(catalog: object) -> None:
+    """Every shape build_house and build_goal read is checked here, so a
+    malformed catalog ends in ConfigError and never in another exception."""
+    _require(isinstance(catalog, dict), "catalog must be a JSON object")
     for key in ("version", "rooms", "adjacency", "containers", "surfaces", "tasks"):
-        if key not in catalog:
-            raise ConfigError(f"catalog missing key: {key}")
-    rooms = list(catalog["rooms"])
-    if len(rooms) != len(set(rooms)):
-        raise ConfigError("catalog rooms contain duplicates")
+        _require(key in catalog, f"catalog missing key: {key}")
+    rooms = catalog["rooms"]
+    _require(_is_name_list(rooms) and len(rooms) > 0, "catalog rooms must be a list of names")
+    _require(len(rooms) == len(set(rooms)), "catalog rooms contain duplicates")
     adjacency = catalog["adjacency"]
+    _require(isinstance(adjacency, dict), "catalog adjacency must be an object")
     for room in rooms:
-        if room not in adjacency:
-            raise ConfigError(f"room without adjacency entry: {room}")
+        _require(room in adjacency, f"room without adjacency entry: {room}")
+        _require(_is_name_list(adjacency[room]), f"adjacency of {room} must be a list of names")
+    for room in rooms:
         for nb in adjacency[room]:
-            if nb not in rooms:
-                raise ConfigError(f"adjacency references unknown room: {nb}")
-            if room not in adjacency[nb]:
-                raise ConfigError(f"adjacency not symmetric: {room} -> {nb}")
-    fixtures = {}
-    for cid, room in catalog["containers"].items():
-        fixtures[cid] = room
-        if room not in rooms:
-            raise ConfigError(f"container {cid} in unknown room {room}")
-    for sid, room in catalog["surfaces"].items():
-        if sid in fixtures:
-            raise ConfigError(f"fixture id used twice: {sid}")
-        if room not in rooms:
-            raise ConfigError(f"surface {sid} in unknown room {room}")
+            _require(nb in rooms, f"adjacency references unknown room: {nb}")
+            _require(room in adjacency[nb], f"adjacency not symmetric: {room} -> {nb}")
+    for kind in ("containers", "surfaces"):
+        _require(_is_name_map(catalog[kind]), f"catalog {kind} must map names to rooms")
+        for fid, room in catalog[kind].items():
+            _require(room in rooms, f"{kind[:-1]} {fid} in unknown room {room}")
+    for sid in catalog["surfaces"]:
+        _require(sid not in catalog["containers"], f"fixture id used twice: {sid}")
+    _require(
+        _is_name_list(catalog.get("distractor_classes", [])),
+        "catalog distractor_classes must be a list of names",
+    )
+    _require(isinstance(catalog["tasks"], dict), "catalog tasks must be an object")
     for name, task in catalog["tasks"].items():
+        _require(isinstance(task, dict), f"task {name} must be an object")
         goal = task.get("goal", [])
-        if not goal:
-            raise ConfigError(f"task {name} has no goal predicates")
+        _require(isinstance(goal, list) and len(goal) > 0, f"task {name} has no goal predicates")
         for pred in goal:
-            relation = pred["relation"]
-            target = pred["target"]
-            if relation == ON and target not in catalog["surfaces"]:
-                raise ConfigError(f"task {name}: ON target {target} is not a surface")
-            if relation == IN and target not in catalog["containers"]:
-                raise ConfigError(f"task {name}: IN target {target} is not a container")
-            if relation not in (ON, IN):
-                raise ConfigError(f"task {name}: unknown relation {relation}")
-            if int(pred["count"]) < 1:
-                raise ConfigError(f"task {name}: predicate count must be >= 1")
+            _require(isinstance(pred, dict), f"task {name}: predicate must be an object")
+            for key in ("relation", "object_class", "target"):
+                _require(isinstance(pred.get(key), str), f"task {name}: predicate needs {key}")
+            relation, target = pred["relation"], pred["target"]
+            _require(relation in (ON, IN), f"task {name}: unknown relation {relation}")
+            if relation == ON:
+                kind, fixtures = "surface", catalog["surfaces"]
+            else:
+                kind, fixtures = "container", catalog["containers"]
+            _require(target in fixtures, f"task {name}: {relation} target {target} is not a {kind}")
+            count = pred.get("count")
+            _require(
+                isinstance(count, int) and not isinstance(count, bool) and count >= 1,
+                f"task {name}: predicate count must be an integer >= 1",
+            )
+    # The path table builder refuses a floor plan whose rooms are not all connected.
+    build_house(catalog)
 
 
 def build_goal(catalog: dict, task_category: str) -> GoalSpec:
-    if task_category not in catalog["tasks"]:
-        known = ", ".join(sorted(catalog["tasks"]))
-        raise ConfigError(f"unknown task category {task_category!r} (known: {known})")
     predicates = tuple(
         GoalPredicate(
             relation=p["relation"],
             object_class=p["object_class"],
             target=p["target"],
-            count=int(p["count"]),
+            count=p["count"],
         )
         for p in catalog["tasks"][task_category]["goal"]
     )
@@ -119,14 +176,15 @@ def build_goal(catalog: dict, task_category: str) -> GoalSpec:
 
 
 def build_house(catalog: dict) -> HouseMap:
-    """The catalog's floor plan with every mapping in sorted key order and no
-    objects registered yet."""
+    """The catalog's floor plan with every mapping in sorted key order, its
+    path and per-room fixture tables, and no objects registered yet. The
+    mappings are read-only views: every episode shares one house."""
     rooms = tuple(sorted(catalog["rooms"]))
     return HouseMap(
         rooms=rooms,
-        adjacency={r: tuple(sorted(catalog["adjacency"][r])) for r in rooms},
-        containers=dict(sorted(catalog["containers"].items())),
-        surfaces=dict(sorted(catalog["surfaces"].items())),
+        adjacency=MappingProxyType({r: tuple(sorted(catalog["adjacency"][r])) for r in rooms}),
+        containers=MappingProxyType(dict(sorted(catalog["containers"].items()))),
+        surfaces=MappingProxyType(dict(sorted(catalog["surfaces"].items()))),
         object_classes={},
     )
 
@@ -143,17 +201,16 @@ def init_world(
     """
     if not 1 <= num_agents <= MAX_AGENTS:
         raise ConfigError(f"num_agents must be in 1..{MAX_AGENTS}, got {num_agents}")
-    catalog = load_catalog()
-    goal = build_goal(catalog, task_category)
+    tables = _default_tables()
+    if task_category not in tables.goals:
+        known = ", ".join(tables.goals)
+        raise ConfigError(f"unknown task category {task_category!r} (known: {known})")
+    goal = tables.goals[task_category]
     rng = random.Random(seed)
 
-    house = build_house(catalog)
-    rooms = house.rooms
-    surfaces = house.surfaces
-    containers = house.containers
-
-    container_open = {cid: rng.random() < _OPEN_PROBABILITY for cid in sorted(containers)}
-    start_room = rng.choice(rooms)
+    house = tables.house
+    container_open = {cid: rng.random() < _OPEN_PROBABILITY for cid in house.containers}
+    start_room = rng.choice(house.rooms)
 
     locations: Dict[str, Location] = {}
     object_classes: Dict[str, str] = {}
@@ -166,29 +223,21 @@ def init_world(
         object_classes[object_id] = object_class
         locations[object_id] = location
 
-    def candidate_spots(exclude_target: Optional[str]) -> List[Location]:
-        spots = [Location(LOC_ROOM, r) for r in rooms]
-        spots += [Location(LOC_SURFACE, s) for s in sorted(surfaces) if s != exclude_target]
-        spots += [Location(LOC_CONTAINER, c) for c in sorted(containers) if c != exclude_target]
-        return spots
-
     for pred in goal.predicates:
-        spots = candidate_spots(pred.target)
+        spots = [s for s in tables.spots if s.kind == LOC_ROOM or s.ref != pred.target]
         for _ in range(pred.count + rng.randint(0, 1)):
             place(pred.object_class, rng.choice(spots))
 
     goal_classes = {p.object_class for p in goal.predicates}
-    pool = [c for c in sorted(catalog.get("distractor_classes", [])) if c not in goal_classes]
+    pool = [c for c in tables.distractors if c not in goal_classes]
     total = rng.randint(_MIN_OBJECTS, _MAX_OBJECTS)
-    all_spots = candidate_spots(None)
     while pool and len(locations) < total:
-        place(rng.choice(pool), rng.choice(all_spots))
+        place(rng.choice(pool), rng.choice(tables.spots))
 
-    house = replace(house, object_classes=object_classes)
     agents = {i: AgentState(room=start_room, held=None) for i in range(1, num_agents + 1)}
     state = WorldState(
         tick=0,
-        house=house,
+        house=replace(house, object_classes=object_classes),
         locations=locations,
         container_open=container_open,
         agents=agents,

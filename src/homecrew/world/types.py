@@ -7,6 +7,8 @@ Everything here is a plain immutable snapshot. State evolution happens in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
@@ -136,6 +138,16 @@ class GoalSpec:
     category: str
     predicates: Tuple[GoalPredicate, ...]
 
+    @cached_property
+    def targets(self) -> Mapping[str, Tuple[Tuple[int, Location], ...]]:
+        """Object class -> (predicate index, goal Location) for every
+        predicate that asks for that class, in predicate order."""
+        index: Dict[str, Tuple[Tuple[int, Location], ...]] = {}
+        for idx, pred in enumerate(self.predicates):
+            entry = (idx, goal_location(pred.relation, pred.target))
+            index[pred.object_class] = index.get(pred.object_class, ()) + (entry,)
+        return MappingProxyType(index)
+
     def total_units(self) -> int:
         return sum(p.count for p in self.predicates)
 
@@ -169,16 +181,38 @@ class AgentState:
 
 
 @dataclass(frozen=True)
+class RoomTables:
+    """Lookups derived once from a floor plan: (distance, first hop) for
+    every ordered room pair, and each room's containers and surfaces in name
+    order. ``plan`` holds the floor-plan values they were derived from."""
+
+    plan: Tuple[object, ...]
+    paths: Mapping[Tuple[str, str], Tuple[int, str]]
+    containers: Mapping[str, Tuple[str, ...]]
+    surfaces: Mapping[str, Tuple[str, ...]]
+
+
+@dataclass(frozen=True)
 class HouseMap:
     """Static layout shared by all agents: rooms, furniture, and the object
     registry. Dynamic state (who holds what, what is where) lives in
-    WorldState; agents may rely on everything here as public knowledge."""
+    WorldState; agents may rely on everything here as public knowledge.
+
+    ``tables`` is derived from the four floor-plan fields. It is built on
+    construction and handed over by ``replace(house, object_classes=...)``;
+    a replace that swaps any floor-plan value builds it afresh."""
 
     rooms: Tuple[str, ...]
     adjacency: Mapping[str, Tuple[str, ...]]
     containers: Mapping[str, str]
     surfaces: Mapping[str, str]
     object_classes: Mapping[str, str]
+    tables: Optional[RoomTables] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        plan = (self.rooms, self.adjacency, self.containers, self.surfaces)
+        if self.tables is None or any(a is not b for a, b in zip(self.tables.plan, plan)):
+            object.__setattr__(self, "tables", _room_tables(*plan))
 
     def room_of(self, fixture_id: str) -> str:
         if fixture_id in self.containers:
@@ -187,20 +221,20 @@ class HouseMap:
             return self.surfaces[fixture_id]
         raise KeyError(f"unknown fixture: {fixture_id}")
 
-    def containers_in(self, room: str) -> List[str]:
-        return sorted(c for c, r in self.containers.items() if r == room)
+    def containers_in(self, room: str) -> Tuple[str, ...]:
+        return self.tables.containers.get(room, ())
 
-    def surfaces_in(self, room: str) -> List[str]:
-        return sorted(s for s, r in self.surfaces.items() if r == room)
+    def surfaces_in(self, room: str) -> Tuple[str, ...]:
+        return self.tables.surfaces.get(room, ())
 
     def distance(self, src: str, dst: str) -> int:
         """BFS hop count between rooms."""
-        return _shortest(self.adjacency, src, dst)[0]
+        return self.tables.paths[src, dst][0]
 
     def next_hop(self, src: str, dst: str) -> str:
         """First step on the shortest path src -> dst. Ties between equal
         length paths resolve toward the lexicographically smallest path."""
-        return _shortest(self.adjacency, src, dst)[1]
+        return self.tables.paths[src, dst][1]
 
     def location_room(self, loc: Location) -> Optional[str]:
         """Resolve a location to its room; None for held objects (the holder
@@ -214,34 +248,43 @@ class HouseMap:
         return None
 
 
-def _shortest(adjacency: Mapping[str, Tuple[str, ...]], src: str, dst: str) -> Tuple[int, str]:
-    """(distance, first hop) with neighbors expanded in sorted order so the
-    lexicographically smallest shortest path wins. First hop of src==dst is
-    src itself."""
-    if src not in adjacency or dst not in adjacency:
-        raise KeyError(f"unknown room in path query: {src} -> {dst}")
-    if src == dst:
-        return 0, src
-    seen = {src}
-    frontier: List[Tuple[str, str]] = []
-    for nb in sorted(adjacency[src]):
-        if nb == dst:
-            return 1, nb
-        seen.add(nb)
-        frontier.append((nb, nb))
-    dist = 1
-    while frontier:
-        dist += 1
-        nxt: List[Tuple[str, str]] = []
-        for node, first in frontier:
-            for nb in sorted(adjacency[node]):
-                if nb == dst:
-                    return dist, first
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append((nb, first))
-        frontier = nxt
-    raise ConfigError(f"rooms not connected: {src} -> {dst}")
+def _room_tables(
+    rooms: Tuple[str, ...],
+    adjacency: Mapping[str, Tuple[str, ...]],
+    containers: Mapping[str, str],
+    surfaces: Mapping[str, str],
+) -> RoomTables:
+    """One BFS per source room, neighbors expanded in sorted order, so each
+    room is first reached along the lexicographically smallest shortest path
+    and keeps that path's first hop. The first hop of src->src is src."""
+    paths: Dict[Tuple[str, str], Tuple[int, str]] = {}
+    for src in rooms:
+        paths[src, src] = (0, src)
+        frontier: List[Tuple[str, Optional[str]]] = [(src, None)]
+        dist = 0
+        while frontier:
+            dist += 1
+            nxt: List[Tuple[str, Optional[str]]] = []
+            for node, first in frontier:
+                for nb in sorted(adjacency[node]):
+                    if (src, nb) not in paths:
+                        hop = nb if first is None else first
+                        paths[src, nb] = (dist, hop)
+                        nxt.append((nb, hop))
+            frontier = nxt
+        unreached = [dst for dst in rooms if (src, dst) not in paths]
+        if unreached:
+            raise ConfigError(f"rooms not connected: {src} -> {unreached[0]}")
+    return RoomTables(
+        plan=(rooms, adjacency, containers, surfaces),
+        paths=MappingProxyType(paths),
+        containers=MappingProxyType(
+            {r: tuple(sorted(c for c, cr in containers.items() if cr == r)) for r in rooms}
+        ),
+        surfaces=MappingProxyType(
+            {r: tuple(sorted(s for s, sr in surfaces.items() if sr == r)) for r in rooms}
+        ),
+    )
 
 
 @dataclass

@@ -426,6 +426,26 @@ def test_heuristic_episodes_render_no_text(monkeypatch):
             assert trace_sha256(list(result.records)) == stored[golden_key(config)]
 
 
+def test_episodes_parse_no_catalog(monkeypatch):
+    with criterion("the embedded catalog is parsed once per process"):
+        init_world("SetUpTable", 2, 42)  # the catalog is parsed here, if not before
+        parses = []
+        real = scenarios.load_catalog
+
+        def counting(*args, **kwargs):
+            parses.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "load_catalog", counting)
+        with open(GOLDEN_PATH) as handle:
+            stored = json.load(handle)
+        for config in GOLDEN_CONFIGS:
+            # A rebuilt config checks its task name against the catalog again.
+            result = run_episode(dataclasses.replace(config))
+            assert trace_sha256(list(result.records)) == stored[golden_key(config)]
+        assert parses == []
+
+
 def test_larger_teams_cut_mean_steps():
     with criterion("three agents beat one on every task"):
         for task in TASKS:

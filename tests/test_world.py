@@ -8,12 +8,17 @@ an omniscient greedy solver that never touches the engine's planning code.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import json
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homecrew.agents import Belief, Fact
 from homecrew.errors import ConfigError, ContractViolation
 from homecrew.world import (
     EXPLORE,
@@ -27,7 +32,9 @@ from homecrew.world import (
     Action,
     GoalPredicate,
     GoalSpec,
+    HouseMap,
     Location,
+    TaskProgress,
     close_container,
     evaluate_progress,
     go_to,
@@ -42,6 +49,7 @@ from homecrew.world import (
     task_categories,
     transition,
 )
+from homecrew.world.types import goal_location
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 
@@ -58,6 +66,24 @@ def bfs_distance(adjacency, src, dst):
             if nb not in seen:
                 seen[nb] = seen[node] + 1
                 queue.append(nb)
+    raise AssertionError(f"unreachable: {src} -> {dst}")
+
+
+def reference_path(adjacency, src, dst):
+    """Test-local per-query BFS over whole paths, neighbors expanded in
+    sorted order, so the first path to reach dst is the lexicographically
+    smallest shortest one. Returns (distance, first hop); src -> src is
+    (0, src)."""
+    queue = deque([[src]])
+    seen = {src}
+    while queue:
+        path = queue.popleft()
+        if path[-1] == dst:
+            return len(path) - 1, path[min(1, len(path) - 1)]
+        for nb in sorted(adjacency[path[-1]]):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(path + [nb])
     raise AssertionError(f"unreachable: {src} -> {dst}")
 
 
@@ -98,6 +124,121 @@ class TestCatalog:
         path.write_text(json.dumps(catalog), encoding="utf-8")
         with pytest.raises(ConfigError):
             load_catalog(str(path))
+
+
+def _write_catalog(path, catalog):
+    path.write_text(json.dumps(catalog), encoding="utf-8")
+    return str(path)
+
+
+# One malformed shape each, including a floor plan whose rooms are not all
+# connected; every one must end in ConfigError.
+_MALFORMED = {
+    "count_not_int": lambda c: c["tasks"]["WashDishes"]["goal"][0].update(count="two"),
+    "count_float": lambda c: c["tasks"]["WashDishes"]["goal"][0].update(count=1.5),
+    "predicate_without_relation": lambda c: c["tasks"]["WashDishes"]["goal"][0].pop("relation"),
+    "task_not_object": lambda c: c["tasks"].update(WashDishes=["plate"]),
+    "rooms_not_list": lambda c: c.update(rooms=7),
+    "containers_as_list": lambda c: c.update(containers=["fridge"]),
+    "adjacency_entry_missing_for_neighbor": lambda c: c["adjacency"].pop("livingroom"),
+    "disconnected_rooms": lambda c: (
+        c["adjacency"].update(kitchen=[]),
+        c["adjacency"].update(livingroom=["bathroom", "bedroom"]),
+    ),
+}
+
+
+def _damage_paths(value, prefix=()):
+    """Every (path, value) inside a JSON document, the root included."""
+    yield prefix, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _damage_paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for idx, child in enumerate(value):
+            yield from _damage_paths(child, prefix + (idx,))
+
+
+_SHIPPED = load_catalog()
+_SHIPPED_PATHS = [path for path, _ in _damage_paths(_SHIPPED) if path]
+_NAMES = sorted({v for _, v in _damage_paths(_SHIPPED) if isinstance(v, str)})
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(_NAMES + ["ON", "IN"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_NAMES + ["goal", "count"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestCatalogBoundary:
+    @pytest.mark.parametrize("damage", sorted(_MALFORMED))
+    def test_malformed_catalog_ends_in_config_error(self, tmp_path, damage):
+        catalog = load_catalog()
+        _MALFORMED[damage](catalog)
+        with pytest.raises(ConfigError):
+            load_catalog(_write_catalog(tmp_path / "bad.json", catalog))
+
+    def test_unreadable_or_non_object_file_ends_in_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_catalog(str(tmp_path / "absent.json"))
+        with pytest.raises(ConfigError):
+            load_catalog(str(tmp_path))
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError):
+            load_catalog(str(binary))
+        with pytest.raises(ConfigError):
+            load_catalog(_write_catalog(tmp_path / "list.json", [_SHIPPED]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_copies_load_or_raise_config_error(self, tmp_path_factory, data):
+        catalog = copy.deepcopy(_SHIPPED)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(_SHIPPED_PATHS))
+            parent = catalog
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier damage already removed this spot
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+        path = _write_catalog(tmp_path_factory.getbasetemp() / "damaged.json", catalog)
+        try:
+            loaded = load_catalog(path)
+        except ConfigError:
+            return
+        assert loaded == catalog
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, len(json.dumps(_SHIPPED)) - 1))
+    def test_truncated_file_raises_config_error(self, tmp_path_factory, cut):
+        path = tmp_path_factory.getbasetemp() / "truncated.json"
+        path.write_text(json.dumps(_SHIPPED)[:cut], encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_catalog(str(path))
+
+    def test_returned_catalog_is_a_private_copy(self):
+        before, goal = init_world("SetUpTable", 2, 42)
+        catalog = load_catalog()
+        catalog["tasks"]["SetUpTable"]["goal"][0]["count"] = 9
+        catalog["rooms"].append("garage")
+        catalog["surfaces"]["kitchentable"] = "bedroom"
+        catalog["distractor_classes"].clear()
+        after, goal_after = init_world("SetUpTable", 2, 42)
+        assert goal_after == goal
+        assert after.locations == before.locations
+        assert after.house == before.house
+        assert load_catalog() == _SHIPPED
 
 
 class TestInitWorld:
@@ -188,6 +329,74 @@ class TestPaths:
                     if house.distance(nb, dst) == house.distance(src, dst) - 1
                 ]
                 assert hop == best[0]
+
+
+    def test_table_equals_per_query_bfs_on_shipped_catalog(self):
+        state, _ = init_world("SetUpTable", 1, 0)
+        house = state.house
+        for src in house.rooms:
+            for dst in house.rooms:
+                expected = reference_path(house.adjacency, src, dst)
+                assert (house.distance(src, dst), house.next_hop(src, dst)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_table_equals_per_query_bfs_on_random_graphs(self, data):
+        names = data.draw(
+            st.lists(st.text("abcz", min_size=1, max_size=3), min_size=2, max_size=8, unique=True)
+        )
+        edges = set()
+        for i in range(1, len(names)):
+            # A random spanning tree keeps the graph connected.
+            j = data.draw(st.integers(0, i - 1))
+            edges.add(frozenset((names[i], names[j])))
+        pairs = [frozenset(p) for p in itertools.combinations(names, 2)]
+        edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        adjacency = {r: tuple(sorted(nb for e in edges if r in e for nb in e - {r})) for r in names}
+        house = HouseMap(
+            rooms=tuple(names),
+            adjacency=adjacency,
+            containers={},
+            surfaces={},
+            object_classes={},
+        )
+        for src in names:
+            for dst in names:
+                dist, hop = reference_path(adjacency, src, dst)
+                assert house.distance(src, dst) == dist == bfs_distance(adjacency, src, dst)
+                assert house.next_hop(src, dst) == hop
+                if src != dst:
+                    assert hop == min(
+                        nb for nb in adjacency[src] if bfs_distance(adjacency, nb, dst) == dist - 1
+                    )
+
+    def test_disconnected_rooms_refused_at_construction(self):
+        with pytest.raises(ConfigError, match="not connected"):
+            HouseMap(
+                rooms=("a", "b", "c"),
+                adjacency={"a": ("b",), "b": ("a",), "c": ()},
+                containers={},
+                surfaces={},
+                object_classes={},
+            )
+
+    def test_unknown_room_query_raises_key_error(self):
+        state, _ = init_world("SetUpTable", 1, 0)
+        with pytest.raises(KeyError):
+            state.house.distance("kitchen", "garage")
+
+    def test_tables_built_once_and_rebuilt_for_a_new_floor_plan(self):
+        a, _ = init_world("SetUpTable", 1, 0)
+        b, _ = init_world("WashDishes", 3, 5)
+        assert a.house.tables is b.house.tables
+        assert a.house.object_classes != b.house.object_classes
+        adjacency = dict(a.house.adjacency)
+        adjacency["bathroom"] = ("bedroom",)
+        adjacency["livingroom"] = ("bedroom", "kitchen")
+        moved = dataclasses.replace(a.house, adjacency=adjacency)
+        assert moved.tables is not a.house.tables
+        assert moved.distance("bathroom", "kitchen") == 3
+        assert a.house.distance("bathroom", "kitchen") == 2
 
 
 class TestLegalityOracle:
@@ -386,6 +595,81 @@ class TestProgressAndReward:
             progress = evaluate_progress(state, goal)
             assert progress.satisfied == sum(progress.by_predicate)
             assert len(progress.by_predicate) == len(goal.predicates)
+
+
+def brute_progress(source, goal):
+    """Test-local progress oracle: every placement against every predicate."""
+    raw = [0] * len(goal.predicates)
+    for _object_id, object_class, location in source.object_placements():
+        for idx, pred in enumerate(goal.predicates):
+            if object_class == pred.object_class and location == goal_location(
+                pred.relation, pred.target
+            ):
+                raw[idx] += 1
+    by_predicate = tuple(min(p.count, n) for p, n in zip(goal.predicates, raw))
+    return TaskProgress(sum(by_predicate), goal.total_units(), by_predicate)
+
+
+# One class in two predicates with different targets, and a predicate whose
+# count random placements exceed more often than not.
+SHARED_CLASS_GOAL = GoalSpec(
+    "Custom",
+    (
+        GoalPredicate(ON, "plate", "kitchentable", 2),
+        GoalPredicate(IN, "plate", "dishwasher", 1),
+        GoalPredicate(ON, "fork", "coffeetable", 1),
+    ),
+)
+EXCEEDED_GOAL = GoalSpec("Custom", (GoalPredicate(ON, "plate", "kitchentable", 1),))
+
+
+class TestProgressIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_indexed_progress_equals_brute_force(self, data):
+        task = data.draw(st.sampled_from(ALL_TASKS))
+        state, goal = init_world(task, 3, data.draw(st.integers(0, 50)))
+        house = state.house
+        spots = (
+            [Location(LOC_ROOM, r) for r in house.rooms]
+            + [Location(LOC_SURFACE, s) for s in house.surfaces]
+            + [Location(LOC_CONTAINER, c) for c in house.containers]
+            + [Location(LOC_AGENT, i) for i in state.agents]
+        )
+        # Most objects land on a goal target so counts are hit and exceeded.
+        targets = [Location(LOC_SURFACE, "kitchentable"), Location(LOC_CONTAINER, "dishwasher")]
+        for object_id in sorted(state.locations):
+            state.locations[object_id] = data.draw(st.sampled_from(targets + spots))
+        belief = Belief(
+            facts={
+                oid: Fact(oid, cls, loc, 0) for oid, cls, loc in state.object_placements()
+                if data.draw(st.booleans())
+            },
+            visited_rooms={},
+            container_flags={},
+        )
+        for spec in (goal, SHARED_CLASS_GOAL, EXCEEDED_GOAL):
+            assert evaluate_progress(state, spec) == brute_progress(state, spec)
+            assert evaluate_progress(belief, spec) == brute_progress(belief, spec)
+
+    def test_shared_class_counts_per_target(self):
+        state, _ = init_world("SetUpTable", 1, 1)
+        plates = sorted(o for o, c in state.house.object_classes.items() if c == "plate")
+        assert len(plates) >= 2
+        state.locations[plates[0]] = Location(LOC_SURFACE, "kitchentable")
+        state.locations[plates[1]] = Location(LOC_CONTAINER, "dishwasher")
+        progress = evaluate_progress(state, SHARED_CLASS_GOAL)
+        assert progress.by_predicate == (1, 1, 0)
+        assert progress == brute_progress(state, SHARED_CLASS_GOAL)
+
+    def test_exceeded_count_caps(self):
+        state, _ = init_world("SetUpTable", 1, 1)
+        plates = sorted(o for o, c in state.house.object_classes.items() if c == "plate")
+        for oid in plates:
+            state.locations[oid] = Location(LOC_SURFACE, "kitchentable")
+        progress = evaluate_progress(state, EXCEEDED_GOAL)
+        assert len(plates) > 1
+        assert progress == TaskProgress(1, 1, (1,)) == brute_progress(state, EXCEEDED_GOAL)
 
 
 class TestReachability:
