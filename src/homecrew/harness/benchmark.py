@@ -93,15 +93,18 @@ def emit_outputs(
     cells: Sequence[CellMetrics],
     out_dir: str,
 ) -> None:
-    traces_dir = os.path.join(out_dir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
-    for result in results:
-        path = os.path.join(traces_dir, trace_filename(result))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(render_trace(list(result.records)))
-    with open(os.path.join(out_dir, "long.csv"), "w", encoding="utf-8") as handle:
-        handle.write(long_csv(rows))
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as handle:
-        handle.write(metrics_csv(cells))
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as handle:
-        handle.write(metrics_json(cells) + "\n")
+    try:
+        traces_dir = os.path.join(out_dir, "traces")
+        os.makedirs(traces_dir, exist_ok=True)
+        for result in results:
+            path = os.path.join(traces_dir, trace_filename(result))
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(render_trace(list(result.records)))
+        with open(os.path.join(out_dir, "long.csv"), "w", encoding="utf-8") as handle:
+            handle.write(long_csv(rows))
+        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as handle:
+            handle.write(metrics_csv(cells))
+        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as handle:
+            handle.write(metrics_json(cells) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write bench output to {out_dir}: {exc}") from exc

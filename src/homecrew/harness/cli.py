@@ -57,6 +57,22 @@ def parse_seeds(value: str) -> Tuple[int, ...]:
     return parse_int_list(value)
 
 
+def check_out(path: str, directory: bool) -> None:
+    """Refuse an --out path before any episode runs: a bench directory, or
+    the nearest part of its path that exists, must be a directory; a trace
+    file must not be one and must go into one that exists."""
+    if directory:
+        existing = os.path.abspath(path)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"--out {path}: {existing} is not a directory")
+    elif os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory, not a trace file")
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"--out {path}: its directory does not exist")
+
+
 def add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
@@ -172,6 +188,8 @@ def cmd_run(args) -> int:
         use_allocation=not args.no_allocation,
         use_summaries=not args.no_summary,
     )
+    if args.out:
+        check_out(args.out, directory=False)
     result = run_episode(config)
     records = list(result.records)
     if args.out:
@@ -196,6 +214,8 @@ def cmd_bench(args) -> int:
         seeds=parse_seeds(args.seeds),
         variants=split_list(args.variants),
     )
+    if args.out:
+        check_out(args.out, directory=True)
     outcome = run_benchmark(spec, out_dir=args.out)
     print(format_table(outcome.cells))
     if args.out:

@@ -22,10 +22,9 @@ Every other backend runs the round inline, in that same order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..agents import Belief, expand_macro, merge_team_belief, perceive
 from ..agents.records import HistoryRecord
@@ -63,6 +62,9 @@ from ..world import (
 )
 from .config import EpisodeConfig, build_reasoner, variant_flags
 from .trace import TRACE_FORMAT, action_stream, end_of, exchanges_of, header_of
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,9 @@ def run_episode(
         if config.remote.max_concurrency > 1 and any(
             isinstance(r, RemoteReasoner) for r in (manager, member)
         ):
+            # Imported here so that runs without a remote backend never load it.
+            from concurrent.futures import ThreadPoolExecutor
+
             pool = ThreadPoolExecutor(
                 max_workers=config.remote.max_concurrency,
                 thread_name_prefix="homecrew-round",

@@ -13,7 +13,7 @@ import hashlib
 import json
 from typing import Dict, List, Tuple
 
-from ..errors import ContractViolation
+from ..errors import ConfigError, ContractViolation
 from ..reasoner.scripted import Exchange, exchange_entry, is_int
 
 TRACE_FORMAT = 1
@@ -45,8 +45,11 @@ def trace_sha256(records: List[dict]) -> str:
 
 
 def write_trace(records: List[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_trace(records))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(render_trace(records))
+    except OSError as exc:
+        raise ConfigError(f"cannot write trace {path}: {exc}") from exc
 
 
 def load_trace(path: str) -> List[dict]:

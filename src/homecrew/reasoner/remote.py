@@ -10,6 +10,9 @@ RemoteBackendError for the caller's fallback path to handle.
 
 One instance may serve several threads at once; how many calls are in flight
 is bounded by the caller (the episode loop's round pool), not here.
+
+``requests`` is imported when the first instance is built, so a run that
+uses no remote backend never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from __future__ import annotations
 import os
 import time
 
-import requests
-
-from ..errors import RemoteBackendError
+from ..errors import ConfigError, RemoteBackendError
 from .base import TEXT, Reasoner, ReasonerRequest, ReasonerResponse
 
 DEFAULT_KEY_ENV = "HOMECREW_API_KEY"
@@ -48,6 +49,11 @@ class RemoteReasoner(Reasoner):
         self.model = model
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
+        try:
+            import requests
+        except ImportError as exc:
+            raise ConfigError(f"remote backend needs the requests package: {exc}") from exc
+        self._transport_error = requests.RequestException
         self._session = requests.Session()
 
     def close(self) -> None:
@@ -82,7 +88,7 @@ class RemoteReasoner(Reasoner):
                     headers=self._headers(),
                     timeout=self.timeout_s,
                 )
-            except requests.RequestException as exc:
+            except self._transport_error as exc:
                 last_error = f"transport error: {exc.__class__.__name__}"
                 continue
             latency = time.monotonic() - started

@@ -41,49 +41,74 @@ _KNOWN_KINDS = {"goto", "grab", "open", "close", "put_on", "put_in", "explore", 
 
 
 def _visible_objects(state: WorldState, room: str) -> List[str]:
-    """Objects perceivable from inside ``room``: on the floor, on a surface,
-    inside an open container, or in the hand of an agent standing here."""
+    """Ids of the objects perceivable from inside ``room``, in id order: on
+    the floor, on a surface, inside an open container, or in the hand of an
+    agent standing here. Only the hits are sorted."""
+    house = state.house
     out = []
-    for object_id in sorted(state.locations):
-        loc = state.locations[object_id]
-        if loc.kind == LOC_ROOM and loc.ref == room:
+    for object_id, loc in state.locations.items():
+        kind = loc.kind
+        if kind == LOC_ROOM:
+            if loc.ref == room:
+                out.append(object_id)
+        elif kind == LOC_SURFACE:
+            if house.surfaces[str(loc.ref)] == room:
+                out.append(object_id)
+        elif kind == LOC_CONTAINER:
+            cid = str(loc.ref)
+            if house.containers[cid] == room and state.container_open[cid]:
+                out.append(object_id)
+        elif kind == LOC_AGENT and state.agents[int(loc.ref)].room == room:
             out.append(object_id)
-        elif loc.kind == LOC_SURFACE and state.house.surfaces[str(loc.ref)] == room:
-            out.append(object_id)
-        elif (
-            loc.kind == LOC_CONTAINER
-            and state.house.containers[str(loc.ref)] == room
-            and state.container_open[str(loc.ref)]
-        ):
-            out.append(object_id)
-        elif loc.kind == LOC_AGENT and state.agents[int(loc.ref)].room == room:
-            out.append(object_id)
+    out.sort()
     return out
 
 
-def legal_actions(state: WorldState, agent_id: int) -> Set[Action]:
-    """Every primitive the agent could execute this tick. Explore and Wait
-    are always included."""
+def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
+    """Whether the agent can execute ``action`` this tick. Anything that is
+    not a well-formed primitive (not an Action, an unknown kind, a target of
+    the wrong type or one the kind does not take) is illegal, never an error."""
+    if not isinstance(action, Action):
+        return False
+    kind, target = action.kind, action.target
+    if kind == "wait" or kind == "explore":
+        return target is None
+    if not isinstance(target, str):
+        return False
     me = state.agents[agent_id]
     room = me.room
-    legal: Set[Action] = {WAIT, EXPLORE}
-    for nb in state.house.adjacency[room]:
-        legal.add(go_to(nb))
-    if me.held is None:
-        for object_id in _visible_objects(state, room):
-            if state.locations[object_id].kind != LOC_AGENT:
-                legal.add(grab(object_id))
-    for cid in state.house.containers_in(room):
-        if state.container_open[cid]:
-            legal.add(close_container(cid))
-            if me.held is not None:
-                legal.add(put_in(cid))
-        else:
-            legal.add(open_container(cid))
-    if me.held is not None:
-        for sid in state.house.surfaces_in(room):
-            legal.add(put_on(sid))
-    return legal
+    if kind == "goto":
+        return target in state.house.adjacency[room]
+    if kind == "grab":
+        return (
+            me.held is None
+            and target in _visible_objects(state, room)
+            and state.locations[target].kind != LOC_AGENT
+        )
+    if kind == "put_on":
+        return me.held is not None and target in state.house.surfaces_in(room)
+    if kind in ("open", "close", "put_in") and target in state.house.containers_in(room):
+        is_open = state.container_open[target]
+        if kind == "open":
+            return not is_open
+        if kind == "close":
+            return is_open
+        return is_open and me.held is not None
+    return False
+
+
+def legal_actions(state: WorldState, agent_id: int) -> Set[Action]:
+    """Every primitive the agent could execute this tick: the house's
+    candidate actions that pass ``is_legal``. Explore and Wait are always
+    included."""
+    house = state.house
+    candidates = [WAIT, EXPLORE]
+    candidates += [go_to(room) for room in house.rooms]
+    candidates += [grab(object_id) for object_id in state.locations]
+    for cid in house.containers:
+        candidates += [open_container(cid), close_container(cid), put_in(cid)]
+    candidates += [put_on(sid) for sid in house.surfaces]
+    return {action for action in candidates if is_legal(state, agent_id, action)}
 
 
 def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldState, List[Event]]:
@@ -99,10 +124,11 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
 
     for agent_id in ids:
         action = joint[agent_id]
-        if action.kind in _KNOWN_KINDS and action in legal_actions(state, agent_id):
+        if is_legal(state, agent_id, action):
             final[agent_id] = action
         else:
-            label = action.render() if action.kind in _KNOWN_KINDS else repr(action)
+            known = isinstance(action, Action) and isinstance(action.kind, str)
+            label = action.render() if known and action.kind in _KNOWN_KINDS else repr(action)
             final[agent_id] = WAIT
             events.append(
                 Event(tick, agent_id, "failure", note=f"illegal action {label}")

@@ -10,11 +10,15 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stubserver import approve_candidates
+import homecrew
 from homecrew.errors import ConfigError, ContractViolation
 from homecrew.harness.benchmark import (
     BenchmarkResult,
@@ -51,6 +55,8 @@ from homecrew.harness.trace import (
     write_trace,
 )
 from homecrew.world import task_categories
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(homecrew.__file__)))
 
 
 def episode_config(**overrides) -> EpisodeConfig:
@@ -563,6 +569,62 @@ class TestCliCommands:
         assert main(["replay", "--trace", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command, out, where",
+        [
+            ("run", "missing/dir/t.jsonl", "its directory does not exist"),
+            ("run", ".", "is a directory"),
+            ("bench", "file.txt", "is not a directory"),
+            ("bench", "file.txt/sub", "is not a directory"),
+        ],
+        ids=["run-missing-dir", "run-into-dir", "bench-onto-file", "bench-under-file"],
+    )
+    def test_unwritable_out_is_refused_before_any_episode(
+        self, tmp_path, capsys, command, out, where
+    ):
+        (tmp_path / "file.txt").write_text("keep\n")
+        target = os.path.join(str(tmp_path), out)
+        scope = ["--task", "WashDishes"] if command == "run" else ["--seeds", "1"]
+        argv = [command, *scope, "--max-steps", "5", "--out", target]
+
+        def no_episode(*_args, **_kwargs):
+            raise AssertionError("an episode ran before --out was checked")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homecrew.harness.cli.run_episode", no_episode)
+            patch.setattr("homecrew.harness.cli.run_benchmark", no_episode)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err
+        assert (tmp_path / "file.txt").read_text() == "keep\n"
+
+    def test_write_error_after_the_run_is_an_error(self, tmp_path, capsys):
+        folder = tmp_path / "vanishing"
+        folder.mkdir()
+        out_dir = str(tmp_path / "bench")
+
+        def episode_then_remove_folder(config):
+            result = run_episode(config)
+            folder.rmdir()
+            return result
+
+        def grid_then_block_out_dir(spec, out_dir=None):
+            with open(out_dir, "w") as handle:
+                handle.write("in the way\n")
+            return run_benchmark(spec, out_dir=out_dir)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homecrew.harness.cli.run_episode", episode_then_remove_folder)
+            patch.setattr("homecrew.harness.cli.run_benchmark", grid_then_block_out_dir)
+            run_argv = ["run", "--task", "WashDishes", "--max-steps", "5",
+                        "--out", str(folder / "t.jsonl")]
+            assert main(run_argv) == 2
+            assert "error: cannot write trace" in capsys.readouterr().err
+            bench_argv = ["bench", "--tasks", "WashDishes", "--agents", "1", "--seeds", "1",
+                          "--max-steps", "5", "--out", out_dir]
+            assert main(bench_argv) == 2
+            assert "error: cannot write bench output" in capsys.readouterr().err
+
     def test_bench_and_report_agree(self, tmp_path, capsys):
         out_dir = str(tmp_path / "bench")
         argv = ["bench", "--tasks", "WashDishes", "--agents", "1,2",
@@ -699,3 +761,64 @@ class TestCliFuzz:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main(argv)
                 assert code == 0 or (code == 2 and err.getvalue().startswith("error:"))
+
+
+def run_fresh(script: str, cwd: str) -> subprocess.CompletedProcess:
+    """``script`` in a new interpreter that imports homecrew from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestStartup:
+    def test_heuristic_episode_loads_no_http_or_thread_pool(self, tmp_path):
+        done = run_fresh(
+            """
+            import sys
+            import homecrew.harness
+            import homecrew.harness.cli
+            from homecrew.harness import EpisodeConfig, run_episode
+            assert run_episode(EpisodeConfig(task="WashDishes")).success
+            print(sorted({"requests", "concurrent.futures"} & set(sys.modules)))
+            """,
+            str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_without_requests(self, tmp_path):
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(
+            json.dumps({"kind": "SUMMARIZE", "tick": 0, "agent_id": 1, "response": "x"}) + "\n"
+        )
+        done = run_fresh(
+            f"""
+            import sys
+            sys.modules["requests"] = None
+            from homecrew.harness.cli import main
+
+            run = ["run", "--task", "WashDishes", "--max-steps", "30"]
+            print(main(run + ["--backend", "remote", "--endpoint-url",
+                              "http://127.0.0.1:9", "--model", "m"]))
+            print(main(run + ["--out", "t.jsonl"]))
+            # The manager is never asked without allocation and summaries.
+            print(main(run + ["--backend", "manager=scripted,members=heuristic",
+                              "--no-allocation", "--no-summary",
+                              "--fixtures", {str(fixtures)!r}]))
+            print(main(["bench", "--tasks", "WashDishes", "--agents", "1,2",
+                        "--seeds", "1", "--max-steps", "30", "--out", "bench"]))
+            print(main(["replay", "--trace", "t.jsonl"]))
+            """,
+            str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        codes = [line for line in done.stdout.splitlines() if line in ("0", "1", "2")]
+        assert codes == ["2", "0", "0", "0", "0"], done.stdout
+        assert done.stderr.startswith("error: remote backend needs the requests package")
+        assert "Traceback" not in done.stderr

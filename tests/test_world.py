@@ -40,6 +40,7 @@ from homecrew.world import (
     go_to,
     grab,
     init_world,
+    is_legal,
     legal_actions,
     load_catalog,
     observe,
@@ -52,6 +53,7 @@ from homecrew.world import (
 from homecrew.world.types import goal_location
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
+PRIMITIVE_KINDS = ["close", "explore", "goto", "grab", "open", "put_in", "put_on", "wait"]
 
 
 def bfs_distance(adjacency, src, dst):
@@ -438,6 +440,157 @@ class TestLegalityOracle:
             i: a.room for i, a in state.agents.items()
         }
         assert events == []
+
+
+def reference_visible_objects(state, room):
+    """Reference visibility: every object id in sorted order, kept when it
+    can be seen from inside ``room``."""
+    out = []
+    for object_id in sorted(state.locations):
+        loc = state.locations[object_id]
+        if loc.kind == LOC_ROOM and loc.ref == room:
+            out.append(object_id)
+        elif loc.kind == LOC_SURFACE and state.house.surfaces[str(loc.ref)] == room:
+            out.append(object_id)
+        elif (
+            loc.kind == LOC_CONTAINER
+            and state.house.containers[str(loc.ref)] == room
+            and state.container_open[str(loc.ref)]
+        ):
+            out.append(object_id)
+        elif loc.kind == LOC_AGENT and state.agents[int(loc.ref)].room == room:
+            out.append(object_id)
+    return out
+
+
+def reference_legal_actions(state, agent_id):
+    """Reference legality: the legal set built rule by rule, which is_legal
+    and legal_actions must agree with."""
+    me = state.agents[agent_id]
+    room = me.room
+    legal = {WAIT, EXPLORE}
+    for nb in state.house.adjacency[room]:
+        legal.add(go_to(nb))
+    if me.held is None:
+        for object_id in reference_visible_objects(state, room):
+            if state.locations[object_id].kind != LOC_AGENT:
+                legal.add(grab(object_id))
+    for cid in state.house.containers_in(room):
+        if state.container_open[cid]:
+            legal.add(close_container(cid))
+            if me.held is not None:
+                legal.add(put_in(cid))
+        else:
+            legal.add(open_container(cid))
+    if me.held is not None:
+        for sid in state.house.surfaces_in(room):
+            legal.add(put_on(sid))
+    return legal
+
+
+def walk_states(ticks=20, seeds=(0, 1, 2)):
+    """States along seeded random walks of reference-legal joint actions,
+    over every task and team size."""
+    for task in ALL_TASKS:
+        for num_agents in (1, 2, 3):
+            for seed in seeds:
+                state, _ = init_world(task, num_agents, seed)
+                rng = random.Random(f"{task}-{num_agents}-{seed}")
+                yield state
+                for _ in range(ticks):
+                    joint = {
+                        i: rng.choice(
+                            sorted(reference_legal_actions(state, i), key=lambda a: a.render())
+                        )
+                        for i in state.agents
+                    }
+                    state, _ = transition(state, joint)
+                    yield state
+
+
+def malformed_actions(state):
+    """Actions of a known kind that no state makes legal."""
+    surface = sorted(state.house.surfaces)[0]
+    container = sorted(state.house.containers)[0]
+    return [
+        Action("wait", "x"),
+        Action("explore", "x"),
+        Action("goto", None),
+        grab("no_such_object"),
+        put_in(surface),
+        put_on(container),
+        open_container(surface),
+    ]
+
+
+class TestIsLegal:
+    def test_is_legal_and_legal_actions_match_the_reference(self):
+        checked = grabs = 0
+        for state in walk_states():
+            candidates = all_primitives(state) + malformed_actions(state)
+            for agent_id in state.agents:
+                reference = reference_legal_actions(state, agent_id)
+                assert legal_actions(state, agent_id) == reference
+                for action in candidates:
+                    legal = is_legal(state, agent_id, action)
+                    assert legal == (action in reference), (action, agent_id)
+                    checked += 1
+                    grabs += legal and action.kind == "grab"
+                seen = [s.object_id for s in observe(state, agent_id).objects]
+                assert seen == reference_visible_objects(state, state.agents[agent_id].room)
+        # The walks reach states where grabs are legal, not only trivial ones.
+        assert checked > 10_000 and grabs > 100
+
+    def test_malformed_joint_entries_degrade_to_wait(self):
+        state, _ = init_world("WashDishes", 2, 0)
+        for entry in (Action("grab", ["x"]), Action(["goto"], "kitchen"), "grab", None):
+            nxt, events = transition(state, {1: entry, 2: WAIT})
+            assert nxt.agents[1] == state.agents[1]
+            assert [e.kind for e in events] == ["failure"]
+            assert events[0].note.startswith("illegal action ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        task=st.sampled_from(ALL_TASKS),
+        num_agents=st.integers(1, 3),
+        seed=st.integers(0, 5),
+        data=st.data(),
+    )
+    def test_transition_never_raises_on_arbitrary_entries(self, task, num_agents, seed, data):
+        state, _ = init_world(task, num_agents, seed)
+        house = state.house
+        names = sorted(
+            set(house.rooms) | set(house.containers) | set(house.surfaces) | set(state.locations)
+        )
+        json_ish = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        )
+        kinds = st.sampled_from(PRIMITIVE_KINDS) | json_ish
+        targets = st.none() | st.sampled_from(names) | json_ish
+        entry = data.draw(st.builds(Action, kinds, targets) | json_ish, label="entry")
+        agent_id = data.draw(st.sampled_from(sorted(state.agents)), label="agent")
+        joint = {i: WAIT for i in state.agents}
+        joint[agent_id] = entry
+        before = (dict(state.locations), dict(state.container_open), dict(state.agents))
+        legal = is_legal(state, agent_id, entry)
+        try:
+            hash(entry)
+        except TypeError:
+            assert not legal
+        else:
+            assert legal == (entry in reference_legal_actions(state, agent_id))
+        nxt, events = transition(state, joint)
+        assert (state.locations, state.container_open, state.agents) == before
+        if not legal:
+            failures = [e for e in events if e.agent_id == agent_id]
+            assert [e.kind for e in failures] == ["failure"]
+            assert failures[0].note.startswith("illegal action ")
+            assert nxt.agents[agent_id] == state.agents[agent_id]
+            assert nxt.locations == state.locations
+            assert nxt.container_open == state.container_open
 
 
 class TestTransition:
