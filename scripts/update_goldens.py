@@ -1,17 +1,28 @@
 #!/usr/bin/env python3
 """Regenerate the pinned trace digests in tests/data/golden_hashes.json.
 
-Run this after an intentional engine behavior change and review the diff;
+    python3 scripts/update_goldens.py           # recompute and write
+    python3 scripts/update_goldens.py --check   # recompute and compare only
+
+Run it after an intentional engine behavior change and review the diff;
 the determinism tests compare freshly produced traces against these hashes.
+With --check nothing is written: every digest that drifted from the stored
+file is printed, and the exit code is 1 if any did. The script puts the
+repo's src/ on the import path itself.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import sys
 
-from homecrew.harness import EpisodeConfig, run_episode
-from homecrew.harness.trace import trace_sha256
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from homecrew.harness import EpisodeConfig, run_episode  # noqa: E402
+from homecrew.harness.trace import trace_sha256  # noqa: E402
 
 GOLDEN_CONFIGS = (
     EpisodeConfig(task="WashDishes", num_agents=2, seed=0),
@@ -21,30 +32,48 @@ GOLDEN_CONFIGS = (
     EpisodeConfig(task="PutGroceries", num_agents=3, seed=4, use_allocation=False),
 )
 
-OUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tests",
-    "data",
-    "golden_hashes.json",
-)
+OUT_PATH = os.path.join(ROOT, "tests", "data", "golden_hashes.json")
 
 
 def golden_key(config: EpisodeConfig) -> str:
     return f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
 
 
-def main() -> None:
-    hashes = {}
-    for config in GOLDEN_CONFIGS:
-        result = run_episode(config)
-        hashes[golden_key(config)] = trace_sha256(list(result.records))
-        print(f"{golden_key(config)}: {hashes[golden_key(config)]}")
+def compute_hashes() -> dict:
+    return {
+        golden_key(config): trace_sha256(list(run_episode(config).records))
+        for config in GOLDEN_CONFIGS
+    }
+
+
+def check(hashes: dict) -> int:
+    with open(OUT_PATH) as handle:
+        stored = json.load(handle)
+    drifted = [key for key, digest in hashes.items() if stored.get(key) != digest]
+    for key in drifted:
+        print(f"{key}: stored {stored.get(key)}, computed {hashes[key]}")
+    print(f"{len(hashes) - len(drifted)}/{len(hashes)} digests match {OUT_PATH}")
+    return 1 if drifted else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the stored digests; write nothing"
+    )
+    args = parser.parse_args(argv)
+    hashes = compute_hashes()
+    if args.check:
+        return check(hashes)
+    for key, digest in hashes.items():
+        print(f"{key}: {digest}")
     os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
     with open(OUT_PATH, "w") as handle:
         json.dump(hashes, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {OUT_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,19 +16,10 @@ from ..world.types import (
     LOC_CONTAINER,
     LOC_ROOM,
     LOC_SURFACE,
+    Fact,
     Location,
     Observation,
 )
-
-
-@dataclass(frozen=True)
-class Fact:
-    """One believed object placement, stamped with the observation tick."""
-
-    object_id: str
-    object_class: str
-    location: Location
-    observed_at: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,8 @@ def _contradicted(fact: Fact, obs: Observation, seen_now: set) -> bool:
 
 
 def perceive(observation: Observation, prior: Belief) -> Belief:
-    """Fold one observation into a belief: upsert every sighting, evict the
+    """Fold one observation into a belief: upsert every sighting (a Fact
+    already stamped with the observation tick, stored as it is), evict the
     contradicted facts, refresh the room's visit tick and container flags."""
     tick = observation.tick
     seen_now = {s.object_id for s in observation.objects}
@@ -90,12 +82,7 @@ def perceive(observation: Observation, prior: Belief) -> Belief:
         if not _contradicted(fact, observation, seen_now):
             facts[object_id] = fact
     for sighting in observation.objects:
-        facts[sighting.object_id] = Fact(
-            object_id=sighting.object_id,
-            object_class=sighting.object_class,
-            location=sighting.location,
-            observed_at=tick,
-        )
+        facts[sighting.object_id] = sighting
     visited = dict(prior.visited_rooms)
     visited[observation.room] = tick
     flags = dict(prior.container_flags)

@@ -125,19 +125,20 @@ def believed_instance(
         if fact is None or fact.location == target_loc:
             return None
         return fact
-    ranked: List[Tuple[int, str, Fact]] = []
-    for object_id in sorted(belief.facts):
-        fact = belief.facts[object_id]
-        if fact.object_class != task.object_class:
-            continue
-        if fact.location == target_loc or fact.location.kind == LOC_AGENT:
-            continue
-        room = house.location_room(fact.location)
-        ranked.append((house.distance(from_room, str(room)), object_id, fact))
-    if not ranked:
-        return None
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    return ranked[0][2]
+    return min(
+        (
+            fact
+            for fact in belief.facts.values()
+            if fact.object_class == task.object_class
+            and fact.location.kind != LOC_AGENT
+            and fact.location != target_loc
+        ),
+        key=lambda fact: (
+            house.distance(from_room, str(house.location_room(fact.location))),
+            fact.object_id,
+        ),
+        default=None,
+    )
 
 
 def _sweep_step(target_room: str, obs: Observation, house: HouseMap) -> Action:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..agents.belief import Belief, TeamBelief, merge_team_belief
+from ..agents.belief import Belief, Fact, TeamBelief, merge_team_belief
 from ..agents.execution import (
     EXPLORE_ROOM,
     FETCH_PLACE,
@@ -81,8 +81,10 @@ def assemble_context(
     beliefs: Dict[int, Belief],
     observations: Dict[int, Observation],
     house: HouseMap,
+    team: Optional[TeamBelief] = None,
 ) -> CrossAgentContext:
-    """Bundle every agent's round contribution, ordered by agent id."""
+    """Bundle every agent's round contribution, ordered by agent id, with
+    ``team`` when the caller has already merged these beliefs in that order."""
     ordered = sorted(proposals, key=lambda p: p.agent_id)
     entries = tuple(
         ContextEntry(
@@ -94,7 +96,7 @@ def assemble_context(
         for p in ordered
     )
     tick = entries[0].observation.tick if entries else 0
-    return CrossAgentContext(tick=tick, entries=entries, house=house)
+    return CrossAgentContext(tick=tick, entries=entries, house=house, team=team)
 
 
 def _agent_options(entry: ContextEntry, k: int) -> List[MacroTask]:
@@ -154,29 +156,17 @@ def _can_complete(task: MacroTask, entry: ContextEntry, house: HouseMap) -> bool
     if held is not None and held_matches(task, held, house):
         return True
     target_loc = goal_location(str(task.relation), str(task.target))
+
+    def usable(fact: Fact) -> bool:
+        loc = fact.location
+        held_by_other = loc.kind == LOC_AGENT and int(loc.ref) != entry.agent_id
+        return not held_by_other and loc != target_loc
+
     if task.object_id is not None:
         fact = entry.belief.facts.get(task.object_id)
-        if fact is None:
-            return True
-        if fact.location == target_loc:
-            return False
-        if fact.location.kind == LOC_AGENT and int(fact.location.ref) != entry.agent_id:
-            return False
-        return True
-    known = [
-        fact
-        for fact in entry.belief.facts.values()
-        if fact.object_class == task.object_class
-    ]
-    if not known:
-        return True
-    for fact in known:
-        if fact.location == target_loc:
-            continue
-        if fact.location.kind == LOC_AGENT and int(fact.location.ref) != entry.agent_id:
-            continue
-        return True
-    return False
+        return fact is None or usable(fact)
+    known = [f for f in entry.belief.facts.values() if f.object_class == task.object_class]
+    return not known or any(usable(fact) for fact in known)
 
 
 def score_joint(
@@ -262,14 +252,17 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     its options' own terms plus NOVELTY_WEIGHT per distinct novel room it
     explores (the bonus goes to one explorer, whichever it is). A depth-first
     walk in enumeration order carries the units each predicate has left, the
-    bound ids and the claimed rooms, drops any branch that cannot beat the best leaf so far even if
-    every later agent took its best option with the bonus, and replaces the
-    best leaf only on a strictly higher score. The all-Idle joint always
-    survives the conflict filter, so this never comes up empty."""
+    bound ids and the claimed rooms, drops any branch that cannot beat the
+    best leaf so far even if every later agent took its best option with the
+    bonus, and replaces the best leaf only on a strictly higher score. The
+    all-Idle joint always survives the conflict filter, so this never comes
+    up empty. The team belief is merged only when the context has none."""
     context = inputs.context
     house = context.house
     remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    team = merge_team_belief([entry.belief for entry in context.entries])
+    team = context.team
+    if team is None:
+        team = merge_team_belief([entry.belief for entry in context.entries])
     options = [_agent_options(entry, JOINT_ALTERNATIVES) for entry in context.entries]
     terms = [
         [_option_term(task, entry, team, remaining, house) for task in row]

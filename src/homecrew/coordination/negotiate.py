@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..agents.belief import Fact
 from ..agents.execution import MacroTask, sweep_targets
 from ..agents.textify import render_belief, render_history, render_observation
 from ..errors import RemoteBackendError, ResponseParseError
@@ -23,45 +24,59 @@ from ..reasoner.base import (
 )
 from ..reasoner.parsing import parse_proposal
 from ..reasoner.prompts import ProposePayload, render_prompt
-from ..world.engine import evaluate_progress
-from ..world.types import LOC_AGENT, goal_location
+from ..world.types import LOC_AGENT
 from .types import AgentView, Proposal, Vocabulary
 
 # How many ranked backups a proposal carries; the allocator never reads more.
 MAX_ALTERNATIVES = 3
 
 
-def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, str]]:
-    """Fetch candidates for unmet predicates, nearest believed instance first.
-    Objects already at their target or in another agent's hand are skipped;
-    an object in this agent's own hand ranks at distance zero."""
-    believed = evaluate_progress(view.belief, view.goal)
-    ranked: List[Tuple[Tuple[int, str, int], MacroTask, str]] = []
-    for idx, pred in enumerate(view.goal.predicates):
-        have = believed.by_predicate[idx] if idx < len(believed.by_predicate) else 0
-        if have >= pred.count:
+def _ranked_fetch_options(view: AgentView, limit: int) -> List[Tuple[MacroTask, str]]:
+    """The first ``limit`` fetch candidates for unmet predicates, nearest
+    believed instance first, ties by object id, then predicate order, each
+    task once. Objects already at their target or in another agent's hand
+    are skipped; an object in this agent's own hand ranks at distance zero.
+    One pass over the facts counts what each predicate already has and
+    collects the rest; tasks are built only for the options returned."""
+    predicates, targets = view.goal.predicates, view.goal.targets
+    house, here = view.house, view.observation.room
+    have = [0] * len(predicates)
+    candidates: List[Tuple[int, Fact]] = []
+    for fact in view.belief.facts.values():
+        location = fact.location
+        if location.kind == LOC_AGENT and int(location.ref) != view.agent_id:
             continue
-        target_loc = goal_location(pred.relation, pred.target)
-        for object_id in sorted(view.belief.facts):
-            fact = view.belief.facts[object_id]
-            if fact.object_class != pred.object_class:
-                continue
-            if fact.location == target_loc:
-                continue
-            if fact.location.kind == LOC_AGENT:
-                if int(fact.location.ref) != view.agent_id:
-                    continue
-                distance, where = 0, "already in hand"
+        for idx, target in targets.get(fact.object_class, ()):
+            if location == target:
+                have[idx] += 1
             else:
-                room = str(view.house.location_room(fact.location))
-                distance = view.house.distance(view.observation.room, room)
-                where = f"seen at {fact.location.render()}"
-            task = MacroTask.fetch(
-                pred.object_class, pred.relation, pred.target, object_id=object_id
-            )
-            ranked.append(((distance, object_id, idx), task, where))
-    ranked.sort(key=lambda item: item[0])
-    return [(task, where) for _, task, where in ranked]
+                candidates.append((idx, fact))
+    ranked: List[Tuple[int, str, int, Fact]] = []
+    for idx, fact in candidates:
+        if have[idx] >= predicates[idx].count:
+            continue
+        location = fact.location
+        if location.kind == LOC_AGENT:
+            distance = 0
+        else:
+            distance = house.distance(here, str(house.location_room(location)))
+        ranked.append((distance, fact.object_id, idx, fact))
+    # (object id, predicate) pairs are unique, so facts are never compared.
+    ranked.sort()
+    options: List[Tuple[MacroTask, str]] = []
+    for _, object_id, idx, fact in ranked:
+        if len(options) == limit:
+            break
+        pred = predicates[idx]
+        task = MacroTask.fetch(pred.object_class, pred.relation, pred.target, object_id=object_id)
+        # Two predicates with one key would name the same task twice.
+        if any(task == kept for kept, _ in options):
+            continue
+        if fact.location.kind == LOC_AGENT:
+            options.append((task, "already in hand"))
+        else:
+            options.append((task, f"seen at {fact.location.render()}"))
+    return options
 
 
 def heuristic_proposal(view: AgentView) -> Proposal:
@@ -69,26 +84,14 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     structured backend returns and the degraded-path fallback builds on."""
     if view.progress.total and view.progress.satisfied >= view.progress.total:
         return Proposal(view.agent_id, MacroTask.idle(), "goal already satisfied")
-    options = _ranked_fetch_options(view)
+    options = _ranked_fetch_options(view, MAX_ALTERNATIVES)
     sweep_order = sweep_targets(view.belief, view.house, view.observation.room)
     sweep_room = sweep_order[0]
     explore_task = MacroTask.explore(sweep_room)
     if options:
         candidate, where = options[0]
-        alternatives: List[MacroTask] = []
-        for task, _ in options[1:]:
-            if task != candidate and task not in alternatives:
-                alternatives.append(task)
-            if len(alternatives) >= MAX_ALTERNATIVES - 1:
-                break
-        if explore_task not in alternatives:
-            alternatives.append(explore_task)
-        return Proposal(
-            view.agent_id,
-            candidate,
-            f"{candidate.object_id} {where}",
-            tuple(alternatives[:MAX_ALTERNATIVES]),
-        )
+        alternatives = tuple(task for task, _ in options[1:]) + (explore_task,)
+        return Proposal(view.agent_id, candidate, f"{candidate.object_id} {where}", alternatives)
     alternatives = tuple(MacroTask.explore(room) for room in sweep_order[1:2])
     return Proposal(
         view.agent_id,

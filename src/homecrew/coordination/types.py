@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..agents.belief import Belief
+from ..agents.belief import Belief, TeamBelief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
 from ..summaries import CollaborativeSummary
@@ -75,6 +75,8 @@ class CrossAgentContext:
     tick: int
     entries: Tuple[ContextEntry, ...]
     house: HouseMap
+    # The merge of the entries' beliefs when the caller has it; never compared.
+    team: Optional[TeamBelief] = field(default=None, compare=False, repr=False)
 
     @property
     def vocabulary(self) -> Vocabulary:

@@ -258,7 +258,9 @@ def _play_episode(
                 last_believed = believed
         finished = progress.done() or state.tick >= config.max_steps
         if not finished:
-            window_records = tuple(slice_history(history, t_last, state.tick))
+            # Only a text prompt shows the window (see _propose_request).
+            text = member.produces == TEXT
+            window_records = tuple(slice_history(history, t_last, state.tick)) if text else ()
             for i in agent_ids:
                 view = AgentView(
                     agent_id=i,
@@ -306,7 +308,9 @@ def _play_episode(
             proposals.append(proposal)
         proposal_lines = {str(p.agent_id): p.candidate.render() for p in proposals}
         if config.use_allocation:
-            context = assemble_context(proposals, beliefs, observations, state.house)
+            context = assemble_context(
+                proposals, beliefs, observations, state.house, team=team
+            )
             prompt_summaries = (
                 collected if config.use_summaries else CollaborativeSummary.empty()
             )

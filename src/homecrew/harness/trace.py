@@ -1,6 +1,6 @@
 """Episode traces: deterministic JSONL, one record per line.
 
-Serialization is pinned to json.dumps(sort_keys=True, separators=(",", ":")),
+Serialization is pinned to one JSONEncoder(sort_keys=True, separators=(",", ":")),
 and records carry no wall-clock material, so equal runs produce byte-equal
 files. Record types: header, exchange, allocation, summary, tick, end.
 Exchange records hold every raw text-backend response (null for a transport
@@ -32,8 +32,12 @@ HEADER_FIELDS = (
 )
 
 
+# json.dumps with these settings builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def render_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def render_trace(records: List[dict]) -> str:

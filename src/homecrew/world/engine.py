@@ -10,8 +10,7 @@ so arbitrary reasoner output can never corrupt the world.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Set, Tuple, Union
 
 from ..errors import ContractViolation
 from .types import (
@@ -22,11 +21,12 @@ from .types import (
     LOC_SURFACE,
     WAIT,
     Action,
+    AgentState,
     Event,
+    Fact,
     GoalSpec,
     Location,
     Observation,
-    ObjectSighting,
     TaskProgress,
     WorldState,
     close_container,
@@ -36,6 +36,9 @@ from .types import (
     put_in,
     put_on,
 )
+
+if TYPE_CHECKING:
+    from ..agents.belief import Belief
 
 _KNOWN_KINDS = {"goto", "grab", "open", "close", "put_on", "put_in", "explore", "wait"}
 
@@ -204,12 +207,12 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
         action = final[agent_id]
         if action.kind == "goto":
             room = str(action.target)
-            agents[agent_id] = replace(agents[agent_id], room=room)
+            agents[agent_id] = AgentState(room, agents[agent_id].held)
             events.append(Event(tick, agent_id, "moved", note=f"moved to {room}", target=room))
         elif action.kind == "grab":
             object_id = str(action.target)
             locations[object_id] = Location(LOC_AGENT, agent_id)
-            agents[agent_id] = replace(agents[agent_id], held=object_id)
+            agents[agent_id] = AgentState(agents[agent_id].room, object_id)
             events.append(
                 Event(tick, agent_id, "grabbed", note=f"grabbed {object_id}", object_id=object_id)
             )
@@ -226,7 +229,7 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
             object_id = str(agents[agent_id].held)
             kind = LOC_SURFACE if action.kind == "put_on" else LOC_CONTAINER
             locations[object_id] = Location(kind, target)
-            agents[agent_id] = replace(agents[agent_id], held=None)
+            agents[agent_id] = AgentState(agents[agent_id].room, None)
             note_rel = "on" if action.kind == "put_on" else "in"
             events.append(
                 Event(
@@ -250,15 +253,12 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
 
 def observe(state: WorldState, agent_id: int) -> Observation:
     """Room-local view for one agent; closed containers and other rooms stay
-    opaque."""
+    opaque. Each sighting is a Fact stamped with this tick."""
     me = state.agents[agent_id]
     room = me.room
+    classes, locations, tick = state.house.object_classes, state.locations, state.tick
     sightings = tuple(
-        ObjectSighting(
-            object_id=object_id,
-            object_class=state.object_class(object_id),
-            location=state.locations[object_id],
-        )
+        Fact(object_id, classes[object_id], locations[object_id], tick)
         for object_id in _visible_objects(state, room)
     )
     containers = {cid: state.container_open[cid] for cid in state.house.containers_in(room)}
@@ -269,7 +269,7 @@ def observe(state: WorldState, agent_id: int) -> Observation:
     }
     return Observation(
         agent_id=agent_id,
-        tick=state.tick,
+        tick=tick,
         room=room,
         held=me.held,
         objects=sightings,
@@ -279,19 +279,24 @@ def observe(state: WorldState, agent_id: int) -> Observation:
     )
 
 
-def evaluate_progress(source, goal: GoalSpec) -> TaskProgress:
-    """Count satisfied goal units in a WorldState or a belief.
-
-    ``source`` must expose object_placements() yielding
-    (object_id, object_class, Location); both WorldState (ground truth) and
-    Belief (what the team thinks) do. Counts cap at each predicate's demand.
-    """
+def evaluate_progress(source: Union[WorldState, Belief], goal: GoalSpec) -> TaskProgress:
+    """Count satisfied goal units in a WorldState (ground truth) or a Belief
+    (what the team thinks): every object in ``locations``, or every fact,
+    whose class a predicate asks for and that sits at that predicate's goal
+    location. Counts cap at each predicate's demand."""
     raw = [0] * len(goal.predicates)
     targets = goal.targets
-    for _object_id, object_class, location in source.object_placements():
-        for idx, target in targets.get(object_class, ()):
-            if location == target:
-                raw[idx] += 1
+    if isinstance(source, WorldState):
+        classes = source.house.object_classes
+        for object_id, location in source.locations.items():
+            for idx, target in targets.get(classes[object_id], ()):
+                if location == target:
+                    raw[idx] += 1
+    else:
+        for fact in source.facts.values():
+            for idx, target in targets.get(fact.object_class, ()):
+                if fact.location == target:
+                    raw[idx] += 1
     by_predicate = tuple(min(pred.count, raw[idx]) for idx, pred in enumerate(goal.predicates))
     return TaskProgress(
         satisfied=sum(by_predicate),

@@ -7,7 +7,7 @@ Everything here is a plain immutable snapshot. State evolution happens in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -109,9 +109,10 @@ class Event:
         return f"t={self.tick} agent {self.agent_id}: {body}"
 
 
+@lru_cache(maxsize=None)
 def goal_location(relation: str, target: str) -> Location:
     """Where a goal predicate wants its objects: ON a surface or IN a
-    container named target."""
+    container named target. One shared Location per (relation, target)."""
     return Location(LOC_SURFACE if relation == ON else LOC_CONTAINER, target)
 
 
@@ -297,24 +298,23 @@ class WorldState:
     container_open: Dict[str, bool]
     agents: Dict[int, AgentState]
 
-    def object_class(self, object_id: str) -> str:
-        return self.house.object_classes[object_id]
-
     def object_placements(self):
-        """(object_id, object_class, Location) triples in stable id order.
-
-        Beliefs expose the same shape, so progress evaluation works on either
-        ground truth or what the team currently thinks.
-        """
+        """(object_id, object_class, Location) triples in stable id order,
+        the shape Belief.object_placements has too. Progress evaluation does
+        not read it; it counts from ``locations`` directly."""
         for object_id in sorted(self.locations):
             yield object_id, self.house.object_classes[object_id], self.locations[object_id]
 
 
 @dataclass(frozen=True)
-class ObjectSighting:
+class Fact:
+    """One object placement, stamped with the tick it was observed at. An
+    observation's sightings are facts, and beliefs store them as they are."""
+
     object_id: str
     object_class: str
     location: Location
+    observed_at: int
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ class Observation:
     tick: int
     room: str
     held: Optional[str]
-    objects: Tuple[ObjectSighting, ...]
+    objects: Tuple[Fact, ...]
     containers: Mapping[str, bool] = field(default_factory=dict)
     agents_here: Mapping[int, Optional[str]] = field(default_factory=dict)
     surfaces_here: Tuple[str, ...] = ()

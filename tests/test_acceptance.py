@@ -6,7 +6,8 @@ freedom on 500 contention-heavy instances; the same two checks on teams of
 4-6 with the team-size cap lifted for the test; summary intervals partitioning
 the acted history; pinned golden trace digests; the same digests with every
 text renderer made to raise, so heuristic episodes build no prompt or digest
-text; larger teams finishing faster; ablation ordering; exact replay of
+text; one team-belief merge per tick, reused by the allocator for teams of
+1-6; larger teams finishing faster; ablation ordering; exact replay of
 recorded remote traces; a stub-backed remote episode end to end; and a
 concurrent remote round that records the same trace as a sequential one.
 Each test prints one "acceptance <name>: PASS|FAIL" line.
@@ -28,7 +29,7 @@ from typing import Optional
 import pytest
 
 from stubserver import approve_candidates, completion, propose_goal_objects
-from homecrew.agents import Belief, Fact, MacroTask
+from homecrew.agents import Belief, Fact, MacroTask, merge_team_belief, perceive
 from homecrew.coordination import (
     JointAction,
     Proposal,
@@ -444,6 +445,62 @@ def test_episodes_parse_no_catalog(monkeypatch):
             result = run_episode(dataclasses.replace(config))
             assert trace_sha256(list(result.records)) == stored[golden_key(config)]
         assert parses == []
+
+
+def test_one_team_merge_per_tick(monkeypatch):
+    with criterion("the team belief is merged once per tick"):
+        merges = []
+        real = merge_team_belief
+
+        def counting(beliefs):
+            merges.append(len(beliefs))
+            return real(beliefs)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "homecrew" or module is None:
+                continue
+            if getattr(module, "merge_team_belief", None) is real:
+                monkeypatch.setattr(module, "merge_team_belief", counting)
+        with open(GOLDEN_PATH) as handle:
+            stored = json.load(handle)
+        for config in GOLDEN_CONFIGS:
+            merges.clear()
+            result = run_episode(config)
+            assert trace_sha256(list(result.records)) == stored[golden_key(config)]
+            # The loop runs once per tick, plus the pass that finds the end.
+            ticks = sum(1 for r in result.records if r["type"] == "tick")
+            assert merges == [config.num_agents] * (ticks + 1), golden_key(config)
+
+        state, _ = init_world("WashDishes", 3, 0)
+        for agent_id in state.agents:
+            observation = observe(state, agent_id)
+            belief = perceive(observation, Belief.empty())
+            assert observation.objects
+            for sighting in observation.objects:
+                assert belief.facts[sighting.object_id] is sighting
+                assert sighting.observed_at == observation.tick
+
+
+def test_allocation_reuses_the_round_team_belief(monkeypatch):
+    # Teams of 1-6: the cap is lifted for the test as above.
+    monkeypatch.setattr(scenarios, "MAX_AGENTS", 6)
+    rng = random.Random(44)
+    with criterion("allocation with the round's team belief equals a fresh merge"):
+        for trial in range(240):
+            inputs = random_instance(rng, num_agents=1 + trial % 6)
+            context = inputs.context
+            assert context.team is None
+            fresh = heuristic_allocation(inputs)
+            team = merge_team_belief([entry.belief for entry in context.entries])
+            given = dataclasses.replace(
+                inputs, context=dataclasses.replace(context, team=team)
+            )
+            assert given.context == context
+            with monkeypatch.context() as patch:
+                # The package's allocate function shadows its module name.
+                module = sys.modules["homecrew.coordination.allocate"]
+                patch.setattr(module, "merge_team_belief", None)
+                assert heuristic_allocation(given) == fresh, f"trial {trial} diverged"
 
 
 def test_larger_teams_cut_mean_steps():

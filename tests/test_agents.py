@@ -15,6 +15,7 @@ from homecrew.agents import (
     Fact,
     MacroTask,
     belief_digest,
+    believed_instance,
     expand_macro,
     merge_team_belief,
     perceive,
@@ -45,6 +46,7 @@ from homecrew.world import (
     put_on,
     transition,
 )
+from homecrew.world.types import goal_location
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 
@@ -452,3 +454,87 @@ class TestExpandMacro:
                             action.render(),
                             obs.room,
                         )
+
+
+def sorting_believed_instance(task, belief, from_room, house):
+    """Reference believed_instance: ranks every eligible fact in id order
+    and sorts the list, which the min-based one must agree with."""
+    target_loc = goal_location(str(task.relation), str(task.target))
+    if task.object_id is not None:
+        fact = belief.facts.get(task.object_id)
+        if fact is None or fact.location == target_loc:
+            return None
+        return fact
+    ranked = []
+    for object_id in sorted(belief.facts):
+        fact = belief.facts[object_id]
+        if fact.object_class != task.object_class:
+            continue
+        if fact.location == target_loc or fact.location.kind == LOC_AGENT:
+            continue
+        room = house.location_room(fact.location)
+        ranked.append((house.distance(from_room, str(room)), object_id, fact))
+    if not ranked:
+        return None
+    ranked.sort(key=lambda item: (item[0], item[1]))
+    return ranked[0][2]
+
+
+class TestBelievedInstance:
+    def test_nearest_tie_breaks_by_id_whatever_the_insertion_order(self):
+        state, _ = init_world("SetUpTable", 1, 0)
+        house = state.house
+        # bedroom and kitchen are both one room away from the livingroom.
+        facts = {
+            "plate_9": Fact("plate_9", "plate", Location(LOC_ROOM, "kitchen"), 0),
+            "plate_2": Fact("plate_2", "plate", Location(LOC_ROOM, "bedroom"), 0),
+            "plate_5": Fact("plate_5", "plate", Location(LOC_ROOM, "livingroom"), 0),
+        }
+        belief = Belief(facts=facts, visited_rooms={}, container_flags={})
+        task = MacroTask.fetch("plate", ON, "kitchentable")
+        assert house.distance("livingroom", "kitchen") == house.distance("livingroom", "bedroom")
+        assert believed_instance(task, belief, "livingroom", house).object_id == "plate_5"
+        del facts["plate_5"]
+        assert believed_instance(task, belief, "livingroom", house).object_id == "plate_2"
+
+    def test_min_equals_the_sorting_definition(self):
+        """Random walks, thinned beliefs with shuffled insertion order, every
+        goal predicate bound and unbound, from every room. Ties at the
+        nearest distance must come up often."""
+        rng = random.Random(23)
+        checked = ties = 0
+        for seed in range(6):
+            snapshots, goal = random_walk(TASKS[seed % len(TASKS)], 3, seed, 25)
+            for state in snapshots:
+                house = state.house
+                placements = [
+                    (oid, Fact(oid, cls, loc, state.tick))
+                    for oid, cls, loc in state.object_placements()
+                    if rng.random() < 0.8
+                ]
+                rng.shuffle(placements)
+                belief = Belief(facts=dict(placements), visited_rooms={}, container_flags={})
+                tasks = []
+                for pred in goal.predicates:
+                    tasks.append(MacroTask.fetch(pred.object_class, pred.relation, pred.target))
+                    for oid, cls in house.object_classes.items():
+                        if cls == pred.object_class:
+                            tasks.append(
+                                MacroTask.fetch(cls, pred.relation, pred.target, object_id=oid)
+                            )
+                for task in tasks:
+                    for room in house.rooms:
+                        expected = sorting_believed_instance(task, belief, room, house)
+                        assert believed_instance(task, belief, room, house) == expected
+                        checked += 1
+                        if task.object_id is None:
+                            target = goal_location(task.relation, task.target)
+                            distances = sorted(
+                                house.distance(room, house.location_room(fact.location))
+                                for fact in belief.facts.values()
+                                if fact.object_class == task.object_class
+                                and fact.location.kind != LOC_AGENT
+                                and fact.location != target
+                            )
+                            ties += len(distances) > 1 and distances[0] == distances[1]
+        assert checked > 1000 and ties > 100

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from homecrew.agents import Belief, Fact, MacroTask
+from homecrew.agents import Belief, Fact, MacroTask, sweep_targets
 from homecrew.coordination import (
     AgentView,
     AllocationInputs,
@@ -48,6 +48,7 @@ from homecrew.reasoner import (
 from homecrew.summaries import CollaborativeSummary
 from homecrew.world import (
     IN,
+    LOC_AGENT,
     LOC_ROOM,
     ON,
     GoalPredicate,
@@ -63,6 +64,7 @@ from homecrew.world import (
     observe,
     transition,
 )
+from homecrew.world.types import goal_location
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 
@@ -202,6 +204,119 @@ class TestProposal:
         proposal = heuristic_proposal(make_view(state, goal, 1, belief))
         assert proposal.candidate.object_id == plate_id
         assert "hand" in proposal.rationale
+
+
+def sorting_heuristic_proposal(view):
+    """Reference heuristic_proposal: believed progress first, then one scan
+    of the sorted facts per unmet predicate, every option built as a task
+    and sorted, which the one-pass ranking must agree with."""
+    if view.progress.total and view.progress.satisfied >= view.progress.total:
+        return Proposal(view.agent_id, MacroTask.idle(), "goal already satisfied")
+    believed = evaluate_progress(view.belief, view.goal)
+    ranked = []
+    for idx, pred in enumerate(view.goal.predicates):
+        if believed.by_predicate[idx] >= pred.count:
+            continue
+        target_loc = goal_location(pred.relation, pred.target)
+        for object_id in sorted(view.belief.facts):
+            fact = view.belief.facts[object_id]
+            if fact.object_class != pred.object_class or fact.location == target_loc:
+                continue
+            if fact.location.kind == LOC_AGENT:
+                if int(fact.location.ref) != view.agent_id:
+                    continue
+                distance, where = 0, "already in hand"
+            else:
+                room = str(view.house.location_room(fact.location))
+                distance = view.house.distance(view.observation.room, room)
+                where = f"seen at {fact.location.render()}"
+            task = MacroTask.fetch(
+                pred.object_class, pred.relation, pred.target, object_id=object_id
+            )
+            ranked.append(((distance, object_id, idx), task, where))
+    ranked.sort(key=lambda item: item[0])
+    options = [(task, where) for _, task, where in ranked]
+    sweep_order = sweep_targets(view.belief, view.house, view.observation.room)
+    explore_task = MacroTask.explore(sweep_order[0])
+    if options:
+        candidate, where = options[0]
+        alternatives = []
+        for task, _ in options[1:]:
+            if task != candidate and task not in alternatives:
+                alternatives.append(task)
+            if len(alternatives) >= 2:
+                break
+        if explore_task not in alternatives:
+            alternatives.append(explore_task)
+        return Proposal(
+            view.agent_id, candidate, f"{candidate.object_id} {where}", tuple(alternatives[:3])
+        )
+    return Proposal(
+        view.agent_id,
+        explore_task,
+        f"no usable goal objects known; sweeping {sweep_order[0]}",
+        tuple(MacroTask.explore(room) for room in sweep_order[1:2]),
+    )
+
+
+# One class in two predicates, and two predicates with one key.
+REWRITE_GOALS = (
+    GoalSpec(
+        "Custom",
+        (
+            GoalPredicate(ON, "plate", "kitchentable", 2),
+            GoalPredicate(IN, "plate", "dishwasher", 1),
+            GoalPredicate(ON, "fork", "coffeetable", 1),
+        ),
+    ),
+    GoalSpec(
+        "Custom",
+        (
+            GoalPredicate(ON, "plate", "kitchentable", 1),
+            GoalPredicate(ON, "plate", "kitchentable", 2),
+        ),
+    ),
+)
+
+
+class TestProposalRewrite:
+    def test_one_pass_ranking_equals_the_sorting_definition(self):
+        """Random walks of three agents (so objects sit in other hands),
+        thinned beliefs in shuffled insertion order with some facts moved
+        onto goal targets, for the catalog goal and REWRITE_GOALS."""
+        rng = random.Random(61)
+        checked = fetches = 0
+        for task in TASKS:
+            for seed in range(3):
+                state, task_goal = init_world(task, 3, seed)
+                for _ in range(24):
+                    joint = {
+                        i: rng.choice(sorted(legal_actions(state, i), key=lambda a: a.render()))
+                        for i in state.agents
+                    }
+                    state, _ = transition(state, joint)
+                    for goal in (task_goal,) + REWRITE_GOALS:
+                        targets = [loc for entries in goal.targets.values() for _, loc in entries]
+                        facts = []
+                        for oid, cls, loc in state.object_placements():
+                            if rng.random() < 0.25:
+                                continue
+                            if rng.random() < 0.2:
+                                loc = rng.choice(targets)
+                            facts.append((oid, Fact(oid, cls, loc, state.tick)))
+                        rng.shuffle(facts)
+                        belief = Belief(
+                            facts=dict(facts),
+                            visited_rooms={r: 0 for r in rng.sample(state.house.rooms, 2)},
+                            container_flags={},
+                        )
+                        for agent_id in state.agents:
+                            view = make_view(state, goal, agent_id, belief)
+                            expected = sorting_heuristic_proposal(view)
+                            assert heuristic_proposal(view) == expected
+                            checked += 1
+                            fetches += len(expected.alternatives) == 3
+        assert checked > 2000 and fetches > 500
 
 
 class TestGrammar:
