@@ -210,6 +210,8 @@ class TestCatalogBoundary:
                 parent[path[-1]]
             except (KeyError, IndexError, TypeError):
                 continue  # an earlier damage already removed this spot
+            if not isinstance(parent, (dict, list)):
+                continue  # an earlier damage turned this spot's parent into a string
             if data.draw(st.booleans()):
                 del parent[path[-1]]
             else:
