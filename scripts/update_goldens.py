@@ -1,19 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate the pinned trace digests in tests/data/golden_hashes.json.
 
-    python3 scripts/update_goldens.py           # recompute and write
-    python3 scripts/update_goldens.py --check   # recompute and compare only
-
-Run it after an intentional engine behavior change and review the diff;
+Run this after an intentional engine behavior change and review the diff;
 the determinism tests compare freshly produced traces against these hashes.
-With --check nothing is written: every digest that drifted from the stored
-file is printed, and the exit code is 1 if any did. The script puts the
-repo's src/ on the import path itself.
+The script puts the repo's src/ on the import path itself.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -39,41 +33,18 @@ def golden_key(config: EpisodeConfig) -> str:
     return f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
 
 
-def compute_hashes() -> dict:
-    return {
-        golden_key(config): trace_sha256(list(run_episode(config).records))
-        for config in GOLDEN_CONFIGS
-    }
-
-
-def check(hashes: dict) -> int:
-    with open(OUT_PATH) as handle:
-        stored = json.load(handle)
-    drifted = [key for key, digest in hashes.items() if stored.get(key) != digest]
-    for key in drifted:
-        print(f"{key}: stored {stored.get(key)}, computed {hashes[key]}")
-    print(f"{len(hashes) - len(drifted)}/{len(hashes)} digests match {OUT_PATH}")
-    return 1 if drifted else 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true", help="compare with the stored digests; write nothing"
-    )
-    args = parser.parse_args(argv)
-    hashes = compute_hashes()
-    if args.check:
-        return check(hashes)
-    for key, digest in hashes.items():
-        print(f"{key}: {digest}")
+def main() -> None:
+    hashes = {}
+    for config in GOLDEN_CONFIGS:
+        result = run_episode(config)
+        hashes[golden_key(config)] = trace_sha256(list(result.records))
+        print(f"{golden_key(config)}: {hashes[golden_key(config)]}")
     os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
     with open(OUT_PATH, "w") as handle:
         json.dump(hashes, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {OUT_PATH}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

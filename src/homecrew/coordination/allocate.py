@@ -256,16 +256,13 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     best leaf so far even if every later agent took its best option with the
     bonus, and replaces the best leaf only on a strictly higher score. The
     all-Idle joint always survives the conflict filter, so this never comes
-    up empty. The team belief is merged only when the context has none."""
+    up empty."""
     context = inputs.context
     house = context.house
     remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    team = context.team
-    if team is None:
-        team = merge_team_belief([entry.belief for entry in context.entries])
     options = [_agent_options(entry, JOINT_ALTERNATIVES) for entry in context.entries]
     terms = [
-        [_option_term(task, entry, team, remaining, house) for task in row]
+        [_option_term(task, entry, context.team, remaining, house) for task in row]
         for entry, row in zip(context.entries, options)
     ]
     # ceiling[i]: the most agents i.. can still add to a joint's score.

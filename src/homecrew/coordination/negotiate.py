@@ -31,8 +31,8 @@ from .types import AgentView, Proposal, Vocabulary
 MAX_ALTERNATIVES = 3
 
 
-def _ranked_fetch_options(view: AgentView, limit: int) -> List[Tuple[MacroTask, str]]:
-    """The first ``limit`` fetch candidates for unmet predicates, nearest
+def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, str]]:
+    """The first MAX_ALTERNATIVES fetch candidates for unmet predicates, nearest
     believed instance first, ties by object id, then predicate order, each
     task once. Objects already at their target or in another agent's hand
     are skipped; an object in this agent's own hand ranks at distance zero.
@@ -65,7 +65,7 @@ def _ranked_fetch_options(view: AgentView, limit: int) -> List[Tuple[MacroTask, 
     ranked.sort()
     options: List[Tuple[MacroTask, str]] = []
     for _, object_id, idx, fact in ranked:
-        if len(options) == limit:
+        if len(options) == MAX_ALTERNATIVES:
             break
         pred = predicates[idx]
         task = MacroTask.fetch(pred.object_class, pred.relation, pred.target, object_id=object_id)
@@ -84,7 +84,7 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     structured backend returns and the degraded-path fallback builds on."""
     if view.progress.total and view.progress.satisfied >= view.progress.total:
         return Proposal(view.agent_id, MacroTask.idle(), "goal already satisfied")
-    options = _ranked_fetch_options(view, MAX_ALTERNATIVES)
+    options = _ranked_fetch_options(view)
     sweep_order = sweep_targets(view.belief, view.house, view.observation.room)
     sweep_room = sweep_order[0]
     explore_task = MacroTask.explore(sweep_room)

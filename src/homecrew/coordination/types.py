@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..agents.belief import Belief, TeamBelief
+from ..agents.belief import Belief, TeamBelief, merge_team_belief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
 from ..summaries import CollaborativeSummary
@@ -75,8 +75,14 @@ class CrossAgentContext:
     tick: int
     entries: Tuple[ContextEntry, ...]
     house: HouseMap
-    # The merge of the entries' beliefs when the caller has it; never compared.
+    # merge_team_belief of the entries' beliefs in entry (agent-id) order:
+    # passed by a caller that has it, else merged here. Never compared.
     team: Optional[TeamBelief] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.team is None:
+            team = merge_team_belief([entry.belief for entry in self.entries])
+            object.__setattr__(self, "team", team)
 
     @property
     def vocabulary(self) -> Vocabulary:

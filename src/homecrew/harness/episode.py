@@ -258,9 +258,7 @@ def _play_episode(
                 last_believed = believed
         finished = progress.done() or state.tick >= config.max_steps
         if not finished:
-            # Only a text prompt shows the window (see _propose_request).
-            text = member.produces == TEXT
-            window_records = tuple(slice_history(history, t_last, state.tick)) if text else ()
+            window_records = tuple(slice_history(history, t_last, state.tick))
             for i in agent_ids:
                 view = AgentView(
                     agent_id=i,

@@ -489,17 +489,19 @@ def test_allocation_reuses_the_round_team_belief(monkeypatch):
         for trial in range(240):
             inputs = random_instance(rng, num_agents=1 + trial % 6)
             context = inputs.context
-            assert context.team is None
-            fresh = heuristic_allocation(inputs)
             team = merge_team_belief([entry.belief for entry in context.entries])
-            given = dataclasses.replace(
-                inputs, context=dataclasses.replace(context, team=team)
-            )
-            assert given.context == context
+            # A context built without a team merges its entries in order.
+            assert context.team == team
+            fresh = heuristic_allocation(inputs)
             with monkeypatch.context() as patch:
                 # The package's allocate function shadows its module name.
-                module = sys.modules["homecrew.coordination.allocate"]
-                patch.setattr(module, "merge_team_belief", None)
+                for name in ("allocate", "types"):
+                    module = sys.modules[f"homecrew.coordination.{name}"]
+                    patch.setattr(module, "merge_team_belief", None)
+                given = dataclasses.replace(
+                    inputs, context=dataclasses.replace(context, team=team)
+                )
+                assert given.context == context
                 assert heuristic_allocation(given) == fresh, f"trial {trial} diverged"
 
 

@@ -143,22 +143,22 @@ class ProposeRecorder(Reasoner):
 
 
 class TestHistoryWindow:
-    def test_only_a_text_member_gets_the_history_window(self):
+    def test_every_member_gets_the_history_window(self):
         config = episode_config(max_steps=6, use_summaries=False)
-        structured = ProposeRecorder(STRUCTURED)
-        run_episode(config, HeuristicReasoner(), structured)
-        assert structured.requests
-        assert all(r.structured_payload.history_window == () for r in structured.requests)
-
-        text = ProposeRecorder(TEXT)
-        run_episode(config, HeuristicReasoner(), text)
-        later = [r for r in text.requests if r.tick >= 2]
-        assert later
-        for request in later:
-            window = request.structured_payload.history_window
-            assert [rec.tick for rec in window] == sorted(rec.tick for rec in window)
-            assert {rec.tick for rec in window} == set(range(1, request.tick + 1))
-            assert f"t=1 agent {request.agent_id}: " in request.rendered_prompt
+        for produces in (STRUCTURED, TEXT):
+            member = ProposeRecorder(produces)
+            run_episode(config, HeuristicReasoner(), member)
+            views = [r.structured_payload for r in member.requests]
+            later = [view for view in views if view.tick >= 2]
+            assert later
+            for view in later:
+                window = view.history_window
+                assert [rec.tick for rec in window] == sorted(rec.tick for rec in window)
+                assert {rec.tick for rec in window} == set(range(1, view.tick + 1))
+            if produces == TEXT:
+                for request in member.requests:
+                    if request.structured_payload.tick >= 2:
+                        assert f"t=1 agent {request.agent_id}: " in request.rendered_prompt
 
 
 class TestEfficiencyImprovement:
@@ -866,15 +866,20 @@ class TestStartup:
         assert done.stderr.startswith("error: remote backend needs the requests package")
         assert "Traceback" not in done.stderr
 
-    def test_update_goldens_check_runs_without_pythonpath(self, tmp_path):
+    def test_update_goldens_imports_without_pythonpath(self, tmp_path):
         # As README documents it: from a plain shell, nothing on PYTHONPATH.
+        # Loading the module runs its top-level homecrew import, not main().
         script = os.path.join(os.path.dirname(SRC), "scripts", "update_goldens.py")
-        golden = os.path.join(os.path.dirname(SRC), "tests", "data", "golden_hashes.json")
-        with open(golden) as handle:
-            before = handle.read()
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         done = subprocess.run(
-            [sys.executable, script, "--check"],
+            [
+                sys.executable,
+                "-c",
+                "import importlib.util, sys\n"
+                "spec = importlib.util.spec_from_file_location('update_goldens', sys.argv[1])\n"
+                "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n",
+                script,
+            ],
             cwd=str(tmp_path),
             env=env,
             capture_output=True,
@@ -882,24 +887,3 @@ class TestStartup:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().startswith("5/5 digests match"), done.stdout
-        with open(golden) as handle:
-            assert handle.read() == before
-
-    def test_update_goldens_check_reports_drift_and_writes_nothing(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        import importlib.util
-
-        path = os.path.join(os.path.dirname(SRC), "scripts", "update_goldens.py")
-        spec = importlib.util.spec_from_file_location("update_goldens", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        stored = tmp_path / "golden_hashes.json"
-        stored.write_text(json.dumps({"a": "1", "b": "2"}))
-        monkeypatch.setattr(script, "OUT_PATH", str(stored))
-        assert script.check({"a": "1", "b": "2"}) == 0
-        assert script.check({"a": "1", "b": "3"}) == 1
-        out = capsys.readouterr().out
-        assert "b: stored 2, computed 3" in out and "1/2 digests match" in out
-        assert json.loads(stored.read_text()) == {"a": "1", "b": "2"}
