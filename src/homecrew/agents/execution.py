@@ -94,23 +94,30 @@ def room_hides_content(belief: TeamBelief, room: str, house: HouseMap) -> bool:
     visited, or some container there is not believed open."""
     if room not in belief.visited_rooms:
         return True
-    return any(
-        belief.believed_open(cid) is not True for cid in house.containers_in(room)
-    )
+    flags = belief.container_flags
+    for cid in house.containers_in(room):
+        flag = flags.get(cid)
+        if flag is None or flag[0] is not True:
+            return True
+    return False
 
 
 def sweep_targets(belief: TeamBelief, house: HouseMap, from_room: str) -> List[str]:
     """Rooms ranked by expected reveal. Rooms that can still hide something
     come first, nearest first so a sweep in progress is finished before a new
     one starts; spent rooms follow in visit-age order. Ties break on names."""
-
-    def rank(room: str) -> Tuple[int, int, int, str]:
-        age = belief.visited_rooms.get(room, -1)
+    visited = belief.visited_rooms
+    hiding: List[Tuple[int, int, str]] = []
+    spent: List[Tuple[int, str]] = []
+    for room in house.rooms:
+        age = visited.get(room, -1)
         if room_hides_content(belief, room, house):
-            return (0, house.distance(from_room, room), age, room)
-        return (1, age, 0, room)
-
-    return sorted(house.rooms, key=rank)
+            hiding.append((house.distance(from_room, room), age, room))
+        else:
+            spent.append((age, room))
+    hiding.sort()
+    spent.sort()
+    return [room for _, _, room in hiding] + [room for _, room in spent]
 
 
 def believed_instance(

@@ -58,6 +58,7 @@ from ..world import (
     evaluate_progress,
     init_world,
     observe,
+    room_sightings,
     transition,
 )
 from .config import EpisodeConfig, build_reasoner, variant_flags
@@ -97,20 +98,16 @@ class EpisodeResult:
 
 
 class RecordingReasoner(Reasoner):
-    """Pass-through wrapper that appends every text exchange (response or
-    transport failure) to the list it was given: the trace sink, or one
-    round call's own buffer. Structured backends leave no exchanges; they
-    are reproduced by rerunning, not by replaying text."""
+    """Pass-through wrapper around a text backend that appends every exchange
+    (response or transport failure) to the list it was given: the trace
+    sink, or one round call's own buffer."""
 
     def __init__(self, inner: Reasoner, sink: List[dict]):
         self.inner = inner
         self.sink = sink
         self.name = inner.name
-        self.produces = inner.produces
 
     def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
-        if self.produces != TEXT:
-            return self.inner.invoke(request)
         entry = {
             "type": "exchange",
             "kind": request.kind,
@@ -128,6 +125,13 @@ class RecordingReasoner(Reasoner):
         return response
 
 
+def _recording(inner: Reasoner, sink: List[dict]) -> Reasoner:
+    """A text backend wrapped to record into ``sink``. A structured backend
+    is returned as it is: it leaves no exchanges, and is reproduced by
+    rerunning, not by replaying text."""
+    return RecordingReasoner(inner, sink) if inner.produces == TEXT else inner
+
+
 # One decision call of a round: the backend, and the step that asks it.
 Call = Tuple[Reasoner, Callable[[Reasoner], object]]
 
@@ -136,7 +140,7 @@ def _recorded(
     inner: Reasoner, step: Callable[[Reasoner], object]
 ) -> Tuple[object, List[dict]]:
     exchanges: List[dict] = []
-    return step(RecordingReasoner(inner, exchanges)), exchanges
+    return step(_recording(inner, exchanges)), exchanges
 
 
 def _play_round(
@@ -212,7 +216,7 @@ def _play_episode(
             "template": TEMPLATE_V1,
         }
     ]
-    recording_manager = RecordingReasoner(manager, sink)
+    recording_manager = _recording(manager, sink)
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     history: List[HistoryRecord] = []
@@ -228,7 +232,8 @@ def _play_episode(
     progress = evaluate_progress(state, goal)
 
     while True:
-        observations = {i: observe(state, i) for i in agent_ids}
+        sightings = room_sightings(state)
+        observations = {i: observe(state, i, sightings) for i in agent_ids}
         for i in agent_ids:
             beliefs[i] = perceive(observations[i], beliefs[i])
         team = merge_team_belief([beliefs[i] for i in agent_ids])

@@ -8,6 +8,8 @@ backend behavior identical by construction.
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from ..errors import ContractViolation
 from .base import (
     ALLOCATE,
@@ -24,21 +26,22 @@ class HeuristicReasoner(Reasoner):
     name = "heuristic"
     produces = STRUCTURED
 
+    def __init__(self) -> None:
+        # Bound here, not at import: these modules depend on this package for
+        # base/prompts. Each decision reads its function off the module at
+        # call time, so a function patched onto the module is the one called.
+        self._negotiate = import_module("..coordination.negotiate", __package__)
+        self._allocate = import_module("..coordination.allocate", __package__)
+        self._summaries = import_module("..summaries", __package__)
+
     def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
-        # Deferred: these modules depend on this package for base/prompts.
-        if request.kind == PROPOSE:
-            from ..coordination.negotiate import heuristic_proposal
-
-            return ReasonerResponse(parsed=heuristic_proposal(request.structured_payload))
-        if request.kind == ALLOCATE:
-            from ..coordination.allocate import heuristic_allocation
-
-            return ReasonerResponse(parsed=heuristic_allocation(request.structured_payload))
-        if request.kind == SUMMARIZE:
-            from ..summaries import template_digest
-
-            inputs = request.structured_payload
+        kind, payload = request.kind, request.structured_payload
+        if kind == PROPOSE:
+            return ReasonerResponse(parsed=self._negotiate.heuristic_proposal(payload))
+        if kind == ALLOCATE:
+            return ReasonerResponse(parsed=self._allocate.heuristic_allocation(payload))
+        if kind == SUMMARIZE:
             return ReasonerResponse(
-                parsed=template_digest(inputs.records, inputs.delta)
+                parsed=self._summaries.template_digest(payload.records, payload.delta)
             )
-        raise ContractViolation(f"unknown request kind {request.kind!r}")
+        raise ContractViolation(f"unknown request kind {kind!r}")

@@ -10,7 +10,7 @@ so arbitrary reasoner output can never corrupt the world.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..errors import ContractViolation
 from .types import (
@@ -43,28 +43,37 @@ if TYPE_CHECKING:
 _KNOWN_KINDS = {"goto", "grab", "open", "close", "put_on", "put_in", "explore", "wait"}
 
 
-def _visible_objects(state: WorldState, room: str) -> List[str]:
-    """Ids of the objects perceivable from inside ``room``, in id order: on
-    the floor, on a surface, inside an open container, or in the hand of an
-    agent standing here. Only the hits are sorted."""
-    house = state.house
-    out = []
-    for object_id, loc in state.locations.items():
-        kind = loc.kind
-        if kind == LOC_ROOM:
-            if loc.ref == room:
-                out.append(object_id)
-        elif kind == LOC_SURFACE:
-            if house.surfaces[str(loc.ref)] == room:
-                out.append(object_id)
-        elif kind == LOC_CONTAINER:
-            cid = str(loc.ref)
-            if house.containers[cid] == room and state.container_open[cid]:
-                out.append(object_id)
-        elif kind == LOC_AGENT and state.agents[int(loc.ref)].room == room:
-            out.append(object_id)
-    out.sort()
-    return out
+def _seen_from(state: WorldState, location: Location) -> Optional[str]:
+    """The room from which an object at ``location`` can be seen: the room
+    of its floor, surface or open container, or the room of the agent holding
+    it. None while it is shut inside a closed container."""
+    kind = location.kind
+    if kind == LOC_ROOM:
+        return str(location.ref)
+    if kind == LOC_SURFACE:
+        return state.house.surfaces[str(location.ref)]
+    if kind == LOC_CONTAINER:
+        cid = str(location.ref)
+        return state.house.containers[cid] if state.container_open[cid] else None
+    if kind == LOC_AGENT:
+        return state.agents[int(location.ref)].room
+    return None
+
+
+def room_sightings(state: WorldState) -> Dict[str, Tuple[Fact, ...]]:
+    """What can be seen from each room an agent stands in, built in one pass
+    over the objects: per room, one tuple of Facts stamped with this tick, in
+    object-id order. Agents in one room share that room's tuple."""
+    seen: Dict[str, List[str]] = {ast.room: [] for ast in state.agents.values()}
+    for object_id, location in state.locations.items():
+        ids = seen.get(_seen_from(state, location))
+        if ids is not None:
+            ids.append(object_id)
+    classes, locations, tick = state.house.object_classes, state.locations, state.tick
+    return {
+        room: tuple([Fact(oid, classes[oid], locations[oid], tick) for oid in sorted(ids)])
+        for room, ids in seen.items()
+    }
 
 
 def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
@@ -83,10 +92,12 @@ def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
     if kind == "goto":
         return target in state.house.adjacency[room]
     if kind == "grab":
+        location = state.locations.get(target)
         return (
             me.held is None
-            and target in _visible_objects(state, room)
-            and state.locations[target].kind != LOC_AGENT
+            and location is not None
+            and location.kind != LOC_AGENT
+            and _seen_from(state, location) == room
         )
     if kind == "put_on":
         return me.held is not None and target in state.house.surfaces_in(room)
@@ -251,16 +262,18 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
     return new_state, events
 
 
-def observe(state: WorldState, agent_id: int) -> Observation:
+def observe(
+    state: WorldState,
+    agent_id: int,
+    sightings: Optional[Mapping[str, Tuple[Fact, ...]]] = None,
+) -> Observation:
     """Room-local view for one agent; closed containers and other rooms stay
-    opaque. Each sighting is a Fact stamped with this tick."""
+    opaque. ``sightings`` is this state's ``room_sightings``, passed in when
+    several agents observe one state; it is built here when absent."""
+    if sightings is None:
+        sightings = room_sightings(state)
     me = state.agents[agent_id]
     room = me.room
-    classes, locations, tick = state.house.object_classes, state.locations, state.tick
-    sightings = tuple(
-        Fact(object_id, classes[object_id], locations[object_id], tick)
-        for object_id in _visible_objects(state, room)
-    )
     containers = {cid: state.container_open[cid] for cid in state.house.containers_in(room)}
     agents_here = {
         other: ast.held
@@ -269,10 +282,10 @@ def observe(state: WorldState, agent_id: int) -> Observation:
     }
     return Observation(
         agent_id=agent_id,
-        tick=tick,
+        tick=state.tick,
         room=room,
         held=me.held,
-        objects=sightings,
+        objects=sightings[room],
         containers=containers,
         agents_here=agents_here,
         surfaces_here=state.house.surfaces_in(room),

@@ -142,6 +142,9 @@ def _validate_catalog(catalog: object) -> None:
         _require(isinstance(task, dict), f"task {name} must be an object")
         goal = task.get("goal", [])
         _require(isinstance(goal, list) and len(goal) > 0, f"task {name} has no goal predicates")
+        # Progress and quotas are kept per (relation, class, target), so a
+        # second predicate with the same key would overwrite the first.
+        keys = set()
         for pred in goal:
             _require(isinstance(pred, dict), f"task {name}: predicate must be an object")
             for key in ("relation", "object_class", "target"):
@@ -153,6 +156,9 @@ def _validate_catalog(catalog: object) -> None:
             else:
                 kind, fixtures = "container", catalog["containers"]
             _require(target in fixtures, f"task {name}: {relation} target {target} is not a {kind}")
+            key = (relation, pred["object_class"], target)
+            _require(key not in keys, f"task {name}: duplicate goal predicate {' '.join(key)}")
+            keys.add(key)
             count = pred.get("count")
             _require(
                 isinstance(count, int) and not isinstance(count, bool) and count >= 1,

@@ -161,6 +161,42 @@ class TestHistoryWindow:
                         assert f"t=1 agent {request.agent_id}: " in request.rendered_prompt
 
 
+# Functions perfbench's tracer wraps on the heuristic path: (module, attribute).
+HOT_HOOKS = (
+    ("homecrew.coordination.negotiate", "heuristic_proposal"),
+    ("homecrew.coordination.allocate", "heuristic_allocation"),
+    ("homecrew.summaries", "template_digest"),
+    ("homecrew.world.engine", "observe"),
+)
+
+
+class TestHookVisibility:
+    def test_functions_patched_after_warm_up_are_still_called(self, monkeypatch):
+        # A tracer patches module attributes once the program is loaded and
+        # warm, so the hot path must look these up through their modules and
+        # never keep a function object of its own. A reasoner built before
+        # the patch must see it as well as one built after.
+        config = episode_config(task="PrepareAMeal", num_agents=3, seed=2)
+        run_episode(config)
+        prebuilt = HeuristicReasoner()
+        calls = {}
+        for module_name, attr in HOT_HOOKS:
+            original = getattr(sys.modules[module_name], attr)
+
+            def counting(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _original(*args, **kwargs)
+
+            # Patch every module that imported the name, as the tracer does.
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] == "homecrew" and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counting)
+        for reasoner in (prebuilt, None):
+            calls.clear()
+            run_episode(config, reasoner, reasoner)
+            assert sorted(calls) == sorted(attr for _, attr in HOT_HOOKS), calls
+
+
 class TestEfficiencyImprovement:
     def test_two_agent_anchor(self):
         assert compute_ei(106.1, 34.4) == 68

@@ -18,7 +18,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homecrew.agents import Belief, Fact
+from homecrew.agents import Belief, Fact, merge_team_belief, perceive, sweep_targets
 from homecrew.errors import ConfigError, ContractViolation
 from homecrew.world import (
     EXPLORE,
@@ -34,6 +34,7 @@ from homecrew.world import (
     GoalSpec,
     HouseMap,
     Location,
+    Observation,
     TaskProgress,
     close_container,
     evaluate_progress,
@@ -47,6 +48,8 @@ from homecrew.world import (
     open_container,
     put_in,
     put_on,
+    room_sightings,
+    scenarios,
     task_categories,
     transition,
 )
@@ -184,6 +187,15 @@ class TestCatalogBoundary:
         _MALFORMED[damage](catalog)
         with pytest.raises(ConfigError):
             load_catalog(_write_catalog(tmp_path / "bad.json", catalog))
+
+    def test_duplicate_predicate_error_names_task_and_key(self, tmp_path):
+        catalog = load_catalog()
+        goal = catalog["tasks"]["SetUpTable"]["goal"]
+        pred = goal[0]
+        goal.append(dict(pred, count=pred["count"] + 1))
+        key = f"{pred['relation']} {pred['object_class']} {pred['target']}"
+        with pytest.raises(ConfigError, match=f"task SetUpTable: duplicate goal predicate {key}"):
+            load_catalog(_write_catalog(tmp_path / "dup.json", catalog))
 
     def test_unreadable_or_non_object_file_ends_in_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -717,6 +729,114 @@ class TestObservation:
         assert not observe(state, 1).sees("apple_1")
         state.container_open["fridge"] = True
         assert observe(state, 1).sees("apple_1")
+
+
+def reference_observation(state, agent_id):
+    """Reference view: one agent's room scanned on its own, object by object."""
+    me = state.agents[agent_id]
+    room = me.room
+    house = state.house
+    return Observation(
+        agent_id=agent_id,
+        tick=state.tick,
+        room=room,
+        held=me.held,
+        objects=tuple(
+            Fact(oid, house.object_classes[oid], state.locations[oid], state.tick)
+            for oid in reference_visible_objects(state, room)
+        ),
+        containers={c: state.container_open[c] for c, r in house.containers.items() if r == room},
+        agents_here={
+            other: ast.held
+            for other, ast in sorted(state.agents.items())
+            if other != agent_id and ast.room == room
+        },
+        surfaces_here=tuple(sorted(s for s, r in house.surfaces.items() if r == room)),
+    )
+
+
+def reference_sweep_targets(belief, house, from_room):
+    """Reference room ranking: a sort keyed on (hides content, distance or
+    visit age, name), where a room hides content until it has been visited
+    with every container there believed open."""
+
+    def rank(room):
+        age = belief.visited_rooms.get(room, -1)
+        if room not in belief.visited_rooms or any(
+            belief.believed_open(cid) is not True for cid in house.containers_in(room)
+        ):
+            return (0, house.distance(from_room, room), age, room)
+        return (1, age, 0, room)
+
+    return sorted(house.rooms, key=rank)
+
+
+def belief_walk(task, num_agents, seed, steps):
+    """States along a random walk of reference-legal joint actions that grabs
+    whenever a coin says so and a grab is legal, each with every agent's
+    belief after perceiving that state. All agents start in one room."""
+    state, _ = init_world(task, num_agents, seed)
+    rng = random.Random(seed)
+    beliefs = {i: Belief.empty() for i in state.agents}
+    for step in range(steps + 1):
+        for i in state.agents:
+            beliefs[i] = perceive(reference_observation(state, i), beliefs[i])
+        yield state, beliefs
+        if step == steps:
+            return
+        joint = {}
+        for i in state.agents:
+            legal = sorted(reference_legal_actions(state, i), key=lambda a: a.render())
+            grabs = [a for a in legal if a.kind == "grab"]
+            joint[i] = rng.choice(grabs if grabs and rng.random() < 0.5 else legal)
+        state, _ = transition(state, joint)
+
+
+class TestTickEquivalence:
+    """The once-per-tick visibility scan, the one-location grab check and the
+    loop-built room ranking agree with the per-agent scans they replaced, on
+    teams of 1-6 (the cap is lifted for these tests)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=st.sampled_from(ALL_TASKS),
+        num_agents=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        steps=st.integers(0, 25),
+    )
+    def test_shared_scan_grab_check_and_ranking_match_the_references(
+        self, task, num_agents, seed, steps
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "MAX_AGENTS", 6)
+            for state, beliefs in belief_walk(task, num_agents, seed, steps):
+                house = state.house
+                sightings = room_sightings(state)
+                for agent_id in state.agents:
+                    observation = observe(state, agent_id, sightings)
+                    assert observation == reference_observation(state, agent_id)
+                    reference = reference_legal_actions(state, agent_id)
+                    for object_id in list(state.locations) + ["no_such_object"]:
+                        action = grab(object_id)
+                        assert is_legal(state, agent_id, action) == (action in reference)
+                team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
+                for belief in list(beliefs.values()) + [team]:
+                    for room in house.rooms:
+                        assert sweep_targets(belief, house, room) == reference_sweep_targets(
+                            belief, house, room
+                        )
+
+    def test_walks_reach_closed_containers_held_objects_and_shared_rooms(self):
+        closed = held = shared = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "MAX_AGENTS", 6)
+            for task, num_agents in zip(ALL_TASKS, (2, 3, 4, 5, 6)):
+                for state, _ in belief_walk(task, num_agents, 7, 20):
+                    closed += not all(state.container_open.values())
+                    held += any(a.held is not None for a in state.agents.values())
+                    rooms = [a.room for a in state.agents.values()]
+                    shared += len(set(rooms)) < len(rooms)
+        assert closed and held and shared
 
 
 class TestProgressAndReward:
