@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the pinned trace digests in tests/data/golden_hashes.json.
+"""Regenerate the pinned digests in tests/data.
 
-Run this after an intentional engine behavior change and review the diff;
-the determinism tests compare freshly produced traces against these hashes.
-The script puts the repo's src/ on the import path itself.
+golden_hashes.json holds the trace digests of heuristic episodes;
+prompt_hashes.json holds the digests of every prompt sent in episodes whose
+manager and members are both text backends. Run this after an intentional
+behavior or prompt change and review the diff; the tests compare freshly
+produced traces and prompts against these hashes. The script puts the repo's
+src/ on the import path itself.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -15,8 +19,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from homecrew.coordination import heuristic_allocation, heuristic_proposal  # noqa: E402
 from homecrew.harness import EpisodeConfig, run_episode  # noqa: E402
 from homecrew.harness.trace import trace_sha256  # noqa: E402
+from homecrew.reasoner import (  # noqa: E402
+    ALLOCATE,
+    PROPOSE,
+    TEXT,
+    Reasoner,
+    ReasonerResponse,
+    format_allocation,
+)
+from homecrew.reasoner.base import REQUEST_KINDS  # noqa: E402
+from homecrew.summaries import template_digest  # noqa: E402
 
 GOLDEN_CONFIGS = (
     EpisodeConfig(task="WashDishes", num_agents=2, seed=0),
@@ -26,11 +41,68 @@ GOLDEN_CONFIGS = (
     EpisodeConfig(task="PutGroceries", num_agents=3, seed=4, use_allocation=False),
 )
 
+# Run with PromptCapture as manager and members, so every kind is asked.
+PROMPT_CONFIGS = (
+    EpisodeConfig(task="PrepareTea", num_agents=1, seed=1),
+    EpisodeConfig(task="WashDishes", num_agents=2, seed=0),
+    EpisodeConfig(task="PrepareAMeal", num_agents=3, seed=2),
+    EpisodeConfig(task="SetUpTable", num_agents=2, seed=3, use_summaries=False),
+)
+
 OUT_PATH = os.path.join(ROOT, "tests", "data", "golden_hashes.json")
+PROMPT_PATH = os.path.join(ROOT, "tests", "data", "prompt_hashes.json")
 
 
 def golden_key(config: EpisodeConfig) -> str:
     return f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
+
+
+class PromptCapture(Reasoner):
+    """A text backend that keeps every prompt it is sent and answers with
+    the heuristic's own decision, written in the reply grammar."""
+
+    name = "capture"
+    produces = TEXT
+
+    def __init__(self):
+        self.prompts = {kind: [] for kind in REQUEST_KINDS}
+
+    def invoke(self, request):
+        self.prompts[request.kind].append(request.rendered_prompt)
+        payload = request.structured_payload
+        if request.kind == PROPOSE:
+            proposal = heuristic_proposal(payload)
+            lines = [f"propose: {proposal.candidate.render()}"]
+            lines += [f"alt: {task}" for task in proposal.render_alternatives()]
+            lines.append(f"why: {proposal.rationale}")
+            text = "\n".join(lines)
+        elif request.kind == ALLOCATE:
+            text = format_allocation(heuristic_allocation(payload))
+        else:
+            text = template_digest(payload.records, payload.delta)
+        return ReasonerResponse(raw_text=text)
+
+
+def prompt_digests(config: EpisodeConfig) -> dict:
+    """Per request kind: how many prompts one episode sent, and the sha256
+    of those prompts in order, NUL-separated."""
+    capture = PromptCapture()
+    run_episode(config, capture, capture)
+    return {
+        kind: {
+            "prompts": len(prompts),
+            "sha256": hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest(),
+        }
+        for kind, prompts in capture.prompts.items()
+    }
+
+
+def write_json(path: str, data: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
 
 
 def main() -> None:
@@ -39,11 +111,11 @@ def main() -> None:
         result = run_episode(config)
         hashes[golden_key(config)] = trace_sha256(list(result.records))
         print(f"{golden_key(config)}: {hashes[golden_key(config)]}")
-    os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
-    with open(OUT_PATH, "w") as handle:
-        json.dump(hashes, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {OUT_PATH}")
+    write_json(OUT_PATH, hashes)
+    write_json(
+        PROMPT_PATH,
+        {golden_key(config): prompt_digests(config) for config in PROMPT_CONFIGS},
+    )
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Covered, in order: efficiency-improvement arithmetic anchors; allocator
 equality with an exhaustive argmax on 1000 randomized instances; conflict
 freedom on 500 contention-heavy instances; the same two checks on teams of
 4-6 with the team-size cap lifted for the test; summary intervals partitioning
-the acted history; pinned golden trace digests; the same digests with every
+the acted history; pinned golden trace digests; pinned prompt digests of
+episodes whose manager and members answer as text; the same digests with every
 text renderer made to raise, so heuristic episodes build no prompt or digest
 text; one team-belief merge per tick, reused by the allocator for teams of
 1-6; larger teams finishing faster; ablation ordering; exact replay of
@@ -16,6 +17,7 @@ Each test prints one "acceptance <name>: PASS|FAIL" line.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -47,7 +49,7 @@ from homecrew.harness import (
 )
 from homecrew.harness.metrics import compute_ei
 from homecrew.harness.trace import action_stream, render_trace, trace_sha256
-from homecrew.reasoner import PROPOSE, RemoteReasoner
+from homecrew.reasoner import ALLOCATE, PROPOSE, SUMMARIZE, RemoteReasoner
 from homecrew.summaries import CollaborativeSummary
 from homecrew.world import (
     evaluate_progress,
@@ -60,16 +62,17 @@ from homecrew.world import (
 
 TASKS = ("PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes")
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hashes.json")
-
-# Mirrors scripts/update_goldens.py; change both together.
-GOLDEN_CONFIGS = (
-    EpisodeConfig(task="WashDishes", num_agents=2, seed=0),
-    EpisodeConfig(task="PrepareTea", num_agents=1, seed=1),
-    EpisodeConfig(task="PrepareAMeal", num_agents=3, seed=2),
-    EpisodeConfig(task="SetUpTable", num_agents=2, seed=3, use_summaries=False),
-    EpisodeConfig(task="PutGroceries", num_agents=3, seed=4, use_allocation=False),
+# The pinned episodes, the capture backend and the file paths are the ones
+# scripts/update_goldens.py writes the digests with.
+_spec = importlib.util.spec_from_file_location(
+    "update_goldens",
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "update_goldens.py"),
 )
+goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(goldens)
+GOLDEN_PATH = goldens.OUT_PATH
+GOLDEN_CONFIGS = goldens.GOLDEN_CONFIGS
+golden_key = goldens.golden_key
 
 
 @contextmanager
@@ -376,10 +379,6 @@ def test_summary_intervals_partition_history():
         assert episodes >= 50
 
 
-def golden_key(config):
-    return f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
-
-
 def test_golden_traces_stay_pinned():
     with criterion("golden trace digests"):
         with open(GOLDEN_PATH) as handle:
@@ -393,6 +392,19 @@ def test_golden_traces_stay_pinned():
                 list(second.records)
             )
             assert trace_sha256(list(first.records)) == stored[key], key
+
+
+def test_text_prompts_stay_pinned():
+    with criterion("prompt digests of text-backend episodes"):
+        with open(goldens.PROMPT_PATH) as handle:
+            stored = json.load(handle)
+        fresh = {
+            golden_key(config): goldens.prompt_digests(config)
+            for config in goldens.PROMPT_CONFIGS
+        }
+        assert fresh == stored
+        for kind in (PROPOSE, ALLOCATE, SUMMARIZE):
+            assert sum(digests[kind]["prompts"] for digests in fresh.values()) > 0, kind
 
 
 # Everything that turns beliefs, observations, history or a payload into text.
