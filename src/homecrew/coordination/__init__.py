@@ -15,7 +15,6 @@ from .types import (
     CrossAgentContext,
     JointAction,
     Proposal,
-    Vocabulary,
     check_conflicts,
     remaining_by_predicate,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "CrossAgentContext",
     "JointAction",
     "Proposal",
-    "Vocabulary",
     "allocate",
     "allocate_with_report",
     "assemble_context",

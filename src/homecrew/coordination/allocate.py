@@ -28,16 +28,15 @@ from ..agents.execution import (
     room_hides_content,
 )
 from ..agents.textify import belief_digest, render_observation
-from ..errors import RemoteBackendError, ResponseParseError
-from ..reasoner.base import (
-    ALLOCATE,
-    PARSE_RETRIES,
-    STRUCTURED,
-    Reasoner,
-    ReasonerRequest,
-)
+from ..reasoner.base import ALLOCATE, STRUCTURED, Reasoner, ReasonerRequest, ask
 from ..reasoner.parsing import parse_allocation
-from ..reasoner.prompts import AgentBlock, AllocatePayload, render_prompt
+from ..reasoner.prompts import (
+    AgentBlock,
+    AllocatePayload,
+    progress_line,
+    render_prompt,
+    task_form_lines,
+)
 from ..summaries import CollaborativeSummary
 from ..world.types import (
     LOC_AGENT,
@@ -336,14 +335,11 @@ def _allocate_request(inputs: AllocationInputs) -> ReasonerRequest:
     payload = AllocatePayload(
         tick=context.tick,
         goal_text=inputs.goal.render(),
-        progress_line=(
-            f"{inputs.progress.satisfied}/{inputs.progress.total} goal units "
-            f"satisfied (tick {context.tick})"
-        ),
+        progress_line=progress_line(inputs.progress, context.tick),
         summary_lines=inputs.summaries.rendered_lines(),
         blocks=blocks,
         agent_ids=context.agent_ids(),
-        task_forms=context.vocabulary.task_form_lines(),
+        task_forms=task_form_lines(context.house),
     )
     manager_id = min(context.agent_ids()) if context.entries else 0
     return ReasonerRequest(
@@ -373,22 +369,13 @@ def allocate_with_report(
     if reasoner.produces == STRUCTURED:
         joint = reasoner.invoke(ReasonerRequest(ALLOCATE, inputs)).parsed
         return joint, AllocationReport(attempts=1, degraded=False)
-    request = _allocate_request(inputs)
     remaining = remaining_by_predicate(goal, progress)
-    attempts = 0
-    note = ""
-    for _ in range(1 + PARSE_RETRIES):
-        attempts += 1
-        try:
-            response = reasoner.invoke(request)
-        except RemoteBackendError as exc:
-            note = str(exc)
-            break
-        try:
-            joint = parse_allocation(response.raw_text or "", context, remaining)
-        except ResponseParseError as exc:
-            note = str(exc)
-            continue
+    joint, attempts, note = ask(
+        reasoner,
+        _allocate_request(inputs),
+        lambda raw: parse_allocation(raw, context, remaining),
+    )
+    if joint is not None:
         return joint, AllocationReport(attempts=attempts, degraded=False)
     joint = heuristic_allocation(inputs)
     return joint, AllocationReport(attempts=attempts, degraded=True, note=note)

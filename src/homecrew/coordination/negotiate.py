@@ -14,30 +14,24 @@ from typing import List, Tuple
 from ..agents.belief import Fact
 from ..agents.execution import MacroTask, sweep_targets
 from ..agents.textify import render_belief, render_history, render_observation
-from ..errors import RemoteBackendError, ResponseParseError
-from ..reasoner.base import (
-    PARSE_RETRIES,
-    PROPOSE,
-    STRUCTURED,
-    Reasoner,
-    ReasonerRequest,
-)
+from ..reasoner.base import PROPOSE, STRUCTURED, Reasoner, ReasonerRequest, ask
 from ..reasoner.parsing import parse_proposal
-from ..reasoner.prompts import ProposePayload, render_prompt
+from ..reasoner.prompts import ProposePayload, progress_line, render_prompt, task_form_lines
 from ..world.types import LOC_AGENT
-from .types import AgentView, Proposal, Vocabulary
+from .types import AgentView, Proposal
 
 # How many ranked backups a proposal carries; the allocator never reads more.
 MAX_ALTERNATIVES = 3
 
 
-def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, str]]:
-    """The first MAX_ALTERNATIVES fetch candidates for unmet predicates, nearest
-    believed instance first, ties by object id, then predicate order, each
-    task once. Objects already at their target or in another agent's hand
-    are skipped; an object in this agent's own hand ranks at distance zero.
-    One pass over the facts counts what each predicate already has and
-    collects the rest; tasks are built only for the options returned."""
+def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, Fact]]:
+    """The first MAX_ALTERNATIVES fetch candidates for unmet predicates, each
+    with the fact it was ranked by: nearest believed instance first, ties by
+    object id, then predicate order, each task once. Objects already at
+    their target or in another agent's hand are skipped; an object in this
+    agent's own hand ranks at distance zero. One pass over the facts counts
+    what each predicate already has and collects the rest; tasks are built
+    only for the options returned."""
     predicates, targets = view.goal.predicates, view.goal.targets
     house, here = view.house, view.observation.room
     have = [0] * len(predicates)
@@ -63,7 +57,7 @@ def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, str]]:
         ranked.append((distance, fact.object_id, idx, fact))
     # (object id, predicate) pairs are unique, so facts are never compared.
     ranked.sort()
-    options: List[Tuple[MacroTask, str]] = []
+    options: List[Tuple[MacroTask, Fact]] = []
     for _, object_id, idx, fact in ranked:
         if len(options) == MAX_ALTERNATIVES:
             break
@@ -72,10 +66,7 @@ def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, str]]:
         # Two predicates with one key would name the same task twice.
         if any(task == kept for kept, _ in options):
             continue
-        if fact.location.kind == LOC_AGENT:
-            options.append((task, "already in hand"))
-        else:
-            options.append((task, f"seen at {fact.location.render()}"))
+        options.append((task, fact))
     return options
 
 
@@ -89,7 +80,11 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     sweep_room = sweep_order[0]
     explore_task = MacroTask.explore(sweep_room)
     if options:
-        candidate, where = options[0]
+        candidate, fact = options[0]
+        if fact.location.kind == LOC_AGENT:
+            where = "already in hand"
+        else:
+            where = f"seen at {fact.location.render()}"
         alternatives = tuple(task for task, _ in options[1:]) + (explore_task,)
         return Proposal(view.agent_id, candidate, f"{candidate.object_id} {where}", alternatives)
     alternatives = tuple(MacroTask.explore(room) for room in sweep_order[1:2])
@@ -101,7 +96,7 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     )
 
 
-def _propose_request(view: AgentView, vocabulary: Vocabulary) -> ReasonerRequest:
+def _propose_request(view: AgentView) -> ReasonerRequest:
     own_records = tuple(
         rec for rec in view.history_window if rec.agent_id == view.agent_id
     )
@@ -110,14 +105,11 @@ def _propose_request(view: AgentView, vocabulary: Vocabulary) -> ReasonerRequest
         num_agents=view.num_agents,
         tick=view.tick,
         goal_text=view.goal.render(),
-        progress_line=(
-            f"{view.progress.satisfied}/{view.progress.total} goal units "
-            f"satisfied (tick {view.tick})"
-        ),
+        progress_line=progress_line(view.progress, view.tick),
         belief_text=render_belief(view.belief),
         observation_text=render_observation(view.observation),
         history_text=render_history(own_records),
-        task_forms=vocabulary.task_form_lines(),
+        task_forms=task_form_lines(view.house),
     )
     return ReasonerRequest(
         kind=PROPOSE,
@@ -135,21 +127,13 @@ def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
     backend gets the view alone; no prompt is built for it."""
     if reasoner.produces == STRUCTURED:
         return reasoner.invoke(ReasonerRequest(PROPOSE, view)).parsed
-    vocabulary = Vocabulary.from_house(
-        view.house, tuple(range(1, view.num_agents + 1))
+    proposal, _, _ = ask(
+        reasoner,
+        _propose_request(view),
+        lambda raw: parse_proposal(raw, view.house, view.agent_id, MAX_ALTERNATIVES),
     )
-    request = _propose_request(view, vocabulary)
-    for _ in range(1 + PARSE_RETRIES):
-        try:
-            response = reasoner.invoke(request)
-        except RemoteBackendError:
-            break
-        try:
-            return parse_proposal(
-                response.raw_text or "", vocabulary, view.agent_id, MAX_ALTERNATIVES
-            )
-        except ResponseParseError:
-            continue
+    if proposal is not None:
+        return proposal
     sweep_room = sweep_targets(view.belief, view.house, view.observation.room)[0]
     return Proposal(
         view.agent_id,

@@ -28,38 +28,6 @@ class Proposal:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    """The legal ids a reasoner response may mention, used to validate text
-    responses without touching world state."""
-
-    agent_ids: Tuple[int, ...]
-    rooms: Tuple[str, ...]
-    objects: Mapping[str, str]
-    classes: Tuple[str, ...]
-    surfaces: Tuple[str, ...]
-    containers: Tuple[str, ...]
-
-    @classmethod
-    def from_house(cls, house: HouseMap, agent_ids: Tuple[int, ...]) -> "Vocabulary":
-        return cls(
-            agent_ids=tuple(sorted(agent_ids)),
-            rooms=tuple(house.rooms),
-            objects=dict(sorted(house.object_classes.items())),
-            classes=tuple(sorted(set(house.object_classes.values()))),
-            surfaces=tuple(sorted(house.surfaces)),
-            containers=tuple(sorted(house.containers)),
-        )
-
-    def task_form_lines(self) -> Tuple[str, ...]:
-        return (
-            f"FETCH(<object id or class>, ON, <surface>) surfaces: {', '.join(self.surfaces)}",
-            f"FETCH(<object id or class>, IN, <container>) containers: {', '.join(self.containers)}",
-            f"EXPLORE(<room>) rooms: {', '.join(self.rooms)}",
-            "IDLE",
-        )
-
-
-@dataclass(frozen=True)
 class ContextEntry:
     """One agent's contribution to the shared round context: its proposal,
     belief and observation."""
@@ -83,11 +51,6 @@ class CrossAgentContext:
         if self.team is None:
             team = merge_team_belief([entry.belief for entry in self.entries])
             object.__setattr__(self, "team", team)
-
-    @property
-    def vocabulary(self) -> Vocabulary:
-        """Built on demand: only text prompts and text responses need it."""
-        return Vocabulary.from_house(self.house, self.agent_ids())
 
     def entry(self, agent_id: int) -> ContextEntry:
         for entry in self.entries:

@@ -314,15 +314,8 @@ def _play_episode(
             context = assemble_context(
                 proposals, beliefs, observations, state.house, team=team
             )
-            prompt_summaries = (
-                collected if config.use_summaries else CollaborativeSummary.empty()
-            )
             joint, report = allocate_with_report(
-                recording_manager,
-                context,
-                prompt_summaries,
-                believed,
-                goal,
+                recording_manager, context, collected, believed, goal
             )
             degraded += int(report.degraded)
             mode, attempts, was_degraded = "centralized", report.attempts, report.degraded

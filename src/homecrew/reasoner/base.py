@@ -3,13 +3,16 @@
 Every decision point (member proposals, the manager's allocation, progress
 summaries) goes through one interface: build a request, invoke a backend,
 get a response. Structured backends answer from the typed payload; text
-backends answer with raw text that the calling module parses and validates.
+backends answer with raw text that the calling module parses and validates,
+asking through ``ask``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Tuple
+
+from ..errors import RemoteBackendError, ResponseParseError
 
 PROPOSE = "PROPOSE"
 ALLOCATE = "ALLOCATE"
@@ -59,3 +62,27 @@ class Reasoner:
 
     def close(self) -> None:
         """Release what the backend holds open; nothing by default."""
+
+
+def ask(
+    reasoner: Reasoner,
+    request: ReasonerRequest,
+    parse: Callable[[str], Any],
+    retries: int = PARSE_RETRIES,
+) -> Tuple[Any, int, str]:
+    """(parsed reply or None, attempts made, note) for one text decision.
+    A reply that ``parse`` refuses with ResponseParseError is re-asked with
+    the identical request up to ``retries`` times; a transport failure ends
+    the asking at once. The note is the last failure's message, and empty
+    when a reply was accepted."""
+    note = ""
+    for attempt in range(1, 2 + retries):
+        try:
+            response = reasoner.invoke(request)
+        except RemoteBackendError as exc:
+            return None, attempt, str(exc)
+        try:
+            return parse(response.raw_text or ""), attempt, ""
+        except ResponseParseError as exc:
+            note = str(exc)
+    return None, 1 + retries, note

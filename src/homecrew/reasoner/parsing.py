@@ -2,8 +2,9 @@
 
 Allocations are one assignment line per agent, ``<agent_id>: MACRO(args)``,
 preferably inside a fenced block; proposals are ``propose:``/``alt:``/``why:``
-lines. Every referenced id is validated against the round's vocabulary, and a
-parsed allocation must also pass the conflict rules before it is accepted.
+lines. Every referenced name is validated against the house (its rooms,
+surfaces, containers, object ids and classes), and a parsed allocation must
+also pass the conflict rules before it is accepted.
 All violations raise ResponseParseError so callers can retry or fall back.
 """
 
@@ -16,13 +17,14 @@ from ..agents.execution import MacroTask
 from ..errors import ResponseParseError
 
 if TYPE_CHECKING:
-    from ..coordination.types import CrossAgentContext, JointAction, Proposal, Vocabulary
+    from ..coordination.types import CrossAgentContext, JointAction, Proposal
+    from ..world.types import HouseMap
 
 _ASSIGN_RE = re.compile(r"^\s*(?:agent\s+)?(\d+)\s*[:.]\s*(.+?)\s*$", re.IGNORECASE)
 _MACRO_RE = re.compile(r"^([A-Za-z_]+)\s*(?:\((.*)\))?\s*$")
 
 
-def parse_task(text: str, vocabulary: Vocabulary) -> MacroTask:
+def parse_task(text: str, house: HouseMap) -> MacroTask:
     """One task expression: FETCH(ref, ON|IN, target), EXPLORE(room), IDLE."""
     match = _MACRO_RE.match(text.strip())
     if not match:
@@ -38,7 +40,7 @@ def parse_task(text: str, vocabulary: Vocabulary) -> MacroTask:
         if len(args) != 1:
             raise ResponseParseError("EXPLORE takes exactly one room", text)
         room = args[0]
-        if room not in vocabulary.rooms:
+        if room not in house.rooms:
             raise ResponseParseError(f"unknown room {room!r}", text)
         return MacroTask.explore(room)
     if name == "FETCH":
@@ -47,18 +49,18 @@ def parse_task(text: str, vocabulary: Vocabulary) -> MacroTask:
         ref, relation, target = args
         relation = relation.upper()
         if relation == "ON":
-            if target not in vocabulary.surfaces:
+            if target not in house.surfaces:
                 raise ResponseParseError(f"unknown surface {target!r}", text)
         elif relation == "IN":
-            if target not in vocabulary.containers:
+            if target not in house.containers:
                 raise ResponseParseError(f"unknown container {target!r}", text)
         else:
             raise ResponseParseError(f"relation must be ON or IN, got {relation!r}", text)
-        if ref in vocabulary.objects:
+        if ref in house.object_classes:
             return MacroTask.fetch(
-                vocabulary.objects[ref], relation, target, object_id=ref
+                house.object_classes[ref], relation, target, object_id=ref
             )
-        if ref in vocabulary.classes:
+        if ref in house.object_classes.values():
             return MacroTask.fetch(ref, relation, target)
         raise ResponseParseError(f"unknown object or class {ref!r}", text)
     raise ResponseParseError(f"unknown task form {name!r}", text)
@@ -93,7 +95,6 @@ def parse_allocation(
     from ..coordination.types import JointAction, check_conflicts
 
     expected = set(context.agent_ids())
-    vocabulary = context.vocabulary
     tasks: Dict[int, MacroTask] = {}
     for line in _fenced_body(raw_response).split("\n"):
         if not line.strip():
@@ -101,12 +102,15 @@ def parse_allocation(
         match = _ASSIGN_RE.match(line)
         if not match:
             continue
-        agent_id = int(match.group(1))
+        try:
+            agent_id = int(match.group(1))
+        except ValueError:  # more digits than int() converts
+            raise ResponseParseError(f"unknown agent id {match.group(1)}", line) from None
         if agent_id not in expected:
             raise ResponseParseError(f"unknown agent id {agent_id}", line)
         if agent_id in tasks:
             raise ResponseParseError(f"agent {agent_id} assigned twice", line)
-        tasks[agent_id] = parse_task(match.group(2), vocabulary)
+        tasks[agent_id] = parse_task(match.group(2), context.house)
     missing = sorted(expected - set(tasks))
     if missing:
         raise ResponseParseError(f"no assignment for agent(s) {missing}")
@@ -125,7 +129,7 @@ def format_allocation(joint: JointAction) -> str:
 
 def parse_proposal(
     raw_response: str,
-    vocabulary: Vocabulary,
+    house: HouseMap,
     agent_id: int,
     max_alternatives: int = 3,
 ) -> Proposal:
@@ -142,9 +146,9 @@ def parse_proposal(
         if lowered.startswith("propose:"):
             if candidate is not None:
                 raise ResponseParseError("multiple propose lines", line)
-            candidate = parse_task(stripped[len("propose:") :], vocabulary)
+            candidate = parse_task(stripped[len("propose:") :], house)
         elif lowered.startswith("alt:"):
-            task = parse_task(stripped[len("alt:") :], vocabulary)
+            task = parse_task(stripped[len("alt:") :], house)
             if task != candidate and task not in alternatives:
                 alternatives.append(task)
         elif lowered.startswith("why:"):

@@ -11,10 +11,13 @@ this one in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from ..errors import ConfigError
 from .base import ALLOCATE, PROPOSE, SUMMARIZE
+
+if TYPE_CHECKING:
+    from ..world.types import HouseMap, TaskProgress
 
 TEMPLATE_V1 = "template_v1"
 
@@ -61,6 +64,20 @@ class SummarizePayload:
     delta: int
     goal_text: str
     record_lines: Tuple[str, ...]
+
+
+def progress_line(progress: TaskProgress, tick: int) -> str:
+    return f"{progress.satisfied}/{progress.total} goal units satisfied (tick {tick})"
+
+
+def task_form_lines(house: HouseMap) -> Tuple[str, ...]:
+    """The reply task forms, with the names the house lets each one take."""
+    return (
+        f"FETCH(<object id or class>, ON, <surface>) surfaces: {', '.join(sorted(house.surfaces))}",
+        f"FETCH(<object id or class>, IN, <container>) containers: {', '.join(sorted(house.containers))}",
+        f"EXPLORE(<room>) rooms: {', '.join(house.rooms)}",
+        "IDLE",
+    )
 
 
 def _indent(text: str) -> str:

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .agents.records import HistoryRecord
 from .agents.textify import render_history
-from .errors import ContractViolation, RemoteBackendError, ResponseParseError
-from .reasoner.base import SUMMARIZE, STRUCTURED, Reasoner, ReasonerRequest
+from .errors import ContractViolation, ResponseParseError
+from .reasoner.base import SUMMARIZE, STRUCTURED, Reasoner, ReasonerRequest, ask
 from .reasoner.prompts import SummarizePayload, render_prompt
 from .world.types import GoalSpec, TaskProgress
 
@@ -86,6 +86,14 @@ def template_digest(records: Sequence[HistoryRecord], delta: int) -> str:
     return "; ".join(parts)
 
 
+def _note(raw: str) -> str:
+    """A reply as one line of text; an empty reply is refused."""
+    text = " ".join(raw.split())
+    if not text:
+        raise ResponseParseError("empty summary")
+    return text
+
+
 @dataclass(frozen=True)
 class SummaryInputs:
     """Structured payload for SUMMARIZE requests."""
@@ -107,9 +115,9 @@ def summarize(
 
     Text backends get a prompt and may answer freely; on transport failure or
     an empty answer the deterministic template digest is used instead and the
-    summary is flagged degraded. No answer is re-asked, so there is no parse
-    retry count here. A structured backend gets the records alone; no prompt
-    is built for it. The text is always clipped to the character budget.
+    summary is flagged degraded. No answer is re-asked (``retries=0``). A
+    structured backend gets the records alone; no prompt is built for it.
+    The text is always clipped to the character budget.
     """
     if not records:
         raise ContractViolation("cannot summarize an empty record slice")
@@ -118,7 +126,6 @@ def summarize(
     inputs = SummaryInputs(
         records=tuple(records), delta=delta_progress, interval=interval
     )
-    text = None
     degraded = False
     if reasoner.produces == STRUCTURED:
         text = reasoner.invoke(ReasonerRequest(SUMMARIZE, inputs)).parsed
@@ -136,12 +143,7 @@ def summarize(
             tick=interval[1],
             agent_id=0,
         )
-        try:
-            response = reasoner.invoke(request)
-            raw = (response.raw_text or "").strip()
-            text = " ".join(raw.split()) if raw else None
-        except (RemoteBackendError, ResponseParseError):
-            text = None
+        text, _, _ = ask(reasoner, request, _note, retries=0)
         if text is None:
             text = template_digest(records, delta_progress)
             degraded = True

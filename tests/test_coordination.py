@@ -13,8 +13,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from homecrew.agents import Belief, Fact, MacroTask, sweep_targets
+from homecrew.agents import EXPLORE_ROOM, FETCH_PLACE, Belief, Fact, MacroTask, sweep_targets
 from homecrew.coordination import (
     AgentView,
     AllocationInputs,
@@ -67,6 +68,9 @@ from homecrew.world import (
 from homecrew.world.types import goal_location
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
+
+# An agent id with more digits than int() converts by default (4300).
+LONG_ID_REPLY = "9" * 4301 + ": IDLE\n1: IDLE"
 
 
 def omniscient_belief(state) -> Belief:
@@ -320,21 +324,22 @@ class TestProposalRewrite:
 
 
 class TestGrammar:
-    def random_task(self, rng, vocabulary):
+    def random_task(self, rng, house):
         kind = rng.choice(["idle", "explore", "fetch", "fetch_bound"])
         if kind == "idle":
             return MacroTask.idle()
         if kind == "explore":
-            return MacroTask.explore(rng.choice(vocabulary.rooms))
+            return MacroTask.explore(rng.choice(house.rooms))
         relation = rng.choice([ON, IN])
         target = rng.choice(
-            vocabulary.surfaces if relation == ON else vocabulary.containers
+            sorted(house.surfaces) if relation == ON else sorted(house.containers)
         )
         if kind == "fetch":
-            return MacroTask.fetch(rng.choice(vocabulary.classes), relation, target)
-        object_id = rng.choice(sorted(vocabulary.objects))
+            classes = sorted(set(house.object_classes.values()))
+            return MacroTask.fetch(rng.choice(classes), relation, target)
+        object_id = rng.choice(sorted(house.object_classes))
         return MacroTask.fetch(
-            vocabulary.objects[object_id], relation, target, object_id=object_id
+            house.object_classes[object_id], relation, target, object_id=object_id
         )
 
     def test_round_trip_random_joints(self):
@@ -345,9 +350,9 @@ class TestGrammar:
             tasks = {}
             used_ids = set()
             for agent_id in context.agent_ids():
-                task = self.random_task(rng, context.vocabulary)
+                task = self.random_task(rng, context.house)
                 while task.object_id is not None and task.object_id in used_ids:
-                    task = self.random_task(rng, context.vocabulary)
+                    task = self.random_task(rng, context.house)
                 if task.object_id is not None:
                     used_ids.add(task.object_id)
                 tasks[agent_id] = task
@@ -391,21 +396,26 @@ class TestGrammar:
     def test_parse_task_rejects(self, bad):
         inputs = build_inputs("PrepareAMeal", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_task(bad, inputs.context.vocabulary)
+            parse_task(bad, inputs.context.house)
 
     def test_parse_task_accepts_class_and_bound_forms(self):
         inputs = build_inputs("WashDishes", 2, seed=0)
-        vocabulary = inputs.context.vocabulary
-        task = parse_task("fetch(plate, in, dishwasher)", vocabulary)
+        house = inputs.context.house
+        task = parse_task("fetch(plate, in, dishwasher)", house)
         assert task.object_id is None and task.object_class == "plate"
-        bound_id = sorted(vocabulary.objects)[0]
-        bound = parse_task(f"FETCH({bound_id}, ON, kitchentable)", vocabulary)
+        bound_id = sorted(house.object_classes)[0]
+        bound = parse_task(f"FETCH({bound_id}, ON, kitchentable)", house)
         assert bound.object_id == bound_id
 
     def test_allocation_unknown_agent(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError):
             parse_allocation("1: IDLE\n2: IDLE\n7: IDLE", inputs.context)
+
+    def test_allocation_over_long_agent_id(self):
+        inputs = build_inputs("PrepareTea", 1, seed=0)
+        with pytest.raises(ResponseParseError, match="^unknown agent id 9999"):
+            parse_allocation(LONG_ID_REPLY, inputs.context)
 
     def test_allocation_duplicate_agent(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
@@ -419,8 +429,8 @@ class TestGrammar:
 
     def test_allocation_double_booked_object(self):
         inputs = build_inputs("WashDishes", 2, seed=0)
-        bound_id = sorted(inputs.context.vocabulary.objects)[0]
-        cls = inputs.context.vocabulary.objects[bound_id]
+        bound_id = sorted(inputs.context.house.object_classes)[0]
+        cls = inputs.context.house.object_classes[bound_id]
         raw = (
             f"1: FETCH({bound_id}, ON, kitchentable)\n"
             f"2: FETCH({bound_id}, IN, fridge)"
@@ -442,7 +452,7 @@ class TestGrammar:
 
     def test_proposal_lines(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
-        vocabulary = inputs.context.vocabulary
+        house = inputs.context.house
         raw = (
             "why: the kettle is closest\n"
             "propose: FETCH(kettle, ON, kitchentable)\n"
@@ -450,7 +460,7 @@ class TestGrammar:
             "alt: explore(kitchen)\n"
             "alt: IDLE\n"
         )
-        proposal = parse_proposal(raw, vocabulary, agent_id=2)
+        proposal = parse_proposal(raw, house, agent_id=2)
         assert proposal.agent_id == 2
         assert proposal.candidate.object_class == "kettle"
         assert proposal.alternatives == (MacroTask.explore("kitchen"), MacroTask.idle())
@@ -459,7 +469,110 @@ class TestGrammar:
     def test_proposal_requires_propose_line(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_proposal("alt: IDLE\nwhy: nothing", inputs.context.vocabulary, 1)
+            parse_proposal("alt: IDLE\nwhy: nothing", inputs.context.house, 1)
+
+
+# The remote-reply boundary: replies stitched from grammar fragments, the
+# house's own names and junk.
+_BOUNDARY = build_inputs("PrepareAMeal", 3, seed=0)
+_HOUSE = _BOUNDARY.context.house
+_NAMES = sorted(
+    {*_HOUSE.rooms, *_HOUSE.surfaces, *_HOUSE.containers, *_HOUSE.object_classes,
+     *_HOUSE.object_classes.values()}
+)
+_WORD = st.one_of(st.sampled_from(_NAMES), st.text(max_size=6))
+
+
+def _name_or_word(names):
+    return st.one_of(st.sampled_from(sorted(names)), _WORD)
+
+
+_TASK = st.one_of(
+    st.sampled_from(["IDLE", "idle", "IDLE()", "DANCE"]),
+    st.builds("EXPLORE({})".format, _name_or_word(_HOUSE.rooms)),
+    st.builds(
+        "FETCH({}, {}, {})".format,
+        _name_or_word({*_HOUSE.object_classes, *_HOUSE.object_classes.values()}),
+        st.sampled_from(["ON", "IN", "on", "in", "UNDER", ""]),
+        _name_or_word({*_HOUSE.surfaces, *_HOUSE.containers}),
+    ),
+    st.builds("FETCH({})".format, _WORD),
+)
+_PREFIX = st.sampled_from(
+    ["", "propose: ", "alt: ", "why: ", "1: ", "2. ", "agent 3: ", "4: ", "01: ", "x: "]
+)
+_LINE = st.one_of(
+    st.builds("{}{}".format, _PREFIX, _TASK),
+    st.lists(
+        st.one_of(
+            _WORD,
+            st.sampled_from(
+                ["propose:", "alt:", "FETCH(", "EXPLORE(", ")", ", ", "```", "1:", "\n"]
+            ),
+        ),
+        max_size=8,
+    ).map("".join),
+)
+_PROPOSAL = st.builds(
+    "propose: {}\n{}\nwhy: {}".format,
+    _TASK,
+    st.lists(_TASK, max_size=4).map(lambda tasks: "\n".join(f"alt: {t}" for t in tasks)),
+    _WORD,
+)
+_ASSIGNMENTS = st.lists(_TASK, min_size=3, max_size=3).map(
+    lambda tasks: "\n".join(f"{i}: {task}" for i, task in enumerate(tasks, 1))
+)
+_REPLY = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "```\n", "prose\n```\n"]),
+    st.one_of(st.lists(_LINE, max_size=6).map("\n".join), _PROPOSAL, _ASSIGNMENTS),
+    st.sampled_from(["", "\n```", "\n```\ntrailing"]),
+)
+
+
+def assert_names_only_the_house(task):
+    house = _HOUSE
+    if task.kind == EXPLORE_ROOM:
+        assert task.room in house.rooms
+    elif task.kind == FETCH_PLACE:
+        fixtures = house.surfaces if task.relation == ON else house.containers
+        assert task.relation in (ON, IN) and task.target in fixtures
+        assert task.object_class in house.object_classes.values()
+        if task.object_id is not None:
+            assert house.object_classes[task.object_id] == task.object_class
+    else:
+        assert task == MacroTask.idle()
+
+
+class TestReplyBoundary:
+    @settings(max_examples=400, deadline=None)
+    @given(reply=_REPLY)
+    @example(reply=LONG_ID_REPLY)
+    def test_replies_parse_to_house_names_or_are_refused(self, reply):
+        context = _BOUNDARY.context
+        remaining = remaining_by_predicate(_BOUNDARY.goal, _BOUNDARY.progress)
+        lines = reply.split("\n")
+        for text in (reply, *lines, *(line.partition(":")[2] for line in lines)):
+            try:
+                assert_names_only_the_house(parse_task(text, _HOUSE))
+            except ResponseParseError:
+                pass
+        try:
+            proposal = parse_proposal(reply, _HOUSE, agent_id=2)
+        except ResponseParseError:
+            pass
+        else:
+            assert proposal.agent_id == 2
+            for task in (proposal.candidate, *proposal.alternatives):
+                assert_names_only_the_house(task)
+        try:
+            joint = parse_allocation(reply, context, remaining)
+        except ResponseParseError:
+            pass
+        else:
+            assert sorted(joint.tasks) == list(context.agent_ids())
+            for _, task in joint.items():
+                assert_names_only_the_house(task)
 
 
 class TestScore:
@@ -659,7 +772,7 @@ class TestAllocator:
 
     def test_text_backend_conflicting_then_valid(self):
         inputs = build_inputs("WashDishes", 2, seed=1)
-        bound_id = sorted(inputs.context.vocabulary.objects)[0]
+        bound_id = sorted(inputs.context.house.object_classes)[0]
         conflicting = (
             f"1: FETCH({bound_id}, IN, dishwasher)\n"
             f"2: FETCH({bound_id}, IN, dishwasher)"
@@ -673,6 +786,18 @@ class TestAllocator:
         )
         assert report.attempts == 2 and not report.degraded
         assert joint.task_for(2) == MacroTask.idle()
+
+    def test_text_backend_over_long_agent_id_falls_back(self):
+        inputs = build_inputs("PrepareTea", 1, seed=0)
+        scripted = ScriptedReasoner(
+            {(ALLOCATE, inputs.context.tick, 1): [LONG_ID_REPLY] * 3}
+        )
+        joint, report = allocate_with_report(
+            scripted, inputs.context, inputs.summaries, inputs.progress, inputs.goal
+        )
+        assert report.degraded and report.attempts == 3
+        assert report.note.startswith("unknown agent id 9999")
+        assert joint == heuristic_allocation(inputs)
 
     def test_remote_error_falls_back_degraded(self):
         class ExplodingReasoner(Reasoner):
@@ -738,7 +863,6 @@ class TestContext:
         inputs = build_inputs("PrepareAMeal", 3, seed=2)
         context = inputs.context
         assert context.agent_ids() == (1, 2, 3)
-        assert context.vocabulary.agent_ids == (1, 2, 3)
         prompts = []
 
         class CapturingReasoner(Reasoner):

@@ -61,6 +61,7 @@ from homecrew.reasoner import (
     Reasoner,
     ReasonerResponse,
 )
+from homecrew.reasoner.base import PARSE_RETRIES
 from homecrew.world import task_categories
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(homecrew.__file__)))
@@ -768,6 +769,32 @@ class TestCliCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and path in err and where in err
+
+    def test_an_over_long_agent_id_in_a_reply_degrades(self, tmp_path):
+        # More digits than int() converts. Every attempt of the three
+        # allocations gets this reply; the summary due at tick 3 gets a note.
+        reply = "9" * 4301 + ": IDLE\n1: IDLE"
+        lines = [
+            {"kind": "ALLOCATE", "tick": tick, "agent_id": 1, "response": reply}
+            for tick in range(3)
+            for _ in range(1 + PARSE_RETRIES)
+        ]
+        lines.append({"kind": "SUMMARIZE", "tick": 3, "agent_id": 0, "response": "noted"})
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = str(tmp_path / "trace.jsonl")
+        argv = ["run", "--task", "PrepareTea", "--agents", "1",
+                "--backend", "manager=scripted,members=heuristic",
+                "--fixtures", str(fixtures), "--max-steps", "3", "--out", out]
+        assert main(argv) == 0
+        with open(out) as handle:
+            records = [json.loads(line) for line in handle]
+        allocations = [r for r in records if r["type"] == "allocation"]
+        assert len(allocations) == 3
+        for record in allocations:
+            assert record["degraded"] and record["attempts"] == 1 + PARSE_RETRIES
+            assert record["note"].startswith("unknown agent id 9999")
+        assert main(["replay", "--trace", out]) == 0
 
     @pytest.mark.parametrize(
         "flags",
