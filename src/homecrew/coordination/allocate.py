@@ -27,16 +27,8 @@ from ..agents.execution import (
     held_matches,
     room_hides_content,
 )
-from ..agents.textify import belief_digest, render_observation
-from ..reasoner.base import ALLOCATE, STRUCTURED, Reasoner, ReasonerRequest, ask
+from ..reasoner.base import ALLOCATE, Reasoner, ask
 from ..reasoner.parsing import parse_allocation
-from ..reasoner.prompts import (
-    AgentBlock,
-    AllocatePayload,
-    progress_line,
-    render_prompt,
-    task_form_lines,
-)
 from ..summaries import CollaborativeSummary
 from ..world.types import (
     LOC_AGENT,
@@ -319,38 +311,6 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     )
 
 
-def _allocate_request(inputs: AllocationInputs) -> ReasonerRequest:
-    context = inputs.context
-    blocks = tuple(
-        AgentBlock(
-            agent_id=entry.agent_id,
-            proposal_line=entry.proposal.candidate.render(),
-            rationale=entry.proposal.rationale,
-            alternative_lines=entry.proposal.render_alternatives(),
-            belief_text=belief_digest(entry.belief, inputs.goal),
-            observation_text=render_observation(entry.observation),
-        )
-        for entry in context.entries
-    )
-    payload = AllocatePayload(
-        tick=context.tick,
-        goal_text=inputs.goal.render(),
-        progress_line=progress_line(inputs.progress, context.tick),
-        summary_lines=inputs.summaries.rendered_lines(),
-        blocks=blocks,
-        agent_ids=context.agent_ids(),
-        task_forms=task_form_lines(context.house),
-    )
-    manager_id = min(context.agent_ids()) if context.entries else 0
-    return ReasonerRequest(
-        kind=ALLOCATE,
-        structured_payload=inputs,
-        rendered_prompt=render_prompt(ALLOCATE, payload),
-        tick=context.tick,
-        agent_id=manager_id,
-    )
-
-
 def allocate_with_report(
     reasoner: Reasoner,
     context: CrossAgentContext,
@@ -361,19 +321,18 @@ def allocate_with_report(
     """Allocation plus how it went. Text backends re-ask with the identical
     prompt after malformed or conflicting responses; after PARSE_RETRIES
     re-asks (or once the backend errors out) the deterministic path takes
-    over and the report is marked degraded. A structured backend gets the
-    inputs alone; no prompt is built for it."""
+    over and the report is marked degraded."""
     inputs = AllocationInputs(
         context=context, summaries=summaries, progress=progress, goal=goal
     )
-    if reasoner.produces == STRUCTURED:
-        joint = reasoner.invoke(ReasonerRequest(ALLOCATE, inputs)).parsed
-        return joint, AllocationReport(attempts=1, degraded=False)
-    remaining = remaining_by_predicate(goal, progress)
+    manager_id = min(context.agent_ids()) if context.entries else 0
     joint, attempts, note = ask(
         reasoner,
-        _allocate_request(inputs),
-        lambda raw: parse_allocation(raw, context, remaining),
+        ALLOCATE,
+        inputs,
+        lambda raw: parse_allocation(raw, context, remaining_by_predicate(goal, progress)),
+        context.tick,
+        manager_id,
     )
     if joint is not None:
         return joint, AllocationReport(attempts=attempts, degraded=False)

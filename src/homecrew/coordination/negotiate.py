@@ -13,10 +13,8 @@ from typing import List, Tuple
 
 from ..agents.belief import Fact
 from ..agents.execution import MacroTask, sweep_targets
-from ..agents.textify import render_belief, render_history, render_observation
-from ..reasoner.base import PROPOSE, STRUCTURED, Reasoner, ReasonerRequest, ask
+from ..reasoner.base import PROPOSE, Reasoner, ask
 from ..reasoner.parsing import parse_proposal
-from ..reasoner.prompts import ProposePayload, progress_line, render_prompt, task_form_lines
 from ..world.types import LOC_AGENT
 from .types import AgentView, Proposal
 
@@ -96,41 +94,17 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     )
 
 
-def _propose_request(view: AgentView) -> ReasonerRequest:
-    own_records = tuple(
-        rec for rec in view.history_window if rec.agent_id == view.agent_id
-    )
-    payload = ProposePayload(
-        agent_id=view.agent_id,
-        num_agents=view.num_agents,
-        tick=view.tick,
-        goal_text=view.goal.render(),
-        progress_line=progress_line(view.progress, view.tick),
-        belief_text=render_belief(view.belief),
-        observation_text=render_observation(view.observation),
-        history_text=render_history(own_records),
-        task_forms=task_form_lines(view.house),
-    )
-    return ReasonerRequest(
-        kind=PROPOSE,
-        structured_payload=view,
-        rendered_prompt=render_prompt(PROPOSE, payload),
-        tick=view.tick,
-        agent_id=view.agent_id,
-    )
-
-
 def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
     """One member's proposal via the given backend, never raising on bad
     responses: text parse failures re-ask with the identical prompt up to
-    PARSE_RETRIES times, then degrade to a deterministic sweep. A structured
-    backend gets the view alone; no prompt is built for it."""
-    if reasoner.produces == STRUCTURED:
-        return reasoner.invoke(ReasonerRequest(PROPOSE, view)).parsed
+    PARSE_RETRIES times, then degrade to a deterministic sweep."""
     proposal, _, _ = ask(
         reasoner,
-        _propose_request(view),
+        PROPOSE,
+        view,
         lambda raw: parse_proposal(raw, view.house, view.agent_id, MAX_ALTERNATIVES),
+        view.tick,
+        view.agent_id,
     )
     if proposal is not None:
         return proposal

@@ -96,7 +96,7 @@ class AgentView:
 
 @dataclass(frozen=True)
 class AllocationInputs:
-    """Structured payload for ALLOCATE requests."""
+    """The inputs of an ALLOCATE decision, for any backend."""
 
     context: CrossAgentContext
     summaries: CollaborativeSummary

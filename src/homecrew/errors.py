@@ -7,6 +7,15 @@ reasoner problems (parse failures, exhausted fixtures, transport errors).
 
 from __future__ import annotations
 
+# The longest message a refused reply leaves in a degraded decision's note.
+# The trace's exchange record keeps the whole reply.
+NOTE_LIMIT = 200
+
+
+def clip(text: str) -> str:
+    """``text`` cut to NOTE_LIMIT characters, the last being an ellipsis."""
+    return text if len(text) <= NOTE_LIMIT else text[: NOTE_LIMIT - 1] + "\u2026"
+
 
 class EngineError(Exception):
     """Base class for engine-raised errors."""
@@ -27,7 +36,7 @@ class ResponseParseError(EngineError):
         self.reason = reason
         self.line = line
         detail = reason if line is None else f"{reason}: {line!r}"
-        super().__init__(detail)
+        super().__init__(clip(detail))
 
 
 class FixtureExhausted(EngineError):

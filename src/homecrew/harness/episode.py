@@ -99,8 +99,8 @@ class EpisodeResult:
 
 class RecordingReasoner(Reasoner):
     """Pass-through wrapper around a text backend that appends every exchange
-    (response or transport failure) to the list it was given: the trace
-    sink, or one round call's own buffer."""
+    (response, or transport failure with its message) to the list it was
+    given: the trace sink, or one round call's own buffer."""
 
     def __init__(self, inner: Reasoner, sink: List[dict]):
         self.inner = inner
@@ -116,8 +116,9 @@ class RecordingReasoner(Reasoner):
         }
         try:
             response = self.inner.invoke(request)
-        except RemoteBackendError:
+        except RemoteBackendError as exc:
             entry["response"] = None
+            entry["error"] = str(exc)
             self.sink.append(entry)
             raise
         entry["response"] = response.raw_text

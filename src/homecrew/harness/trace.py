@@ -4,7 +4,8 @@ Serialization is pinned to one JSONEncoder(sort_keys=True, separators=(",", ":")
 and records carry no wall-clock material, so equal runs produce byte-equal
 files. Record types: header, exchange, allocation, summary, tick, end.
 Exchange records hold every raw text-backend response (null for a transport
-failure), which is exactly what a replay needs to rebuild the backends.
+failure, with the failure's message as ``error``), which is exactly what a
+replay needs to rebuild the backends.
 """
 
 from __future__ import annotations

@@ -20,10 +20,6 @@ from .parsing import (
 from .prompts import (
     NO_SUMMARIES_MARKER,
     TEMPLATE_V1,
-    AgentBlock,
-    AllocatePayload,
-    ProposePayload,
-    SummarizePayload,
     render_prompt,
 )
 from .remote import DEFAULT_KEY_ENV, RemoteReasoner
@@ -31,13 +27,10 @@ from .scripted import ScriptedReasoner, load_fixtures
 
 __all__ = [
     "ALLOCATE",
-    "AgentBlock",
-    "AllocatePayload",
     "DEFAULT_KEY_ENV",
     "HeuristicReasoner",
     "NO_SUMMARIES_MARKER",
     "PROPOSE",
-    "ProposePayload",
     "Reasoner",
     "ReasonerRequest",
     "ReasonerResponse",
@@ -45,7 +38,6 @@ __all__ = [
     "STRUCTURED",
     "SUMMARIZE",
     "ScriptedReasoner",
-    "SummarizePayload",
     "TEMPLATE_V1",
     "TEXT",
     "format_allocation",

@@ -1,10 +1,10 @@
 """Reasoner backend contract.
 
 Every decision point (member proposals, the manager's allocation, progress
-summaries) goes through one interface: build a request, invoke a backend,
-get a response. Structured backends answer from the typed payload; text
-backends answer with raw text that the calling module parses and validates,
-asking through ``ask``.
+summaries) is asked through ``ask``: it builds the request, invokes the
+backend and reads the response. Structured backends answer from the
+decision's typed inputs; text backends answer with raw text that the calling
+module's ``parse`` validates.
 """
 
 from __future__ import annotations
@@ -66,15 +66,26 @@ class Reasoner:
 
 def ask(
     reasoner: Reasoner,
-    request: ReasonerRequest,
+    kind: str,
+    inputs: Any,
     parse: Callable[[str], Any],
+    tick: int,
+    agent_id: int,
     retries: int = PARSE_RETRIES,
 ) -> Tuple[Any, int, str]:
-    """(parsed reply or None, attempts made, note) for one text decision.
-    A reply that ``parse`` refuses with ResponseParseError is re-asked with
-    the identical request up to ``retries`` times; a transport failure ends
-    the asking at once. The note is the last failure's message, and empty
-    when a reply was accepted."""
+    """(decision or None, attempts made, note) for one decision of ``kind``
+    on ``inputs``. A structured backend is invoked once with the inputs alone
+    and no prompt is built. A text backend gets the prompt rendered once from
+    the inputs; a reply that ``parse`` refuses with ResponseParseError is
+    re-asked with the identical request up to ``retries`` times, and a
+    transport failure ends the asking at once. The note is the last
+    failure's message, and empty when a reply was accepted."""
+    if reasoner.produces == STRUCTURED:
+        return reasoner.invoke(ReasonerRequest(kind, inputs)).parsed, 1, ""
+    # Deferred: prompts imports this module for the request kinds.
+    from .prompts import render_prompt
+
+    request = ReasonerRequest(kind, inputs, render_prompt(kind, inputs), tick, agent_id)
     note = ""
     for attempt in range(1, 2 + retries):
         try:

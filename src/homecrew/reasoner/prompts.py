@@ -1,69 +1,29 @@
 """The prompt layout.
 
-Rendering is a pure function of (kind, payload): the payloads here are plain
-text bundles prepared by the calling module, so the same payload always
-yields byte-identical prompts. There is one layout; its name, TEMPLATE_V1,
-is written into every trace header so that a trace names the layout its
-prompts were rendered with. A new layout gets a new name, never an edit of
-this one in place.
+Rendering is a pure function of (kind, inputs), where the inputs are the
+decision's own: an AgentView, AllocationInputs or SummaryInputs. The same
+inputs always yield byte-identical prompts. There is one layout; its name,
+TEMPLATE_V1, is written into every trace header so that a trace names the
+layout its prompts were rendered with. A new layout gets a new name, never
+an edit of this one in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
+from ..agents.textify import belief_digest, render_belief, render_history, render_observation
 from ..errors import ConfigError
 from .base import ALLOCATE, PROPOSE, SUMMARIZE
 
 if TYPE_CHECKING:
+    from ..coordination.types import AgentView, AllocationInputs
+    from ..summaries import SummaryInputs
     from ..world.types import HouseMap, TaskProgress
 
 TEMPLATE_V1 = "template_v1"
 
 NO_SUMMARIES_MARKER = "(no summaries yet)"
-
-
-@dataclass(frozen=True)
-class ProposePayload:
-    agent_id: int
-    num_agents: int
-    tick: int
-    goal_text: str
-    progress_line: str
-    belief_text: str
-    observation_text: str
-    history_text: str
-    task_forms: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class AgentBlock:
-    agent_id: int
-    proposal_line: str
-    rationale: str
-    alternative_lines: Tuple[str, ...]
-    belief_text: str
-    observation_text: str
-
-
-@dataclass(frozen=True)
-class AllocatePayload:
-    tick: int
-    goal_text: str
-    progress_line: str
-    summary_lines: Tuple[str, ...]
-    blocks: Tuple[AgentBlock, ...]
-    agent_ids: Tuple[int, ...]
-    task_forms: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SummarizePayload:
-    interval: Tuple[int, int]
-    delta: int
-    goal_text: str
-    record_lines: Tuple[str, ...]
 
 
 def progress_line(progress: TaskProgress, tick: int) -> str:
@@ -84,68 +44,76 @@ def _indent(text: str) -> str:
     return "\n".join(f"  {line}" for line in text.split("\n"))
 
 
-def _render_propose(p: ProposePayload) -> str:
+def _render_propose(view: AgentView) -> str:
+    own_records = tuple(
+        rec for rec in view.history_window if rec.agent_id == view.agent_id
+    )
     lines = [
-        f"You are household robot agent {p.agent_id} on a team of {p.num_agents}.",
+        f"You are household robot agent {view.agent_id} on a team of {view.num_agents}.",
         "Propose the single most useful task for yourself this round.",
         "",
         "## Objective",
-        p.goal_text,
+        view.goal.render(),
         "",
         "## Progress",
-        p.progress_line,
+        progress_line(view.progress, view.tick),
         "",
         "## Your memory",
-        p.belief_text,
+        render_belief(view.belief),
         "",
         "## Current observation",
-        p.observation_text,
+        render_observation(view.observation),
         "",
         "## Your recent actions",
-        p.history_text,
+        render_history(own_records),
         "",
         "## Response format",
         "First line: `propose: <TASK>`. Up to 3 extra lines: `alt: <TASK>`.",
         "Optionally one line: `why: <short reason>`.",
         "Valid task forms:",
     ]
-    lines += [f"- {form}" for form in p.task_forms]
+    lines += [f"- {form}" for form in task_form_lines(view.house)]
     return "\n".join(lines)
 
 
-def _render_allocate(p: AllocatePayload) -> str:
+def _render_allocate(inputs: AllocationInputs) -> str:
+    context, goal = inputs.context, inputs.goal
+    summary_lines = inputs.summaries.rendered_lines()
+    agent_ids = context.agent_ids()
     lines = [
         "You are the manager of a team of household robots.",
         "Assign exactly one task to every agent for this round, avoiding",
         "duplicated targets and wasted trips.",
         "",
         "## Objective",
-        p.goal_text,
+        goal.render(),
         "",
         "## Progress",
-        p.progress_line,
+        progress_line(inputs.progress, context.tick),
         "",
         "## Collaboration summary (most recent first)",
     ]
-    if p.summary_lines:
-        lines += list(p.summary_lines)
+    if summary_lines:
+        lines += list(summary_lines)
     else:
         lines.append(NO_SUMMARIES_MARKER)
     lines.append("")
     lines.append("## Team context")
-    for block in p.blocks:
-        lines.append(f"### agent {block.agent_id}")
-        lines.append(f"proposal: {block.proposal_line}")
-        if block.rationale:
-            lines.append(f"reason: {block.rationale}")
-        alts = " | ".join(block.alternative_lines) if block.alternative_lines else "(none)"
+    for entry in context.entries:
+        proposal = entry.proposal
+        alternative_lines = proposal.render_alternatives()
+        lines.append(f"### agent {entry.agent_id}")
+        lines.append(f"proposal: {proposal.candidate.render()}")
+        if proposal.rationale:
+            lines.append(f"reason: {proposal.rationale}")
+        alts = " | ".join(alternative_lines) if alternative_lines else "(none)"
         lines.append(f"alternatives: {alts}")
         lines.append("belief:")
-        lines.append(_indent(block.belief_text))
+        lines.append(_indent(belief_digest(entry.belief, goal)))
         lines.append("observation:")
-        lines.append(_indent(block.observation_text))
-    agent_list = ", ".join(str(a) for a in p.agent_ids)
-    example = "\n".join(f"{a}: IDLE" for a in p.agent_ids[:2])
+        lines.append(_indent(render_observation(entry.observation)))
+    agent_list = ", ".join(str(a) for a in agent_ids)
+    example = "\n".join(f"{a}: IDLE" for a in agent_ids[:2])
     lines += [
         "",
         "## Response format",
@@ -156,26 +124,24 @@ def _render_allocate(p: AllocatePayload) -> str:
         "```",
         "Valid task forms:",
     ]
-    lines += [f"- {form}" for form in p.task_forms]
+    lines += [f"- {form}" for form in task_form_lines(context.house)]
     return "\n".join(lines)
 
 
-def _render_summarize(p: SummarizePayload) -> str:
-    lo, hi = p.interval
-    direction = "advanced" if p.delta >= 0 else "regressed"
+def _render_summarize(inputs: SummaryInputs) -> str:
+    lo, hi = inputs.interval
+    direction = "advanced" if inputs.delta >= 0 else "regressed"
     lines = [
         "You are the team manager writing a short collaboration note.",
         "",
         "## Objective",
-        p.goal_text,
+        inputs.goal.render(),
         "",
         "## What changed",
-        f"Between tick {lo + 1} and tick {hi} task progress {direction} by {abs(p.delta)} unit(s).",
+        f"Between tick {lo + 1} and tick {hi} task progress {direction} by {abs(inputs.delta)} unit(s).",
         "",
         "## Raw records",
-    ]
-    lines += list(p.record_lines)
-    lines += [
+        render_history(inputs.records),
         "",
         "## Response format",
         "Reply with the note text only: at most three sentences naming which",
@@ -184,11 +150,11 @@ def _render_summarize(p: SummarizePayload) -> str:
     return "\n".join(lines)
 
 
-def render_prompt(kind: str, payload) -> str:
+def render_prompt(kind: str, inputs) -> str:
     if kind == PROPOSE:
-        return _render_propose(payload)
+        return _render_propose(inputs)
     if kind == ALLOCATE:
-        return _render_allocate(payload)
+        return _render_allocate(inputs)
     if kind == SUMMARIZE:
-        return _render_summarize(payload)
+        return _render_summarize(inputs)
     raise ConfigError(f"unknown request kind: {kind}")

@@ -10,15 +10,15 @@ improvisation.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError, FixtureExhausted, RemoteBackendError
 from .base import REQUEST_KINDS, TEXT, Reasoner, ReasonerRequest, ReasonerResponse
 
 FixtureKey = Tuple[str, int, int]
 
-# A None response replays a recorded transport failure.
-FixtureValue = Optional[str]
+# A reply, or the recorded transport failure that replays in its place.
+FixtureValue = Union[str, RemoteBackendError]
 
 Exchange = Tuple[str, int, int, FixtureValue]
 
@@ -30,14 +30,23 @@ def is_int(value) -> bool:
 
 def exchange_entry(record) -> Optional[Exchange]:
     """(kind, tick, agent_id, response) of a fixture line or a trace exchange
-    record, which carry the same four fields; None unless the kind is a
-    request kind, tick and agent_id are ints and response a string or null."""
+    record, which carry the same fields; None unless the kind is a request
+    kind, tick and agent_id are ints and response a string or null. A null
+    response is a transport failure; its message is the record's string
+    ``error`` when it has one, a field no reply may carry."""
     if not isinstance(record, dict) or "response" not in record:
         return None
-    entry = tuple(record.get(name) for name in ("kind", "tick", "agent_id", "response"))
-    kind, tick, agent_id, response = entry
-    typed = is_int(tick) and is_int(agent_id) and (response is None or isinstance(response, str))
-    return entry if kind in REQUEST_KINDS and typed else None
+    kind, tick, agent_id, response = (
+        record.get(name) for name in ("kind", "tick", "agent_id", "response")
+    )
+    if kind not in REQUEST_KINDS or not (is_int(tick) and is_int(agent_id)):
+        return None
+    if response is None:
+        error = record.get("error", f"scripted transport failure for {(kind, tick, agent_id)}")
+        return (kind, tick, agent_id, RemoteBackendError(error)) if isinstance(error, str) else None
+    if isinstance(response, str) and "error" not in record:
+        return kind, tick, agent_id, response
+    return None
 
 
 class ScriptedReasoner(Reasoner):
@@ -51,10 +60,10 @@ class ScriptedReasoner(Reasoner):
 
     @classmethod
     def from_exchanges(cls, exchanges: Iterable[Exchange]) -> "ScriptedReasoner":
-        """Build from (kind, tick, agent_id, raw_text) tuples in replay order."""
+        """Build from (kind, tick, agent_id, response) tuples in replay order."""
         fixtures: Dict[FixtureKey, List[FixtureValue]] = {}
-        for kind, tick, agent_id, raw_text in exchanges:
-            fixtures.setdefault((kind, tick, agent_id), []).append(raw_text)
+        for kind, tick, agent_id, response in exchanges:
+            fixtures.setdefault((kind, tick, agent_id), []).append(response)
         return cls(fixtures)
 
     def pending(self) -> int:
@@ -66,16 +75,17 @@ class ScriptedReasoner(Reasoner):
         if not queue:
             raise FixtureExhausted(f"no scripted response for {key}")
         value = queue.pop(0)
-        if value is None:
-            raise RemoteBackendError(f"scripted transport failure for {key}")
+        if isinstance(value, RemoteBackendError):
+            raise value
         return ReasonerResponse(raw_text=value)
 
 
 def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
     """Read fixtures from JSONL: one object per line with kind, tick,
     agent_id, and response fields (a null response replays a transport
-    failure). Repeated keys queue in file order. A file that cannot be read
-    or a line that is not such an object is refused, naming the line."""
+    failure, with the line's ``error`` as its message). Repeated keys queue
+    in file order. A file that cannot be read or a line that is not such an
+    object is refused, naming the line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -92,7 +102,8 @@ def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
         if entry is None:
             raise ConfigError(
                 f"fixtures {path} line {number} is not an object with a request "
-                "kind, int tick and agent_id, and a string or null response"
+                "kind, int tick and agent_id, and a string response or a null "
+                "one with an optional string error"
             )
         fixtures.setdefault(entry[:3], []).append(entry[3])
     return fixtures

@@ -11,13 +11,11 @@ lo < tick <= hi, and consecutive summaries tile the history exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .agents.records import HistoryRecord
-from .agents.textify import render_history
 from .errors import ContractViolation, ResponseParseError
-from .reasoner.base import SUMMARIZE, STRUCTURED, Reasoner, ReasonerRequest, ask
-from .reasoner.prompts import SummarizePayload, render_prompt
+from .reasoner.base import SUMMARIZE, Reasoner, ask
 from .world.types import GoalSpec, TaskProgress
 
 SUMMARY_CHAR_BUDGET = 512
@@ -96,11 +94,12 @@ def _note(raw: str) -> str:
 
 @dataclass(frozen=True)
 class SummaryInputs:
-    """Structured payload for SUMMARIZE requests."""
+    """The inputs of a SUMMARIZE decision, for any backend."""
 
     records: Tuple[HistoryRecord, ...]
     delta: int
     interval: Tuple[int, int]
+    goal: GoalSpec
 
 
 def summarize(
@@ -109,14 +108,14 @@ def summarize(
     delta_progress: int,
     interval: Tuple[int, int],
     index: int = 1,
-    goal: Optional[GoalSpec] = None,
+    *,
+    goal: GoalSpec,
 ) -> Summary:
     """Condense one interval's records into a bounded Summary.
 
     Text backends get a prompt and may answer freely; on transport failure or
     an empty answer the deterministic template digest is used instead and the
-    summary is flagged degraded. No answer is re-asked (``retries=0``). A
-    structured backend gets the records alone; no prompt is built for it.
+    summary is flagged degraded. No answer is re-asked (``retries=0``).
     The text is always clipped to the character budget.
     """
     if not records:
@@ -124,29 +123,12 @@ def summarize(
     if delta_progress == 0:
         raise ContractViolation("summaries are only written when progress changed")
     inputs = SummaryInputs(
-        records=tuple(records), delta=delta_progress, interval=interval
+        records=tuple(records), delta=delta_progress, interval=interval, goal=goal
     )
-    degraded = False
-    if reasoner.produces == STRUCTURED:
-        text = reasoner.invoke(ReasonerRequest(SUMMARIZE, inputs)).parsed
-    else:
-        payload = SummarizePayload(
-            interval=interval,
-            delta=delta_progress,
-            goal_text=goal.render() if goal is not None else "(objective not provided)",
-            record_lines=tuple(render_history(records).split("\n")),
-        )
-        request = ReasonerRequest(
-            kind=SUMMARIZE,
-            structured_payload=inputs,
-            rendered_prompt=render_prompt(SUMMARIZE, payload),
-            tick=interval[1],
-            agent_id=0,
-        )
-        text, _, _ = ask(reasoner, request, _note, retries=0)
-        if text is None:
-            text = template_digest(records, delta_progress)
-            degraded = True
+    text, _, _ = ask(reasoner, SUMMARIZE, inputs, _note, interval[1], 0, retries=0)
+    degraded = text is None
+    if degraded:
+        text = template_digest(records, delta_progress)
     return Summary(
         index=index,
         interval=interval,

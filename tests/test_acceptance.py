@@ -4,7 +4,8 @@ Covered, in order: efficiency-improvement arithmetic anchors; allocator
 equality with an exhaustive argmax on 1000 randomized instances; conflict
 freedom on 500 contention-heavy instances; the same two checks on teams of
 4-6 with the team-size cap lifted for the test; summary intervals partitioning
-the acted history; pinned golden trace digests; pinned prompt digests of
+the acted history; pinned golden trace digests, also recomputed in fresh
+interpreters under two PYTHONHASHSEED values; pinned prompt digests of
 episodes whose manager and members answer as text; the same digests with every
 text renderer made to raise, so heuristic episodes build no prompt or digest
 text; one team-belief merge per tick, reused by the allocator for teams of
@@ -22,6 +23,7 @@ import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
@@ -392,6 +394,32 @@ def test_golden_traces_stay_pinned():
                 list(second.records)
             )
             assert trace_sha256(list(first.records)) == stored[key], key
+
+
+def test_golden_traces_ignore_the_hash_seed():
+    with criterion("golden trace digests under two hash seeds"):
+        with open(GOLDEN_PATH) as handle:
+            stored = json.load(handle)
+        script = (
+            "import importlib.util, json, sys\n"
+            "spec = importlib.util.spec_from_file_location('update_goldens', sys.argv[1])\n"
+            "goldens = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(goldens)\n"
+            "from homecrew.harness import run_episode\n"
+            "from homecrew.harness.trace import trace_sha256\n"
+            "print(json.dumps({goldens.golden_key(config): trace_sha256(list(run_episode(config).records))\n"
+            "                  for config in goldens.GOLDEN_CONFIGS}))\n"
+        )
+        for seed in ("0", "12345"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, _spec.origin],
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stdout) == stored, seed
 
 
 def test_text_prompts_stay_pinned():

@@ -33,7 +33,7 @@ from homecrew.coordination import (
     remaining_by_predicate,
     score_joint,
 )
-from homecrew.errors import RemoteBackendError, ResponseParseError
+from homecrew.errors import NOTE_LIMIT, RemoteBackendError, ResponseParseError
 from homecrew.reasoner import (
     ALLOCATE,
     PROPOSE,
@@ -414,8 +414,9 @@ class TestGrammar:
 
     def test_allocation_over_long_agent_id(self):
         inputs = build_inputs("PrepareTea", 1, seed=0)
-        with pytest.raises(ResponseParseError, match="^unknown agent id 9999"):
+        with pytest.raises(ResponseParseError, match="^unknown agent id 9999") as caught:
             parse_allocation(LONG_ID_REPLY, inputs.context)
+        assert len(str(caught.value)) == NOTE_LIMIT and str(caught.value).endswith("\u2026")
 
     def test_allocation_duplicate_agent(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
@@ -797,6 +798,7 @@ class TestAllocator:
         )
         assert report.degraded and report.attempts == 3
         assert report.note.startswith("unknown agent id 9999")
+        assert len(report.note) <= NOTE_LIMIT
         assert joint == heuristic_allocation(inputs)
 
     def test_remote_error_falls_back_degraded(self):

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from stubserver import approve_candidates
 import homecrew
-from homecrew.errors import ConfigError, ContractViolation
+from homecrew.coordination import heuristic_allocation
+from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
 from homecrew.harness.benchmark import (
     BenchmarkResult,
     BenchmarkSpec,
@@ -55,13 +56,19 @@ from homecrew.harness.trace import (
     write_trace,
 )
 from homecrew.reasoner import (
+    PROPOSE,
     STRUCTURED,
+    SUMMARIZE,
     TEXT,
     HeuristicReasoner,
     Reasoner,
     ReasonerResponse,
+    format_allocation,
+    prompts,
+    render_prompt,
 )
 from homecrew.reasoner.base import PARSE_RETRIES
+from homecrew.summaries import template_digest
 from homecrew.world import task_categories
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(homecrew.__file__)))
@@ -160,6 +167,30 @@ class TestHistoryWindow:
                 for request in member.requests:
                     if request.structured_payload.tick >= 2:
                         assert f"t=1 agent {request.agent_id}: " in request.rendered_prompt
+
+    def test_a_text_decision_renders_its_prompt_once(self, monkeypatch):
+        rendered = []
+
+        def counting(kind, inputs):
+            rendered.append(kind)
+            return render_prompt(kind, inputs)
+
+        monkeypatch.setattr(prompts, "render_prompt", counting)
+        config = episode_config(max_steps=6, use_summaries=False)
+        structured = ProposeRecorder(STRUCTURED)
+        run_episode(config, HeuristicReasoner(), structured)
+        assert structured.requests and rendered == []
+        assert {request.rendered_prompt for request in structured.requests} == {""}
+
+        text = ProposeRecorder(TEXT)
+        run_episode(config, HeuristicReasoner(), text)
+        sent = {}
+        for request in text.requests:
+            sent.setdefault((request.tick, request.agent_id), []).append(request.rendered_prompt)
+        assert rendered == [PROPOSE] * len(sent)
+        for key, asked in sent.items():
+            assert len(asked) == 1 + PARSE_RETRIES, key
+            assert len(set(asked)) == 1 and asked[0], key
 
 
 # Functions perfbench's tracer wraps on the heuristic path: (module, attribute).
@@ -364,6 +395,23 @@ class TestBenchmark:
         assert metrics_json(outcome.cells) == metrics_json(list(outcome.cells))
 
 
+class FlakyManager(Reasoner):
+    """A text manager that answers as the heuristic would, except that the
+    allocation at tick 1 fails in transport."""
+
+    name = "remote"
+    produces = TEXT
+    ERROR = "HTTP 503 after 3 attempt(s) to http://127.0.0.1:9/v1"
+
+    def invoke(self, request):
+        payload = request.structured_payload
+        if request.kind == SUMMARIZE:
+            return ReasonerResponse(raw_text=template_digest(payload.records, payload.delta))
+        if request.tick == 1:
+            raise RemoteBackendError(self.ERROR)
+        return ReasonerResponse(raw_text=format_allocation(heuristic_allocation(payload)))
+
+
 class TestReplay:
     def test_heuristic_trace_replays_clean(self):
         result = run_episode(episode_config())
@@ -395,6 +443,17 @@ class TestReplay:
         config = episode_config(use_summaries=False)
         result = run_episode(config)
         assert config_from_header(header_of(list(result.records))) == config
+
+    def test_a_transport_failure_replays_with_its_note(self):
+        result = run_episode(episode_config(), FlakyManager(), HeuristicReasoner())
+        records = list(result.records)
+        failed = [r for r in records if r["type"] == "exchange" and r["response"] is None]
+        assert [r["error"] for r in failed] == [FlakyManager.ERROR]
+        replayed, ok, message = replay_trace(records)
+        assert ok, message
+        recorded = [r for r in records if r["type"] == "allocation"]
+        assert [r for r in replayed.records if r["type"] == "allocation"] == recorded
+        assert [r.get("note") for r in recorded if r["degraded"]] == [FlakyManager.ERROR]
 
     def test_variant_flags_rebuilt_from_header(self):
         config = episode_config(use_allocation=False, use_summaries=False)
@@ -757,8 +816,13 @@ class TestCliCommands:
             ('{"kind": "PROPOSE", "tick": true, "agent_id": 1, "response": "x"}\n', "line 1 "),
             ('{"kind": "PROPOSE", "tick": 0, "agent_id": 1, "response": 5}\n', "line 1 "),
             ('{"kind": "propose", "tick": 0, "agent_id": 1, "response": "x"}\n', "line 1 "),
+            ('{"kind": "PROPOSE", "tick": 0, "agent_id": 1, "response": "x", "error": "e"}\n',
+             "line 1 "),
+            ('{"kind": "PROPOSE", "tick": 0, "agent_id": 1, "response": null, "error": 5}\n',
+             "line 1 "),
         ],
-        ids=["missing", "not-json", "no-kind", "bool-tick", "int-response", "unknown-kind"],
+        ids=["missing", "not-json", "no-kind", "bool-tick", "int-response", "unknown-kind",
+             "error-beside-response", "int-error"],
     )
     def test_scripted_fixtures_are_checked(self, tmp_path, capsys, text, where):
         path = str(tmp_path / "fixtures.jsonl")
@@ -794,6 +858,9 @@ class TestCliCommands:
         for record in allocations:
             assert record["degraded"] and record["attempts"] == 1 + PARSE_RETRIES
             assert record["note"].startswith("unknown agent id 9999")
+            assert len(record["note"]) <= NOTE_LIMIT
+        exchanges = [r for r in records if r["type"] == "exchange" and r["kind"] == "ALLOCATE"]
+        assert [r["response"] for r in exchanges] == [line["response"] for line in lines[:-1]]
         assert main(["replay", "--trace", out]) == 0
 
     @pytest.mark.parametrize(

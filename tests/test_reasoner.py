@@ -1,81 +1,101 @@
 """Prompt rendering and backend plumbing tests.
 
-Prompts must be pure functions of their payloads; the scripted backend must
-hand out fixtures in FIFO order and refuse to improvise past them.
+Prompts must be pure functions of the decision's inputs; the scripted
+backend must hand out fixtures in FIFO order and refuse to improvise past
+them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from homecrew.agents import Belief, Fact, MacroTask
+from homecrew.agents.records import HistoryRecord
+from homecrew.coordination import (
+    AgentView,
+    AllocationInputs,
+    Proposal,
+    assemble_context,
+)
 from homecrew.errors import ConfigError, ContractViolation, FixtureExhausted
 from homecrew.reasoner import (
     ALLOCATE,
     NO_SUMMARIES_MARKER,
     PROPOSE,
     SUMMARIZE,
-    AgentBlock,
-    AllocatePayload,
     HeuristicReasoner,
-    ProposePayload,
     ReasonerRequest,
     ScriptedReasoner,
-    SummarizePayload,
     load_fixtures,
     render_prompt,
 )
+from homecrew.summaries import CollaborativeSummary, Summary, SummaryInputs, append
+from homecrew.world import IN, Action, evaluate_progress, init_world, observe
+from homecrew.world.types import goal_location
 
 
-def propose_payload(**overrides):
-    fields = dict(
+def propose_view() -> AgentView:
+    """Agent 2 of 3 on WashDishes, believing one plate already sits in the
+    dishwasher: 1 of the task's 3 goal units."""
+    state, goal = init_world("WashDishes", 3, seed=0)
+    plate = next(oid for oid, cls, _ in state.object_placements() if cls == "plate")
+    fact = Fact(plate, "plate", goal_location(IN, "dishwasher"), state.tick)
+    belief = dataclasses.replace(Belief.empty(), facts={plate: fact})
+    return AgentView(
         agent_id=2,
+        tick=state.tick,
         num_agents=3,
-        tick=7,
-        goal_text="WashDishes: 2x plate IN dishwasher",
-        progress_line="1/3 goal units satisfied (tick 7)",
-        belief_text="belief: 0 facts",
-        observation_text="room: kitchen",
-        history_text="(no recent activity)",
-        task_forms=("IDLE",),
+        house=state.house,
+        goal=goal,
+        progress=evaluate_progress(belief, goal),
+        observation=observe(state, 2),
+        belief=belief,
     )
-    fields.update(overrides)
-    return ProposePayload(**fields)
 
 
-def allocate_payload(summary_lines=()):
-    blocks = tuple(
-        AgentBlock(
-            agent_id=i,
-            proposal_line=f"EXPLORE(bedroom)",
-            rationale=f"agent {i} reasoning",
-            alternative_lines=("IDLE",),
-            belief_text="goal objects: none seen",
-            observation_text=f"room: kitchen",
-        )
-        for i in (1, 2, 3)
+def allocation_inputs(summary_texts=()) -> AllocationInputs:
+    """Three PrepareTea agents, each proposing to explore the bedroom, and
+    one summary per text, the first covering ticks 1-4."""
+    state, goal = init_world("PrepareTea", 3, seed=0)
+    agent_ids = sorted(state.agents)
+    proposals = [
+        Proposal(i, MacroTask.explore("bedroom"), f"agent {i} reasoning", (MacroTask.idle(),))
+        for i in agent_ids
+    ]
+    beliefs = {i: Belief.empty() for i in agent_ids}
+    observations = {i: observe(state, i) for i in agent_ids}
+    summaries = CollaborativeSummary.empty()
+    bounds = (0, 4, 9)
+    for index, text in enumerate(summary_texts, 1):
+        interval = (bounds[index - 1], bounds[index])
+        summaries = append(summaries, Summary(index, interval, 1, text, 1))
+    return AllocationInputs(
+        context=assemble_context(proposals, beliefs, observations, state.house),
+        summaries=summaries,
+        progress=evaluate_progress(state, goal),
+        goal=goal,
     )
-    return AllocatePayload(
-        tick=4,
-        goal_text="PrepareTea: 2x cup ON kitchentable",
-        progress_line="0/4 goal units satisfied (tick 4)",
-        summary_lines=tuple(summary_lines),
-        blocks=blocks,
-        agent_ids=(1, 2, 3),
-        task_forms=("IDLE",),
-    )
+
+
+def summary_inputs(interval=(3, 8), delta=2) -> SummaryInputs:
+    _, goal = init_world("PrepareTea", 1, seed=0)
+    records = (HistoryRecord(5, 1, Action("grab", "cup_1"), ()),)
+    return SummaryInputs(records=records, delta=delta, interval=interval, goal=goal)
 
 
 class TestPrompts:
     def test_rendering_is_deterministic(self):
-        for kind, payload in [
-            (PROPOSE, propose_payload()),
-            (ALLOCATE, allocate_payload(("[1] ticks 1-4: first delivery",))),
-            (SUMMARIZE, SummarizePayload((0, 4), 1, "goal", ("t=1 agent 1: WAIT",))),
+        for kind, inputs in [
+            (PROPOSE, propose_view()),
+            (ALLOCATE, allocation_inputs(("first delivery",))),
+            (SUMMARIZE, summary_inputs((0, 4), 1)),
         ]:
-            assert render_prompt(kind, payload) == render_prompt(kind, payload)
+            assert render_prompt(kind, inputs) == render_prompt(kind, inputs)
 
     def test_propose_prompt_sections(self):
-        text = render_prompt(PROPOSE, propose_payload())
+        text = render_prompt(PROPOSE, propose_view())
         assert "agent 2" in text and "team of 3" in text
         assert "WashDishes" in text
         assert "1/3 goal units satisfied" in text
@@ -83,7 +103,7 @@ class TestPrompts:
         assert "propose:" in text
 
     def test_allocate_prompt_lists_agents_in_order(self):
-        text = render_prompt(ALLOCATE, allocate_payload())
+        text = render_prompt(ALLOCATE, allocation_inputs())
         first = text.index("### agent 1")
         second = text.index("### agent 2")
         third = text.index("### agent 3")
@@ -91,26 +111,21 @@ class TestPrompts:
         assert "agent 2 reasoning" in text
 
     def test_allocate_prompt_marks_missing_summaries(self):
-        bare = render_prompt(ALLOCATE, allocate_payload())
+        bare = render_prompt(ALLOCATE, allocation_inputs())
         assert NO_SUMMARIES_MARKER in bare
-        filled = render_prompt(
-            ALLOCATE, allocate_payload(("[2] ticks 5-9: x", "[1] ticks 1-4: y"))
-        )
+        filled = render_prompt(ALLOCATE, allocation_inputs(("y", "x")))
         assert NO_SUMMARIES_MARKER not in filled
         assert filled.index("[2] ticks 5-9: x") < filled.index("[1] ticks 1-4: y")
 
     def test_summarize_prompt_carries_interval_and_records(self):
-        text = render_prompt(
-            SUMMARIZE,
-            SummarizePayload((3, 8), 2, "goal text", ("t=5 agent 1: GRAB(cup_1)",)),
-        )
+        text = render_prompt(SUMMARIZE, summary_inputs())
         assert "Between tick 4 and tick 8" in text
         assert "by 2 unit(s)" in text
         assert "t=5 agent 1: GRAB(cup_1)" in text
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            render_prompt("daydream", propose_payload())
+            render_prompt("daydream", propose_view())
 
 
 class TestScripted:

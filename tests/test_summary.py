@@ -29,8 +29,11 @@ from homecrew.summaries import (
     template_digest,
 )
 from homecrew.world import (
+    ON,
     WAIT,
     Event,
+    GoalPredicate,
+    GoalSpec,
     TaskProgress,
     evaluate_progress,
     init_world,
@@ -39,6 +42,8 @@ from homecrew.world import (
 )
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
+
+GOAL = GoalSpec("PrepareTea", (GoalPredicate(ON, "cup", "kitchentable", 2),))
 
 
 def record(tick, agent_id=1, events=()):
@@ -152,16 +157,16 @@ class TestIntervals:
 class TestSummarize:
     def test_empty_slice_raises(self):
         with pytest.raises(ContractViolation):
-            summarize(HeuristicReasoner(), [], 1, (0, 2))
+            summarize(HeuristicReasoner(), [], 1, (0, 2), goal=GOAL)
 
     def test_zero_delta_raises(self):
         with pytest.raises(ContractViolation):
-            summarize(HeuristicReasoner(), [record(1)], 0, (0, 1))
+            summarize(HeuristicReasoner(), [record(1)], 0, (0, 1), goal=GOAL)
 
     def test_structured_backend_writes_template_digest(self):
         events = [Event(2, 1, "placed", "1 placed plate_1 on kitchentable")]
         records = [record(1), record(2, events=events)]
-        summary = summarize(HeuristicReasoner(), records, 1, (0, 2))
+        summary = summarize(HeuristicReasoner(), records, 1, (0, 2), goal=GOAL)
         assert summary.text == template_digest(records, 1)
         assert "progress +1" in summary.text
         assert "plate_1" in summary.text
@@ -182,13 +187,13 @@ class TestSummarize:
         scripted = ScriptedReasoner(
             {(SUMMARIZE, 2, 0): ["  agent 1   delivered\nthe plate  "]}
         )
-        summary = summarize(scripted, [record(1), record(2)], 1, (0, 2))
+        summary = summarize(scripted, [record(1), record(2)], 1, (0, 2), goal=GOAL)
         assert summary.text == "agent 1 delivered the plate"
         assert not summary.degraded
 
     def test_text_backend_blank_degrades(self):
         scripted = ScriptedReasoner({(SUMMARIZE, 1, 0): ["   \n  "]})
-        summary = summarize(scripted, [record(1)], 1, (0, 1))
+        summary = summarize(scripted, [record(1)], 1, (0, 1), goal=GOAL)
         assert summary.degraded
         assert summary.text == template_digest([record(1)], 1)
 
@@ -200,13 +205,13 @@ class TestSummarize:
             def invoke(self, request):
                 raise RemoteBackendError("down")
 
-        summary = summarize(ExplodingReasoner(), [record(1)], 1, (0, 1))
+        summary = summarize(ExplodingReasoner(), [record(1)], 1, (0, 1), goal=GOAL)
         assert summary.degraded
         assert summary.text == template_digest([record(1)], 1)
 
     def test_character_budget_clips(self):
         scripted = ScriptedReasoner({(SUMMARIZE, 1, 0): ["x" * 3000]})
-        summary = summarize(scripted, [record(1)], 1, (0, 1))
+        summary = summarize(scripted, [record(1)], 1, (0, 1), goal=GOAL)
         assert len(summary.text) == SUMMARY_CHAR_BUDGET
 
 
