@@ -1,10 +1,9 @@
 """Agent core: beliefs, history records, macro execution, text rendering."""
 
-from .belief import Belief, Fact, TeamBelief, merge_team_belief, perceive
+from .belief import Belief, Fact, merge_team_belief, perceive
 from .execution import (
     EXPLORE_ROOM,
     FETCH_PLACE,
-    IDLE,
     MacroTask,
     believed_instance,
     expand_macro,
@@ -25,9 +24,7 @@ __all__ = [
     "FETCH_PLACE",
     "Fact",
     "HistoryRecord",
-    "IDLE",
     "MacroTask",
-    "TeamBelief",
     "belief_digest",
     "believed_instance",
     "expand_macro",

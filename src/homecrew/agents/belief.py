@@ -9,7 +9,7 @@ room view is evicted entirely so stale locations cannot be chased forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from ..world.types import (
     LOC_AGENT,
@@ -17,7 +17,6 @@ from ..world.types import (
     LOC_ROOM,
     LOC_SURFACE,
     Fact,
-    Location,
     Observation,
 )
 
@@ -33,15 +32,6 @@ class Belief:
     @classmethod
     def empty(cls) -> "Belief":
         return cls(facts={}, visited_rooms={}, container_flags={})
-
-    def object_placements(self) -> Iterable[Tuple[str, str, Location]]:
-        for object_id in sorted(self.facts):
-            fact = self.facts[object_id]
-            yield object_id, fact.object_class, fact.location
-
-    def believed_open(self, container_id: str) -> Optional[bool]:
-        entry = self.container_flags.get(container_id)
-        return None if entry is None else entry[0]
 
 
 # Team beliefs share the structure; the alias marks intent at call sites.

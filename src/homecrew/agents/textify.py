@@ -62,10 +62,10 @@ def belief_digest(belief: Belief, goal: GoalSpec) -> str:
     """One-line belief digest for allocation prompts: where every believed
     goal-class object sits right now."""
     goal_classes = {p.object_class for p in goal.predicates}
-    placements = [
-        f"{object_id}@{location.render()}"
-        for object_id, object_class, location in belief.object_placements()
-        if object_class in goal_classes
-    ]
+    placements = []
+    for object_id in sorted(belief.facts):
+        fact = belief.facts[object_id]
+        if fact.object_class in goal_classes:
+            placements.append(f"{object_id}@{fact.location.render()}")
     body = " ".join(placements) if placements else "none seen"
     return f"goal objects: {body}"

@@ -48,9 +48,6 @@ from .types import (
     remaining_by_predicate,
 )
 
-# Per-agent option cap: candidate + this many alternatives + Idle.
-JOINT_ALTERNATIVES = 3
-
 # Placing one needed goal unit outweighs any travel the house can require.
 RELEVANCE_WEIGHT = 10
 # Sweeping a room that can still hide objects must beat idling from anywhere,
@@ -72,10 +69,10 @@ def assemble_context(
     beliefs: Dict[int, Belief],
     observations: Dict[int, Observation],
     house: HouseMap,
-    team: Optional[TeamBelief] = None,
+    team: TeamBelief,
 ) -> CrossAgentContext:
     """Bundle every agent's round contribution, ordered by agent id, with
-    ``team`` when the caller has already merged these beliefs in that order."""
+    ``team``, the merge of these beliefs in that order."""
     ordered = sorted(proposals, key=lambda p: p.agent_id)
     entries = tuple(
         ContextEntry(
@@ -90,9 +87,9 @@ def assemble_context(
     return CrossAgentContext(tick=tick, entries=entries, house=house, team=team)
 
 
-def _agent_options(entry: ContextEntry, k: int) -> List[MacroTask]:
+def _agent_options(entry: ContextEntry) -> List[MacroTask]:
     options: List[MacroTask] = [entry.proposal.candidate]
-    for task in entry.proposal.alternatives[:k]:
+    for task in entry.proposal.alternatives:
         if task not in options:
             options.append(task)
     idle = MacroTask.idle()
@@ -103,15 +100,12 @@ def _agent_options(entry: ContextEntry, k: int) -> List[MacroTask]:
 
 def enumerate_joint_space(
     context: CrossAgentContext,
-    k: int = JOINT_ALTERNATIVES,
     remaining: Optional[Dict[Tuple[str, str, str], int]] = None,
 ) -> List[JointAction]:
     """Conflict-free joint assignments from the proposed options, in a fixed
     order: agents ascending, per-agent options as proposed (candidate first,
     then alternatives, then Idle), cartesian product row-major."""
-    per_agent = [
-        (entry.agent_id, _agent_options(entry, k)) for entry in context.entries
-    ]
+    per_agent = [(entry.agent_id, _agent_options(entry)) for entry in context.entries]
     agent_ids = [agent_id for agent_id, _ in per_agent]
     joints: List[JointAction] = []
     for combo in itertools.product(*[options for _, options in per_agent]):
@@ -251,7 +245,7 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     context = inputs.context
     house = context.house
     remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    options = [_agent_options(entry, JOINT_ALTERNATIVES) for entry in context.entries]
+    options = [_agent_options(entry) for entry in context.entries]
     terms = [
         [_option_term(task, entry, context.team, remaining, house) for task in row]
         for entry, row in zip(context.entries, options)

@@ -14,12 +14,9 @@ from typing import List, Tuple
 from ..agents.belief import Fact
 from ..agents.execution import MacroTask, sweep_targets
 from ..reasoner.base import PROPOSE, Reasoner, ask
-from ..reasoner.parsing import parse_proposal
+from ..reasoner.parsing import MAX_ALTERNATIVES, parse_proposal
 from ..world.types import LOC_AGENT
 from .types import AgentView, Proposal
-
-# How many ranked backups a proposal carries; the allocator never reads more.
-MAX_ALTERNATIVES = 3
 
 
 def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, Fact]]:
@@ -69,8 +66,8 @@ def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, Fact]]:
 
 
 def heuristic_proposal(view: AgentView) -> Proposal:
-    """Deterministic proposal from one member's belief. Also the shape the
-    structured backend returns and the degraded-path fallback builds on."""
+    """Deterministic proposal from one member's belief. Also what the
+    structured backend returns."""
     if view.progress.total and view.progress.satisfied >= view.progress.total:
         return Proposal(view.agent_id, MacroTask.idle(), "goal already satisfied")
     options = _ranked_fetch_options(view)
@@ -102,7 +99,7 @@ def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
         reasoner,
         PROPOSE,
         view,
-        lambda raw: parse_proposal(raw, view.house, view.agent_id, MAX_ALTERNATIVES),
+        lambda raw: parse_proposal(raw, view.house, view.agent_id),
         view.tick,
         view.agent_id,
     )

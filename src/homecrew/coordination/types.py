@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..agents.belief import Belief, TeamBelief, merge_team_belief
+from ..agents.belief import Belief, TeamBelief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
 from ..summaries import CollaborativeSummary
@@ -43,14 +43,9 @@ class CrossAgentContext:
     tick: int
     entries: Tuple[ContextEntry, ...]
     house: HouseMap
-    # merge_team_belief of the entries' beliefs in entry (agent-id) order:
-    # passed by a caller that has it, else merged here. Never compared.
-    team: Optional[TeamBelief] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.team is None:
-            team = merge_team_belief([entry.belief for entry in self.entries])
-            object.__setattr__(self, "team", team)
+    # merge_team_belief of the entries' beliefs in entry (agent-id) order.
+    # Never compared.
+    team: TeamBelief = field(compare=False, repr=False)
 
     def entry(self, agent_id: int) -> ContextEntry:
         for entry in self.entries:
@@ -73,9 +68,6 @@ class JointAction:
 
     def task_for(self, agent_id: int) -> MacroTask:
         return self.tasks[agent_id]
-
-    def render(self) -> str:
-        return "; ".join(f"{aid}: {task.render()}" for aid, task in self.items())
 
 
 @dataclass(frozen=True)

@@ -120,11 +120,10 @@ def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
             api_key_env=remote.api_key_env,
             timeout_s=remote.timeout_s,
         )
-    if backend == "scripted":
-        if not config.fixtures_path:
-            raise ConfigError("scripted backend needs --fixtures")
-        return ScriptedReasoner(load_fixtures(config.fixtures_path))
-    raise ConfigError(f"unknown backend {backend!r}")
+    # EpisodeConfig admits no backend name but these three.
+    if not config.fixtures_path:
+        raise ConfigError("scripted backend needs --fixtures")
+    return ScriptedReasoner(load_fixtures(config.fixtures_path))
 
 
 def load_config_file(path: str) -> dict:

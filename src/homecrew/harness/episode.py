@@ -221,7 +221,7 @@ def _play_episode(
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     history: List[HistoryRecord] = []
-    collected = CollaborativeSummary.empty()
+    collected = CollaborativeSummary()
     last_believed = TaskProgress(
         0, goal.total_units(), tuple(0 for _ in goal.predicates)
     )

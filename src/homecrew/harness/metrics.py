@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ContractViolation
@@ -81,6 +81,7 @@ def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
     for key in sorted(grouped, key=lambda k: (k[0], _variant_rank(k[1]), k[2])):
         task, variant, num_agents = key
         cell_rows = grouped[key]
+        successes = sum(1 for r in cell_rows if r["success"] in (True, "True", 1))
         baseline = means.get((task, "full", 1))
         cells.append(
             CellMetrics(
@@ -88,12 +89,9 @@ def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
                 variant=variant,
                 num_agents=num_agents,
                 episodes=len(cell_rows),
-                successes=sum(1 for r in cell_rows if r["success"] in (True, "True", 1)),
+                successes=successes,
                 mean_steps=means[key],
-                success_rate=sum(
-                    1 for r in cell_rows if r["success"] in (True, "True", 1)
-                )
-                / len(cell_rows),
+                success_rate=successes / len(cell_rows),
                 ei_vs_single=(
                     compute_ei(baseline, means[key]) if baseline is not None else None
                 ),
@@ -147,17 +145,8 @@ def read_long_csv(path: str) -> List[dict]:
 
 def metrics_csv(cells: Sequence[CellMetrics]) -> str:
     buffer = io.StringIO()
-    fields = [
-        "task",
-        "variant",
-        "num_agents",
-        "episodes",
-        "successes",
-        "mean_steps",
-        "success_rate",
-        "ei_vs_single",
-    ]
-    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
+    names = [f.name for f in fields(CellMetrics)]
+    writer = csv.DictWriter(buffer, fieldnames=names, lineterminator="\n")
     writer.writeheader()
     for cell in cells:
         writer.writerow(cell.as_dict())

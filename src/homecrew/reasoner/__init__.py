@@ -22,12 +22,11 @@ from .prompts import (
     TEMPLATE_V1,
     render_prompt,
 )
-from .remote import DEFAULT_KEY_ENV, RemoteReasoner
+from .remote import RemoteReasoner
 from .scripted import ScriptedReasoner, load_fixtures
 
 __all__ = [
     "ALLOCATE",
-    "DEFAULT_KEY_ENV",
     "HeuristicReasoner",
     "NO_SUMMARIES_MARKER",
     "PROPOSE",

@@ -20,6 +20,10 @@ if TYPE_CHECKING:
     from ..coordination.types import CrossAgentContext, JointAction, Proposal
     from ..world.types import HouseMap
 
+# The most ranked backups a proposal carries: the heuristic builds no more and
+# replies are cut to it, so the allocator reads every alternative it gets.
+MAX_ALTERNATIVES = 3
+
 _ASSIGN_RE = re.compile(r"^\s*(?:agent\s+)?(\d+)\s*[:.]\s*(.+?)\s*$", re.IGNORECASE)
 _MACRO_RE = re.compile(r"^([A-Za-z_]+)\s*(?:\((.*)\))?\s*$")
 
@@ -131,9 +135,9 @@ def parse_proposal(
     raw_response: str,
     house: HouseMap,
     agent_id: int,
-    max_alternatives: int = 3,
 ) -> Proposal:
-    """Parse a member proposal: one propose line, optional alt/why lines."""
+    """Parse a member proposal: one propose line, optional alt/why lines.
+    Alternatives past the first MAX_ALTERNATIVES are dropped."""
     # Deferred: coordination imports this module for its text path.
     from ..coordination.types import Proposal
 
@@ -159,5 +163,5 @@ def parse_proposal(
         agent_id=agent_id,
         candidate=candidate,
         rationale=rationale,
-        alternatives=tuple(alternatives[:max_alternatives]),
+        alternatives=tuple(alternatives[:MAX_ALTERNATIVES]),
     )

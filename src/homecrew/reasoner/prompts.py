@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Tuple
 from ..agents.textify import belief_digest, render_belief, render_history, render_observation
 from ..errors import ConfigError
 from .base import ALLOCATE, PROPOSE, SUMMARIZE
+from .parsing import MAX_ALTERNATIVES
 
 if TYPE_CHECKING:
     from ..coordination.types import AgentView, AllocationInputs
@@ -68,7 +69,7 @@ def _render_propose(view: AgentView) -> str:
         render_history(own_records),
         "",
         "## Response format",
-        "First line: `propose: <TASK>`. Up to 3 extra lines: `alt: <TASK>`.",
+        f"First line: `propose: <TASK>`. Up to {MAX_ALTERNATIVES} extra lines: `alt: <TASK>`.",
         "Optionally one line: `why: <short reason>`.",
         "Valid task forms:",
     ]

@@ -102,15 +102,19 @@ class RemoteReasoner(Reasoner):
                 payload = reply.json()
                 text = payload["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError):
+                text = None
+            if not isinstance(text, str):
                 last_error = "malformed completion payload"
                 continue
-            usage = payload.get("usage") or {}
+            usage = payload.get("usage")
+            if not isinstance(usage, dict):
+                usage = {}
             counts = {
                 key: int(value)
                 for key, value in usage.items()
                 if isinstance(value, int)
             }
             return ReasonerResponse(
-                raw_text=str(text), latency_s=latency, token_counts=counts
+                raw_text=text, latency_s=latency, token_counts=counts
             )
         raise RemoteBackendError(f"{last_error} after {made} attempt(s) to {url}")

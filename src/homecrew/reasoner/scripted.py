@@ -66,9 +66,6 @@ class ScriptedReasoner(Reasoner):
             fixtures.setdefault((kind, tick, agent_id), []).append(response)
         return cls(fixtures)
 
-    def pending(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
-
     def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
         key = (request.kind, request.tick, request.agent_id)
         queue = self._queues.get(key)

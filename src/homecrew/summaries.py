@@ -42,10 +42,6 @@ class Summary:
 class CollaborativeSummary:
     entries: Tuple[Summary, ...] = ()
 
-    @classmethod
-    def empty(cls) -> "CollaborativeSummary":
-        return cls(entries=())
-
     def __len__(self) -> int:
         return len(self.entries)
 

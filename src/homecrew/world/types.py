@@ -298,13 +298,6 @@ class WorldState:
     container_open: Dict[str, bool]
     agents: Dict[int, AgentState]
 
-    def object_placements(self):
-        """(object_id, object_class, Location) triples in stable id order,
-        the shape Belief.object_placements has too. Progress evaluation does
-        not read it; it counts from ``locations`` directly."""
-        for object_id in sorted(self.locations):
-            yield object_id, self.house.object_classes[object_id], self.locations[object_id]
-
 
 @dataclass(frozen=True)
 class Fact:
@@ -332,6 +325,3 @@ class Observation:
     containers: Mapping[str, bool] = field(default_factory=dict)
     agents_here: Mapping[int, Optional[str]] = field(default_factory=dict)
     surfaces_here: Tuple[str, ...] = ()
-
-    def sees(self, object_id: str) -> bool:
-        return any(s.object_id == object_id for s in self.objects)

@@ -10,8 +10,10 @@ episodes whose manager and members answer as text; the same digests with every
 text renderer made to raise, so heuristic episodes build no prompt or digest
 text; one team-belief merge per tick, reused by the allocator for teams of
 1-6; larger teams finishing faster; ablation ordering; exact replay of
-recorded remote traces; a stub-backed remote episode end to end; and a
-concurrent remote round that records the same trace as a sequential one.
+recorded remote traces; episodes under an adversarial text backend that run,
+say why each allocation degraded and replay record for record; a stub-backed
+remote episode end to end; and a concurrent remote round that records the
+same trace as a sequential one.
 Each test prints one "acceptance <name>: PASS|FAIL" line.
 """
 
@@ -31,6 +33,7 @@ from functools import lru_cache
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stubserver import approve_candidates, completion, propose_goal_objects
 from homecrew.agents import Belief, Fact, MacroTask, merge_team_belief, perceive
@@ -43,15 +46,25 @@ from homecrew.coordination import (
     remaining_by_predicate,
     score_joint,
 )
+from homecrew.errors import NOTE_LIMIT, RemoteBackendError
 from homecrew.harness import (
     EpisodeConfig,
     RemoteConfig,
     replay_trace,
     run_episode,
 )
-from homecrew.harness.metrics import compute_ei
+from homecrew.harness.config import variant_flags
+from homecrew.harness.metrics import VARIANT_ORDER, compute_ei
 from homecrew.harness.trace import action_stream, render_trace, trace_sha256
-from homecrew.reasoner import ALLOCATE, PROPOSE, SUMMARIZE, RemoteReasoner
+from homecrew.reasoner import (
+    ALLOCATE,
+    PROPOSE,
+    SUMMARIZE,
+    TEXT,
+    Reasoner,
+    ReasonerResponse,
+    RemoteReasoner,
+)
 from homecrew.summaries import CollaborativeSummary
 from homecrew.world import (
     evaluate_progress,
@@ -157,8 +170,8 @@ def random_instance(
     for agent_id in sorted(state.agents):
         drop = rng.random() * 0.7
         facts = {
-            object_id: Fact(object_id, object_class, location, state.tick)
-            for object_id, object_class, location in state.object_placements()
+            object_id: Fact(object_id, house.object_classes[object_id], location, state.tick)
+            for object_id, location in sorted(state.locations.items())
             if rng.random() >= drop
         }
         visited = rng.sample(rooms, rng.randint(0, len(rooms)))
@@ -184,10 +197,11 @@ def random_instance(
                 alternatives=alternatives,
             )
         )
-    context = assemble_context(proposals, beliefs, observations, house)
+    team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
+    context = assemble_context(proposals, beliefs, observations, house, team)
     return AllocationInputs(
         context=context,
-        summaries=CollaborativeSummary.empty(),
+        summaries=CollaborativeSummary(),
         progress=evaluate_progress(state, goal),
         goal=goal,
     )
@@ -530,14 +544,13 @@ def test_allocation_reuses_the_round_team_belief(monkeypatch):
             inputs = random_instance(rng, num_agents=1 + trial % 6)
             context = inputs.context
             team = merge_team_belief([entry.belief for entry in context.entries])
-            # A context built without a team merges its entries in order.
-            assert context.team == team
             fresh = heuristic_allocation(inputs)
             with monkeypatch.context() as patch:
                 # The package's allocate function shadows its module name.
                 for name in ("allocate", "types"):
                     module = sys.modules[f"homecrew.coordination.{name}"]
-                    patch.setattr(module, "merge_team_belief", None)
+                    if hasattr(module, "merge_team_belief"):
+                        patch.setattr(module, "merge_team_belief", None)
                 given = dataclasses.replace(
                     inputs, context=dataclasses.replace(context, team=team)
                 )
@@ -574,6 +587,76 @@ def test_remote_trace_replay_is_exact(stub):
         assert action_stream(list(replayed.records)) == action_stream(
             list(recorded.records)
         )
+
+
+# Grammar fragments that junk replies mix in with the house's own names.
+JUNK_TOKENS = (
+    "propose:", "alt:", "why:", "FETCH(", "EXPLORE(", "IDLE", ")", ",", "1:", "2:", "\n"
+)
+
+
+class AdversarialBackend(Reasoner):
+    """A text backend that answers each call with one of four draws: the
+    heuristic's own decision in the reply grammar, junk made of the house's
+    names, an empty reply, or a transport failure. It is named like the
+    remote backend, so that replay accepts the header of its traces."""
+
+    name = "remote"
+    produces = TEXT
+
+    def __init__(self, rng: random.Random, house):
+        self.rng = rng
+        names = {*house.rooms, *house.surfaces, *house.containers, *house.object_classes}
+        self.words = sorted(names | set(house.object_classes.values())) + list(JUNK_TOKENS)
+        self.heuristic = goldens.PromptCapture()
+
+    def invoke(self, request):
+        draw = self.rng.randrange(4)
+        if draw == 0:
+            return self.heuristic.invoke(request)
+        if draw == 1:
+            junk = self.rng.choices(self.words, k=self.rng.randint(1, 12))
+            return ReasonerResponse(raw_text=" ".join(junk))
+        if draw == 2:
+            return ReasonerResponse(raw_text="")
+        raise RemoteBackendError(f"HTTP 503 after 3 attempt(s) at tick {request.tick}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    task=st.sampled_from(TASKS),
+    num_agents=st.integers(1, 3),
+    variant=st.sampled_from(VARIANT_ORDER),
+    seed=st.integers(0, 99),
+    stream=st.integers(0, 2**32 - 1),
+)
+def check_any_reply_stream(task, num_agents, variant, seed, stream):
+    use_allocation, use_summaries = variant_flags(variant)
+    config = EpisodeConfig(
+        task=task,
+        num_agents=num_agents,
+        seed=seed,
+        manager_backend="remote",
+        member_backend="remote",
+        use_allocation=use_allocation,
+        use_summaries=use_summaries,
+    )
+    house = init_world(task, num_agents, seed)[0].house
+    backend = AdversarialBackend(random.Random(stream), house)
+    records = list(run_episode(config, backend, backend).records)
+    degraded = [r for r in records if r["type"] == "allocation" and r["degraded"]]
+    for record in degraded:
+        assert 0 < len(record["note"]) <= NOTE_LIMIT, record
+    replayed, ok, message = replay_trace(records)
+    assert ok, message
+    # Replay writes its own backend name into the header; the records after
+    # it must be the recorded ones.
+    assert list(replayed.records)[1:] == records[1:]
+
+
+def test_any_reply_stream_runs_says_why_and_replays():
+    with criterion("any reply stream runs, says why it degraded and replays"):
+        check_any_reply_stream()
 
 
 def test_stub_remote_episode_end_to_end(stub):

@@ -79,7 +79,7 @@ class TestPerceive:
             assert fact.observed_at == state.tick
         assert belief.visited_rooms == {obs.room: state.tick}
         for cid, flag in obs.containers.items():
-            assert belief.believed_open(cid) == flag
+            assert belief.container_flags[cid][0] == flag
 
     def test_eviction_on_contradiction(self):
         state, _ = init_world("SetUpTable", 1, 5)
@@ -508,8 +508,8 @@ class TestBelievedInstance:
             for state in snapshots:
                 house = state.house
                 placements = [
-                    (oid, Fact(oid, cls, loc, state.tick))
-                    for oid, cls, loc in state.object_placements()
+                    (oid, Fact(oid, house.object_classes[oid], loc, state.tick))
+                    for oid, loc in sorted(state.locations.items())
                     if rng.random() < 0.8
                 ]
                 rng.shuffle(placements)

@@ -15,7 +15,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homecrew.agents import EXPLORE_ROOM, FETCH_PLACE, Belief, Fact, MacroTask, sweep_targets
+from homecrew.agents import (
+    EXPLORE_ROOM,
+    FETCH_PLACE,
+    Belief,
+    Fact,
+    MacroTask,
+    merge_team_belief,
+    sweep_targets,
+)
 from homecrew.coordination import (
     AgentView,
     AllocationInputs,
@@ -33,12 +41,18 @@ from homecrew.coordination import (
     remaining_by_predicate,
     score_joint,
 )
-from homecrew.errors import NOTE_LIMIT, RemoteBackendError, ResponseParseError
+from homecrew.errors import (
+    NOTE_LIMIT,
+    FixtureExhausted,
+    RemoteBackendError,
+    ResponseParseError,
+)
 from homecrew.reasoner import (
     ALLOCATE,
     PROPOSE,
     HeuristicReasoner,
     Reasoner,
+    ReasonerRequest,
     ScriptedReasoner,
     TEXT,
     format_allocation,
@@ -75,8 +89,8 @@ LONG_ID_REPLY = "9" * 4301 + ": IDLE\n1: IDLE"
 
 def omniscient_belief(state) -> Belief:
     facts = {
-        object_id: Fact(object_id, object_class, location, state.tick)
-        for object_id, object_class, location in state.object_placements()
+        object_id: Fact(object_id, state.house.object_classes[object_id], location, state.tick)
+        for object_id, location in sorted(state.locations.items())
     }
     return Belief(
         facts=facts,
@@ -138,10 +152,11 @@ def build_inputs(task, num_agents, seed, drop_rate=0.0) -> AllocationInputs:
         beliefs[agent_id] = belief
         observations[agent_id] = observe(state, agent_id)
         proposals.append(heuristic_proposal(make_view(state, goal, agent_id, belief)))
-    context = assemble_context(proposals, beliefs, observations, state.house)
+    team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
+    context = assemble_context(proposals, beliefs, observations, state.house, team)
     return AllocationInputs(
         context=context,
-        summaries=CollaborativeSummary.empty(),
+        summaries=CollaborativeSummary(),
         progress=evaluate_progress(state, goal),
         goal=goal,
     )
@@ -302,11 +317,12 @@ class TestProposalRewrite:
                     for goal in (task_goal,) + REWRITE_GOALS:
                         targets = [loc for entries in goal.targets.values() for _, loc in entries]
                         facts = []
-                        for oid, cls, loc in state.object_placements():
+                        for oid, loc in sorted(state.locations.items()):
                             if rng.random() < 0.25:
                                 continue
                             if rng.random() < 0.2:
                                 loc = rng.choice(targets)
+                            cls = state.house.object_classes[oid]
                             facts.append((oid, Fact(oid, cls, loc, state.tick)))
                         rng.shuffle(facts)
                         belief = Belief(
@@ -592,7 +608,8 @@ class TestScore:
                 container_flags=rest[0] if rest else {},
             )
             observations[agent_id] = fab_observation(agent_id, room, held)
-        context = assemble_context(proposals, beliefs, observations, house)
+        team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
+        context = assemble_context(proposals, beliefs, observations, house, team)
         return context, goal
 
     def test_relevant_fetch_two_rooms_away_scores_eight(self):
@@ -731,7 +748,7 @@ class TestAllocator:
             joint = JointAction(tasks=dict(zip(agent_ids, combo)))
             if not check_conflicts(joint, remaining):
                 expected.append(joint)
-        assert enumerate_joint_space(inputs.context, 3, remaining) == expected
+        assert enumerate_joint_space(inputs.context, remaining) == expected
 
     def test_structured_backend_equals_heuristic(self):
         inputs = build_inputs("PutGroceries", 2, seed=7)
@@ -768,7 +785,8 @@ class TestAllocator:
             scripted, inputs.context, inputs.summaries, inputs.progress, inputs.goal
         )
         assert report.degraded and report.attempts == 3
-        assert scripted.pending() == 0
+        with pytest.raises(FixtureExhausted):
+            scripted.invoke(ReasonerRequest(ALLOCATE, None, tick=key[1], agent_id=key[2]))
         assert joint == heuristic_allocation(inputs)
 
     def test_text_backend_conflicting_then_valid(self):
@@ -857,7 +875,8 @@ class TestMakeProposal:
         proposal = make_proposal(scripted, view)
         assert proposal.degraded
         assert proposal.candidate == MacroTask.explore("livingroom")
-        assert scripted.pending() == 0
+        with pytest.raises(FixtureExhausted):
+            scripted.invoke(ReasonerRequest(PROPOSE, None, tick=view.tick, agent_id=1))
 
 
 class TestContext:

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from homecrew.agents import Belief, Fact, MacroTask
+from homecrew.agents import Belief, Fact, MacroTask, merge_team_belief
 from homecrew.agents.records import HistoryRecord
 from homecrew.coordination import (
     AgentView,
@@ -40,7 +40,8 @@ def propose_view() -> AgentView:
     """Agent 2 of 3 on WashDishes, believing one plate already sits in the
     dishwasher: 1 of the task's 3 goal units."""
     state, goal = init_world("WashDishes", 3, seed=0)
-    plate = next(oid for oid, cls, _ in state.object_placements() if cls == "plate")
+    classes = state.house.object_classes
+    plate = next(oid for oid in sorted(state.locations) if classes[oid] == "plate")
     fact = Fact(plate, "plate", goal_location(IN, "dishwasher"), state.tick)
     belief = dataclasses.replace(Belief.empty(), facts={plate: fact})
     return AgentView(
@@ -66,13 +67,14 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
     ]
     beliefs = {i: Belief.empty() for i in agent_ids}
     observations = {i: observe(state, i) for i in agent_ids}
-    summaries = CollaborativeSummary.empty()
+    summaries = CollaborativeSummary()
     bounds = (0, 4, 9)
     for index, text in enumerate(summary_texts, 1):
         interval = (bounds[index - 1], bounds[index])
         summaries = append(summaries, Summary(index, interval, 1, text, 1))
+    team = merge_team_belief([beliefs[i] for i in agent_ids])
     return AllocationInputs(
-        context=assemble_context(proposals, beliefs, observations, state.house),
+        context=assemble_context(proposals, beliefs, observations, state.house, team),
         summaries=summaries,
         progress=evaluate_progress(state, goal),
         goal=goal,
@@ -136,7 +138,8 @@ class TestScripted:
         )
         assert scripted.invoke(request).raw_text == "first"
         assert scripted.invoke(request).raw_text == "second"
-        assert scripted.pending() == 0
+        with pytest.raises(FixtureExhausted):
+            scripted.invoke(request)
 
     def test_exhaustion_is_an_error(self):
         scripted = ScriptedReasoner({})
@@ -157,12 +160,17 @@ class TestScripted:
         scripted = ScriptedReasoner.from_exchanges(
             [(PROPOSE, 1, 1, "x"), (PROPOSE, 1, 1, "y"), (ALLOCATE, 1, 1, "z")]
         )
-        assert scripted.pending() == 3
         request = ReasonerRequest(
             kind=PROPOSE, rendered_prompt="", structured_payload=None, tick=1, agent_id=1
         )
         assert scripted.invoke(request).raw_text == "x"
         assert scripted.invoke(request).raw_text == "y"
+        with pytest.raises(FixtureExhausted):
+            scripted.invoke(request)
+        allocate = dataclasses.replace(request, kind=ALLOCATE)
+        assert scripted.invoke(allocate).raw_text == "z"
+        with pytest.raises(FixtureExhausted):
+            scripted.invoke(allocate)
 
     def test_load_fixtures_round_trip(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"

@@ -11,13 +11,14 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stubserver import approve_candidates, completion
 from homecrew.errors import RemoteBackendError
 from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_episode
 from homecrew.harness.episode import config_from_header
 from homecrew.harness.trace import header_of
-from homecrew.reasoner import PROPOSE, ReasonerRequest, RemoteReasoner
+from homecrew.reasoner import PROPOSE, ReasonerRequest, RemoteReasoner, remote as remote_module
 from homecrew.reasoner.base import PARSE_RETRIES
 
 
@@ -100,6 +101,67 @@ class TestRetries:
         with pytest.raises(RemoteBackendError) as err:
             reasoner.invoke(wire_request("x"))
         assert "transport error" in str(err.value)
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Any JSON value, and each step of the path to the content broken in turn.
+_PAYLOAD = st.one_of(
+    _JSON,
+    st.builds(lambda choices: {"choices": choices}, _JSON),
+    st.builds(lambda choice: {"choices": [choice]}, _JSON),
+    st.builds(lambda message: {"choices": [{"message": message}]}, _JSON),
+    st.builds(
+        lambda content, usage: {"choices": [{"message": {"content": content}}], "usage": usage},
+        st.text() | _JSON,
+        _JSON,
+    ),
+)
+
+
+def content_of(payload):
+    """The reply text a completion payload carries, or None if it has none."""
+    try:
+        text = payload["choices"][0]["message"]["content"]
+    except (LookupError, TypeError):
+        return None
+    return text if isinstance(text, str) else None
+
+
+class TestPayloadBoundary:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(payload=_PAYLOAD)
+    @example(payload=completion(None))
+    @example(payload={"choices": [{"message": {"content": "ok"}}], "usage": "lots"})
+    def test_invoke_returns_the_content_or_raises_backend_error(
+        self, stub, monkeypatch, payload
+    ):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        stub.replies = [(200, payload)] * (1 + remote_module.TRANSPORT_RETRIES)
+        expected = content_of(payload)
+        reasoner = remote(stub.url)
+        try:
+            response = reasoner.invoke(wire_request())
+        except RemoteBackendError as exc:
+            assert expected is None, exc
+            assert "malformed completion payload" in str(exc)
+        else:
+            assert expected is not None and response.raw_text == expected
+        finally:
+            reasoner.close()
 
 
 def remote_manager_config(stub, **overrides):

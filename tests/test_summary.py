@@ -73,7 +73,7 @@ def run_partitioned(task, num_agents, seed, ticks=120):
     rng = random.Random(seed * 613 + 7)
     reasoner = HeuristicReasoner()
     records = []
-    collected = CollaborativeSummary.empty()
+    collected = CollaborativeSummary()
     last = evaluate_progress(state, goal)
     t_last = 0
     change_ticks = []
@@ -127,28 +127,28 @@ class TestIntervals:
         assert covered == log
 
     def test_append_builds_adjacent_chain(self):
-        collected = CollaborativeSummary.empty()
+        collected = CollaborativeSummary()
         for index, interval in enumerate([(0, 3), (3, 5), (5, 9)], start=1):
             collected = append(collected, summary_for(interval, index))
         assert len(collected) == 3
         assert [s.interval for s in collected.entries] == [(0, 3), (3, 5), (5, 9)]
 
     def test_append_rejects_wrong_index(self):
-        collected = append(CollaborativeSummary.empty(), summary_for((0, 2), 1))
+        collected = append(CollaborativeSummary(), summary_for((0, 2), 1))
         with pytest.raises(ContractViolation):
             append(collected, summary_for((2, 4), 3))
 
     def test_append_rejects_gap(self):
-        collected = append(CollaborativeSummary.empty(), summary_for((0, 2), 1))
+        collected = append(CollaborativeSummary(), summary_for((0, 2), 1))
         with pytest.raises(ContractViolation):
             append(collected, summary_for((3, 4), 2))
 
     def test_append_rejects_empty_interval(self):
         with pytest.raises(ContractViolation):
-            append(CollaborativeSummary.empty(), summary_for((4, 4), 1))
+            append(CollaborativeSummary(), summary_for((4, 4), 1))
 
     def test_rendered_lines_most_recent_first(self):
-        collected = append(CollaborativeSummary.empty(), summary_for((0, 3), 1, "first"))
+        collected = append(CollaborativeSummary(), summary_for((0, 3), 1, "first"))
         collected = append(collected, summary_for((3, 5), 2, "second"))
         lines = collected.rendered_lines()
         assert lines == ("[2] ticks 4-5: second", "[1] ticks 1-3: first")

@@ -726,9 +726,9 @@ class TestObservation:
         state.agents[1] = state.agents[1].__class__(room="kitchen", held=None)
         state.locations["apple_1"] = Location(LOC_CONTAINER, "fridge")
         state.container_open["fridge"] = False
-        assert not observe(state, 1).sees("apple_1")
+        assert "apple_1" not in {s.object_id for s in observe(state, 1).objects}
         state.container_open["fridge"] = True
-        assert observe(state, 1).sees("apple_1")
+        assert "apple_1" in {s.object_id for s in observe(state, 1).objects}
 
 
 def reference_observation(state, agent_id):
@@ -763,7 +763,8 @@ def reference_sweep_targets(belief, house, from_room):
     def rank(room):
         age = belief.visited_rooms.get(room, -1)
         if room not in belief.visited_rooms or any(
-            belief.believed_open(cid) is not True for cid in house.containers_in(room)
+            belief.container_flags.get(cid, (False,))[0] is not True
+            for cid in house.containers_in(room)
         ):
             return (0, house.distance(from_room, room), age, room)
         return (1, age, 0, room)
@@ -872,10 +873,19 @@ class TestProgressAndReward:
             assert len(progress.by_predicate) == len(goal.predicates)
 
 
+def placements(source):
+    """(object_class, location) of every object a world state or belief
+    places, in object id order."""
+    if isinstance(source, Belief):
+        return [(f.object_class, f.location) for _, f in sorted(source.facts.items())]
+    classes = source.house.object_classes
+    return [(classes[oid], loc) for oid, loc in sorted(source.locations.items())]
+
+
 def brute_progress(source, goal):
     """Test-local progress oracle: every placement against every predicate."""
     raw = [0] * len(goal.predicates)
-    for _object_id, object_class, location in source.object_placements():
+    for object_class, location in placements(source):
         for idx, pred in enumerate(goal.predicates):
             if object_class == pred.object_class and location == goal_location(
                 pred.relation, pred.target
@@ -920,7 +930,8 @@ class TestProgressIndex:
         locations = {oid: state.locations[oid] for oid in order}
         state = dataclasses.replace(state, locations=locations)
         facts = [
-            Fact(oid, cls, loc, 0) for oid, cls, loc in state.object_placements()
+            Fact(oid, state.house.object_classes[oid], loc, 0)
+            for oid, loc in sorted(state.locations.items())
             if data.draw(st.booleans())
         ]
         belief = Belief(
