@@ -27,7 +27,6 @@ from homecrew.reasoner import (  # noqa: E402
     PROPOSE,
     TEXT,
     Reasoner,
-    ReasonerResponse,
     format_allocation,
 )
 from homecrew.reasoner.base import REQUEST_KINDS  # noqa: E402
@@ -80,7 +79,7 @@ class PromptCapture(Reasoner):
             text = format_allocation(heuristic_allocation(payload))
         else:
             text = template_digest(payload.records, payload.delta)
-        return ReasonerResponse(raw_text=text)
+        return text
 
 
 def prompt_digests(config: EpisodeConfig) -> dict:

@@ -40,7 +40,6 @@ from ..reasoner import (
     HeuristicReasoner,
     Reasoner,
     ReasonerRequest,
-    ReasonerResponse,
     RemoteReasoner,
     ScriptedReasoner,
     TEMPLATE_V1,
@@ -107,7 +106,7 @@ class RecordingReasoner(Reasoner):
         self.sink = sink
         self.name = inner.name
 
-    def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
+    def invoke(self, request: ReasonerRequest) -> str:
         entry = {
             "type": "exchange",
             "kind": request.kind,
@@ -115,15 +114,15 @@ class RecordingReasoner(Reasoner):
             "agent_id": request.agent_id,
         }
         try:
-            response = self.inner.invoke(request)
+            reply = self.inner.invoke(request)
         except RemoteBackendError as exc:
             entry["response"] = None
             entry["error"] = str(exc)
             self.sink.append(entry)
             raise
-        entry["response"] = response.raw_text
+        entry["response"] = reply
         self.sink.append(entry)
-        return response
+        return reply
 
 
 def _recording(inner: Reasoner, sink: List[dict]) -> Reasoner:

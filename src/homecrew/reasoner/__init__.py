@@ -8,7 +8,6 @@ from .base import (
     TEXT,
     Reasoner,
     ReasonerRequest,
-    ReasonerResponse,
 )
 from .heuristic import HeuristicReasoner
 from .parsing import (
@@ -32,7 +31,6 @@ __all__ = [
     "PROPOSE",
     "Reasoner",
     "ReasonerRequest",
-    "ReasonerResponse",
     "RemoteReasoner",
     "STRUCTURED",
     "SUMMARIZE",

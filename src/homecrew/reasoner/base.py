@@ -2,15 +2,15 @@
 
 Every decision point (member proposals, the manager's allocation, progress
 summaries) is asked through ``ask``: it builds the request, invokes the
-backend and reads the response. Structured backends answer from the
-decision's typed inputs; text backends answer with raw text that the calling
-module's ``parse`` validates.
+backend and reads what ``invoke`` returns. Structured backends return the
+decision itself, computed from the decision's typed inputs; text backends
+return the reply text, which the calling module's ``parse`` validates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Tuple
 
 from ..errors import RemoteBackendError, ResponseParseError
 
@@ -40,24 +40,16 @@ class ReasonerRequest:
     agent_id: int = 0
 
 
-@dataclass(frozen=True)
-class ReasonerResponse:
-    """raw_text is set by text backends; parsed by structured ones. latency_s
-    and token_counts are runtime metadata and never enter traces."""
-
-    raw_text: Optional[str] = None
-    parsed: Any = None
-    latency_s: float = 0.0
-    token_counts: Mapping[str, int] = field(default_factory=dict)
-
-
 class Reasoner:
-    """Backend interface; subclasses set ``name`` and ``produces``."""
+    """Backend interface; subclasses set ``name`` and ``produces``.
+    ``invoke`` returns the decision for a structured backend, and the reply
+    text for a text backend, which raises RemoteBackendError instead when no
+    reply arrives."""
 
     name = "base"
     produces = TEXT
 
-    def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
+    def invoke(self, request: ReasonerRequest) -> Any:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -81,7 +73,7 @@ def ask(
     transport failure ends the asking at once. The note is the last
     failure's message, and empty when a reply was accepted."""
     if reasoner.produces == STRUCTURED:
-        return reasoner.invoke(ReasonerRequest(kind, inputs)).parsed, 1, ""
+        return reasoner.invoke(ReasonerRequest(kind, inputs)), 1, ""
     # Deferred: prompts imports this module for the request kinds.
     from .prompts import render_prompt
 
@@ -89,11 +81,11 @@ def ask(
     note = ""
     for attempt in range(1, 2 + retries):
         try:
-            response = reasoner.invoke(request)
+            reply = reasoner.invoke(request)
         except RemoteBackendError as exc:
             return None, attempt, str(exc)
         try:
-            return parse(response.raw_text or ""), attempt, ""
+            return parse(reply), attempt, ""
         except ResponseParseError as exc:
             note = str(exc)
     return None, 1 + retries, note

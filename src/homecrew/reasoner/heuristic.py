@@ -9,6 +9,7 @@ backend behavior identical by construction.
 from __future__ import annotations
 
 from importlib import import_module
+from typing import Any
 
 from ..errors import ContractViolation
 from .base import (
@@ -18,7 +19,6 @@ from .base import (
     SUMMARIZE,
     Reasoner,
     ReasonerRequest,
-    ReasonerResponse,
 )
 
 
@@ -34,14 +34,12 @@ class HeuristicReasoner(Reasoner):
         self._allocate = import_module("..coordination.allocate", __package__)
         self._summaries = import_module("..summaries", __package__)
 
-    def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
+    def invoke(self, request: ReasonerRequest) -> Any:
         kind, payload = request.kind, request.structured_payload
         if kind == PROPOSE:
-            return ReasonerResponse(parsed=self._negotiate.heuristic_proposal(payload))
+            return self._negotiate.heuristic_proposal(payload)
         if kind == ALLOCATE:
-            return ReasonerResponse(parsed=self._allocate.heuristic_allocation(payload))
+            return self._allocate.heuristic_allocation(payload)
         if kind == SUMMARIZE:
-            return ReasonerResponse(
-                parsed=self._summaries.template_digest(payload.records, payload.delta)
-            )
+            return self._summaries.template_digest(payload.records, payload.delta)
         raise ContractViolation(f"unknown request kind {kind!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from ..agents.textify import belief_digest, render_belief, render_history, render_observation
-from ..errors import ConfigError
+from ..errors import ContractViolation
 from .base import ALLOCATE, PROPOSE, SUMMARIZE
 from .parsing import MAX_ALTERNATIVES
 
@@ -158,4 +158,4 @@ def render_prompt(kind: str, inputs) -> str:
         return _render_allocate(inputs)
     if kind == SUMMARIZE:
         return _render_summarize(inputs)
-    raise ConfigError(f"unknown request kind: {kind}")
+    raise ContractViolation(f"unknown request kind: {kind}")

@@ -21,7 +21,7 @@ import os
 import time
 
 from ..errors import ConfigError, RemoteBackendError
-from .base import TEXT, Reasoner, ReasonerRequest, ReasonerResponse
+from .base import TEXT, Reasoner, ReasonerRequest
 
 DEFAULT_KEY_ENV = "HOMECREW_API_KEY"
 # Each attempt's connect and each wait for reply data.
@@ -44,7 +44,7 @@ class RemoteReasoner(Reasoner):
         timeout_s: float = DEFAULT_TIMEOUT_S,
     ):
         if not endpoint_url:
-            raise RemoteBackendError("remote backend needs an endpoint URL")
+            raise ConfigError("remote backend needs an endpoint URL")
         self.endpoint_url = endpoint_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
@@ -66,7 +66,7 @@ class RemoteReasoner(Reasoner):
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
+    def invoke(self, request: ReasonerRequest) -> str:
         body = {
             "model": self.model,
             "temperature": 0,
@@ -80,7 +80,6 @@ class RemoteReasoner(Reasoner):
             if made:
                 time.sleep(RETRY_BACKOFF_S)
             made += 1
-            started = time.monotonic()
             try:
                 reply = self._session.post(
                     url,
@@ -91,7 +90,6 @@ class RemoteReasoner(Reasoner):
             except self._transport_error as exc:
                 last_error = f"transport error: {exc.__class__.__name__}"
                 continue
-            latency = time.monotonic() - started
             status = reply.status_code
             if status != 200:
                 last_error = f"HTTP {status}"
@@ -99,22 +97,10 @@ class RemoteReasoner(Reasoner):
                     break
                 continue
             try:
-                payload = reply.json()
-                text = payload["choices"][0]["message"]["content"]
+                text = reply.json()["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError):
                 text = None
-            if not isinstance(text, str):
-                last_error = "malformed completion payload"
-                continue
-            usage = payload.get("usage")
-            if not isinstance(usage, dict):
-                usage = {}
-            counts = {
-                key: int(value)
-                for key, value in usage.items()
-                if isinstance(value, int)
-            }
-            return ReasonerResponse(
-                raw_text=text, latency_s=latency, token_counts=counts
-            )
+            if isinstance(text, str):
+                return text
+            last_error = "malformed completion payload"
         raise RemoteBackendError(f"{last_error} after {made} attempt(s) to {url}")

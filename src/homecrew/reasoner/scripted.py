@@ -13,7 +13,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError, FixtureExhausted, RemoteBackendError
-from .base import REQUEST_KINDS, TEXT, Reasoner, ReasonerRequest, ReasonerResponse
+from .base import REQUEST_KINDS, TEXT, Reasoner, ReasonerRequest
 
 FixtureKey = Tuple[str, int, int]
 
@@ -66,7 +66,7 @@ class ScriptedReasoner(Reasoner):
             fixtures.setdefault((kind, tick, agent_id), []).append(response)
         return cls(fixtures)
 
-    def invoke(self, request: ReasonerRequest) -> ReasonerResponse:
+    def invoke(self, request: ReasonerRequest) -> str:
         key = (request.kind, request.tick, request.agent_id)
         queue = self._queues.get(key)
         if not queue:
@@ -74,7 +74,7 @@ class ScriptedReasoner(Reasoner):
         value = queue.pop(0)
         if isinstance(value, RemoteBackendError):
             raise value
-        return ReasonerResponse(raw_text=value)
+        return value
 
 
 def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:

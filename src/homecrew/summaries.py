@@ -30,7 +30,6 @@ class Summary:
     interval: Tuple[int, int]
     delta: int
     text: str
-    source_record_count: int
     degraded: bool = False
 
     def render_line(self) -> str:
@@ -130,7 +129,6 @@ def summarize(
         interval=interval,
         delta=delta_progress,
         text=str(text)[:SUMMARY_CHAR_BUDGET],
-        source_record_count=len(records),
         degraded=degraded,
     )
 

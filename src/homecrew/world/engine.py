@@ -159,13 +159,7 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
         for loser in contenders[1:]:
             final[loser] = WAIT
             events.append(
-                Event(
-                    tick,
-                    loser,
-                    "conflict",
-                    note=f"grab {object_id} lost to agent {contenders[0]}",
-                    object_id=object_id,
-                )
+                Event(tick, loser, "conflict", note=f"grab {object_id} lost to agent {contenders[0]}")
             )
 
     # A grab out of a container that someone else closes the same tick.
@@ -188,13 +182,7 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
             for loser in closers:
                 final[loser] = WAIT
                 events.append(
-                    Event(
-                        tick,
-                        loser,
-                        "conflict",
-                        note=f"close {cid} lost to agent {min(grabbers)}",
-                        target=cid,
-                    )
+                    Event(tick, loser, "conflict", note=f"close {cid} lost to agent {min(grabbers)}")
                 )
         else:
             for loser in grabbers:
@@ -206,8 +194,6 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
                         loser,
                         "conflict",
                         note=f"grab {object_id} lost to agent {min(closers)} closing {cid}",
-                        object_id=object_id,
-                        target=cid,
                     )
                 )
 
@@ -219,22 +205,20 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
         if action.kind == "goto":
             room = str(action.target)
             agents[agent_id] = AgentState(room, agents[agent_id].held)
-            events.append(Event(tick, agent_id, "moved", note=f"moved to {room}", target=room))
+            events.append(Event(tick, agent_id, "moved", note=f"moved to {room}"))
         elif action.kind == "grab":
             object_id = str(action.target)
             locations[object_id] = Location(LOC_AGENT, agent_id)
             agents[agent_id] = AgentState(agents[agent_id].room, object_id)
-            events.append(
-                Event(tick, agent_id, "grabbed", note=f"grabbed {object_id}", object_id=object_id)
-            )
+            events.append(Event(tick, agent_id, "grabbed", note=f"grabbed {object_id}"))
         elif action.kind == "open":
             cid = str(action.target)
             container_open[cid] = True
-            events.append(Event(tick, agent_id, "opened", note=f"opened {cid}", target=cid))
+            events.append(Event(tick, agent_id, "opened", note=f"opened {cid}"))
         elif action.kind == "close":
             cid = str(action.target)
             container_open[cid] = False
-            events.append(Event(tick, agent_id, "closed", note=f"closed {cid}", target=cid))
+            events.append(Event(tick, agent_id, "closed", note=f"closed {cid}"))
         elif action.kind in ("put_on", "put_in"):
             target = str(action.target)
             object_id = str(agents[agent_id].held)
@@ -243,14 +227,7 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
             agents[agent_id] = AgentState(agents[agent_id].room, None)
             note_rel = "on" if action.kind == "put_on" else "in"
             events.append(
-                Event(
-                    tick,
-                    agent_id,
-                    "placed",
-                    note=f"placed {object_id} {note_rel} {target}",
-                    object_id=object_id,
-                    target=target,
-                )
+                Event(tick, agent_id, "placed", note=f"placed {object_id} {note_rel} {target}")
             )
     new_state = WorldState(
         tick=tick,

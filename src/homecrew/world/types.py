@@ -101,8 +101,6 @@ class Event:
     agent_id: int
     kind: str
     note: str = ""
-    object_id: Optional[str] = None
-    target: Optional[str] = None
 
     def render(self) -> str:
         body = self.note if self.note else self.kind

@@ -62,7 +62,6 @@ from homecrew.reasoner import (
     SUMMARIZE,
     TEXT,
     Reasoner,
-    ReasonerResponse,
     RemoteReasoner,
 )
 from homecrew.summaries import CollaborativeSummary
@@ -616,9 +615,9 @@ class AdversarialBackend(Reasoner):
             return self.heuristic.invoke(request)
         if draw == 1:
             junk = self.rng.choices(self.words, k=self.rng.randint(1, 12))
-            return ReasonerResponse(raw_text=" ".join(junk))
+            return " ".join(junk)
         if draw == 2:
-            return ReasonerResponse(raw_text="")
+            return ""
         raise RemoteBackendError(f"HTTP 503 after 3 attempt(s) at tick {request.tick}")
 
 

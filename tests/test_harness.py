@@ -62,7 +62,6 @@ from homecrew.reasoner import (
     TEXT,
     HeuristicReasoner,
     Reasoner,
-    ReasonerResponse,
     format_allocation,
     prompts,
     render_prompt,
@@ -146,7 +145,7 @@ class ProposeRecorder(Reasoner):
     def invoke(self, request):
         self.requests.append(request)
         if self.produces == TEXT:
-            return ReasonerResponse(raw_text="")
+            return ""
         return HeuristicReasoner().invoke(request)
 
 
@@ -406,10 +405,10 @@ class FlakyManager(Reasoner):
     def invoke(self, request):
         payload = request.structured_payload
         if request.kind == SUMMARIZE:
-            return ReasonerResponse(raw_text=template_digest(payload.records, payload.delta))
+            return template_digest(payload.records, payload.delta)
         if request.tick == 1:
             raise RemoteBackendError(self.ERROR)
-        return ReasonerResponse(raw_text=format_allocation(heuristic_allocation(payload)))
+        return format_allocation(heuristic_allocation(payload))
 
 
 class TestReplay:

@@ -19,7 +19,7 @@ from homecrew.coordination import (
     Proposal,
     assemble_context,
 )
-from homecrew.errors import ConfigError, ContractViolation, FixtureExhausted
+from homecrew.errors import ContractViolation, FixtureExhausted
 from homecrew.reasoner import (
     ALLOCATE,
     NO_SUMMARIES_MARKER,
@@ -126,7 +126,7 @@ class TestPrompts:
         assert "t=5 agent 1: GRAB(cup_1)" in text
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractViolation):
             render_prompt("daydream", propose_view())
 
 
@@ -136,8 +136,8 @@ class TestScripted:
         request = ReasonerRequest(
             kind=PROPOSE, rendered_prompt="", structured_payload=None, tick=3, agent_id=1
         )
-        assert scripted.invoke(request).raw_text == "first"
-        assert scripted.invoke(request).raw_text == "second"
+        assert scripted.invoke(request) == "first"
+        assert scripted.invoke(request) == "second"
         with pytest.raises(FixtureExhausted):
             scripted.invoke(request)
 
@@ -154,7 +154,7 @@ class TestScripted:
         req1 = ReasonerRequest(
             kind=PROPOSE, rendered_prompt="", structured_payload=None, tick=1, agent_id=2
         )
-        assert scripted.invoke(req1).raw_text == "b"
+        assert scripted.invoke(req1) == "b"
 
     def test_from_exchanges_preserves_order(self):
         scripted = ScriptedReasoner.from_exchanges(
@@ -163,12 +163,12 @@ class TestScripted:
         request = ReasonerRequest(
             kind=PROPOSE, rendered_prompt="", structured_payload=None, tick=1, agent_id=1
         )
-        assert scripted.invoke(request).raw_text == "x"
-        assert scripted.invoke(request).raw_text == "y"
+        assert scripted.invoke(request) == "x"
+        assert scripted.invoke(request) == "y"
         with pytest.raises(FixtureExhausted):
             scripted.invoke(request)
         allocate = dataclasses.replace(request, kind=ALLOCATE)
-        assert scripted.invoke(allocate).raw_text == "z"
+        assert scripted.invoke(allocate) == "z"
         with pytest.raises(FixtureExhausted):
             scripted.invoke(allocate)
 

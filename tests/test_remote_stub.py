@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stubserver import approve_candidates, completion
-from homecrew.errors import RemoteBackendError
+from homecrew.errors import ConfigError, RemoteBackendError
 from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_episode
 from homecrew.harness.episode import config_from_header
 from homecrew.harness.trace import header_of
@@ -35,9 +35,7 @@ class TestWireFormat:
         monkeypatch.setenv("STUB_KEY", "sk-test-123")
         stub.replies = [(200, completion("propose: IDLE", total_tokens=11))]
         reasoner = RemoteReasoner(stub.url, "house-7b", api_key_env="STUB_KEY")
-        response = reasoner.invoke(wire_request("hello robots"))
-        assert response.raw_text == "propose: IDLE"
-        assert response.token_counts == {"total_tokens": 11}
+        assert reasoner.invoke(wire_request("hello robots")) == "propose: IDLE"
         assert len(stub.seen) == 1
         seen = stub.seen[0]
         assert seen["path"] == "/chat/completions"
@@ -47,6 +45,10 @@ class TestWireFormat:
         assert seen["body"]["messages"] == [
             {"role": "user", "content": "hello robots"}
         ]
+
+    def test_empty_endpoint_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="needs an endpoint URL"):
+            RemoteReasoner("", "house-7b")
 
     def test_missing_key_sends_no_auth_header(self, stub, monkeypatch):
         monkeypatch.delenv("HOMECREW_API_KEY", raising=False)
@@ -58,8 +60,7 @@ class TestWireFormat:
 class TestRetries:
     def test_recovers_after_one_500(self, stub):
         stub.replies = [(500, {"error": "boom"}), (200, completion("ok"))]
-        response = remote(stub.url).invoke(wire_request())
-        assert response.raw_text == "ok"
+        assert remote(stub.url).invoke(wire_request()) == "ok"
         assert len(stub.seen) == 2
 
     def test_persistent_500_raises_after_budget(self, stub):
@@ -73,8 +74,7 @@ class TestRetries:
     @pytest.mark.parametrize("status", [408, 429])
     def test_timeout_and_throttle_statuses_are_retried(self, stub, status):
         stub.replies = [(status, {"error": "later"}), (200, completion("ok"))]
-        response = remote(stub.url).invoke(wire_request())
-        assert response.raw_text == "ok"
+        assert remote(stub.url).invoke(wire_request()) == "ok"
         assert len(stub.seen) == 2
 
     @pytest.mark.parametrize("status", [400, 401, 404, 422])
@@ -93,8 +93,7 @@ class TestRetries:
 
     def test_malformed_payload_retries_then_succeeds(self, stub):
         stub.replies = [(200, {"nope": True}), (200, completion("fine"))]
-        response = remote(stub.url).invoke(wire_request())
-        assert response.raw_text == "fine"
+        assert remote(stub.url).invoke(wire_request()) == "fine"
 
     def test_unreachable_endpoint_raises(self):
         reasoner = remote("http://127.0.0.1:1", timeout_s=0.5)
@@ -151,15 +150,15 @@ class TestPayloadBoundary:
     ):
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
         stub.replies = [(200, payload)] * (1 + remote_module.TRANSPORT_RETRIES)
-        expected = content_of(payload)
+        content = content_of(payload)
         reasoner = remote(stub.url)
         try:
-            response = reasoner.invoke(wire_request())
+            reply = reasoner.invoke(wire_request())
         except RemoteBackendError as exc:
-            assert expected is None, exc
+            assert content is None, exc
             assert "malformed completion payload" in str(exc)
         else:
-            assert expected is not None and response.raw_text == expected
+            assert content is not None and reply == content
         finally:
             reasoner.close()
 

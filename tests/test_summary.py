@@ -62,7 +62,6 @@ def summary_for(interval, index, text="note", delta=1):
         interval=interval,
         delta=delta,
         text=text,
-        source_record_count=hi - lo,
     )
 
 
@@ -171,7 +170,9 @@ class TestSummarize:
         assert "progress +1" in summary.text
         assert "plate_1" in summary.text
         assert not summary.degraded
-        assert summary.source_record_count == 2
+        assert summary == Summary(
+            index=1, interval=(0, 2), delta=1, text=template_digest(records, 1)
+        )
 
     def test_template_digest_counts_setbacks(self):
         events = [
@@ -229,9 +230,9 @@ class TestPartitionProperty:
                 lo, hi = summary.interval
                 assert lo == previous_end
                 assert hi == change_tick
-                assert summary.source_record_count == len(
-                    slice_history(records, lo, hi)
-                )
+                assert summary.text == template_digest(
+                    slice_history(records, lo, hi), summary.delta
+                )[:SUMMARY_CHAR_BUDGET]
                 assert summary.text and len(summary.text) <= SUMMARY_CHAR_BUDGET
                 assert not summary.degraded
                 previous_end = hi
