@@ -16,7 +16,6 @@ from .metrics import (
     read_long_csv,
 )
 from .trace import (
-    action_stream,
     end_of,
     header_of,
     load_trace,
@@ -31,7 +30,6 @@ __all__ = [
     "EpisodeConfig",
     "EpisodeResult",
     "RemoteConfig",
-    "action_stream",
     "aggregate",
     "compute_ei",
     "efficiency_fraction",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..agents import Belief, expand_macro, merge_team_belief, perceive
@@ -61,7 +62,7 @@ from ..world import (
     transition,
 )
 from .config import EpisodeConfig, build_reasoner, variant_flags
-from .trace import TRACE_FORMAT, action_stream, end_of, exchanges_of, header_of
+from .trace import TRACE_FORMAT, action_stream, end_of, exchanges_of, header_of, render_line
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -411,42 +412,43 @@ def config_from_header(header: dict) -> EpisodeConfig:
     return config
 
 
+# The header fields naming each role's backend. A replay writes the backend
+# that really answered (``scripted`` for a text one), so it skips them.
+BACKEND_FIELDS = ("manager_backend", "member_backend")
+
+
+def divergence(recorded: List[dict], replayed: List[dict]) -> str:
+    """Where two traces first differ by ``render_line`` bytes: the record's
+    number and type and the first differing key, or the two record counts when
+    one trace runs on past the other. Empty when they agree."""
+    for number, (was, now) in enumerate(zip_longest(recorded, replayed), 1):
+        if was is None or now is None:
+            return (
+                f"record {number} ({(now if was is None else was).get('type')}) diverged: "
+                f"recorded {len(recorded)} records, replayed {len(replayed)}"
+            )
+        skip = BACKEND_FIELDS if number == 1 else ()
+        for key in sorted((was.keys() | now.keys()).difference(skip)):
+            if key not in was or key not in now or (
+                render_line({key: was[key]}) != render_line({key: now[key]})
+            ):
+                return f"record {number} ({was.get('type')}) diverged at {key!r}"
+    return ""
+
+
 def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
-    """Rerun a trace with its text exchanges scripted back and compare step
-    count plus the per-tick action stream against the recording. Every record
-    replay reads is checked before the rerun starts."""
+    """Rerun a trace with its text exchanges scripted back and compare every
+    record the rerun writes with the recorded one. Every record replay reads
+    is checked before the rerun starts."""
     header = header_of(records)
-    recorded_end = end_of(records)
+    end_of(records)
     config = config_from_header(header)
-    original = action_stream(records)
+    action_stream(records)
     scripted = ScriptedReasoner.from_exchanges(exchanges_of(records))
-    manager = (
-        HeuristicReasoner()
-        if header["manager_backend"] == "heuristic"
-        else scripted
-    )
-    member = (
-        HeuristicReasoner()
-        if header["member_backend"] == "heuristic"
-        else scripted
+    manager, member = (
+        HeuristicReasoner() if header[field] == "heuristic" else scripted
+        for field in BACKEND_FIELDS
     )
     result = run_episode(config, manager, member)
-    problems = []
-    if result.steps != recorded_end["steps"]:
-        problems.append(
-            f"steps diverged: recorded {recorded_end['steps']}, replayed {result.steps}"
-        )
-    if recorded_end["success"] != result.success:
-        problems.append("success flag diverged")
-    replayed = action_stream(list(result.records))
-    if original != replayed:
-        first_bad = next(
-            (
-                (tick, a, b)
-                for (tick, a), (_, b) in zip(original, replayed)
-                if a != b
-            ),
-            None,
-        )
-        problems.append(f"action stream diverged, first difference: {first_bad}")
-    return result, not problems, "; ".join(problems)
+    message = divergence(records, list(result.records))
+    return result, not message, message

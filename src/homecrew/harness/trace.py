@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..errors import ConfigError, ContractViolation
 from ..reasoner.scripted import Exchange, exchange_entry, is_int
@@ -112,10 +112,10 @@ def exchanges_of(records: List[dict]) -> List[Exchange]:
     return exchanges
 
 
-def action_stream(records: List[dict]) -> List[Tuple[int, Dict[str, str]]]:
-    """Per-tick primitive actions, the unit replay fidelity is judged on. A
-    tick record needs an int tick and an actions object of strings."""
-    stream = []
+def action_stream(records: List[dict]) -> None:
+    """Check every tick record: an int tick and an actions object of strings.
+    Replay compares the tick records whole; this refuses, before any rerun,
+    one that no run could have written."""
     for number, r in enumerate(records, 1):
         if r.get("type") != "tick":
             continue
@@ -126,5 +126,3 @@ def action_stream(records: List[dict]) -> List[Tuple[int, Dict[str, str]]]:
             and all(isinstance(k, str) and isinstance(v, str) for k, v in actions.items())
         ):
             raise ContractViolation(f"trace record {number} is a malformed tick")
-        stream.append((tick, dict(actions)))
-    return stream

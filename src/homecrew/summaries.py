@@ -2,9 +2,10 @@
 
 Whenever the team's believed progress changes, the records since the last
 change point are condensed into one bounded note and appended to a running
-list. The notes replace raw history in manager prompts, so prompt size grows
-with the number of milestones instead of the number of ticks. Interval
-bookkeeping is half-open: a summary over (lo, hi] covers the records with
+list. The notes replace raw history in the manager's ALLOCATE prompt, so it
+grows with milestones, not ticks. A member's PROPOSE prompt still renders its
+own records since the last summary, so it grows with the ticks of a stall.
+Intervals are half-open: a summary over (lo, hi] covers the records with
 lo < tick <= hi, and consecutive summaries tile the history exactly.
 """
 

@@ -2,9 +2,9 @@
 dataclass field there has a reader.
 
 A name counts as called when it is read anywhere in src/ or scripts/ other
-than where it is defined: as a name, or as an attribute. Names listed in an
-``__all__``, ``main`` and dunder methods are exempt, because they are called
-from outside or by Python itself.
+than where it is defined: as a name, or as an attribute. ``main``, dunder
+methods and the names in ``CALLED_FROM_OUTSIDE`` are exempt, because they
+are called by Python itself or only from outside src/ and scripts/.
 """
 
 from __future__ import annotations
@@ -13,6 +13,16 @@ import ast
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Each name with why nothing under src/ or scripts/ calls it. Being listed in
+# an ``__all__`` is not a reason.
+CALLED_FROM_OUTSIDE = {
+    "allocate": "perfbench's hook resolution test relies on it shadowing its module;"
+    " the coordination tests call it",
+    "enumerate_joint_space": "a perfbench hook wraps it; the allocator tests use it as their oracle",
+    "score_joint": "a perfbench hook wraps it; the allocator tests use it as their oracle",
+    "legal_actions": "the simulator's rule set, and the world tests' reference",
+}
 
 
 def parsed_modules(folder):
@@ -25,7 +35,7 @@ def parsed_modules(folder):
 
 
 def test_every_function_under_src_has_a_caller():
-    defined, read, exported = {}, set(), set()
+    defined, read = {}, set()
     for folder in ("src", "scripts"):
         for path, tree in parsed_modules(folder):
             for node in ast.walk(tree):
@@ -36,17 +46,12 @@ def test_every_function_under_src_has_a_caller():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-                elif isinstance(node, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "__all__"
-                    for target in node.targets
-                ):
-                    exported.update(ast.literal_eval(node.value))
-    assert defined and exported
+    assert defined
     uncalled = sorted(
         f"{path}: {name}"
         for name, path in defined.items()
         if name not in read
-        and name not in exported
+        and name not in CALLED_FROM_OUTSIDE
         and name != "main"
         and not (name.startswith("__") and name.endswith("__"))
     )

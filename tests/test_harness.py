@@ -428,7 +428,8 @@ class TestReplay:
         tick["actions"][agent] = "NOOP"
         _, ok, message = replay_trace(records)
         assert not ok
-        assert "action stream diverged" in message
+        number = records.index(tick) + 1
+        assert message == f"record {number} (tick) diverged at 'actions'"
 
     def test_tampered_step_count_is_caught(self):
         result = run_episode(episode_config())
@@ -436,7 +437,7 @@ class TestReplay:
         end_of(records)["steps"] += 1
         _, ok, message = replay_trace(records)
         assert not ok
-        assert "steps diverged" in message
+        assert message == f"record {len(records)} (end) diverged at 'steps'"
 
     def test_config_round_trips_through_header(self):
         config = episode_config(use_summaries=False)
@@ -946,6 +947,83 @@ def run_fresh(script: str, cwd: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+def homecrew_cli(*argv: str, cwd: str) -> subprocess.CompletedProcess:
+    """``homecrew ARGV`` in a new interpreter that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-m", "homecrew.harness.cli", *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def set_every(record_type, **fields):
+    def tamper(records):
+        for record in records:
+            if record["type"] == record_type:
+                record.update(fields)
+        return records
+
+    return tamper
+
+
+class TestReplayCommand:
+    """Each tampering alone fails ``homecrew replay`` at the first record it
+    changed: summaries, proposals, events, satisfied counts and end counters
+    are all compared, not only the actions."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        cwd = str(tmp_path_factory.mktemp("replay"))
+        done = homecrew_cli(
+            "run", "--task", "WashDishes", "--agents", "2", "--seed", "0",
+            "--out", "t.jsonl", cwd=cwd,
+        )
+        assert done.returncode == 0, done.stderr
+        done = homecrew_cli("replay", "--trace", "t.jsonl", cwd=cwd)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("replay PASS")
+        return cwd, load_trace(os.path.join(cwd, "t.jsonl"))
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            set_every("summary", text="tampered"),
+            set_every("allocation", proposals={"1": "IDLE"}),
+            set_every("tick", events=[]),
+            set_every("tick", satisfied=99),
+            set_every("end", summaries=42, degraded_exchanges=7),
+            lambda records: records + records[-1:],
+            lambda records: records[:1] + [{"type": "note", "text": "x"}] + records[1:],
+        ],
+        ids=[
+            "summary-text",
+            "allocation-proposals",
+            "tick-events",
+            "tick-satisfied",
+            "end-counters",
+            "duplicated-end",
+            "foreign-record",
+        ],
+    )
+    def test_tampered_trace_fails_at_its_first_changed_record(self, recorded, tamper):
+        cwd, records = recorded
+        tampered = tamper(copy.deepcopy(records))
+        number, changed = next(
+            (n, was)
+            for n, (was, now) in enumerate(zip(tampered, records + [None]), 1)
+            if was != now
+        )
+        write_trace(tampered, os.path.join(cwd, "tampered.jsonl"))
+        done = homecrew_cli("replay", "--trace", "tampered.jsonl", cwd=cwd)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.startswith(
+            f"replay FAIL: record {number} ({changed['type']}) diverged"
+        ), done.stdout
 
 
 class TestStartup:
