@@ -29,7 +29,7 @@ from ..agents.execution import (
 )
 from ..reasoner.base import ALLOCATE, Reasoner, ask
 from ..reasoner.parsing import parse_allocation
-from ..summaries import CollaborativeSummary
+from ..summaries import Summary
 from ..world.types import (
     LOC_AGENT,
     GoalSpec,
@@ -308,7 +308,7 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
 def allocate_with_report(
     reasoner: Reasoner,
     context: CrossAgentContext,
-    summaries: CollaborativeSummary,
+    summaries: Tuple[Summary, ...],
     progress: TaskProgress,
     goal: GoalSpec,
 ) -> Tuple[JointAction, AllocationReport]:
@@ -337,7 +337,7 @@ def allocate_with_report(
 def allocate(
     reasoner: Reasoner,
     context: CrossAgentContext,
-    summaries: CollaborativeSummary,
+    summaries: Tuple[Summary, ...],
     progress: TaskProgress,
     goal: GoalSpec,
 ) -> JointAction:

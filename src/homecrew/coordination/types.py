@@ -8,7 +8,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..agents.belief import Belief, TeamBelief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
-from ..summaries import CollaborativeSummary
+from ..summaries import Summary
 from ..world.types import GoalSpec, HouseMap, Observation, TaskProgress
 
 
@@ -91,7 +91,7 @@ class AllocationInputs:
     """The inputs of an ALLOCATE decision, for any backend."""
 
     context: CrossAgentContext
-    summaries: CollaborativeSummary
+    summaries: Tuple[Summary, ...]
     progress: TaskProgress
     goal: GoalSpec
 

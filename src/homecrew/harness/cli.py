@@ -8,7 +8,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, EngineError
-from ..reasoner.remote import DEFAULT_KEY_ENV, DEFAULT_TIMEOUT_S
 from ..world import task_categories
 from .benchmark import BenchmarkSpec, run_benchmark
 from .config import (
@@ -83,10 +82,10 @@ def add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="", help="remote model name")
     parser.add_argument(
         "--key-env",
-        default=DEFAULT_KEY_ENV,
+        default=RemoteConfig.api_key_env,
         help="environment variable holding the remote API key",
     )
-    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
+    parser.add_argument("--timeout", type=float, default=RemoteConfig.timeout_s)
     parser.add_argument("--fixtures", default=None, help="scripted fixtures JSONL")
     parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     parser.add_argument(

@@ -21,7 +21,6 @@ from ..reasoner import (
     ScriptedReasoner,
     load_fixtures,
 )
-from ..reasoner.remote import DEFAULT_KEY_ENV, DEFAULT_TIMEOUT_S
 from ..world import scenarios, task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
@@ -42,14 +41,15 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class RemoteConfig:
-    """Where text decisions go and how long each may take. timeout_s bounds
-    every attempt of a request; max_concurrency bounds how many of one
-    tick's decisions are in flight at once (1 sends them in turn)."""
+    """The remote backend's settings. timeout_s bounds each attempt's connect
+    and each wait for reply data; max_concurrency bounds how many of one
+    tick's decisions are in flight at once (1 sends them in turn). The
+    endpoint and model may stay empty until a RemoteReasoner checks them."""
 
     endpoint_url: str = ""
     model: str = ""
-    api_key_env: str = DEFAULT_KEY_ENV
-    timeout_s: float = DEFAULT_TIMEOUT_S
+    api_key_env: str = "HOMECREW_API_KEY"
+    timeout_s: float = 30.0
     max_concurrency: int = 4
 
     def __post_init__(self):
@@ -111,15 +111,7 @@ def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
     if backend == "heuristic":
         return HeuristicReasoner()
     if backend == "remote":
-        remote = config.remote
-        if not remote.endpoint_url or not remote.model:
-            raise ConfigError("remote backend needs --endpoint-url and --model")
-        return RemoteReasoner(
-            endpoint_url=remote.endpoint_url,
-            model=remote.model,
-            api_key_env=remote.api_key_env,
-            timeout_s=remote.timeout_s,
-        )
+        return RemoteReasoner(config.remote)
     # EpisodeConfig admits no backend name but these three.
     if not config.fixtures_path:
         raise ConfigError("scripted backend needs --fixtures")

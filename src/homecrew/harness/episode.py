@@ -47,7 +47,7 @@ from ..reasoner import (
     TEXT,
 )
 from ..summaries import (
-    CollaborativeSummary,
+    Summary,
     append,
     detect_change,
     slice_history,
@@ -221,7 +221,7 @@ def _play_episode(
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     history: List[HistoryRecord] = []
-    collected = CollaborativeSummary()
+    collected: Tuple[Summary, ...] = ()
     last_believed = TaskProgress(
         0, goal.total_units(), tuple(0 for _ in goal.predicates)
     )

@@ -79,7 +79,6 @@ def _render_propose(view: AgentView) -> str:
 
 def _render_allocate(inputs: AllocationInputs) -> str:
     context, goal = inputs.context, inputs.goal
-    summary_lines = inputs.summaries.rendered_lines()
     agent_ids = context.agent_ids()
     lines = [
         "You are the manager of a team of household robots.",
@@ -94,10 +93,7 @@ def _render_allocate(inputs: AllocationInputs) -> str:
         "",
         "## Collaboration summary (most recent first)",
     ]
-    if summary_lines:
-        lines += list(summary_lines)
-    else:
-        lines.append(NO_SUMMARIES_MARKER)
+    lines += [s.render_line() for s in reversed(inputs.summaries)] or [NO_SUMMARIES_MARKER]
     lines.append("")
     lines.append("## Team context")
     for entry in context.entries:

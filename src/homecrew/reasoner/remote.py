@@ -11,21 +11,25 @@ RemoteBackendError for the caller's fallback path to handle.
 One instance may serve several threads at once; how many calls are in flight
 is bounded by the caller (the episode loop's round pool), not here.
 
-``requests`` is imported when the first instance is built, so a run that
-uses no remote backend never loads the HTTP stack.
+An instance reads its settings from a RemoteConfig and refuses, with
+ConfigError, an endpoint that is not an http(s) URL with a host or an empty
+model. ``requests`` is imported when the first instance is built, so a run
+that uses no remote backend never loads the HTTP stack.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from typing import TYPE_CHECKING
+from urllib.parse import urlsplit
 
 from ..errors import ConfigError, RemoteBackendError
 from .base import TEXT, Reasoner, ReasonerRequest
 
-DEFAULT_KEY_ENV = "HOMECREW_API_KEY"
-# Each attempt's connect and each wait for reply data.
-DEFAULT_TIMEOUT_S = 30.0
+if TYPE_CHECKING:
+    from ..harness.config import RemoteConfig
+
 TRANSPORT_RETRIES = 2
 RETRY_BACKOFF_S = 0.05
 # Client errors that a later attempt can still get past.
@@ -36,19 +40,19 @@ class RemoteReasoner(Reasoner):
     name = "remote"
     produces = TEXT
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        model: str,
-        api_key_env: str = DEFAULT_KEY_ENV,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-    ):
-        if not endpoint_url:
-            raise ConfigError("remote backend needs an endpoint URL")
-        self.endpoint_url = endpoint_url.rstrip("/")
-        self.model = model
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
+    def __init__(self, config: RemoteConfig):
+        try:
+            parts = urlsplit(config.endpoint_url)
+            parts.port  # raises ValueError for a port that is not a number in range
+        except ValueError:
+            parts = None
+        if not (parts and parts.scheme in ("http", "https") and parts.hostname and config.model):
+            raise ConfigError(
+                "remote backend needs an http(s) endpoint URL with a host and a model, "
+                f"got endpoint {config.endpoint_url!r} and model {config.model!r}"
+            )
+        self.config = config
+        self._url = f"{config.endpoint_url.rstrip('/')}/chat/completions"
         try:
             import requests
         except ImportError as exc:
@@ -61,18 +65,17 @@ class RemoteReasoner(Reasoner):
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
     def invoke(self, request: ReasonerRequest) -> str:
         body = {
-            "model": self.model,
+            "model": self.config.model,
             "temperature": 0,
             "messages": [{"role": "user", "content": request.rendered_prompt}],
         }
-        url = f"{self.endpoint_url}/chat/completions"
         attempts = 1 + TRANSPORT_RETRIES
         last_error = "no attempt made"
         made = 0
@@ -82,10 +85,10 @@ class RemoteReasoner(Reasoner):
             made += 1
             try:
                 reply = self._session.post(
-                    url,
+                    self._url,
                     json=body,
                     headers=self._headers(),
-                    timeout=self.timeout_s,
+                    timeout=self.config.timeout_s,
                 )
             except self._transport_error as exc:
                 last_error = f"transport error: {exc.__class__.__name__}"
@@ -103,4 +106,4 @@ class RemoteReasoner(Reasoner):
             if isinstance(text, str):
                 return text
             last_error = "malformed completion payload"
-        raise RemoteBackendError(f"{last_error} after {made} attempt(s) to {url}")
+        raise RemoteBackendError(f"{last_error} after {made} attempt(s) to {self._url}")

@@ -11,7 +11,7 @@ lo < tick <= hi, and consecutive summaries tile the history exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .agents.records import HistoryRecord
@@ -36,18 +36,6 @@ class Summary:
     def render_line(self) -> str:
         lo, hi = self.interval
         return f"[{self.index}] ticks {lo + 1}-{hi}: {self.text}"
-
-
-@dataclass(frozen=True)
-class CollaborativeSummary:
-    entries: Tuple[Summary, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def rendered_lines(self) -> Tuple[str, ...]:
-        """Most recent first, the order prompts show them in."""
-        return tuple(s.render_line() for s in reversed(self.entries))
 
 
 def detect_change(progress: TaskProgress, last_progress: TaskProgress) -> bool:
@@ -134,20 +122,20 @@ def summarize(
     )
 
 
-def append(collected: CollaborativeSummary, summary: Summary) -> CollaborativeSummary:
+def append(collected: Tuple[Summary, ...], summary: Summary) -> Tuple[Summary, ...]:
     """Append with tiling checks: indexes run 1..n and each interval starts
     where the previous one ended (the first starts at 0)."""
     lo, hi = summary.interval
     if lo >= hi:
         raise ContractViolation(f"empty or inverted summary interval ({lo}, {hi}]")
-    expected_index = len(collected.entries) + 1
+    expected_index = len(collected) + 1
     if summary.index != expected_index:
         raise ContractViolation(
             f"summary index {summary.index} out of order, expected {expected_index}"
         )
-    expected_lo = collected.entries[-1].interval[1] if collected.entries else 0
+    expected_lo = collected[-1].interval[1] if collected else 0
     if lo != expected_lo:
         raise ContractViolation(
             f"summary interval ({lo}, {hi}] not adjacent to previous end {expected_lo}"
         )
-    return replace(collected, entries=collected.entries + (summary,))
+    return collected + (summary,)

@@ -67,7 +67,6 @@ from homecrew.reasoner import (
     Reasoner,
     RemoteReasoner,
 )
-from homecrew.summaries import CollaborativeSummary
 from homecrew.world import (
     evaluate_progress,
     init_world,
@@ -203,7 +202,7 @@ def random_instance(
     context = assemble_context(proposals, beliefs, observations, house, team)
     return AllocationInputs(
         context=context,
-        summaries=CollaborativeSummary(),
+        summaries=(),
         progress=evaluate_progress(state, goal),
         goal=goal,
     )
@@ -783,7 +782,7 @@ def test_concurrent_remote_round_matches_sequential(stub):
         assert peaks[1] == 1
         assert 2 <= peaks[4] <= 4
 
-        crashing = CrashingReasoner(stub.url, "house-7b")
+        crashing = CrashingReasoner(RemoteConfig(stub.url, "house-7b"))
         try:
             with pytest.raises(RuntimeError, match="backend crashed"):
                 run_episode(config, crashing, crashing)

@@ -60,7 +60,6 @@ from homecrew.reasoner import (
     parse_proposal,
     parse_task,
 )
-from homecrew.summaries import CollaborativeSummary
 from homecrew.world import (
     IN,
     LOC_AGENT,
@@ -156,7 +155,7 @@ def build_inputs(task, num_agents, seed, drop_rate=0.0) -> AllocationInputs:
     context = assemble_context(proposals, beliefs, observations, state.house, team)
     return AllocationInputs(
         context=context,
-        summaries=CollaborativeSummary(),
+        summaries=(),
         progress=evaluate_progress(state, goal),
         goal=goal,
     )

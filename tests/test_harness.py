@@ -808,6 +808,19 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "endpoint", ["ftp://example.invalid/v1", "example.invalid/v1", "http://", "http://[::1"]
+    )
+    def test_bad_endpoint_is_refused_before_the_run(self, endpoint, tmp_path, capsys):
+        argv, out = self.run_argv(
+            tmp_path, "--backend", "remote", "--endpoint-url", endpoint, "--model", "m"
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: remote backend needs an http(s) endpoint URL")
+        assert repr(endpoint) in captured.err
+        assert captured.out == "" and not os.path.exists(out)
+
+    @pytest.mark.parametrize(
         "text, where",
         [
             (None, "cannot read fixtures"),

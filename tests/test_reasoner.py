@@ -31,7 +31,7 @@ from homecrew.reasoner import (
     load_fixtures,
     render_prompt,
 )
-from homecrew.summaries import CollaborativeSummary, Summary, SummaryInputs, append
+from homecrew.summaries import Summary, SummaryInputs, append
 from homecrew.world import IN, Action, evaluate_progress, init_world, observe
 from homecrew.world.types import goal_location
 
@@ -67,7 +67,7 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
     ]
     beliefs = {i: Belief.empty() for i in agent_ids}
     observations = {i: observe(state, i) for i in agent_ids}
-    summaries = CollaborativeSummary()
+    summaries = ()
     bounds = (0, 4, 9)
     for index, text in enumerate(summary_texts, 1):
         interval = (bounds[index - 1], bounds[index])

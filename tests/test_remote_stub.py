@@ -27,14 +27,14 @@ def wire_request(prompt="ping"):
 
 
 def remote(url, timeout_s=5.0):
-    return RemoteReasoner(url, "m", timeout_s=timeout_s)
+    return RemoteReasoner(RemoteConfig(url, "m", timeout_s=timeout_s))
 
 
 class TestWireFormat:
     def test_request_shape_and_auth_from_env(self, stub, monkeypatch):
         monkeypatch.setenv("STUB_KEY", "sk-test-123")
         stub.replies = [(200, completion("propose: IDLE", total_tokens=11))]
-        reasoner = RemoteReasoner(stub.url, "house-7b", api_key_env="STUB_KEY")
+        reasoner = RemoteReasoner(RemoteConfig(stub.url, "house-7b", api_key_env="STUB_KEY"))
         assert reasoner.invoke(wire_request("hello robots")) == "propose: IDLE"
         assert len(stub.seen) == 1
         seen = stub.seen[0]
@@ -47,13 +47,39 @@ class TestWireFormat:
         ]
 
     def test_empty_endpoint_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="needs an endpoint URL"):
-            RemoteReasoner("", "house-7b")
+        with pytest.raises(ConfigError, match="endpoint URL with a host and a model, got endpoint ''"):
+            RemoteReasoner(RemoteConfig("", "house-7b"))
+
+    def test_empty_model_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="got endpoint 'http://127.0.0.1:1' and model ''"):
+            RemoteReasoner(RemoteConfig("http://127.0.0.1:1", ""))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        endpoint=st.one_of(
+            st.text(),
+            st.builds(
+                "{}://{}{}".format,
+                st.sampled_from(["http", "https", "HTTP", "ftp", ""]),
+                st.text(st.characters(codec="utf-8"), max_size=12),
+                st.sampled_from(["", "/v1", ":8080/v1", ":0", ":99999", ":x"]),
+            ),
+        )
+    )
+    @example("http://[::1")
+    @example("http://[::1]:8080/v1")
+    def test_any_endpoint_builds_or_is_a_config_error(self, endpoint):
+        try:
+            reasoner = RemoteReasoner(RemoteConfig(endpoint, "m"))
+        except ConfigError as exc:
+            assert repr(endpoint) in str(exc)
+        else:
+            reasoner.close()
 
     def test_missing_key_sends_no_auth_header(self, stub, monkeypatch):
         monkeypatch.delenv("HOMECREW_API_KEY", raising=False)
         stub.replies = [(200, completion("ok"))]
-        RemoteReasoner(stub.url, "house-7b").invoke(wire_request())
+        RemoteReasoner(RemoteConfig(stub.url, "house-7b")).invoke(wire_request())
         assert stub.seen[0]["authorization"] is None
 
 

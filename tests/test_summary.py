@@ -9,18 +9,21 @@ import random
 
 import pytest
 
+from homecrew.agents import merge_team_belief
 from homecrew.agents.records import HistoryRecord
+from homecrew.coordination import AllocationInputs, assemble_context
 from homecrew.errors import ContractViolation, RemoteBackendError
 from homecrew.reasoner import (
+    ALLOCATE,
     SUMMARIZE,
     TEXT,
     HeuristicReasoner,
     Reasoner,
     ScriptedReasoner,
+    render_prompt,
 )
 from homecrew.summaries import (
     SUMMARY_CHAR_BUDGET,
-    CollaborativeSummary,
     Summary,
     append,
     detect_change,
@@ -72,7 +75,7 @@ def run_partitioned(task, num_agents, seed, ticks=120):
     rng = random.Random(seed * 613 + 7)
     reasoner = HeuristicReasoner()
     records = []
-    collected = CollaborativeSummary()
+    collected = ()
     last = evaluate_progress(state, goal)
     t_last = 0
     change_ticks = []
@@ -126,31 +129,36 @@ class TestIntervals:
         assert covered == log
 
     def test_append_builds_adjacent_chain(self):
-        collected = CollaborativeSummary()
+        collected = ()
         for index, interval in enumerate([(0, 3), (3, 5), (5, 9)], start=1):
             collected = append(collected, summary_for(interval, index))
         assert len(collected) == 3
-        assert [s.interval for s in collected.entries] == [(0, 3), (3, 5), (5, 9)]
+        assert [s.interval for s in collected] == [(0, 3), (3, 5), (5, 9)]
 
     def test_append_rejects_wrong_index(self):
-        collected = append(CollaborativeSummary(), summary_for((0, 2), 1))
+        collected = append((), summary_for((0, 2), 1))
         with pytest.raises(ContractViolation):
             append(collected, summary_for((2, 4), 3))
 
     def test_append_rejects_gap(self):
-        collected = append(CollaborativeSummary(), summary_for((0, 2), 1))
+        collected = append((), summary_for((0, 2), 1))
         with pytest.raises(ContractViolation):
             append(collected, summary_for((3, 4), 2))
 
     def test_append_rejects_empty_interval(self):
         with pytest.raises(ContractViolation):
-            append(CollaborativeSummary(), summary_for((4, 4), 1))
+            append((), summary_for((4, 4), 1))
 
     def test_rendered_lines_most_recent_first(self):
-        collected = append(CollaborativeSummary(), summary_for((0, 3), 1, "first"))
+        collected = append((), summary_for((0, 3), 1, "first"))
         collected = append(collected, summary_for((3, 5), 2, "second"))
-        lines = collected.rendered_lines()
-        assert lines == ("[2] ticks 4-5: second", "[1] ticks 1-3: first")
+        state, goal = init_world("PrepareTea", 1, seed=0)
+        context = assemble_context([], {}, {}, state.house, merge_team_belief([]))
+        inputs = AllocationInputs(context, collected, evaluate_progress(state, goal), goal)
+        prompt = render_prompt(ALLOCATE, inputs)
+        section = prompt.split("## Collaboration summary (most recent first)\n")[1]
+        lines = section.split("\n\n")[0].splitlines()
+        assert lines == ["[2] ticks 4-5: second", "[1] ticks 1-3: first"]
 
 
 class TestSummarize:
@@ -226,7 +234,7 @@ class TestPartitionProperty:
             total_changes += len(change_ticks)
             assert len(collected) == len(change_ticks)
             previous_end = 0
-            for summary, change_tick in zip(collected.entries, change_ticks):
+            for summary, change_tick in zip(collected, change_ticks):
                 lo, hi = summary.interval
                 assert lo == previous_end
                 assert hi == change_tick
@@ -239,7 +247,7 @@ class TestPartitionProperty:
             if change_ticks:
                 rebuilt = []
                 previous_end = 0
-                for summary in collected.entries:
+                for summary in collected:
                     rebuilt.extend(
                         slice_history(records, previous_end, summary.interval[1])
                     )
