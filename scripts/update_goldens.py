@@ -52,10 +52,6 @@ OUT_PATH = os.path.join(ROOT, "tests", "data", "golden_hashes.json")
 PROMPT_PATH = os.path.join(ROOT, "tests", "data", "prompt_hashes.json")
 
 
-def golden_key(config: EpisodeConfig) -> str:
-    return f"{config.task}_{config.variant}_a{config.num_agents}_s{config.seed}"
-
-
 class PromptCapture(Reasoner):
     """A text backend that keeps every prompt it is sent and answers with
     the heuristic's own decision, written in the reply grammar."""
@@ -108,12 +104,12 @@ def main() -> None:
     hashes = {}
     for config in GOLDEN_CONFIGS:
         result = run_episode(config)
-        hashes[golden_key(config)] = trace_sha256(list(result.records))
-        print(f"{golden_key(config)}: {hashes[golden_key(config)]}")
+        hashes[config.key] = trace_sha256(list(result.records))
+        print(f"{config.key}: {hashes[config.key]}")
     write_json(OUT_PATH, hashes)
     write_json(
         PROMPT_PATH,
-        {golden_key(config): prompt_digests(config) for config in PROMPT_CONFIGS},
+        {config.key: prompt_digests(config) for config in PROMPT_CONFIGS},
     )
 
 

@@ -12,16 +12,9 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .config import EpisodeConfig, variant_flags
+from .config import VARIANTS, EpisodeConfig, variant_flags
 from .episode import EpisodeResult, run_episode
-from .metrics import (
-    CellMetrics,
-    VARIANT_ORDER,
-    aggregate,
-    long_csv,
-    metrics_csv,
-    metrics_json,
-)
+from .metrics import CellMetrics, aggregate, long_csv, metrics_csv, metrics_json
 from .trace import render_trace
 
 
@@ -35,22 +28,20 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         for variant in self.variants:
-            if variant not in VARIANT_ORDER:
-                raise ConfigError(f"unknown variant {variant!r}")
+            variant_flags(variant)
         if not self.tasks or not self.agent_counts or not self.seeds:
             raise ConfigError("benchmark grid must not be empty")
 
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    rows: Tuple[dict, ...]
     cells: Tuple[CellMetrics, ...]
     results: Tuple[EpisodeResult, ...] = field(default=(), repr=False)
 
 
 def cell_configs(spec: BenchmarkSpec) -> List[EpisodeConfig]:
     """The grid in canonical order: task, variant, team size, seed."""
-    ordered_variants = [v for v in VARIANT_ORDER if v in set(spec.variants)]
+    ordered_variants = [v for v in VARIANTS if v in set(spec.variants)]
     configs = []
     for task in sorted(set(spec.tasks)):
         for variant in ordered_variants:
@@ -70,24 +61,20 @@ def cell_configs(spec: BenchmarkSpec) -> List[EpisodeConfig]:
     return configs
 
 
-def trace_filename(result: EpisodeResult) -> str:
-    return (
-        f"{result.task}_{result.variant}_a{result.num_agents}_s{result.seed}.jsonl"
-    )
-
-
 def run_benchmark(spec: BenchmarkSpec, out_dir: Optional[str] = None) -> BenchmarkResult:
     """Run every cell, each on backends built from its own config; optionally
     write traces and metric files under out_dir."""
-    results = [run_episode(config) for config in cell_configs(spec)]
-    rows = tuple(result.as_row() for result in results)
+    configs = cell_configs(spec)
+    results = [run_episode(config) for config in configs]
+    rows = [result.as_row() for result in results]
     cells = tuple(aggregate(rows))
     if out_dir is not None:
-        emit_outputs(results, rows, cells, out_dir)
-    return BenchmarkResult(rows=rows, cells=cells, results=tuple(results))
+        emit_outputs(configs, results, rows, cells, out_dir)
+    return BenchmarkResult(cells=cells, results=tuple(results))
 
 
 def emit_outputs(
+    configs: Sequence[EpisodeConfig],
     results: Sequence[EpisodeResult],
     rows: Sequence[dict],
     cells: Sequence[CellMetrics],
@@ -96,8 +83,8 @@ def emit_outputs(
     try:
         traces_dir = os.path.join(out_dir, "traces")
         os.makedirs(traces_dir, exist_ok=True)
-        for result in results:
-            path = os.path.join(traces_dir, trace_filename(result))
+        for config, result in zip(configs, results):
+            path = os.path.join(traces_dir, f"{config.key}.jsonl")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(render_trace(list(result.records)))
         with open(os.path.join(out_dir, "long.csv"), "w", encoding="utf-8") as handle:

@@ -193,10 +193,11 @@ def cmd_run(args) -> int:
     records = list(result.records)
     if args.out:
         write_trace(records, args.out)
+    end = result.end
     print(
-        f"task={result.task} agents={result.num_agents} seed={result.seed} "
-        f"variant={result.variant} success={result.success} steps={result.steps} "
-        f"satisfied={result.satisfied}/{result.total} summaries={result.num_summaries} "
+        f"task={config.task} agents={config.num_agents} seed={config.seed} "
+        f"variant={config.variant} success={result.success} steps={result.steps} "
+        f"satisfied={end['satisfied']}/{end['total']} summaries={end['summaries']} "
         f"degraded={result.degraded_exchanges} sha256={trace_sha256(records)}"
     )
     if args.out:

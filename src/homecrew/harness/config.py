@@ -25,6 +25,14 @@ from ..world import scenarios, task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
 
+# The ablation variants in report order: (use_allocation, use_summaries).
+VARIANTS = {
+    "full": (True, True),
+    "no_summary": (True, False),
+    "no_allocation": (False, True),
+    "no_allocation+no_summary": (False, False),
+}
+
 DEFAULT_MAX_STEPS = 250
 
 
@@ -94,17 +102,20 @@ class EpisodeConfig:
 
     @property
     def variant(self) -> str:
-        if self.use_allocation and self.use_summaries:
-            return "full"
-        if not self.use_allocation and not self.use_summaries:
-            return "no_allocation+no_summary"
-        return "no_allocation" if not self.use_allocation else "no_summary"
+        flags = (bool(self.use_allocation), bool(self.use_summaries))
+        return next(name for name, entry in VARIANTS.items() if entry == flags)
+
+    @property
+    def key(self) -> str:
+        """The episode's name in bench trace files and pinned digests."""
+        return f"{self.task}_{self.variant}_a{self.num_agents}_s{self.seed}"
 
 
-def variant_flags(variant: str) -> Tuple[bool, bool]:
-    """(use_allocation, use_summaries) for a variant name; the inverse of
-    EpisodeConfig.variant for the names it produces."""
-    return ("no_allocation" not in variant, "no_summary" not in variant)
+def variant_flags(variant) -> Tuple[bool, bool]:
+    """(use_allocation, use_summaries) for a variant name in VARIANTS."""
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    return VARIANTS[variant]
 
 
 def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
@@ -123,7 +134,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")

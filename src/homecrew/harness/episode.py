@@ -62,6 +62,7 @@ from ..world import (
     transition,
 )
 from .config import EpisodeConfig, build_reasoner, variant_flags
+from .metrics import LONG_FIELDS
 from .trace import TRACE_FORMAT, action_stream, end_of, exchanges_of, header_of, render_line
 
 if TYPE_CHECKING:
@@ -70,31 +71,35 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    task: str
-    num_agents: int
-    seed: int
-    variant: str
-    success: bool
-    steps: int
-    satisfied: int
-    total: int
-    num_summaries: int
-    degraded_exchanges: int
+    """An episode as its trace records it: the header first, the end last."""
+
     records: Tuple[dict, ...]
 
+    @property
+    def header(self) -> dict:
+        return self.records[0]
+
+    @property
+    def end(self) -> dict:
+        return self.records[-1]
+
+    @property
+    def success(self) -> bool:
+        return self.end["success"]
+
+    @property
+    def steps(self) -> int:
+        return self.end["steps"]
+
+    @property
+    def degraded_exchanges(self) -> int:
+        return self.end["degraded_exchanges"]
+
     def as_row(self) -> dict:
-        return {
-            "task": self.task,
-            "num_agents": self.num_agents,
-            "seed": self.seed,
-            "variant": self.variant,
-            "success": self.success,
-            "steps": self.steps,
-            "satisfied": self.satisfied,
-            "total": self.total,
-            "summaries": self.num_summaries,
-            "degraded_exchanges": self.degraded_exchanges,
-        }
+        header, end = self.header, self.end
+        row = {name: header[name] for name in LONG_FIELDS[:4]}
+        row.update((name, end[name]) for name in LONG_FIELDS[4:])
+        return row
 
 
 class RecordingReasoner(Reasoner):
@@ -370,34 +375,19 @@ def _play_episode(
             "degraded_exchanges": degraded,
         }
     )
-    return EpisodeResult(
-        task=config.task,
-        num_agents=config.num_agents,
-        seed=config.seed,
-        variant=config.variant,
-        success=success,
-        steps=steps,
-        satisfied=progress.satisfied,
-        total=progress.total,
-        num_summaries=len(collected),
-        degraded_exchanges=degraded,
-        records=tuple(sink),
-    )
+    return EpisodeResult(tuple(sink))
 
 
 def config_from_header(header: dict) -> EpisodeConfig:
     """The config a trace was recorded under. Field values are checked by
-    EpisodeConfig; a variant it would not name the same way, or a prompt
-    layout other than the one this program renders, is refused."""
+    EpisodeConfig and the variant by variant_flags; a prompt layout other
+    than the one this program renders is refused."""
     if header["template"] != TEMPLATE_V1:
         raise ContractViolation(
             f"trace header names unknown prompt template {header['template']!r}"
         )
-    variant = header["variant"]
-    if not isinstance(variant, str):
-        raise ContractViolation(f"trace header variant {variant!r} is not a string")
-    use_allocation, use_summaries = variant_flags(variant)
-    config = EpisodeConfig(
+    use_allocation, use_summaries = variant_flags(header["variant"])
+    return EpisodeConfig(
         task=header["task"],
         num_agents=header["num_agents"],
         seed=header["seed"],
@@ -407,9 +397,6 @@ def config_from_header(header: dict) -> EpisodeConfig:
         use_summaries=use_summaries,
         max_steps=header["max_steps"],
     )
-    if config.variant != variant:
-        raise ContractViolation(f"trace header names unknown variant {variant!r}")
-    return config
 
 
 # The header fields naming each role's backend. A replay writes the backend

@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ContractViolation
-
-VARIANT_ORDER = ("full", "no_summary", "no_allocation", "no_allocation+no_summary")
+from .config import VARIANTS
 
 
 def efficiency_fraction(first: float, second: float) -> float:
@@ -58,11 +57,8 @@ class CellMetrics:
 
 
 def _variant_rank(variant: str) -> int:
-    return (
-        VARIANT_ORDER.index(variant)
-        if variant in VARIANT_ORDER
-        else len(VARIANT_ORDER)
-    )
+    """A variant's place in VARIANTS; a name read from disk outside it sorts last."""
+    return list(VARIANTS).index(variant) if variant in VARIANTS else len(VARIANTS)
 
 
 def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
@@ -100,6 +96,8 @@ def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
     return cells
 
 
+# An episode's long.csv columns: the first four are read from its trace's
+# header, the rest from its end record.
 LONG_FIELDS = [
     "task",
     "variant",

@@ -69,7 +69,7 @@ def load_trace(path: str) -> List[dict]:
                 if not isinstance(record, dict):
                     raise ValueError(f"line {number} is not a JSON object")
                 records.append(record)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ContractViolation(f"cannot read trace {path}: {exc}")
     return records
 

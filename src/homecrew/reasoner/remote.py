@@ -101,7 +101,7 @@ class RemoteReasoner(Reasoner):
                 continue
             try:
                 text = reply.json()["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError):
+            except (ValueError, LookupError, TypeError, RecursionError):
                 text = None
             if isinstance(text, str):
                 return text

@@ -94,7 +94,7 @@ def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
             continue
         try:
             entry = exchange_entry(json.loads(line))
-        except ValueError:
+        except (ValueError, RecursionError):
             entry = None
         if entry is None:
             raise ConfigError(

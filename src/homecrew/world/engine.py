@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple, Uni
 
 from ..errors import ContractViolation
 from .types import (
+    ACTION_LABELS,
     EXPLORE,
     LOC_AGENT,
     LOC_CONTAINER,
@@ -39,8 +40,6 @@ from .types import (
 
 if TYPE_CHECKING:
     from ..agents.belief import Belief
-
-_KNOWN_KINDS = {"goto", "grab", "open", "close", "put_on", "put_in", "explore", "wait"}
 
 
 def _seen_from(state: WorldState, location: Location) -> Optional[str]:
@@ -142,7 +141,7 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
             final[agent_id] = action
         else:
             known = isinstance(action, Action) and isinstance(action.kind, str)
-            label = action.render() if known and action.kind in _KNOWN_KINDS else repr(action)
+            label = action.render() if known and action.kind in ACTION_LABELS else repr(action)
             final[agent_id] = WAIT
             events.append(
                 Event(tick, agent_id, "failure", note=f"illegal action {label}")

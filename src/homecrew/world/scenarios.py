@@ -68,7 +68,7 @@ def load_catalog(path: Optional[str] = None) -> dict:
         raise ConfigError(f"cannot read catalog: {exc}") from exc
     try:
         catalog = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"catalog is not valid JSON: {exc}") from exc
     _validate_catalog(catalog)
     return catalog

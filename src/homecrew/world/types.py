@@ -34,29 +34,32 @@ class Location:
         return f"{self.kind}:{self.ref}"
 
 
+# Each primitive action kind and the label its rendering starts with.
+ACTION_LABELS = {
+    "goto": "GOTO",
+    "grab": "GRAB",
+    "open": "OPEN",
+    "close": "CLOSE",
+    "put_on": "PUTON",
+    "put_in": "PUTIN",
+    "explore": "EXPLORE",
+    "wait": "WAIT",
+}
+
+
 @dataclass(frozen=True)
 class Action:
     """One primitive world action.
 
-    kind is one of goto, grab, open, close, put_on, put_in, explore, wait.
-    target names the room, object, surface, or container the kind needs;
-    explore and wait take none.
+    kind is one of the keys of ACTION_LABELS. target names the room, object,
+    surface, or container the kind needs; explore and wait take none.
     """
 
     kind: str
     target: Optional[str] = None
 
     def render(self) -> str:
-        label = {
-            "goto": "GOTO",
-            "grab": "GRAB",
-            "open": "OPEN",
-            "close": "CLOSE",
-            "put_on": "PUTON",
-            "put_in": "PUTIN",
-            "explore": "EXPLORE",
-            "wait": "WAIT",
-        }[self.kind]
+        label = ACTION_LABELS[self.kind]
         if self.target is None:
             return label
         return f"{label}({self.target})"

@@ -1,6 +1,7 @@
 """A local stdlib HTTP stub speaking just enough of the chat-completions
 shape for backend tests: queued replies first, then a policy callable that
-answers from the request body. Every request lands in ``seen``; each one is
+answers from the request body. A reply is a status and a JSON payload, or
+raw bytes sent as they are. Every request lands in ``seen``; each one is
 held for ``delay_s`` before the reply goes out, and ``max_in_flight`` is the
 most requests it was handling at once."""
 
@@ -65,7 +66,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         try:
             status, payload = server.next_reply(body)
             time.sleep(server.delay_s)
-            data = json.dumps(payload).encode("utf-8")
+            data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))

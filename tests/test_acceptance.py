@@ -56,8 +56,8 @@ from homecrew.harness import (
     run_episode,
 )
 from homecrew.harness import episode as episode_module
-from homecrew.harness.config import variant_flags
-from homecrew.harness.metrics import VARIANT_ORDER, compute_ei
+from homecrew.harness.config import VARIANTS, variant_flags
+from homecrew.harness.metrics import compute_ei
 from homecrew.harness.trace import render_line, render_trace, trace_sha256
 from homecrew.reasoner import (
     ALLOCATE,
@@ -88,7 +88,6 @@ goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(goldens)
 GOLDEN_PATH = goldens.OUT_PATH
 GOLDEN_CONFIGS = goldens.GOLDEN_CONFIGS
-golden_key = goldens.golden_key
 
 
 @contextmanager
@@ -390,7 +389,7 @@ def test_summary_intervals_partition_history():
                     result = run_episode(
                         EpisodeConfig(task=task, num_agents=num_agents, seed=seed)
                     )
-                    assert result.num_summaries >= 1
+                    assert result.end["summaries"] >= 1
                     check_partition(result.records)
                     episodes += 1
         assert episodes >= 50
@@ -402,7 +401,7 @@ def test_golden_traces_stay_pinned():
             stored = json.load(handle)
         assert len(stored) == len(GOLDEN_CONFIGS) == 5
         for config in GOLDEN_CONFIGS:
-            key = golden_key(config)
+            key = config.key
             first = run_episode(config)
             second = run_episode(config)
             assert render_trace(list(first.records)) == render_trace(
@@ -422,7 +421,7 @@ def test_golden_traces_ignore_the_hash_seed():
             "spec.loader.exec_module(goldens)\n"
             "from homecrew.harness import run_episode\n"
             "from homecrew.harness.trace import trace_sha256\n"
-            "print(json.dumps({goldens.golden_key(config): trace_sha256(list(run_episode(config).records))\n"
+            "print(json.dumps({config.key: trace_sha256(list(run_episode(config).records))\n"
             "                  for config in goldens.GOLDEN_CONFIGS}))\n"
         )
         for seed in ("0", "12345"):
@@ -442,7 +441,7 @@ def test_text_prompts_stay_pinned():
         with open(goldens.PROMPT_PATH) as handle:
             stored = json.load(handle)
         fresh = {
-            golden_key(config): goldens.prompt_digests(config)
+            config.key: goldens.prompt_digests(config)
             for config in goldens.PROMPT_CONFIGS
         }
         assert fresh == stored
@@ -479,7 +478,7 @@ def test_heuristic_episodes_render_no_text(monkeypatch):
             stored = json.load(handle)
         for config in GOLDEN_CONFIGS:
             result = run_episode(config)
-            assert trace_sha256(list(result.records)) == stored[golden_key(config)]
+            assert trace_sha256(list(result.records)) == stored[config.key]
 
 
 def test_episodes_parse_no_catalog(monkeypatch):
@@ -498,7 +497,7 @@ def test_episodes_parse_no_catalog(monkeypatch):
         for config in GOLDEN_CONFIGS:
             # A rebuilt config checks its task name against the catalog again.
             result = run_episode(dataclasses.replace(config))
-            assert trace_sha256(list(result.records)) == stored[golden_key(config)]
+            assert trace_sha256(list(result.records)) == stored[config.key]
         assert parses == []
 
 
@@ -521,10 +520,10 @@ def test_one_team_merge_per_tick(monkeypatch):
         for config in GOLDEN_CONFIGS:
             merges.clear()
             result = run_episode(config)
-            assert trace_sha256(list(result.records)) == stored[golden_key(config)]
+            assert trace_sha256(list(result.records)) == stored[config.key]
             # The loop runs once per tick, plus the pass that finds the end.
             ticks = sum(1 for r in result.records if r["type"] == "tick")
-            assert merges == [config.num_agents] * (ticks + 1), golden_key(config)
+            assert merges == [config.num_agents] * (ticks + 1), config.key
 
         state, _ = init_world("WashDishes", 3, 0)
         for agent_id in state.agents:
@@ -626,7 +625,7 @@ class AdversarialBackend(Reasoner):
 @given(
     task=st.sampled_from(TASKS),
     num_agents=st.integers(1, 3),
-    variant=st.sampled_from(VARIANT_ORDER),
+    variant=st.sampled_from(list(VARIANTS)),
     seed=st.integers(0, 99),
     stream=st.integers(0, 2**32 - 1),
 )
@@ -730,7 +729,7 @@ def test_stub_remote_episode_end_to_end(stub):
     with criterion("stub-backed remote episode end to end"):
         result = run_episode(remote_episode_config(stub))
         assert result.success
-        assert result.num_summaries >= 1
+        assert result.end["summaries"] >= 1
         assert result.degraded_exchanges == 0
         allocations = [r for r in result.records if r["type"] == "allocation"]
         assert allocations
@@ -774,7 +773,7 @@ def test_concurrent_remote_round_matches_sequential(stub):
             peaks[limit] = stub.max_in_flight
             records = list(result.records)
             digests[limit] = trace_sha256(records)
-            assert result.success and result.num_summaries >= 1
+            assert result.success and result.end["summaries"] >= 1
             assert result.degraded_exchanges == 0
             replayed, ok, message = replay_trace(records)
             assert ok, message

@@ -26,11 +26,9 @@ from homecrew.harness.benchmark import (
     BenchmarkSpec,
     cell_configs,
     run_benchmark,
-    trace_filename,
-    variant_flags,
 )
 from homecrew.harness.cli import main, parse_backend, parse_seeds
-from homecrew.harness.config import EpisodeConfig, RemoteConfig
+from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
 from homecrew.harness.episode import (
     EpisodeResult,
     config_from_header,
@@ -38,7 +36,7 @@ from homecrew.harness.episode import (
     run_episode,
 )
 from homecrew.harness.metrics import (
-    VARIANT_ORDER,
+    LONG_FIELDS,
     aggregate,
     compute_ei,
     efficiency_fraction,
@@ -332,6 +330,13 @@ class TestBenchmark:
         assert variant_flags("no_summary") == (True, False)
         assert variant_flags("no_allocation") == (False, True)
         assert variant_flags("no_allocation+no_summary") == (False, False)
+        for variant in VARIANTS:
+            use_allocation, use_summaries = variant_flags(variant)
+            config = episode_config(use_allocation=use_allocation, use_summaries=use_summaries)
+            assert config.variant == variant
+        for bad in ("bogus", 3, "no_summary+no_allocation"):
+            with pytest.raises(ConfigError):
+                variant_flags(bad)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -353,7 +358,7 @@ class TestBenchmark:
             for c in cell_configs(shuffled)
         ]
         assert keys == sorted(
-            keys, key=lambda k: (k[0], VARIANT_ORDER.index(k[1]), k[2], k[3])
+            keys, key=lambda k: (k[0], list(VARIANTS).index(k[1]), k[2], k[3])
         )
         assert len(keys) == len(set(keys)) == 16
 
@@ -370,7 +375,9 @@ class TestBenchmark:
                 variants=("no_allocation", "full"),
             )
         )
-        assert shuffled_run.rows == sorted_run.rows
+        assert [r.as_row() for r in shuffled_run.results] == [
+            r.as_row() for r in sorted_run.results
+        ]
         assert shuffled_run.cells == sorted_run.cells
         for left, right in zip(sorted_run.results, shuffled_run.results):
             assert render_trace(list(left.records)) == render_trace(list(right.records))
@@ -380,10 +387,20 @@ class TestBenchmark:
         outcome = run_benchmark(self.small_spec(), out_dir=out_dir)
         for name in ("long.csv", "metrics.csv", "metrics.json"):
             assert os.path.exists(os.path.join(out_dir, name))
-        for result in outcome.results:
-            trace_path = os.path.join(out_dir, "traces", trace_filename(result))
-            assert load_trace(trace_path) == list(result.records)
         rows_back = read_long_csv(os.path.join(out_dir, "long.csv"))
+        configs = cell_configs(self.small_spec())
+        assert len(configs) == len(outcome.results) == len(rows_back)
+        for config, result, row in zip(configs, outcome.results, rows_back):
+            trace = load_trace(os.path.join(out_dir, "traces", f"{config.key}.jsonl"))
+            assert trace == list(result.records)
+            header, end = header_of(trace), end_of(trace)
+            fields = [header[name] for name in ("task", "variant", "num_agents", "seed")]
+            fields += [
+                end[name]
+                for name in ("success", "steps", "satisfied", "total", "summaries",
+                             "degraded_exchanges")
+            ]
+            assert [str(row[name]) for name in LONG_FIELDS] == [str(v) for v in fields]
         assert tuple(aggregate(rows_back)) == outcome.cells
         with open(os.path.join(out_dir, "metrics.json")) as handle:
             payload = json.load(handle)
@@ -847,6 +864,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and path in err and where in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--trace", "{path}"],
+            ["run", "--task", "WashDishes", "--config", "{path}"],
+            ["run", "--task", "WashDishes", "--backend", "scripted", "--fixtures", "{path}"],
+        ],
+        ids=["trace", "config", "fixtures"],
+    )
+    def test_too_deeply_nested_json_is_an_error(self, tmp_path, capsys, argv):
+        # json gives up on this nesting with RecursionError, not ValueError.
+        path = str(tmp_path / "deep.json")
+        with open(path, "w") as handle:
+            handle.write("[" * 200_000 + "\n")
+        assert main([item.format(path=path) for item in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_an_over_long_agent_id_in_a_reply_degrades(self, tmp_path):
         # More digits than int() converts. Every attempt of the three
         # allocations gets this reply; the summary due at tick 3 gets a note.
@@ -925,10 +959,9 @@ class TestCliFuzz:
         self, tasks, agents, seeds, backend
     ):
         def fake_episode(config, *_):
-            return EpisodeResult(
-                config.task, config.num_agents, config.seed, config.variant,
-                True, 0, 0, 1, 0, 0, (),
-            )
+            end = {"type": "end", "success": True, "steps": 0, "satisfied": 0,
+                   "total": 1, "summaries": 0, "degraded_exchanges": 0}
+            return EpisodeResult(({"type": "header"}, end))
 
         argvs = [
             ["run", "--task", "WashDishes", f"--backend={backend}"],
@@ -940,7 +973,7 @@ class TestCliFuzz:
             patch.setattr("homecrew.harness.cli.run_episode", fake_episode)
             patch.setattr(
                 "homecrew.harness.cli.run_benchmark",
-                lambda spec, out_dir=None: BenchmarkResult(rows=(), cells=()),
+                lambda spec, out_dir=None: BenchmarkResult(cells=()),
             )
             for argv in argvs:
                 err = io.StringIO()

@@ -171,6 +171,8 @@ class TestPayloadBoundary:
     @given(payload=_PAYLOAD)
     @example(payload=completion(None))
     @example(payload={"choices": [{"message": {"content": "ok"}}], "usage": "lots"})
+    # Sent as raw bytes: json gives up on this nesting with RecursionError.
+    @example(payload=b"[" * 200_000)
     def test_invoke_returns_the_content_or_raises_backend_error(
         self, stub, monkeypatch, payload
     ):
@@ -222,7 +224,7 @@ class TestRemoteEpisode:
         stub.replies = [(500, {"error": "flaky"})]
         result = run_episode(remote_manager_config(stub))
         assert result.success
-        assert result.num_summaries >= 1
+        assert result.end["summaries"] >= 1
         assert result.degraded_exchanges == 0
         assert len(stub.seen) > result.steps  # allocations plus summaries
         for seen in stub.seen:
