@@ -10,7 +10,6 @@ from .execution import (
     room_hides_content,
     sweep_targets,
 )
-from .records import HistoryRecord
 from .textify import (
     belief_digest,
     render_belief,
@@ -23,7 +22,6 @@ __all__ = [
     "EXPLORE_ROOM",
     "FETCH_PLACE",
     "Fact",
-    "HistoryRecord",
     "MacroTask",
     "belief_digest",
     "believed_instance",

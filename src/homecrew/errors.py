@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the checks their messages rely on.
 
 Callers distinguish bad configuration (reject before running), contract
 violations (a caller broke a documented precondition), and recoverable
@@ -17,6 +17,11 @@ def clip(text: str) -> str:
     return text if len(text) <= NOTE_LIMIT else text[: NOTE_LIMIT - 1] + "\u2026"
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool, as a JSON field."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class EngineError(Exception):
     """Base class for engine-raised errors."""
 
@@ -33,8 +38,6 @@ class ResponseParseError(EngineError):
     """A reasoner response did not match the expected grammar."""
 
     def __init__(self, reason: str, line: str | None = None):
-        self.reason = reason
-        self.line = line
         detail = reason if line is None else f"{reason}: {line!r}"
         super().__init__(clip(detail))
 

@@ -29,7 +29,7 @@ class BenchmarkSpec:
     def __post_init__(self):
         for variant in self.variants:
             variant_flags(variant)
-        if not self.tasks or not self.agent_counts or not self.seeds:
+        if not (self.tasks and self.agent_counts and self.seeds and self.variants):
             raise ConfigError("benchmark grid must not be empty")
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, is_int
 from ..reasoner import (
     HeuristicReasoner,
     Reasoner,
@@ -37,7 +37,7 @@ DEFAULT_MAX_STEPS = 250
 
 
 def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 

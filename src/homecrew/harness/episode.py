@@ -36,7 +36,7 @@ from ..coordination import (
     assemble_context,
     make_proposal,
 )
-from ..errors import ContractViolation, RemoteBackendError
+from ..errors import RemoteBackendError
 from ..reasoner import (
     HeuristicReasoner,
     Reasoner,
@@ -61,9 +61,9 @@ from ..world import (
     room_sightings,
     transition,
 )
-from .config import EpisodeConfig, build_reasoner, variant_flags
+from .config import EpisodeConfig, build_reasoner
 from .metrics import LONG_FIELDS
-from .trace import TRACE_FORMAT, action_stream, end_of, exchanges_of, header_of, render_line
+from .trace import TRACE_FORMAT, check_trace, render_line
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -378,27 +378,6 @@ def _play_episode(
     return EpisodeResult(tuple(sink))
 
 
-def config_from_header(header: dict) -> EpisodeConfig:
-    """The config a trace was recorded under. Field values are checked by
-    EpisodeConfig and the variant by variant_flags; a prompt layout other
-    than the one this program renders is refused."""
-    if header["template"] != TEMPLATE_V1:
-        raise ContractViolation(
-            f"trace header names unknown prompt template {header['template']!r}"
-        )
-    use_allocation, use_summaries = variant_flags(header["variant"])
-    return EpisodeConfig(
-        task=header["task"],
-        num_agents=header["num_agents"],
-        seed=header["seed"],
-        manager_backend=header["manager_backend"],
-        member_backend=header["member_backend"],
-        use_allocation=use_allocation,
-        use_summaries=use_summaries,
-        max_steps=header["max_steps"],
-    )
-
-
 # The header fields naming each role's backend. A replay writes the backend
 # that really answered (``scripted`` for a text one), so it skips them.
 BACKEND_FIELDS = ("manager_backend", "member_backend")
@@ -425,16 +404,13 @@ def divergence(recorded: List[dict], replayed: List[dict]) -> str:
 
 def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
     """Rerun a trace with its text exchanges scripted back and compare every
-    record the rerun writes with the recorded one. Every record replay reads
-    is checked before the rerun starts."""
-    header = header_of(records)
-    end_of(records)
-    config = config_from_header(header)
-    action_stream(records)
-    scripted = ScriptedReasoner.from_exchanges(exchanges_of(records))
+    record the rerun writes with the recorded one. check_trace refuses a
+    malformed trace before the rerun starts."""
+    config, fixtures = check_trace(records)
+    scripted = ScriptedReasoner(fixtures)
     manager, member = (
-        HeuristicReasoner() if header[field] == "heuristic" else scripted
-        for field in BACKEND_FIELDS
+        HeuristicReasoner() if backend == "heuristic" else scripted
+        for backend in (config.manager_backend, config.member_backend)
     )
     result = run_episode(config, manager, member)
     message = divergence(records, list(result.records))

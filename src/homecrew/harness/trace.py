@@ -3,19 +3,21 @@
 Serialization is pinned to one JSONEncoder(sort_keys=True, separators=(",", ":")),
 and records carry no wall-clock material, so equal runs produce byte-equal
 files. Record types: header, exchange, allocation, summary, tick, end.
-Exchange records hold every raw text-backend response (null for a transport
-failure, with the failure's message as ``error``), which is exactly what a
-replay needs to rebuild the backends.
+The exchange records hold every raw text-backend response (null for a
+transport failure, with the failure's message as ``error``), which is exactly
+what a replay needs to rebuild the backends; check_trace reads them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import List
+from typing import List, Tuple
 
-from ..errors import ConfigError, ContractViolation
-from ..reasoner.scripted import Exchange, exchange_entry, is_int
+from ..errors import ConfigError, ContractViolation, is_int
+from ..reasoner import TEMPLATE_V1
+from ..reasoner.scripted import Fixtures, exchange_entry
+from .config import EpisodeConfig, variant_flags
 
 TRACE_FORMAT = 1
 
@@ -74,55 +76,58 @@ def load_trace(path: str) -> List[dict]:
     return records
 
 
-def header_of(records: List[dict]) -> dict:
-    if not records or records[0].get("type") != "header":
+def check_trace(records: List[dict]) -> Tuple[EpisodeConfig, Fixtures]:
+    """The config a trace was recorded under, and its exchanges queued per
+    (kind, tick, agent_id) in recorded order: what a replay reruns it from.
+    Every record a replay reads is checked first, so a trace no run could
+    have written is refused before any rerun. The header must hold
+    HEADER_FIELDS, the integer TRACE_FORMAT and the prompt layout this
+    program renders; its variant is checked by variant_flags and its values
+    by EpisodeConfig. The end record must hold integer steps and a success
+    flag, each tick record an int tick and an actions object of strings, and
+    each exchange record what a fixture line holds (exchange_entry)."""
+    header = records[0] if records else {}
+    if header.get("type") != "header":
         raise ContractViolation("trace does not start with a header record")
-    header = records[0]
     missing = [name for name in HEADER_FIELDS if name not in header]
     if missing:
         raise ContractViolation(f"trace header lacks {', '.join(missing)}")
-    if header["format"] != TRACE_FORMAT:
+    if not (is_int(header["format"]) and header["format"] == TRACE_FORMAT):
+        raise ContractViolation(f"trace format {header['format']!r} is not {TRACE_FORMAT}")
+    if header["template"] != TEMPLATE_V1:
         raise ContractViolation(
-            f"trace format {header['format']!r} is not {TRACE_FORMAT}"
+            f"trace header names unknown prompt template {header['template']!r}"
         )
-    return header
-
-
-def end_of(records: List[dict]) -> dict:
-    if not records or records[-1].get("type") != "end":
-        raise ContractViolation("trace does not finish with an end record")
+    use_allocation, use_summaries = variant_flags(header["variant"])
+    config = EpisodeConfig(
+        task=header["task"],
+        num_agents=header["num_agents"],
+        seed=header["seed"],
+        manager_backend=header["manager_backend"],
+        member_backend=header["member_backend"],
+        use_allocation=use_allocation,
+        use_summaries=use_summaries,
+        max_steps=header["max_steps"],
+    )
     end = records[-1]
+    if end.get("type") != "end":
+        raise ContractViolation("trace does not finish with an end record")
     if not is_int(end.get("steps")) or not isinstance(end.get("success"), bool):
         raise ContractViolation("trace end record lacks integer steps or a success flag")
-    return end
-
-
-def exchanges_of(records: List[dict]) -> List[Exchange]:
-    """(kind, tick, agent_id, response) tuples in recorded order, ready for
-    ScriptedReasoner.from_exchanges. An exchange record is checked as a
-    fixture line is (exchange_entry)."""
-    exchanges = []
-    for number, r in enumerate(records, 1):
-        if r.get("type") != "exchange":
-            continue
-        entry = exchange_entry(r)
-        if entry is None:
-            raise ContractViolation(f"trace record {number} is a malformed exchange")
-        exchanges.append(entry)
-    return exchanges
-
-
-def action_stream(records: List[dict]) -> None:
-    """Check every tick record: an int tick and an actions object of strings.
-    Replay compares the tick records whole; this refuses, before any rerun,
-    one that no run could have written."""
-    for number, r in enumerate(records, 1):
-        if r.get("type") != "tick":
-            continue
-        tick, actions = r.get("tick"), r.get("actions")
-        if not (
-            is_int(tick)
-            and isinstance(actions, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in actions.items())
-        ):
-            raise ContractViolation(f"trace record {number} is a malformed tick")
+    fixtures: Fixtures = {}
+    for number, record in enumerate(records, 1):
+        if record.get("type") == "tick":
+            tick, actions = record.get("tick"), record.get("actions")
+            if not (
+                is_int(tick)
+                and isinstance(actions, dict)
+                and all(isinstance(k, str) and isinstance(v, str) for k, v in actions.items())
+            ):
+                raise ContractViolation(f"trace record {number} is a malformed tick")
+        elif record.get("type") == "exchange":
+            entry = exchange_entry(record)
+            if entry is None:
+                raise ContractViolation(f"trace record {number} is a malformed exchange")
+            key, response = entry
+            fixtures.setdefault(key, []).append(response)
+    return config, fixtures

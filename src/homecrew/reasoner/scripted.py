@@ -10,9 +10,9 @@ improvisation.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..errors import ConfigError, FixtureExhausted, RemoteBackendError
+from ..errors import ConfigError, FixtureExhausted, RemoteBackendError, is_int
 from .base import REQUEST_KINDS, TEXT, Reasoner, ReasonerRequest
 
 FixtureKey = Tuple[str, int, int]
@@ -20,20 +20,16 @@ FixtureKey = Tuple[str, int, int]
 # A reply, or the recorded transport failure that replays in its place.
 FixtureValue = Union[str, RemoteBackendError]
 
-Exchange = Tuple[str, int, int, FixtureValue]
+# Each decision point's replies, queued in recorded order.
+Fixtures = Dict[FixtureKey, List[FixtureValue]]
 
 
-def is_int(value) -> bool:
-    """An integer that is not a bool, as a JSON record field."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def exchange_entry(record) -> Optional[Exchange]:
-    """(kind, tick, agent_id, response) of a fixture line or a trace exchange
-    record, which carry the same fields; None unless the kind is a request
-    kind, tick and agent_id are ints and response a string or null. A null
-    response is a transport failure; its message is the record's string
-    ``error`` when it has one, a field no reply may carry."""
+def exchange_entry(record) -> Optional[Tuple[FixtureKey, FixtureValue]]:
+    """((kind, tick, agent_id), response) of a fixture line or a trace
+    exchange record, which carry the same fields; None unless the kind is a
+    request kind, tick and agent_id are ints and response a string or null.
+    A null response is a transport failure; its message is the record's
+    string ``error`` when it has one, a field no reply may carry."""
     if not isinstance(record, dict) or "response" not in record:
         return None
     kind, tick, agent_id, response = (
@@ -41,11 +37,12 @@ def exchange_entry(record) -> Optional[Exchange]:
     )
     if kind not in REQUEST_KINDS or not (is_int(tick) and is_int(agent_id)):
         return None
+    key = (kind, tick, agent_id)
     if response is None:
-        error = record.get("error", f"scripted transport failure for {(kind, tick, agent_id)}")
-        return (kind, tick, agent_id, RemoteBackendError(error)) if isinstance(error, str) else None
+        error = record.get("error", f"scripted transport failure for {key}")
+        return (key, RemoteBackendError(error)) if isinstance(error, str) else None
     if isinstance(response, str) and "error" not in record:
-        return kind, tick, agent_id, response
+        return key, response
     return None
 
 
@@ -53,18 +50,8 @@ class ScriptedReasoner(Reasoner):
     name = "scripted"
     produces = TEXT
 
-    def __init__(self, fixtures: Dict[FixtureKey, List[FixtureValue]]):
-        self._queues: Dict[FixtureKey, List[FixtureValue]] = {
-            key: list(responses) for key, responses in fixtures.items()
-        }
-
-    @classmethod
-    def from_exchanges(cls, exchanges: Iterable[Exchange]) -> "ScriptedReasoner":
-        """Build from (kind, tick, agent_id, response) tuples in replay order."""
-        fixtures: Dict[FixtureKey, List[FixtureValue]] = {}
-        for kind, tick, agent_id, response in exchanges:
-            fixtures.setdefault((kind, tick, agent_id), []).append(response)
-        return cls(fixtures)
+    def __init__(self, fixtures: Fixtures):
+        self._queues: Fixtures = {key: list(responses) for key, responses in fixtures.items()}
 
     def invoke(self, request: ReasonerRequest) -> str:
         key = (request.kind, request.tick, request.agent_id)
@@ -77,7 +64,7 @@ class ScriptedReasoner(Reasoner):
         return value
 
 
-def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
+def load_fixtures(path: str) -> Fixtures:
     """Read fixtures from JSONL: one object per line with kind, tick,
     agent_id, and response fields (a null response replays a transport
     failure, with the line's ``error`` as its message). Repeated keys queue
@@ -88,7 +75,7 @@ def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read fixtures {path}: {exc}")
-    fixtures: Dict[FixtureKey, List[FixtureValue]] = {}
+    fixtures: Fixtures = {}
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -102,5 +89,6 @@ def load_fixtures(path: str) -> Dict[FixtureKey, List[FixtureValue]]:
                 "kind, int tick and agent_id, and a string response or a null "
                 "one with an optional string error"
             )
-        fixtures.setdefault(entry[:3], []).append(entry[3])
+        key, response = entry
+        fixtures.setdefault(key, []).append(response)
     return fixtures

@@ -18,7 +18,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, is_int
 from .types import (
     IN,
     LOC_CONTAINER,
@@ -161,7 +161,7 @@ def _validate_catalog(catalog: object) -> None:
             keys.add(key)
             count = pred.get("count")
             _require(
-                isinstance(count, int) and not isinstance(count, bool) and count >= 1,
+                is_int(count) and count >= 1,
                 f"task {name}: predicate count must be an integer >= 1",
             )
     # The path table builder refuses a floor plan whose rooms are not all connected.

@@ -1,5 +1,5 @@
 """Every function and method defined under src/ has a caller, and every
-dataclass field there has a reader.
+dataclass field and instance attribute there has a reader.
 
 A name counts as called when it is read anywhere in src/ or scripts/ other
 than where it is defined: as a name, or as an attribute. ``main``, dunder
@@ -94,5 +94,31 @@ def test_every_dataclass_field_under_src_is_read():
     assert defined
     unread = sorted(
         f"{where}.{name}" for name, where in defined.items() if name not in loaded
+    )
+    assert unread == []
+
+
+def test_every_instance_attribute_under_src_is_read():
+    """Every ``self.X = ...`` under src/ is loaded as ``.X`` somewhere in src/
+    or scripts/. Only attribute loads count: a local variable of the same
+    name reads nothing stored on an instance."""
+    assigned, loaded = {}, set()
+    for folder in ("src", "scripts"):
+        for path, tree in parsed_modules(folder):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif folder == "src" and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for part in (part for target in targets for part in ast.walk(target)):
+                        if (
+                            isinstance(part, ast.Attribute)
+                            and isinstance(part.value, ast.Name)
+                            and part.value.id == "self"
+                        ):
+                            assigned.setdefault(part.attr, path)
+    assert assigned
+    unread = sorted(
+        f"{path}: self.{name}" for name, path in assigned.items() if name not in loaded
     )
     assert unread == []

@@ -29,12 +29,7 @@ from homecrew.harness.benchmark import (
 )
 from homecrew.harness.cli import main, parse_backend, parse_seeds
 from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
-from homecrew.harness.episode import (
-    EpisodeResult,
-    config_from_header,
-    replay_trace,
-    run_episode,
-)
+from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
     LONG_FIELDS,
     aggregate,
@@ -45,9 +40,7 @@ from homecrew.harness.metrics import (
     read_long_csv,
 )
 from homecrew.harness.trace import (
-    action_stream,
-    end_of,
-    header_of,
+    check_trace,
     load_trace,
     render_trace,
     trace_sha256,
@@ -123,11 +116,12 @@ class TestTraceDeterminism:
 
     def test_header_requires_header_record(self):
         with pytest.raises(ContractViolation):
-            header_of([{"type": "tick"}])
+            check_trace([{"type": "tick"}])
 
     def test_end_requires_end_record(self):
-        with pytest.raises(ContractViolation):
-            end_of([{"type": "header"}])
+        records = list(run_episode(episode_config()).records)
+        with pytest.raises(ContractViolation, match="end record"):
+            check_trace(records[:-1])
 
 
 class ProposeRecorder(Reasoner):
@@ -393,7 +387,7 @@ class TestBenchmark:
         for config, result, row in zip(configs, outcome.results, rows_back):
             trace = load_trace(os.path.join(out_dir, "traces", f"{config.key}.jsonl"))
             assert trace == list(result.records)
-            header, end = header_of(trace), end_of(trace)
+            header, end = trace[0], trace[-1]
             fields = [header[name] for name in ("task", "variant", "num_agents", "seed")]
             fields += [
                 end[name]
@@ -451,7 +445,7 @@ class TestReplay:
     def test_tampered_step_count_is_caught(self):
         result = run_episode(episode_config())
         records = copy.deepcopy(list(result.records))
-        end_of(records)["steps"] += 1
+        records[-1]["steps"] += 1
         _, ok, message = replay_trace(records)
         assert not ok
         assert message == f"record {len(records)} (end) diverged at 'steps'"
@@ -459,7 +453,7 @@ class TestReplay:
     def test_config_round_trips_through_header(self):
         config = episode_config(use_summaries=False)
         result = run_episode(config)
-        assert config_from_header(header_of(list(result.records))) == config
+        assert check_trace(list(result.records))[0] == config
 
     def test_a_transport_failure_replays_with_its_note(self):
         result = run_episode(episode_config(), FlakyManager(), HeuristicReasoner())
@@ -475,7 +469,7 @@ class TestReplay:
     def test_variant_flags_rebuilt_from_header(self):
         config = episode_config(use_allocation=False, use_summaries=False)
         result = run_episode(config)
-        rebuilt = config_from_header(header_of(list(result.records)))
+        rebuilt = check_trace(list(result.records))[0]
         assert rebuilt.use_allocation is False
         assert rebuilt.use_summaries is False
         assert rebuilt.variant == "no_allocation+no_summary"
@@ -638,7 +632,7 @@ class TestCliCommands:
         argv, out = self.run_argv(tmp_path)
         main(argv)
         records = load_trace(out)
-        end_of(records)["steps"] += 2
+        records[-1]["steps"] += 2
         write_trace(records, out)
         capsys.readouterr()
         assert main(["replay", "--trace", out]) == 1
@@ -658,6 +652,8 @@ class TestCliCommands:
             lambda records: records[-1].update(success="yes"),
             lambda records: records[0].update(template="template_v999"),
             lambda records: records[-1].update(steps=True),
+            lambda records: records[0].update(format=True),
+            lambda records: records[0].update(format=1.0),
         ],
     )
     def test_replay_refuses_a_bad_header_or_end(self, tmp_path, capsys, damage):
@@ -803,7 +799,7 @@ class TestCliCommands:
         assert main(["run", "--task", "WashDishes", "--config", config_path,
                      "--out", out]) == 0
         assert " seed=9 " in capsys.readouterr().out
-        assert header_of(load_trace(out))["max_steps"] == 44
+        assert load_trace(out)[0]["max_steps"] == 44
 
     def test_explicit_flag_beats_config_file(self, tmp_path, capsys):
         config_path = str(tmp_path / "defaults.json")
@@ -912,7 +908,14 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--agents", "x"], ["--seeds", "a,b"], ["--tasks", ""], ["--tasks", ",,"]],
+        [
+            ["--agents", "x"],
+            ["--seeds", "a,b"],
+            ["--tasks", ""],
+            ["--tasks", ",,"],
+            ["--variants", ""],
+            ["--variants", ",,"],
+        ],
     )
     def test_bench_refuses_bad_lists(self, flags, capsys):
         assert main(["bench", "--max-steps", "5", *flags]) == 2

@@ -20,6 +20,8 @@ from homecrew.coordination import (
     assemble_context,
 )
 from homecrew.errors import ContractViolation, FixtureExhausted
+from homecrew.harness import EpisodeConfig, run_episode
+from homecrew.harness.trace import check_trace
 from homecrew.reasoner import (
     ALLOCATE,
     NO_SUMMARIES_MARKER,
@@ -156,10 +158,15 @@ class TestScripted:
         )
         assert scripted.invoke(req1) == "b"
 
-    def test_from_exchanges_preserves_order(self):
-        scripted = ScriptedReasoner.from_exchanges(
-            [(PROPOSE, 1, 1, "x"), (PROPOSE, 1, 1, "y"), (ALLOCATE, 1, 1, "z")]
-        )
+    def test_check_trace_queues_exchanges_in_recorded_order(self):
+        recorded = run_episode(EpisodeConfig(task="WashDishes", num_agents=1)).records
+        exchanges = [
+            {"type": "exchange", "kind": kind, "tick": 1, "agent_id": 1, "response": reply}
+            for kind, reply in ((PROPOSE, "x"), (PROPOSE, "y"), (ALLOCATE, "z"))
+        ]
+        _, fixtures = check_trace([recorded[0], *exchanges, recorded[-1]])
+        assert fixtures == {(PROPOSE, 1, 1): ["x", "y"], (ALLOCATE, 1, 1): ["z"]}
+        scripted = ScriptedReasoner(fixtures)
         request = ReasonerRequest(
             kind=PROPOSE, rendered_prompt="", structured_payload=None, tick=1, agent_id=1
         )

@@ -16,8 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from stubserver import approve_candidates, completion
 from homecrew.errors import ConfigError, RemoteBackendError
 from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_episode
-from homecrew.harness.episode import config_from_header
-from homecrew.harness.trace import header_of
+from homecrew.harness.trace import check_trace
 from homecrew.reasoner import PROPOSE, ReasonerRequest, RemoteReasoner, remote as remote_module
 from homecrew.reasoner.base import PARSE_RETRIES
 
@@ -278,7 +277,7 @@ class TestRemoteEpisode:
         assert allocations
         assert all(r["attempts"] == 1 + PARSE_RETRIES for r in allocations)
         # Only where the replies came from is left out of the header.
-        rebuilt = config_from_header(header_of(records))
+        rebuilt = check_trace(records)[0]
         assert rebuilt == dataclasses.replace(config, remote=RemoteConfig())
         _, ok, message = replay_trace(records)
         assert ok, message
