@@ -144,11 +144,14 @@ def apply_config_file(args, subparser) -> bool:
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("command", "config"):
             raise EngineError(f"config file sets unknown option {key!r}")
-        # Numbers are checked by the configs; text and on/off options here.
+        # Numbers are checked by the configs, except that argparse would
+        # convert a string through the flag's type; all else is checked here.
         default = subparser.get_default(dest)
         expected = str if default is None else type(default)
-        if expected in (str, bool) and not isinstance(value, expected):
-            raise ConfigError(f"config file sets {key!r} to {value!r}, not a {expected.__name__}")
+        number = expected in (int, float)
+        if isinstance(value, str) if number else not isinstance(value, expected):
+            name = "number" if number else expected.__name__
+            raise ConfigError(f"config file sets {key!r} to {value!r}, not a {name}")
         mapped[dest] = value
     subparser.set_defaults(**mapped)
     return True

@@ -2,11 +2,11 @@
 
 Per tick: everyone observes and folds the observation into their belief,
 the beliefs merge into the team belief, a summary is written if the believed
-satisfied-count moved (covering exactly the records since the last change),
-then members propose, the manager allocates (or, with allocation disabled,
-each member self-executes its own candidate), macros expand to primitives
-against the team belief, the world transitions, and each agent's action and
-events enter the history.
+satisfied count differs from the one the summaries so far have seen (covering
+exactly the records since the last summary), then members propose, the
+manager allocates (or, with allocation disabled, each member self-executes
+its own candidate), macros expand to primitives against the team belief, the
+world transitions, and each agent's action and events enter the history.
 The lowest agent id doubles as manager; a single-agent run is the same loop
 with a one-entry team.
 
@@ -36,7 +36,7 @@ from ..coordination import (
     assemble_context,
     make_proposal,
 )
-from ..errors import RemoteBackendError
+from ..errors import FixtureExhausted, RemoteBackendError
 from ..reasoner import (
     HeuristicReasoner,
     Reasoner,
@@ -48,13 +48,12 @@ from ..reasoner import (
 )
 from ..summaries import (
     Summary,
-    append,
-    detect_change,
+    progress_since,
     slice_history,
+    summarized_until,
     summarize,
 )
 from ..world import (
-    TaskProgress,
     evaluate_progress,
     init_world,
     observe,
@@ -226,13 +225,10 @@ def _play_episode(
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     history: List[HistoryRecord] = []
+    # The summaries written so far: where the last ended, and the progress
+    # they have seen, are read off them.
     collected: Tuple[Summary, ...] = ()
-    last_believed = TaskProgress(
-        0, goal.total_units(), tuple(0 for _ in goal.predicates)
-    )
-    t_last = 0
     degraded = 0
-    success = False
     # Ground truth for the current state: computed once per state, it feeds
     # the tick record that closes a tick and the done check that opens the next.
     progress = evaluate_progress(state, goal)
@@ -244,32 +240,22 @@ def _play_episode(
             beliefs[i] = perceive(observations[i], beliefs[i])
         team = merge_team_belief([beliefs[i] for i in agent_ids])
         believed = evaluate_progress(team, goal)
-        # Whether a summary is due, and the window it moves, never depend on
+        # Whether a summary is due, and the window it covers, never depend on
         # the summary's text, so both are settled before the round starts.
+        window = tuple(slice_history(history, summarized_until(collected), state.tick))
+        delta = progress_since(collected, believed)
+        summary_due = config.use_summaries and delta != 0 and bool(window)
         calls: List[Call] = []
-        summary_due = False
-        if config.use_summaries and detect_change(believed, last_believed):
-            window = slice_history(history, t_last, state.tick)
-            if window:
-                summary_due = True
-                calls.append(
-                    (
-                        manager,
-                        partial(
-                            summarize,
-                            records=window,
-                            delta_progress=believed.satisfied - last_believed.satisfied,
-                            interval=(t_last, state.tick),
-                            index=len(collected) + 1,
-                            goal=goal,
-                        ),
-                    )
-                )
-                t_last = state.tick
-                last_believed = believed
+        if summary_due:
+            step = partial(
+                summarize, collected=collected, records=window, delta_progress=delta,
+                tick=state.tick, goal=goal,
+            )
+            calls.append((manager, step))
+            # Members see the records since the last summary: none, now.
+            window = ()
         finished = progress.done() or state.tick >= config.max_steps
         if not finished:
-            window_records = tuple(slice_history(history, t_last, state.tick))
             for i in agent_ids:
                 view = AgentView(
                     agent_id=i,
@@ -280,7 +266,7 @@ def _play_episode(
                     progress=believed,
                     observation=observations[i],
                     belief=beliefs[i],
-                    history_window=window_records,
+                    history_window=window,
                 )
                 # Proposals are member work even for the agent carrying the
                 # manager role; only ALLOCATE/SUMMARIZE use the manager backend.
@@ -289,7 +275,7 @@ def _play_episode(
         if summary_due:
             summary, exchanges = outcomes.pop(0)
             sink.extend(exchanges)
-            collected = append(collected, summary)
+            collected += (summary,)
             degraded += int(summary.degraded)
             sink.append(
                 {
@@ -302,12 +288,7 @@ def _play_episode(
                     "degraded": summary.degraded,
                 }
             )
-        if progress.done():
-            success = True
-            steps = state.tick
-            break
         if finished:
-            steps = config.max_steps
             break
 
         proposals = []
@@ -367,8 +348,8 @@ def _play_episode(
     sink.append(
         {
             "type": "end",
-            "success": success,
-            "steps": steps,
+            "success": progress.done(),
+            "steps": state.tick,
             "satisfied": progress.satisfied,
             "total": progress.total,
             "summaries": len(collected),
@@ -402,16 +383,20 @@ def divergence(recorded: List[dict], replayed: List[dict]) -> str:
     return ""
 
 
-def replay_trace(records: List[dict]) -> Tuple[EpisodeResult, bool, str]:
+def replay_trace(records: List[dict]) -> Tuple[Optional[EpisodeResult], bool, str]:
     """Rerun a trace with its text exchanges scripted back and compare every
     record the rerun writes with the recorded one. check_trace refuses a
-    malformed trace before the rerun starts."""
+    malformed trace before the rerun starts. A rerun that asks for a reply
+    the trace never recorded has diverged too, and leaves no result."""
     config, fixtures = check_trace(records)
     scripted = ScriptedReasoner(fixtures)
     manager, member = (
         HeuristicReasoner() if backend == "heuristic" else scripted
         for backend in (config.manager_backend, config.member_backend)
     )
-    result = run_episode(config, manager, member)
+    try:
+        result = run_episode(config, manager, member)
+    except FixtureExhausted as exc:
+        return None, False, f"the rerun asked for a reply the trace never recorded: {exc}"
     message = divergence(records, list(result.records))
     return result, not message, message

@@ -1,12 +1,15 @@
 """Progress-triggered collaboration summaries.
 
-Whenever the team's believed progress changes, the records since the last
-change point are condensed into one bounded note and appended to a running
-list. The notes replace raw history in the manager's ALLOCATE prompt, so it
-grows with milestones, not ticks. A member's PROPOSE prompt still renders its
-own records since the last summary, so it grows with the ticks of a stall.
-Intervals are half-open: a summary over (lo, hi] covers the records with
-lo < tick <= hi, and consecutive summaries tile the history exactly.
+The summaries written so far are an episode's only memory of progress. A
+summary is due when the team's believed satisfied count differs from the sum
+of the deltas already written (``progress_since``); the records since the
+last summary are then condensed into one bounded note that ``summarize``
+numbers and places after the last. The notes replace raw history in the
+manager's ALLOCATE prompt, so it grows with milestones, not ticks. A member's
+PROPOSE prompt still renders its own records since the last summary, so it
+grows with the ticks of a stall. Intervals are half-open: a summary over
+(lo, hi] covers the records with lo < tick <= hi, and each one starts where
+the last ended, so the summaries tile the history by construction.
 """
 
 from __future__ import annotations
@@ -38,17 +41,23 @@ class Summary:
         return f"[{self.index}] ticks {lo + 1}-{hi}: {self.text}"
 
 
-def detect_change(progress: TaskProgress, last_progress: TaskProgress) -> bool:
-    """Progress means the count of satisfied goal units; any move in either
-    direction triggers a summary."""
-    return progress.satisfied != last_progress.satisfied
+def summarized_until(collected: Sequence[Summary]) -> int:
+    """The tick the last summary ends at, or 0 before the first."""
+    return collected[-1].interval[1] if collected else 0
+
+
+def progress_since(collected: Sequence[Summary], believed: TaskProgress) -> int:
+    """How far the believed satisfied count has moved since the summaries
+    written so far, whose deltas add up to the count they last saw. Any move,
+    in either direction, makes a summary due."""
+    return believed.satisfied - sum(summary.delta for summary in collected)
 
 
 def slice_history(
-    history: Sequence[HistoryRecord], t_last: int, t: int
+    history: Sequence[HistoryRecord], lo: int, hi: int
 ) -> List[HistoryRecord]:
-    """Records with t_last < tick <= t, original order preserved."""
-    return [record for record in history if t_last < record.tick <= t]
+    """Records with lo < tick <= hi, original order preserved."""
+    return [record for record in history if lo < record.tick <= hi]
 
 
 def template_digest(records: Sequence[HistoryRecord], delta: int) -> str:
@@ -88,14 +97,16 @@ class SummaryInputs:
 
 def summarize(
     reasoner: Reasoner,
+    collected: Sequence[Summary],
     records: Sequence[HistoryRecord],
     delta_progress: int,
-    interval: Tuple[int, int],
-    index: int = 1,
+    tick: int,
     *,
     goal: GoalSpec,
 ) -> Summary:
-    """Condense one interval's records into a bounded Summary.
+    """Condense the records since the last of ``collected`` into the next
+    bounded Summary: numbered after it, over the interval from its end to
+    ``tick``.
 
     Text backends get a prompt and may answer freely; on transport failure or
     an empty answer the deterministic template digest is used instead and the
@@ -106,36 +117,21 @@ def summarize(
         raise ContractViolation("cannot summarize an empty record slice")
     if delta_progress == 0:
         raise ContractViolation("summaries are only written when progress changed")
+    interval = (summarized_until(collected), tick)
+    if tick <= interval[0]:
+        raise ContractViolation(f"empty or inverted summary interval ({interval[0]}, {tick}]")
     inputs = SummaryInputs(
         records=tuple(records), delta=delta_progress, interval=interval, goal=goal
     )
-    text, _, _ = ask(reasoner, SUMMARIZE, inputs, _note, interval[1], 0, retries=0)
+    text, _, _ = ask(reasoner, SUMMARIZE, inputs, _note, tick, 0, retries=0)
     degraded = text is None
     if degraded:
         text = template_digest(records, delta_progress)
     return Summary(
-        index=index,
+        index=len(collected) + 1,
         interval=interval,
         delta=delta_progress,
         text=str(text)[:SUMMARY_CHAR_BUDGET],
         degraded=degraded,
     )
 
-
-def append(collected: Tuple[Summary, ...], summary: Summary) -> Tuple[Summary, ...]:
-    """Append with tiling checks: indexes run 1..n and each interval starts
-    where the previous one ended (the first starts at 0)."""
-    lo, hi = summary.interval
-    if lo >= hi:
-        raise ContractViolation(f"empty or inverted summary interval ({lo}, {hi}]")
-    expected_index = len(collected) + 1
-    if summary.index != expected_index:
-        raise ContractViolation(
-            f"summary index {summary.index} out of order, expected {expected_index}"
-        )
-    expected_lo = collected[-1].interval[1] if collected else 0
-    if lo != expected_lo:
-        raise ContractViolation(
-            f"summary interval ({lo}, {hi}] not adjacent to previous end {expected_lo}"
-        )
-    return collected + (summary,)

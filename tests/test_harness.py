@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -143,21 +144,25 @@ class ProposeRecorder(Reasoner):
 
 class TestHistoryWindow:
     def test_every_member_gets_the_history_window(self):
-        config = episode_config(max_steps=6, use_summaries=False)
-        for produces in (STRUCTURED, TEXT):
+        # A view's window holds the ticks after the last summary ending at or
+        # before its tick: none on the tick that writes a summary.
+        for use_summaries, produces in itertools.product((False, True), (STRUCTURED, TEXT)):
+            config = episode_config(max_steps=8, use_summaries=use_summaries)
             member = ProposeRecorder(produces)
-            run_episode(config, HeuristicReasoner(), member)
-            views = [r.structured_payload for r in member.requests]
-            later = [view for view in views if view.tick >= 2]
+            result = run_episode(config, HeuristicReasoner(), member)
+            ends = [r["interval"][1] for r in result.records if r["type"] == "summary"]
+            if use_summaries and produces == STRUCTURED:
+                assert ends and ends[0] < config.max_steps
+            later = [r for r in member.requests if r.structured_payload.tick >= 2]
             assert later
-            for view in later:
-                window = view.history_window
-                assert [rec.tick for rec in window] == sorted(rec.tick for rec in window)
-                assert {rec.tick for rec in window} == set(range(1, view.tick + 1))
-            if produces == TEXT:
-                for request in member.requests:
-                    if request.structured_payload.tick >= 2:
-                        assert f"t=1 agent {request.agent_id}: " in request.rendered_prompt
+            for request in later:
+                view = request.structured_payload
+                start = max([end for end in ends if end <= view.tick], default=0)
+                ticks = [rec.tick for rec in view.history_window]
+                assert ticks == sorted(ticks)
+                assert set(ticks) == set(range(start + 1, view.tick + 1))
+                if produces == TEXT and ticks:
+                    assert f"t={start + 1} agent {request.agent_id}: " in request.rendered_prompt
 
     def test_a_text_decision_renders_its_prompt_once(self, monkeypatch):
         rendered = []
@@ -526,10 +531,12 @@ class TestConfigBounds:
             {"backend": 5},
             {"fixtures": 5},
             {"no-summary": "yes"},
+            {"timeout": "5"},
         ],
     )
     def test_config_file_values_are_checked_too(self, values, tmp_path, capsys):
-        # argparse converts only string defaults, so the timeouts reach the
+        # argparse would convert a string default through the flag's type, so
+        # a number given as a string is refused; other timeouts reach the
         # config; the retry count and the prompt layout are no options at all;
         # text and on/off options refuse a value of another JSON type.
         config_path = str(tmp_path / "defaults.json")
@@ -550,6 +557,8 @@ class TestConfigBounds:
                     st.none(),
                     st.floats(allow_nan=False),
                     st.lists(st.integers(0, 3), max_size=2),
+                    st.integers(-2, 12).map(str),
+                    st.text(max_size=3),
                 )
                 for key in ("max-steps", "seed", "agents")
             },
@@ -631,12 +640,21 @@ class TestCliCommands:
     def test_replay_command_fails_on_tampered_trace(self, tmp_path, capsys):
         argv, out = self.run_argv(tmp_path)
         main(argv)
-        records = load_trace(out)
-        records[-1]["steps"] += 2
-        write_trace(records, out)
-        capsys.readouterr()
-        assert main(["replay", "--trace", out]) == 1
-        assert "replay FAIL" in capsys.readouterr().out
+        cases = [
+            ("end", "steps", load_trace(out)[-1]["steps"] + 2, "'steps'"),
+            # A text backend whose replies the trace never recorded.
+            ("header", "manager_backend", "remote", "('ALLOCATE', 0, 1)"),
+            ("header", "member_backend", "scripted", "('PROPOSE', 0, 1)"),
+        ]
+        for record_type, key, value, detail in cases:
+            records = load_trace(out)
+            first(records, record_type)[key] = value
+            damaged = str(tmp_path / f"{key}.jsonl")
+            write_trace(records, damaged)
+            capsys.readouterr()
+            assert main(["replay", "--trace", damaged]) == 1, key
+            stdout = capsys.readouterr().out
+            assert stdout.startswith("replay FAIL") and detail in stdout, stdout
 
     @pytest.mark.parametrize(
         "damage",

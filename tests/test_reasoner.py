@@ -33,7 +33,7 @@ from homecrew.reasoner import (
     load_fixtures,
     render_prompt,
 )
-from homecrew.summaries import Summary, SummaryInputs, append
+from homecrew.summaries import Summary, SummaryInputs
 from homecrew.world import IN, Action, evaluate_progress, init_world, observe
 from homecrew.world.types import goal_location
 
@@ -69,11 +69,11 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
     ]
     beliefs = {i: Belief.empty() for i in agent_ids}
     observations = {i: observe(state, i) for i in agent_ids}
-    summaries = ()
     bounds = (0, 4, 9)
-    for index, text in enumerate(summary_texts, 1):
-        interval = (bounds[index - 1], bounds[index])
-        summaries = append(summaries, Summary(index, interval, 1, text, 1))
+    summaries = tuple(
+        Summary(index, (bounds[index - 1], bounds[index]), 1, text, 1)
+        for index, text in enumerate(summary_texts, 1)
+    )
     team = merge_team_belief([beliefs[i] for i in agent_ids])
     return AllocationInputs(
         context=assemble_context(proposals, beliefs, observations, state.house, team),

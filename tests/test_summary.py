@@ -1,4 +1,4 @@
-"""Summary-memory tests: change detection, interval algebra, fallbacks, and
+"""Summary-memory tests: the trigger, interval algebra, fallbacks, and
 the partition property over random episodes (every summary covers exactly
 the records between consecutive progress changes, with no gaps or overlap).
 """
@@ -25,9 +25,9 @@ from homecrew.reasoner import (
 from homecrew.summaries import (
     SUMMARY_CHAR_BUDGET,
     Summary,
-    append,
-    detect_change,
+    progress_since,
     slice_history,
+    summarized_until,
     summarize,
     template_digest,
 )
@@ -76,8 +76,6 @@ def run_partitioned(task, num_agents, seed, ticks=120):
     reasoner = HeuristicReasoner()
     records = []
     collected = ()
-    last = evaluate_progress(state, goal)
-    t_last = 0
     change_ticks = []
     for _ in range(ticks):
         joint = {
@@ -95,30 +93,23 @@ def run_partitioned(task, num_agents, seed, ticks=120):
                 )
             )
         progress = evaluate_progress(state, goal)
-        if detect_change(progress, last):
+        window = slice_history(records, summarized_until(collected), state.tick)
+        delta = progress_since(collected, progress)
+        if delta:
             change_ticks.append(state.tick)
-            window = slice_history(records, t_last, state.tick)
-            summary = summarize(
-                reasoner,
-                window,
-                progress.satisfied - last.satisfied,
-                (t_last, state.tick),
-                index=len(collected) + 1,
-                goal=goal,
-            )
-            collected = append(collected, summary)
-            t_last = state.tick
-            last = progress
+            summary = summarize(reasoner, collected, window, delta, state.tick, goal=goal)
+            collected += (summary,)
     return collected, change_ticks, records
 
 
 class TestIntervals:
-    def test_detect_change_is_satisfied_count_only(self):
-        assert detect_change(TaskProgress(1, 3, (1, 0)), TaskProgress(0, 3, (0, 0)))
-        assert detect_change(TaskProgress(1, 3, (1, 0)), TaskProgress(2, 3, (2, 0)))
-        assert not detect_change(
-            TaskProgress(1, 3, (1, 0)), TaskProgress(1, 3, (0, 1))
-        )
+    def test_progress_since_is_satisfied_count_only(self):
+        # The summaries' deltas add up to the satisfied count they last saw.
+        saw_none, saw_two = (), (summary_for((0, 2), 1, delta=2),)
+        saw_one = (summary_for((0, 2), 1, delta=2), summary_for((2, 4), 2, delta=-1))
+        assert progress_since(saw_none, TaskProgress(1, 3, (1, 0))) == 1
+        assert progress_since(saw_two, TaskProgress(1, 3, (1, 0))) == -1
+        assert progress_since(saw_one, TaskProgress(1, 3, (0, 1))) == 0
 
     def test_slice_history_half_open(self):
         log = [record(t) for t in range(1, 7)]
@@ -128,30 +119,26 @@ class TestIntervals:
         covered = slice_history(log, 0, 3) + slice_history(log, 3, 6)
         assert covered == log
 
-    def test_append_builds_adjacent_chain(self):
-        collected = ()
-        for index, interval in enumerate([(0, 3), (3, 5), (5, 9)], start=1):
-            collected = append(collected, summary_for(interval, index))
-        assert len(collected) == 3
-        assert [s.interval for s in collected] == [(0, 3), (3, 5), (5, 9)]
+    def test_summarize_numbers_and_places_after_the_last(self):
+        reasoner, collected = HeuristicReasoner(), ()
+        for tick in (3, 5):
+            collected += (summarize(reasoner, collected, [record(tick)], 1, tick, goal=GOAL),)
+        summary = summarize(reasoner, collected, [record(9)], 1, 9, goal=GOAL)
+        assert [s.index for s in collected] == [1, 2]
+        assert [s.interval for s in collected] == [(0, 3), (3, 5)]
+        assert (summary.index, summary.interval) == (3, (5, 9))
+        assert summary.render_line() == f"[3] ticks 6-9: {summary.text}"
+        assert summarized_until(collected + (summary,)) == 9
 
-    def test_append_rejects_wrong_index(self):
-        collected = append((), summary_for((0, 2), 1))
-        with pytest.raises(ContractViolation):
-            append(collected, summary_for((2, 4), 3))
-
-    def test_append_rejects_gap(self):
-        collected = append((), summary_for((0, 2), 1))
-        with pytest.raises(ContractViolation):
-            append(collected, summary_for((3, 4), 2))
-
-    def test_append_rejects_empty_interval(self):
-        with pytest.raises(ContractViolation):
-            append((), summary_for((4, 4), 1))
+    def test_summarize_refuses_a_tick_not_after_the_last(self):
+        collected = (summarize(HeuristicReasoner(), (), [record(4)], 1, 4, goal=GOAL),)
+        assert collected[0].render_line() == f"[1] ticks 1-4: {collected[0].text}"
+        for tick in (4, 3):
+            with pytest.raises(ContractViolation):
+                summarize(HeuristicReasoner(), collected, [record(4)], 1, tick, goal=GOAL)
 
     def test_rendered_lines_most_recent_first(self):
-        collected = append((), summary_for((0, 3), 1, "first"))
-        collected = append(collected, summary_for((3, 5), 2, "second"))
+        collected = (summary_for((0, 3), 1, "first"), summary_for((3, 5), 2, "second"))
         state, goal = init_world("PrepareTea", 1, seed=0)
         context = assemble_context([], {}, {}, state.house, merge_team_belief([]))
         inputs = AllocationInputs(context, collected, evaluate_progress(state, goal), goal)
@@ -164,16 +151,16 @@ class TestIntervals:
 class TestSummarize:
     def test_empty_slice_raises(self):
         with pytest.raises(ContractViolation):
-            summarize(HeuristicReasoner(), [], 1, (0, 2), goal=GOAL)
+            summarize(HeuristicReasoner(), (), [], 1, 2, goal=GOAL)
 
     def test_zero_delta_raises(self):
         with pytest.raises(ContractViolation):
-            summarize(HeuristicReasoner(), [record(1)], 0, (0, 1), goal=GOAL)
+            summarize(HeuristicReasoner(), (), [record(1)], 0, 1, goal=GOAL)
 
     def test_structured_backend_writes_template_digest(self):
         events = [Event(2, 1, "placed", "1 placed plate_1 on kitchentable")]
         records = [record(1), record(2, events=events)]
-        summary = summarize(HeuristicReasoner(), records, 1, (0, 2), goal=GOAL)
+        summary = summarize(HeuristicReasoner(), (), records, 1, 2, goal=GOAL)
         assert summary.text == template_digest(records, 1)
         assert "progress +1" in summary.text
         assert "plate_1" in summary.text
@@ -196,13 +183,13 @@ class TestSummarize:
         scripted = ScriptedReasoner(
             {(SUMMARIZE, 2, 0): ["  agent 1   delivered\nthe plate  "]}
         )
-        summary = summarize(scripted, [record(1), record(2)], 1, (0, 2), goal=GOAL)
+        summary = summarize(scripted, (), [record(1), record(2)], 1, 2, goal=GOAL)
         assert summary.text == "agent 1 delivered the plate"
         assert not summary.degraded
 
     def test_text_backend_blank_degrades(self):
         scripted = ScriptedReasoner({(SUMMARIZE, 1, 0): ["   \n  "]})
-        summary = summarize(scripted, [record(1)], 1, (0, 1), goal=GOAL)
+        summary = summarize(scripted, (), [record(1)], 1, 1, goal=GOAL)
         assert summary.degraded
         assert summary.text == template_digest([record(1)], 1)
 
@@ -214,13 +201,13 @@ class TestSummarize:
             def invoke(self, request):
                 raise RemoteBackendError("down")
 
-        summary = summarize(ExplodingReasoner(), [record(1)], 1, (0, 1), goal=GOAL)
+        summary = summarize(ExplodingReasoner(), (), [record(1)], 1, 1, goal=GOAL)
         assert summary.degraded
         assert summary.text == template_digest([record(1)], 1)
 
     def test_character_budget_clips(self):
         scripted = ScriptedReasoner({(SUMMARIZE, 1, 0): ["x" * 3000]})
-        summary = summarize(scripted, [record(1)], 1, (0, 1), goal=GOAL)
+        summary = summarize(scripted, (), [record(1)], 1, 1, goal=GOAL)
         assert len(summary.text) == SUMMARY_CHAR_BUDGET
 
 
