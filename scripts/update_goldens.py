@@ -19,17 +19,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from homecrew.coordination import heuristic_allocation, heuristic_proposal  # noqa: E402
-from homecrew.harness import EpisodeConfig, run_episode  # noqa: E402
+from homecrew.coordination.allocate import heuristic_allocation  # noqa: E402
+from homecrew.coordination.negotiate import heuristic_proposal  # noqa: E402
+from homecrew.harness.config import EpisodeConfig  # noqa: E402
+from homecrew.harness.episode import run_episode  # noqa: E402
 from homecrew.harness.trace import trace_sha256  # noqa: E402
-from homecrew.reasoner import (  # noqa: E402
+from homecrew.reasoner.base import (  # noqa: E402
     ALLOCATE,
     PROPOSE,
+    REQUEST_KINDS,
     TEXT,
     Reasoner,
-    format_allocation,
 )
-from homecrew.reasoner.base import REQUEST_KINDS  # noqa: E402
+from homecrew.reasoner.parsing import format_allocation  # noqa: E402
 from homecrew.summaries import template_digest  # noqa: E402
 
 GOLDEN_CONFIGS = (

@@ -7,5 +7,3 @@ collaboration milestones so prompts stay small on long episodes. Reasoning
 backends are pluggable: a deterministic heuristic, a scripted replay, or a
 remote chat-completions endpoint.
 """
-
-__version__ = "0.1.0"

@@ -8,7 +8,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, EngineError
-from ..world import task_categories
+from ..world.scenarios import task_categories
 from .benchmark import BenchmarkSpec, run_benchmark
 from .config import (
     DEFAULT_MAX_STEPS,

@@ -14,14 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import ConfigError, is_int
-from ..reasoner import (
-    HeuristicReasoner,
-    Reasoner,
-    RemoteReasoner,
-    ScriptedReasoner,
-    load_fixtures,
-)
-from ..world import scenarios, task_categories
+from ..reasoner.base import Reasoner
+from ..reasoner.heuristic import HeuristicReasoner
+from ..reasoner.remote import RemoteReasoner
+from ..reasoner.scripted import ScriptedReasoner, load_fixtures
+from ..world import scenarios
 
 BACKENDS = ("heuristic", "remote", "scripted")
 
@@ -87,7 +84,7 @@ class EpisodeConfig:
     fixtures_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.task not in task_categories():
+        if self.task not in scenarios.task_categories():
             raise ConfigError(f"unknown task category {self.task!r}")
         _check_int("num_agents", self.num_agents)
         if not 1 <= self.num_agents <= scenarios.MAX_AGENTS:

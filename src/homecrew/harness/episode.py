@@ -27,25 +27,18 @@ from functools import partial
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..agents import Belief, expand_macro, merge_team_belief, perceive
+from ..agents.belief import Belief, merge_team_belief, perceive
+from ..agents.execution import expand_macro
 from ..agents.records import HistoryRecord
-from ..coordination import (
-    AgentView,
-    JointAction,
-    allocate_with_report,
-    assemble_context,
-    make_proposal,
-)
+from ..coordination.allocate import allocate_with_report, assemble_context
+from ..coordination.negotiate import make_proposal
+from ..coordination.types import AgentView, JointAction
 from ..errors import FixtureExhausted, RemoteBackendError
-from ..reasoner import (
-    HeuristicReasoner,
-    Reasoner,
-    ReasonerRequest,
-    RemoteReasoner,
-    ScriptedReasoner,
-    TEMPLATE_V1,
-    TEXT,
-)
+from ..reasoner.base import TEXT, Reasoner, ReasonerRequest
+from ..reasoner.heuristic import HeuristicReasoner
+from ..reasoner.prompts import TEMPLATE_V1
+from ..reasoner.remote import RemoteReasoner
+from ..reasoner.scripted import ScriptedReasoner
 from ..summaries import (
     Summary,
     progress_since,
@@ -53,13 +46,8 @@ from ..summaries import (
     summarized_until,
     summarize,
 )
-from ..world import (
-    evaluate_progress,
-    init_world,
-    observe,
-    room_sightings,
-    transition,
-)
+from ..world.engine import evaluate_progress, observe, room_sightings, transition
+from ..world.scenarios import init_world
 from .config import EpisodeConfig, build_reasoner
 from .metrics import LONG_FIELDS
 from .trace import TRACE_FORMAT, check_trace, render_line

@@ -15,7 +15,7 @@ import json
 from typing import List, Tuple
 
 from ..errors import ConfigError, ContractViolation, is_int
-from ..reasoner import TEMPLATE_V1
+from ..reasoner.prompts import TEMPLATE_V1
 from ..reasoner.scripted import Fixtures, exchange_entry
 from .config import EpisodeConfig, variant_flags
 

@@ -27,9 +27,10 @@ class HeuristicReasoner(Reasoner):
     produces = STRUCTURED
 
     def __init__(self) -> None:
-        # Bound here, not at import: these modules depend on this package for
-        # base/prompts. Each decision reads its function off the module at
-        # call time, so a function patched onto the module is the one called.
+        # Looked up by path: the coordination package's ``allocate`` is the
+        # function, not its module. Each decision reads its function off the
+        # module at call time, so a function patched onto the module is the
+        # one called.
         self._negotiate = import_module("..coordination.negotiate", __package__)
         self._allocate = import_module("..coordination.allocate", __package__)
         self._summaries = import_module("..summaries", __package__)

@@ -1,63 +1,4 @@
 """Symbolic household world: rooms, furniture, objects, and dynamics."""
 
-from .engine import evaluate_progress, is_legal, legal_actions, observe, room_sightings, transition
-from .scenarios import build_house, init_world, load_catalog, task_categories
-from .types import (
-    EXPLORE,
-    IN,
-    LOC_AGENT,
-    LOC_CONTAINER,
-    LOC_ROOM,
-    LOC_SURFACE,
-    ON,
-    WAIT,
-    Action,
-    Event,
-    GoalPredicate,
-    GoalSpec,
-    HouseMap,
-    Location,
-    Observation,
-    TaskProgress,
-    close_container,
-    go_to,
-    grab,
-    open_container,
-    put_in,
-    put_on,
-)
-
-__all__ = [
-    "Action",
-    "EXPLORE",
-    "Event",
-    "GoalPredicate",
-    "GoalSpec",
-    "HouseMap",
-    "IN",
-    "LOC_AGENT",
-    "LOC_CONTAINER",
-    "LOC_ROOM",
-    "LOC_SURFACE",
-    "Location",
-    "ON",
-    "Observation",
-    "TaskProgress",
-    "WAIT",
-    "build_house",
-    "close_container",
-    "evaluate_progress",
-    "go_to",
-    "grab",
-    "init_world",
-    "is_legal",
-    "legal_actions",
-    "load_catalog",
-    "observe",
-    "open_container",
-    "put_in",
-    "put_on",
-    "room_sightings",
-    "task_categories",
-    "transition",
-]
+# perfbench/run.py's setup_probe imports init_world from this package.
+from .scenarios import init_world

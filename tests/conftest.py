@@ -9,15 +9,24 @@ import pytest
 from stubserver import StubServer
 
 
-@pytest.fixture
-def stub(monkeypatch):
+def serve(monkeypatch, server):
     # requests must not route loopback through a proxy
     for name in ("HTTP_PROXY", "HTTPS_PROXY", "http_proxy", "https_proxy"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
-    server = StubServer()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    yield from serve(monkeypatch, StubServer())
+
+
+@pytest.fixture
+def keep_alive_stub(monkeypatch):
+    """An HTTP/1.1 stub that closes a connection idle for a second."""
+    yield from serve(monkeypatch, StubServer(keep_alive_s=1.0))

@@ -1,9 +1,17 @@
 """A local stdlib HTTP stub speaking just enough of the chat-completions
 shape for backend tests: queued replies first, then a policy callable that
 answers from the request body. A reply is a status and a JSON payload, or
-raw bytes sent as they are. Every request lands in ``seen``; each one is
-held for ``delay_s`` before the reply goes out, and ``max_in_flight`` is the
-most requests it was handling at once."""
+raw bytes sent as they are, optionally followed by headers that replace the
+stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, and
+a ``Content-Length`` past the body's end closes the connection after it.
+Every request lands in ``seen``; each one is held for ``delay_s`` before the
+reply goes out, and ``max_in_flight`` is the most requests it was handling
+at once.
+
+The stub speaks HTTP/1.0 and closes each connection after one reply. Built
+with ``keep_alive_s``, it speaks HTTP/1.1 and keeps a connection open until
+it has been idle that long. ``connections`` counts the connections accepted
+and ``closed`` those closed again."""
 
 from __future__ import annotations
 
@@ -25,8 +33,11 @@ class StubServer(ThreadingHTTPServer):
     """Queued replies are consumed first; afterwards the policy callable
     answers from the request body. Every request is recorded in ``seen``."""
 
-    def __init__(self):
+    def __init__(self, keep_alive_s=None):
         super().__init__(("127.0.0.1", 0), _StubHandler)
+        self.keep_alive_s = keep_alive_s
+        self.connections = 0
+        self.closed = 0
         self.seen = []
         self.replies = []
         self.policy = None
@@ -47,8 +58,29 @@ class StubServer(ThreadingHTTPServer):
             return self.policy(body)
         return 200, completion("propose: IDLE")
 
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.closed += 1
+
+    def wait_closed(self, count, timeout_s=5.0):
+        """Block until ``count`` connections have been closed."""
+        deadline = time.monotonic() + timeout_s
+        while self.closed < count:
+            assert time.monotonic() < deadline, f"{self.closed} of {count} connections closed"
+            time.sleep(0.005)
+
 
 class _StubHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        if self.server.keep_alive_s is not None:
+            self.protocol_version = "HTTP/1.1"
+            # An idle read times out and ends the connection.
+            self.timeout = self.server.keep_alive_s
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
@@ -64,17 +96,36 @@ class _StubHandler(BaseHTTPRequestHandler):
             server.in_flight += 1
             server.max_in_flight = max(server.max_in_flight, server.in_flight)
         try:
-            status, payload = server.next_reply(body)
+            status, payload, *headers = server.next_reply(body)
             time.sleep(server.delay_s)
             data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            self.send_reply(status, data, *headers)
         finally:
             with server.lock:
                 server.in_flight -= 1
+
+    def send_reply(self, status, data, headers=()):
+        headers = {
+            "Content-Type": "application/json",
+            "Content-Length": str(len(data)),
+            **dict(headers),
+        }
+        chunked = headers.get("Transfer-Encoding") == "chunked"
+        if chunked:
+            del headers["Content-Length"]
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        if chunked:
+            half = len(data) // 2
+            for piece in (data[:half], data[half:], b""):
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+        else:
+            self.wfile.write(data)
+            # The client waits for the rest of a short body until the connection ends.
+            if int(headers["Content-Length"]) > len(data):
+                self.close_connection = True
 
     def log_message(self, *args):
         pass

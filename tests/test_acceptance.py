@@ -38,43 +38,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stubserver import approve_candidates, completion, propose_goal_objects
-from homecrew.agents import Belief, Fact, MacroTask, merge_team_belief, perceive
-from homecrew.coordination import (
+from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
+from homecrew.agents.execution import MacroTask
+from homecrew.coordination.allocate import assemble_context, heuristic_allocation, score_joint
+from homecrew.coordination.types import (
+    AllocationInputs,
     JointAction,
     Proposal,
-    AllocationInputs,
-    assemble_context,
-    heuristic_allocation,
     remaining_by_predicate,
-    score_joint,
 )
 from homecrew.errors import NOTE_LIMIT, ContractViolation, RemoteBackendError
-from homecrew.harness import (
-    EpisodeConfig,
-    RemoteConfig,
-    replay_trace,
-    run_episode,
-)
 from homecrew.harness import episode as episode_module
-from homecrew.harness.config import VARIANTS, variant_flags
+from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
+from homecrew.harness.episode import replay_trace, run_episode
 from homecrew.harness.metrics import compute_ei
 from homecrew.harness.trace import render_line, render_trace, trace_sha256
-from homecrew.reasoner import (
-    ALLOCATE,
-    PROPOSE,
-    SUMMARIZE,
-    TEXT,
-    Reasoner,
-    RemoteReasoner,
-)
-from homecrew.world import (
-    evaluate_progress,
-    init_world,
-    legal_actions,
-    observe,
-    scenarios,
-    transition,
-)
+from homecrew.reasoner.base import ALLOCATE, PROPOSE, SUMMARIZE, TEXT, Reasoner
+from homecrew.reasoner.remote import RemoteReasoner
+from homecrew.world import scenarios
+from homecrew.world.engine import evaluate_progress, legal_actions, observe, transition
+from homecrew.world.scenarios import init_world
 
 TASKS = ("PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes")
 
@@ -419,7 +402,7 @@ def test_golden_traces_ignore_the_hash_seed():
             "spec = importlib.util.spec_from_file_location('update_goldens', sys.argv[1])\n"
             "goldens = importlib.util.module_from_spec(spec)\n"
             "spec.loader.exec_module(goldens)\n"
-            "from homecrew.harness import run_episode\n"
+            "from homecrew.harness.episode import run_episode\n"
             "from homecrew.harness.trace import trace_sha256\n"
             "print(json.dumps({config.key: trace_sha256(list(run_episode(config).records))\n"
             "                  for config in goldens.GOLDEN_CONFIGS}))\n"

@@ -10,23 +10,24 @@ import random
 
 import pytest
 
-from homecrew.agents import (
-    Belief,
-    Fact,
+from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
+from homecrew.agents.execution import (
     MacroTask,
-    belief_digest,
     believed_instance,
     expand_macro,
-    merge_team_belief,
-    perceive,
-    render_belief,
-    render_history,
-    render_observation,
     room_hides_content,
     sweep_targets,
 )
 from homecrew.agents.records import HistoryRecord
-from homecrew.world import (
+from homecrew.agents.textify import (
+    belief_digest,
+    render_belief,
+    render_history,
+    render_observation,
+)
+from homecrew.world.engine import legal_actions, observe, transition
+from homecrew.world.scenarios import init_world
+from homecrew.world.types import (
     IN,
     LOC_AGENT,
     LOC_CONTAINER,
@@ -37,16 +38,12 @@ from homecrew.world import (
     Action,
     Location,
     go_to,
+    goal_location,
     grab,
-    init_world,
-    legal_actions,
-    observe,
     open_container,
     put_in,
     put_on,
-    transition,
 )
-from homecrew.world.types import goal_location
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 

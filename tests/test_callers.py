@@ -1,5 +1,6 @@
 """Every function and method defined under src/ has a caller, and every
-dataclass field and instance attribute there has a reader.
+dataclass field and instance attribute there has a reader. A package's
+__init__.py imports only the names listed in ``PACKAGE_IMPORTS``.
 
 A name counts as called when it is read anywhere in src/ or scripts/ other
 than where it is defined: as a name, or as an attribute. ``main``, dunder
@@ -14,14 +15,34 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Each name with why nothing under src/ or scripts/ calls it. Being listed in
-# an ``__all__`` is not a reason.
+# Each name with why nothing under src/ or scripts/ calls it. Being imported
+# by a package's __init__.py is not a reason.
 CALLED_FROM_OUTSIDE = {
     "allocate": "perfbench's hook resolution test relies on it shadowing its module;"
     " the coordination tests call it",
     "enumerate_joint_space": "a perfbench hook wraps it; the allocator tests use it as their oracle",
     "score_joint": "a perfbench hook wraps it; the allocator tests use it as their oracle",
     "legal_actions": "the simulator's rule set, and the world tests' reference",
+}
+
+
+# The names a package's __init__.py may import, each with the code outside
+# src/ that reads the name off the package. Every other name is imported from
+# the module that defines it, and every other __init__.py is its docstring.
+PACKAGE_IMPORTS = {
+    "homecrew.coordination": (
+        {"allocate"},
+        "perfbench's test_hook_modules_resolve_through_sys_modules asserts that"
+        " this function shadows its module",
+    ),
+    "homecrew.harness": (
+        {"EpisodeConfig", "RemoteConfig", "replay_trace", "run_episode"},
+        "perfbench/run.py's Bench reads these off the package",
+    ),
+    "homecrew.world": (
+        {"init_world"},
+        "perfbench/run.py's setup_probe imports it from the package",
+    ),
 }
 
 
@@ -122,3 +143,19 @@ def test_every_instance_attribute_under_src_is_read():
         f"{path}: self.{name}" for name, path in assigned.items() if name not in loaded
     )
     assert unread == []
+
+
+def test_package_inits_hold_only_their_listed_imports():
+    found = {}
+    for path, tree in parsed_modules("src"):
+        if os.path.basename(path) != "__init__.py":
+            continue
+        package = os.path.dirname(os.path.relpath(path, "src")).replace(os.sep, ".")
+        body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+        for node in body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [ast.unparse(alias) for alias in node.names]
+            else:
+                names = [f"line {node.lineno}: {ast.unparse(node).splitlines()[0]}"]
+            found.setdefault(package, set()).update(names)
+    assert found == {package: names for package, (names, _) in PACKAGE_IMPORTS.items()}

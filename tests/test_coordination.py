@@ -15,31 +15,25 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homecrew.agents import (
-    EXPLORE_ROOM,
-    FETCH_PLACE,
-    Belief,
-    Fact,
-    MacroTask,
-    merge_team_belief,
-    sweep_targets,
+from homecrew.agents.belief import Belief, Fact, merge_team_belief
+from homecrew.agents.execution import EXPLORE_ROOM, FETCH_PLACE, MacroTask, sweep_targets
+from homecrew.coordination.allocate import (
+    allocate,
+    allocate_with_report,
+    assemble_context,
+    enumerate_joint_space,
+    heuristic_allocation,
+    score_joint,
 )
-from homecrew.coordination import (
+from homecrew.coordination.negotiate import heuristic_proposal, make_proposal
+from homecrew.coordination.types import (
     AgentView,
     AllocationInputs,
     CrossAgentContext,
     JointAction,
     Proposal,
-    allocate,
-    allocate_with_report,
-    assemble_context,
     check_conflicts,
-    enumerate_joint_space,
-    heuristic_allocation,
-    heuristic_proposal,
-    make_proposal,
     remaining_by_predicate,
-    score_joint,
 )
 from homecrew.errors import (
     NOTE_LIMIT,
@@ -47,20 +41,18 @@ from homecrew.errors import (
     RemoteBackendError,
     ResponseParseError,
 )
-from homecrew.reasoner import (
-    ALLOCATE,
-    PROPOSE,
-    HeuristicReasoner,
-    Reasoner,
-    ReasonerRequest,
-    ScriptedReasoner,
-    TEXT,
+from homecrew.reasoner.base import ALLOCATE, PROPOSE, TEXT, Reasoner, ReasonerRequest
+from homecrew.reasoner.heuristic import HeuristicReasoner
+from homecrew.reasoner.parsing import (
     format_allocation,
     parse_allocation,
     parse_proposal,
     parse_task,
 )
-from homecrew.world import (
+from homecrew.reasoner.scripted import ScriptedReasoner
+from homecrew.world.engine import evaluate_progress, legal_actions, observe, transition
+from homecrew.world.scenarios import build_house, init_world, load_catalog
+from homecrew.world.types import (
     IN,
     LOC_AGENT,
     LOC_ROOM,
@@ -70,15 +62,8 @@ from homecrew.world import (
     Location,
     Observation,
     TaskProgress,
-    build_house,
-    evaluate_progress,
-    init_world,
-    legal_actions,
-    load_catalog,
-    observe,
-    transition,
+    goal_location,
 )
-from homecrew.world.types import goal_location
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 

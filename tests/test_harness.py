@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from stubserver import approve_candidates
 import homecrew
-from homecrew.coordination import heuristic_allocation
+from homecrew.coordination.allocate import heuristic_allocation
 from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
 from homecrew.harness.benchmark import (
     BenchmarkResult,
@@ -47,20 +47,20 @@ from homecrew.harness.trace import (
     trace_sha256,
     write_trace,
 )
-from homecrew.reasoner import (
+from homecrew.reasoner import prompts
+from homecrew.reasoner.base import (
+    PARSE_RETRIES,
     PROPOSE,
     STRUCTURED,
     SUMMARIZE,
     TEXT,
-    HeuristicReasoner,
     Reasoner,
-    format_allocation,
-    prompts,
-    render_prompt,
 )
-from homecrew.reasoner.base import PARSE_RETRIES
+from homecrew.reasoner.heuristic import HeuristicReasoner
+from homecrew.reasoner.parsing import format_allocation
+from homecrew.reasoner.prompts import render_prompt
 from homecrew.summaries import template_digest
-from homecrew.world import task_categories
+from homecrew.world.scenarios import task_categories
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(homecrew.__file__)))
 
@@ -1100,7 +1100,8 @@ class TestStartup:
             import sys
             import homecrew.harness
             import homecrew.harness.cli
-            from homecrew.harness import EpisodeConfig, run_episode
+            from homecrew.harness.config import EpisodeConfig
+            from homecrew.harness.episode import run_episode
             assert run_episode(EpisodeConfig(task="WashDishes")).success
             print(sorted({"requests", "concurrent.futures"} & set(sys.modules)))
             """,

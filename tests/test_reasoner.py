@@ -11,31 +11,23 @@ import dataclasses
 
 import pytest
 
-from homecrew.agents import Belief, Fact, MacroTask, merge_team_belief
+from homecrew.agents.belief import Belief, Fact, merge_team_belief
+from homecrew.agents.execution import MacroTask
 from homecrew.agents.records import HistoryRecord
-from homecrew.coordination import (
-    AgentView,
-    AllocationInputs,
-    Proposal,
-    assemble_context,
-)
+from homecrew.coordination.allocate import assemble_context
+from homecrew.coordination.types import AgentView, AllocationInputs, Proposal
 from homecrew.errors import ContractViolation, FixtureExhausted
-from homecrew.harness import EpisodeConfig, run_episode
+from homecrew.harness.config import EpisodeConfig
+from homecrew.harness.episode import run_episode
 from homecrew.harness.trace import check_trace
-from homecrew.reasoner import (
-    ALLOCATE,
-    NO_SUMMARIES_MARKER,
-    PROPOSE,
-    SUMMARIZE,
-    HeuristicReasoner,
-    ReasonerRequest,
-    ScriptedReasoner,
-    load_fixtures,
-    render_prompt,
-)
+from homecrew.reasoner.base import ALLOCATE, PROPOSE, SUMMARIZE, ReasonerRequest
+from homecrew.reasoner.heuristic import HeuristicReasoner
+from homecrew.reasoner.prompts import NO_SUMMARIES_MARKER, render_prompt
+from homecrew.reasoner.scripted import ScriptedReasoner, load_fixtures
 from homecrew.summaries import Summary, SummaryInputs
-from homecrew.world import IN, Action, evaluate_progress, init_world, observe
-from homecrew.world.types import goal_location
+from homecrew.world.engine import evaluate_progress, observe
+from homecrew.world.scenarios import init_world
+from homecrew.world.types import IN, Action, goal_location
 
 
 def propose_view() -> AgentView:

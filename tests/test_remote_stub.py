@@ -2,12 +2,14 @@
 
 The stub speaks just enough of the chat-completions shape to pin the wire
 format (auth header, temperature, model), the retry ladder (which statuses
-are retried and which fail at once), and one full episode where every
-manager decision crosses HTTP while members stay structured.
+are retried and which fail at once), how the client reuses and replaces
+connections, and one full episode where every manager decision crosses HTTP
+while members stay structured.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -15,10 +17,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stubserver import approve_candidates, completion
 from homecrew.errors import ConfigError, RemoteBackendError
-from homecrew.harness import EpisodeConfig, RemoteConfig, replay_trace, run_episode
+from homecrew.harness.config import EpisodeConfig, RemoteConfig
+from homecrew.harness.episode import replay_trace, run_episode
 from homecrew.harness.trace import check_trace
-from homecrew.reasoner import PROPOSE, ReasonerRequest, RemoteReasoner, remote as remote_module
-from homecrew.reasoner.base import PARSE_RETRIES
+from homecrew.reasoner import remote as remote_module
+from homecrew.reasoner.base import PARSE_RETRIES, PROPOSE, ReasonerRequest
+from homecrew.reasoner.remote import RemoteReasoner
 
 
 def wire_request(prompt="ping"):
@@ -125,6 +129,49 @@ class TestRetries:
         with pytest.raises(RemoteBackendError) as err:
             reasoner.invoke(wire_request("x"))
         assert "transport error" in str(err.value)
+
+
+class TestTransport:
+    """Replies framed and ended the ways an HTTP/1.1 server may choose."""
+
+    def test_idle_connection_closed_by_the_server_is_replaced(self, keep_alive_stub):
+        keep_alive_stub.keep_alive_s = 0.05
+        keep_alive_stub.replies = [(200, completion("one")), (200, completion("two"))]
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            assert reasoner.invoke(wire_request()) == "one"
+            keep_alive_stub.wait_closed(1)
+            assert reasoner.invoke(wire_request()) == "two"
+        assert len(keep_alive_stub.seen) == 2
+        assert keep_alive_stub.connections == 2
+
+    def test_body_cut_short_is_a_transport_error(self, keep_alive_stub, monkeypatch):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        attempts = 1 + remote_module.TRANSPORT_RETRIES
+        cut_short = (200, b"0123456789", {"Content-Length": "100"})
+        keep_alive_stub.replies = [cut_short] * (2 * attempts)
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            for call in (1, 2):
+                with pytest.raises(RemoteBackendError) as err:
+                    reasoner.invoke(wire_request())
+                assert str(err.value).startswith("transport error:")
+                assert f"after {attempts} attempt(s)" in str(err.value)
+                assert len(keep_alive_stub.seen) == 3 * call
+
+    def test_chunked_replies_share_one_connection(self, keep_alive_stub):
+        chunked = {"Transfer-Encoding": "chunked"}
+        keep_alive_stub.replies = [(200, completion(text), chunked) for text in ("one", "two")]
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            assert [reasoner.invoke(wire_request()) for _ in range(2)] == ["one", "two"]
+        assert len(keep_alive_stub.seen) == 2
+        assert keep_alive_stub.connections == 1
+
+    def test_connection_close_replies_take_a_connection_each(self, keep_alive_stub):
+        close = {"Connection": "close"}
+        keep_alive_stub.replies = [(200, completion(text), close) for text in ("one", "two")]
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            assert [reasoner.invoke(wire_request()) for _ in range(2)] == ["one", "two"]
+        assert len(keep_alive_stub.seen) == 2
+        assert keep_alive_stub.connections == 2
 
 
 _JSON = st.recursive(

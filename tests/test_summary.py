@@ -9,19 +9,15 @@ import random
 
 import pytest
 
-from homecrew.agents import merge_team_belief
+from homecrew.agents.belief import merge_team_belief
 from homecrew.agents.records import HistoryRecord
-from homecrew.coordination import AllocationInputs, assemble_context
+from homecrew.coordination.allocate import assemble_context
+from homecrew.coordination.types import AllocationInputs
 from homecrew.errors import ContractViolation, RemoteBackendError
-from homecrew.reasoner import (
-    ALLOCATE,
-    SUMMARIZE,
-    TEXT,
-    HeuristicReasoner,
-    Reasoner,
-    ScriptedReasoner,
-    render_prompt,
-)
+from homecrew.reasoner.base import ALLOCATE, SUMMARIZE, TEXT, Reasoner
+from homecrew.reasoner.heuristic import HeuristicReasoner
+from homecrew.reasoner.prompts import render_prompt
+from homecrew.reasoner.scripted import ScriptedReasoner
 from homecrew.summaries import (
     SUMMARY_CHAR_BUDGET,
     Summary,
@@ -31,18 +27,9 @@ from homecrew.summaries import (
     summarize,
     template_digest,
 )
-from homecrew.world import (
-    ON,
-    WAIT,
-    Event,
-    GoalPredicate,
-    GoalSpec,
-    TaskProgress,
-    evaluate_progress,
-    init_world,
-    legal_actions,
-    transition,
-)
+from homecrew.world.engine import evaluate_progress, legal_actions, transition
+from homecrew.world.scenarios import init_world
+from homecrew.world.types import ON, WAIT, Event, GoalPredicate, GoalSpec, TaskProgress
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 

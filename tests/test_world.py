@@ -18,9 +18,20 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homecrew.agents import Belief, Fact, merge_team_belief, perceive, sweep_targets
+from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
+from homecrew.agents.execution import sweep_targets
 from homecrew.errors import ConfigError, ContractViolation
-from homecrew.world import (
+from homecrew.world import scenarios
+from homecrew.world.engine import (
+    evaluate_progress,
+    is_legal,
+    legal_actions,
+    observe,
+    room_sightings,
+    transition,
+)
+from homecrew.world.scenarios import init_world, load_catalog, task_categories
+from homecrew.world.types import (
     EXPLORE,
     IN,
     LOC_AGENT,
@@ -37,23 +48,13 @@ from homecrew.world import (
     Observation,
     TaskProgress,
     close_container,
-    evaluate_progress,
     go_to,
+    goal_location,
     grab,
-    init_world,
-    is_legal,
-    legal_actions,
-    load_catalog,
-    observe,
     open_container,
     put_in,
     put_on,
-    room_sightings,
-    scenarios,
-    task_categories,
-    transition,
 )
-from homecrew.world.types import goal_location
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
 PRIMITIVE_KINDS = ["close", "explore", "goto", "grab", "open", "put_in", "put_on", "wait"]
