@@ -1,11 +1,11 @@
 """World dynamics: legality, simultaneous transition, observation, progress.
 
 All agents' primitives are judged against the pre-state and applied together.
-Two primitives clash only in the two documented cases (two grabs of one
-object; a grab out of a container someone else is closing); the lower agent
-id wins and the loser's primitive degrades to Wait with a Conflict event.
-Illegal primitives degrade to Wait with a Failure event instead of raising,
-so arbitrary reasoner output can never corrupt the world.
+Two primitives clash only when two agents grab one object; the lower agent id
+wins and the loser's primitive degrades to Wait with a Conflict event.
+Primitives come only from ``expand_macro``, and an illegal one still degrades
+to Wait with a Failure event instead of raising, so no joint action can
+corrupt the world.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .types import (
     Observation,
     TaskProgress,
     WorldState,
-    close_container,
     go_to,
     grab,
     open_container,
@@ -100,12 +99,10 @@ def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
         )
     if kind == "put_on":
         return me.held is not None and target in state.house.surfaces_in(room)
-    if kind in ("open", "close", "put_in") and target in state.house.containers_in(room):
+    if kind in ("open", "put_in") and target in state.house.containers_in(room):
         is_open = state.container_open[target]
         if kind == "open":
             return not is_open
-        if kind == "close":
-            return is_open
         return is_open and me.held is not None
     return False
 
@@ -119,13 +116,16 @@ def legal_actions(state: WorldState, agent_id: int) -> Set[Action]:
     candidates += [go_to(room) for room in house.rooms]
     candidates += [grab(object_id) for object_id in state.locations]
     for cid in house.containers:
-        candidates += [open_container(cid), close_container(cid), put_in(cid)]
+        candidates += [open_container(cid), put_in(cid)]
     candidates += [put_on(sid) for sid in house.surfaces]
     return {action for action in candidates if is_legal(state, agent_id, action)}
 
 
 def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldState, List[Event]]:
-    """Apply one primitive per agent simultaneously against the pre-state."""
+    """Apply one primitive per agent simultaneously against the pre-state.
+    The one clash is two grabs of one object, which the lower agent id wins.
+    Primitives come only from ``expand_macro``; an illegal one still becomes
+    Wait with a failure event."""
     ids = sorted(state.agents)
     if sorted(joint) != ids:
         raise ContractViolation(
@@ -161,41 +161,6 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
                 Event(tick, loser, "conflict", note=f"grab {object_id} lost to agent {contenders[0]}")
             )
 
-    # A grab out of a container that someone else closes the same tick.
-    closes: Dict[str, List[int]] = {}
-    for agent_id in ids:
-        action = final[agent_id]
-        if action.kind == "close":
-            closes.setdefault(str(action.target), []).append(agent_id)
-    for cid in sorted(closes):
-        grabbers = [
-            agent_id
-            for agent_id in ids
-            if final[agent_id].kind == "grab"
-            and state.locations[str(final[agent_id].target)] == Location(LOC_CONTAINER, cid)
-        ]
-        if not grabbers:
-            continue
-        closers = closes[cid]
-        if min(grabbers) < min(closers):
-            for loser in closers:
-                final[loser] = WAIT
-                events.append(
-                    Event(tick, loser, "conflict", note=f"close {cid} lost to agent {min(grabbers)}")
-                )
-        else:
-            for loser in grabbers:
-                object_id = str(final[loser].target)
-                final[loser] = WAIT
-                events.append(
-                    Event(
-                        tick,
-                        loser,
-                        "conflict",
-                        note=f"grab {object_id} lost to agent {min(closers)} closing {cid}",
-                    )
-                )
-
     locations = dict(state.locations)
     container_open = dict(state.container_open)
     agents = dict(state.agents)
@@ -214,10 +179,6 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
             cid = str(action.target)
             container_open[cid] = True
             events.append(Event(tick, agent_id, "opened", note=f"opened {cid}"))
-        elif action.kind == "close":
-            cid = str(action.target)
-            container_open[cid] = False
-            events.append(Event(tick, agent_id, "closed", note=f"closed {cid}"))
         elif action.kind in ("put_on", "put_in"):
             target = str(action.target)
             object_id = str(agents[agent_id].held)

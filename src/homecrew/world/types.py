@@ -39,7 +39,6 @@ ACTION_LABELS = {
     "goto": "GOTO",
     "grab": "GRAB",
     "open": "OPEN",
-    "close": "CLOSE",
     "put_on": "PUTON",
     "put_in": "PUTIN",
     "explore": "EXPLORE",
@@ -77,10 +76,6 @@ def open_container(container_id: str) -> Action:
     return Action("open", container_id)
 
 
-def close_container(container_id: str) -> Action:
-    return Action("close", container_id)
-
-
 def put_on(surface_id: str) -> Action:
     return Action("put_on", surface_id)
 
@@ -97,7 +92,7 @@ WAIT = Action("wait")
 class Event:
     """Outcome of one agent's primitive during a transition.
 
-    kind: moved, grabbed, placed, opened, closed, failure, conflict.
+    kind: moved, grabbed, placed, opened, failure, conflict.
     """
 
     tick: int

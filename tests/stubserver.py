@@ -4,9 +4,9 @@ answers from the request body. A reply is a status and a JSON payload, or
 raw bytes sent as they are, optionally followed by headers that replace the
 stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, and
 a ``Content-Length`` past the body's end closes the connection after it.
-Every request lands in ``seen``; each one is held for ``delay_s`` before the
-reply goes out, and ``max_in_flight`` is the most requests it was handling
-at once.
+Every request lands in ``seen``, its body both parsed and as the raw bytes
+received; each one is held for ``delay_s`` before the reply goes out, and
+``max_in_flight`` is the most requests it was handling at once.
 
 The stub speaks HTTP/1.0 and closes each connection after one reply. Built
 with ``keep_alive_s``, it speaks HTTP/1.1 and keeps a connection open until
@@ -83,7 +83,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
+        body = json.loads(raw or b"{}")
         server = self.server
         with server.lock:
             server.seen.append(
@@ -91,6 +92,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                     "path": self.path,
                     "authorization": self.headers.get("Authorization"),
                     "body": body,
+                    "raw": raw,
                 }
             )
             server.in_flight += 1

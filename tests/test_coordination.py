@@ -472,6 +472,11 @@ class TestGrammar:
         with pytest.raises(ResponseParseError):
             parse_proposal("alt: IDLE\nwhy: nothing", inputs.context.house, 1)
 
+    def test_proposal_refuses_two_propose_lines(self):
+        inputs = build_inputs("PrepareTea", 2, seed=0)
+        with pytest.raises(ResponseParseError, match="multiple propose lines"):
+            parse_proposal("propose: IDLE\npropose: IDLE", inputs.context.house, 1)
+
 
 # The remote-reply boundary: replies stitched from grammar fragments, the
 # house's own names and junk.

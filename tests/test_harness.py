@@ -532,6 +532,7 @@ class TestConfigBounds:
             {"fixtures": 5},
             {"no-summary": "yes"},
             {"timeout": "5"},
+            [1],
         ],
     )
     def test_config_file_values_are_checked_too(self, values, tmp_path, capsys):
@@ -672,6 +673,7 @@ class TestCliCommands:
             lambda records: records[-1].update(steps=True),
             lambda records: records[0].update(format=True),
             lambda records: records[0].update(format=1.0),
+            lambda records: records[0].update(task="Nope"),
         ],
     )
     def test_replay_refuses_a_bad_header_or_end(self, tmp_path, capsys, damage):
@@ -837,6 +839,22 @@ class TestCliCommands:
     def test_unknown_backend_is_an_error(self, capsys):
         assert main(["run", "--task", "WashDishes", "--backend", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_scripted_backend_without_fixtures_is_an_error(self, capsys):
+        assert main(["run", "--task", "WashDishes", "--backend", "scripted"]) == 2
+        assert capsys.readouterr().err == "error: scripted backend needs --fixtures\n"
+
+    def test_replay_of_a_duplicated_end_fails_at_the_extra_record(self, tmp_path, capsys):
+        out = str(tmp_path / "t.jsonl")
+        assert main(["run", "--task", "WashDishes", "--agents", "2", "--out", out]) == 0
+        records = load_trace(out)
+        write_trace(records + records[-1:], out)
+        capsys.readouterr()
+        assert main(["replay", "--trace", out]) == 1
+        n = len(records)
+        assert capsys.readouterr().out.startswith(
+            f"replay FAIL: record {n + 1} (end) diverged: recorded {n + 1} records, replayed {n}"
+        )
 
     @pytest.mark.parametrize(
         "endpoint", ["ftp://example.invalid/v1", "example.invalid/v1", "http://", "http://[::1"]

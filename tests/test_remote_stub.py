@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -172,6 +173,14 @@ class TestTransport:
             assert [reasoner.invoke(wire_request()) for _ in range(2)] == ["one", "two"]
         assert len(keep_alive_stub.seen) == 2
         assert keep_alive_stub.connections == 2
+
+    def test_request_body_bytes(self, keep_alive_stub):
+        prompt = 'say "hi"\n\tto the café ☕'
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            assert reasoner.invoke(wire_request(prompt)) == "propose: IDLE"
+        body = {"model": "m", "temperature": 0, "messages": [{"role": "user", "content": prompt}]}
+        expected = json.dumps(body, allow_nan=False).encode("utf-8")
+        assert [seen["raw"] for seen in keep_alive_stub.seen] == [expected]
 
 
 _JSON = st.recursive(

@@ -47,7 +47,6 @@ from homecrew.world.types import (
     Location,
     Observation,
     TaskProgress,
-    close_container,
     go_to,
     goal_location,
     grab,
@@ -57,7 +56,7 @@ from homecrew.world.types import (
 )
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
-PRIMITIVE_KINDS = ["close", "explore", "goto", "grab", "open", "put_in", "put_on", "wait"]
+PRIMITIVE_KINDS = ["explore", "goto", "grab", "open", "put_in", "put_on", "wait"]
 
 
 def bfs_distance(adjacency, src, dst):
@@ -100,7 +99,6 @@ def all_primitives(state):
     prims += [go_to(r) for r in house.rooms]
     prims += [grab(o) for o in sorted(state.locations)]
     prims += [open_container(c) for c in house.containers]
-    prims += [close_container(c) for c in house.containers]
     prims += [put_on(s) for s in house.surfaces]
     prims += [put_in(c) for c in house.containers]
     return prims
@@ -492,7 +490,6 @@ def reference_legal_actions(state, agent_id):
                 legal.add(grab(object_id))
     for cid in state.house.containers_in(room):
         if state.container_open[cid]:
-            legal.add(close_container(cid))
             if me.held is not None:
                 legal.add(put_in(cid))
         else:
@@ -558,9 +555,19 @@ class TestIsLegal:
 
     def test_malformed_joint_entries_degrade_to_wait(self):
         state, _ = init_world("WashDishes", 2, 0)
-        for entry in (Action("grab", ["x"]), Action(["goto"], "kitchen"), "grab", None):
+        # close is no primitive, not even for an open container in the room
+        state.agents[1] = state.agents[1].__class__(room="kitchen", held=None)
+        state.container_open["fridge"] = True
+        for entry in (
+            Action("grab", ["x"]),
+            Action(["goto"], "kitchen"),
+            "grab",
+            None,
+            Action("close", "fridge"),
+        ):
             nxt, events = transition(state, {1: entry, 2: WAIT})
             assert nxt.agents[1] == state.agents[1]
+            assert nxt.container_open == state.container_open
             assert [e.kind for e in events] == ["failure"]
             assert events[0].note.startswith("illegal action ")
 
@@ -626,25 +633,6 @@ class TestTransition:
         assert nxt.agents[2].held is None
         conflicts = [e for e in events if e.kind == "conflict"]
         assert len(conflicts) == 1 and conflicts[0].agent_id == 2
-
-    def test_grab_versus_close_lower_id_wins_each_way(self):
-        state, _ = init_world("SetUpTable", 2, 0)
-        state.agents = {i: a.__class__(room="kitchen", held=None) for i, a in state.agents.items()}
-        state.container_open["fridge"] = True
-        state.locations["plate_1"] = Location(LOC_CONTAINER, "fridge")
-
-        # grabber has the lower id: grab applies, close degrades
-        nxt, events = transition(state, {1: grab("plate_1"), 2: close_container("fridge")})
-        assert nxt.agents[1].held == "plate_1"
-        assert nxt.container_open["fridge"] is True
-        assert [e.agent_id for e in events if e.kind == "conflict"] == [2]
-
-        # closer has the lower id: close applies, grab degrades
-        nxt, events = transition(state, {1: close_container("fridge"), 2: grab("plate_1")})
-        assert nxt.container_open["fridge"] is False
-        assert nxt.agents[2].held is None
-        assert nxt.locations["plate_1"] == Location(LOC_CONTAINER, "fridge")
-        assert [e.agent_id for e in events if e.kind == "conflict"] == [2]
 
     def test_object_conservation_random_walk(self):
         """Oracle: after any number of random legal/illegal joint actions the
