@@ -29,19 +29,10 @@ from ..agents.execution import (
 )
 from ..reasoner.base import ALLOCATE, Reasoner, ask
 from ..reasoner.parsing import parse_allocation
-from ..summaries import Summary
-from ..world.types import (
-    LOC_AGENT,
-    GoalSpec,
-    HouseMap,
-    Observation,
-    TaskProgress,
-    goal_location,
-)
+from ..world.types import LOC_AGENT, HouseMap, Observation, goal_location
 from .types import (
     AllocationInputs,
     ContextEntry,
-    CrossAgentContext,
     JointAction,
     Proposal,
     check_conflicts,
@@ -68,23 +59,17 @@ def assemble_context(
     proposals: Sequence[Proposal],
     beliefs: Dict[int, Belief],
     observations: Dict[int, Observation],
-    house: HouseMap,
-    team: TeamBelief,
-) -> CrossAgentContext:
-    """Bundle every agent's round contribution, ordered by agent id, with
-    ``team``, the merge of these beliefs in that order."""
-    ordered = sorted(proposals, key=lambda p: p.agent_id)
-    entries = tuple(
+) -> Tuple[ContextEntry, ...]:
+    """Every agent's round contribution, ordered by agent id."""
+    return tuple(
         ContextEntry(
             agent_id=p.agent_id,
             proposal=p,
             belief=beliefs[p.agent_id],
             observation=observations[p.agent_id],
         )
-        for p in ordered
+        for p in sorted(proposals, key=lambda p: p.agent_id)
     )
-    tick = entries[0].observation.tick if entries else 0
-    return CrossAgentContext(tick=tick, entries=entries, house=house, team=team)
 
 
 def _agent_options(entry: ContextEntry) -> List[MacroTask]:
@@ -98,14 +83,12 @@ def _agent_options(entry: ContextEntry) -> List[MacroTask]:
     return options
 
 
-def enumerate_joint_space(
-    context: CrossAgentContext,
-    remaining: Optional[Dict[Tuple[str, str, str], int]] = None,
-) -> List[JointAction]:
+def enumerate_joint_space(inputs: AllocationInputs) -> List[JointAction]:
     """Conflict-free joint assignments from the proposed options, in a fixed
     order: agents ascending, per-agent options as proposed (candidate first,
     then alternatives, then Idle), cartesian product row-major."""
-    per_agent = [(entry.agent_id, _agent_options(entry)) for entry in context.entries]
+    remaining = remaining_by_predicate(inputs.goal, inputs.progress)
+    per_agent = [(entry.agent_id, _agent_options(entry)) for entry in inputs.entries]
     agent_ids = [agent_id for agent_id, _ in per_agent]
     joints: List[JointAction] = []
     for combo in itertools.product(*[options for _, options in per_agent]):
@@ -154,21 +137,16 @@ def _can_complete(task: MacroTask, entry: ContextEntry, house: HouseMap) -> bool
     return not known or any(usable(fact) for fact in known)
 
 
-def score_joint(
-    joint: JointAction,
-    context: CrossAgentContext,
-    progress: TaskProgress,
-    goal: GoalSpec,
-) -> int:
+def score_joint(joint: JointAction, inputs: AllocationInputs) -> int:
     """Deterministic utility of a joint assignment: per agent, goal relevance
     (a needed, achievable fetch unit) weighted RELEVANCE_WEIGHT, minus rooms
     of travel to the next waypoint, plus NOVELTY_WEIGHT for exploring a room
     the team has not exhausted. Duplicate credit never pays: extra agents past
     a predicate's remaining units score no relevance, and only the lowest-id
     explorer of a still-hidden room earns novelty."""
-    remaining = remaining_by_predicate(goal, progress)
-    house = context.house
-    team = merge_team_belief([entry.belief for entry in context.entries])
+    remaining = remaining_by_predicate(inputs.goal, inputs.progress)
+    house = inputs.house
+    team = merge_team_belief([entry.belief for entry in inputs.entries])
     fetch_assignees: Dict[Tuple[str, str, str], List[int]] = {}
     explore_assignees: Dict[str, List[int]] = {}
     for agent_id, task in joint.items():
@@ -182,7 +160,7 @@ def score_joint(
     for agent_id, task in joint.items():
         if task.kind == IDLE:
             continue
-        entry = context.entry(agent_id)
+        entry = inputs.entry(agent_id)
         if task.kind == EXPLORE_ROOM:
             room = str(task.room)
             novel = (
@@ -242,13 +220,12 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     bonus, and replaces the best leaf only on a strictly higher score. The
     all-Idle joint always survives the conflict filter, so this never comes
     up empty."""
-    context = inputs.context
-    house = context.house
+    house = inputs.house
     remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    options = [_agent_options(entry) for entry in context.entries]
+    options = [_agent_options(entry) for entry in inputs.entries]
     terms = [
-        [_option_term(task, entry, context.team, remaining, house) for task in row]
-        for entry, row in zip(context.entries, options)
+        [_option_term(task, entry, inputs.team, remaining, house) for task in row]
+        for entry, row in zip(inputs.entries, options)
     ]
     # ceiling[i]: the most agents i.. can still add to a joint's score.
     ceiling = [0] * (len(terms) + 1)
@@ -300,32 +277,25 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     return JointAction(
         tasks={
             entry.agent_id: row[pick]
-            for entry, row, pick in zip(context.entries, options, best)
+            for entry, row, pick in zip(inputs.entries, options, best)
         }
     )
 
 
 def allocate_with_report(
-    reasoner: Reasoner,
-    context: CrossAgentContext,
-    summaries: Tuple[Summary, ...],
-    progress: TaskProgress,
-    goal: GoalSpec,
+    reasoner: Reasoner, inputs: AllocationInputs
 ) -> Tuple[JointAction, AllocationReport]:
     """Allocation plus how it went. Text backends re-ask with the identical
     prompt after malformed or conflicting responses; after PARSE_RETRIES
     re-asks (or once the backend errors out) the deterministic path takes
     over and the report is marked degraded."""
-    inputs = AllocationInputs(
-        context=context, summaries=summaries, progress=progress, goal=goal
-    )
-    manager_id = min(context.agent_ids()) if context.entries else 0
+    manager_id = min(inputs.agent_ids()) if inputs.entries else 0
     joint, attempts, note = ask(
         reasoner,
         ALLOCATE,
         inputs,
-        lambda raw: parse_allocation(raw, context, remaining_by_predicate(goal, progress)),
-        context.tick,
+        lambda raw: parse_allocation(raw, inputs),
+        inputs.tick,
         manager_id,
     )
     if joint is not None:
@@ -334,13 +304,7 @@ def allocate_with_report(
     return joint, AllocationReport(attempts=attempts, degraded=True, note=note)
 
 
-def allocate(
-    reasoner: Reasoner,
-    context: CrossAgentContext,
-    summaries: Tuple[Summary, ...],
-    progress: TaskProgress,
-    goal: GoalSpec,
-) -> JointAction:
+def allocate(reasoner: Reasoner, inputs: AllocationInputs) -> JointAction:
     """The joint assignment alone; see allocate_with_report."""
-    joint, _ = allocate_with_report(reasoner, context, summaries, progress, goal)
+    joint, _ = allocate_with_report(reasoner, inputs)
     return joint

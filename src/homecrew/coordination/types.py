@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..agents.belief import Belief, TeamBelief
 from ..agents.execution import MacroTask
@@ -39,25 +39,6 @@ class ContextEntry:
 
 
 @dataclass(frozen=True)
-class CrossAgentContext:
-    tick: int
-    entries: Tuple[ContextEntry, ...]
-    house: HouseMap
-    # merge_team_belief of the entries' beliefs in entry (agent-id) order.
-    # Never compared.
-    team: TeamBelief = field(compare=False, repr=False)
-
-    def entry(self, agent_id: int) -> ContextEntry:
-        for entry in self.entries:
-            if entry.agent_id == agent_id:
-                return entry
-        raise KeyError(f"agent {agent_id} not in context")
-
-    def agent_ids(self) -> Tuple[int, ...]:
-        return tuple(entry.agent_id for entry in self.entries)
-
-
-@dataclass(frozen=True)
 class JointAction:
     """One macro task per agent for this round."""
 
@@ -88,31 +69,46 @@ class AgentView:
 
 @dataclass(frozen=True)
 class AllocationInputs:
-    """The inputs of an ALLOCATE decision, for any backend."""
+    """The inputs of an ALLOCATE decision, for any backend: every agent's
+    round contribution in agent-id order, plus the shared goal, progress
+    and summaries."""
 
-    context: CrossAgentContext
+    tick: int
+    entries: Tuple[ContextEntry, ...]
+    house: HouseMap
     summaries: Tuple[Summary, ...]
     progress: TaskProgress
     goal: GoalSpec
+    # merge_team_belief of the entries' beliefs in entry (agent-id) order.
+    # Never compared.
+    team: TeamBelief = field(compare=False, repr=False)
+
+    def entry(self, agent_id: int) -> ContextEntry:
+        for entry in self.entries:
+            if entry.agent_id == agent_id:
+                return entry
+        raise KeyError(f"agent {agent_id} not in context")
+
+    def agent_ids(self) -> Tuple[int, ...]:
+        return tuple(entry.agent_id for entry in self.entries)
 
 
 def remaining_by_predicate(goal: GoalSpec, progress: TaskProgress) -> Dict[Tuple[str, str, str], int]:
     """How many units each goal predicate still needs, keyed by
-    (relation, object_class, target). Used by the conflict check and scorer."""
-    remaining: Dict[Tuple[str, str, str], int] = {}
-    for idx, pred in enumerate(goal.predicates):
-        have = progress.by_predicate[idx] if idx < len(progress.by_predicate) else 0
-        remaining[pred.key()] = max(0, pred.count - have)
-    return remaining
+    (relation, object_class, target). Used by the conflict check and scorer.
+    ``progress`` must be the goal's own: one entry per predicate."""
+    return {
+        pred.key(): max(0, pred.count - have)
+        for pred, have in zip(goal.predicates, progress.by_predicate, strict=True)
+    }
 
 
 def check_conflicts(
-    joint: JointAction,
-    remaining: Optional[Dict[Tuple[str, str, str], int]] = None,
+    joint: JointAction, remaining: Dict[Tuple[str, str, str], int]
 ) -> List[str]:
     """Conflict rules every accepted joint action must satisfy: no two agents
-    on one bound object, and no goal predicate oversubscribed beyond its
-    remaining unit count (checked only when remaining counts are supplied).
+    on one bound object, and no predicate in ``remaining`` loaded past its
+    remaining unit count (an empty ``remaining`` checks bound objects only).
     Returns human-readable violations; empty means conflict-free."""
     violations: List[str] = []
     bound_ids: Dict[str, List[int]] = {}
@@ -127,11 +123,10 @@ def check_conflicts(
         agents = bound_ids[object_id]
         if len(agents) > 1:
             violations.append(f"object {object_id} assigned to agents {agents}")
-    if remaining is not None:
-        for key in sorted(predicate_load):
-            if key in remaining and len(predicate_load[key]) > remaining[key]:
-                violations.append(
-                    f"predicate {key} needs {remaining[key]} more unit(s) but "
-                    f"{len(predicate_load[key])} agents assigned"
-                )
+    for key in sorted(predicate_load):
+        if key in remaining and len(predicate_load[key]) > remaining[key]:
+            violations.append(
+                f"predicate {key} needs {remaining[key]} more unit(s) but "
+                f"{len(predicate_load[key])} agents assigned"
+            )
     return violations

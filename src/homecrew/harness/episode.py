@@ -32,7 +32,7 @@ from ..agents.execution import expand_macro
 from ..agents.records import HistoryRecord
 from ..coordination.allocate import allocate_with_report, assemble_context
 from ..coordination.negotiate import make_proposal
-from ..coordination.types import AgentView, JointAction
+from ..coordination.types import AgentView, AllocationInputs, JointAction
 from ..errors import FixtureExhausted, RemoteBackendError
 from ..reasoner.base import TEXT, Reasoner, ReasonerRequest
 from ..reasoner.heuristic import HeuristicReasoner
@@ -286,12 +286,16 @@ def _play_episode(
             proposals.append(proposal)
         proposal_lines = {str(p.agent_id): p.candidate.render() for p in proposals}
         if config.use_allocation:
-            context = assemble_context(
-                proposals, beliefs, observations, state.house, team=team
+            inputs = AllocationInputs(
+                tick=state.tick,
+                entries=assemble_context(proposals, beliefs, observations),
+                house=state.house,
+                summaries=collected,
+                progress=believed,
+                goal=goal,
+                team=team,
             )
-            joint, report = allocate_with_report(
-                recording_manager, context, collected, believed, goal
-            )
+            joint, report = allocate_with_report(recording_manager, inputs)
             degraded += int(report.degraded)
             mode, attempts, was_degraded = "centralized", report.attempts, report.degraded
             note = report.note

@@ -11,13 +11,13 @@ All violations raise ResponseParseError so callers can retry or fall back.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..agents.execution import MacroTask
 from ..errors import ResponseParseError
 
 if TYPE_CHECKING:
-    from ..coordination.types import CrossAgentContext, JointAction, Proposal
+    from ..coordination.types import AllocationInputs, JointAction, Proposal
     from ..world.types import HouseMap
 
 # The most ranked backups a proposal carries: the heuristic builds no more and
@@ -88,17 +88,14 @@ def _fenced_body(text: str) -> str:
     return "\n".join(body)
 
 
-def parse_allocation(
-    raw_response: str,
-    context: CrossAgentContext,
-    remaining: Optional[Dict[Tuple[str, str, str], int]] = None,
-) -> JointAction:
+def parse_allocation(raw_response: str, inputs: AllocationInputs) -> JointAction:
     """Parse and validate a full allocation response: exactly one well-formed
-    task per context agent, no unknown agents, and no conflicts."""
+    task per agent of ``inputs``, no unknown agents, and no conflicts under
+    the quota that the inputs' goal and progress leave."""
     # Deferred: coordination imports this module for its text path.
-    from ..coordination.types import JointAction, check_conflicts
+    from ..coordination.types import JointAction, check_conflicts, remaining_by_predicate
 
-    expected = set(context.agent_ids())
+    expected = set(inputs.agent_ids())
     tasks: Dict[int, MacroTask] = {}
     for line in _fenced_body(raw_response).split("\n"):
         if not line.strip():
@@ -114,12 +111,12 @@ def parse_allocation(
             raise ResponseParseError(f"unknown agent id {agent_id}", line)
         if agent_id in tasks:
             raise ResponseParseError(f"agent {agent_id} assigned twice", line)
-        tasks[agent_id] = parse_task(match.group(2), context.house)
+        tasks[agent_id] = parse_task(match.group(2), inputs.house)
     missing = sorted(expected - set(tasks))
     if missing:
         raise ResponseParseError(f"no assignment for agent(s) {missing}")
     joint = JointAction(tasks=tasks)
-    violations = check_conflicts(joint, remaining)
+    violations = check_conflicts(joint, remaining_by_predicate(inputs.goal, inputs.progress))
     if violations:
         raise ResponseParseError("conflicting assignments: " + "; ".join(violations))
     return joint

@@ -78,25 +78,24 @@ def _render_propose(view: AgentView) -> str:
 
 
 def _render_allocate(inputs: AllocationInputs) -> str:
-    context, goal = inputs.context, inputs.goal
-    agent_ids = context.agent_ids()
+    agent_ids = inputs.agent_ids()
     lines = [
         "You are the manager of a team of household robots.",
         "Assign exactly one task to every agent for this round, avoiding",
         "duplicated targets and wasted trips.",
         "",
         "## Objective",
-        goal.render(),
+        inputs.goal.render(),
         "",
         "## Progress",
-        progress_line(inputs.progress, context.tick),
+        progress_line(inputs.progress, inputs.tick),
         "",
         "## Collaboration summary (most recent first)",
     ]
     lines += [s.render_line() for s in reversed(inputs.summaries)] or [NO_SUMMARIES_MARKER]
     lines.append("")
     lines.append("## Team context")
-    for entry in context.entries:
+    for entry in inputs.entries:
         proposal = entry.proposal
         alternative_lines = proposal.render_alternatives()
         lines.append(f"### agent {entry.agent_id}")
@@ -106,7 +105,7 @@ def _render_allocate(inputs: AllocationInputs) -> str:
         alts = " | ".join(alternative_lines) if alternative_lines else "(none)"
         lines.append(f"alternatives: {alts}")
         lines.append("belief:")
-        lines.append(_indent(belief_digest(entry.belief, goal)))
+        lines.append(_indent(belief_digest(entry.belief, inputs.goal)))
         lines.append("observation:")
         lines.append(_indent(render_observation(entry.observation)))
     agent_list = ", ".join(str(a) for a in agent_ids)
@@ -121,7 +120,7 @@ def _render_allocate(inputs: AllocationInputs) -> str:
         "```",
         "Valid task forms:",
     ]
-    lines += [f"- {form}" for form in task_form_lines(context.house)]
+    lines += [f"- {form}" for form in task_form_lines(inputs.house)]
     return "\n".join(lines)
 
 

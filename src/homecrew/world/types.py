@@ -165,7 +165,7 @@ class TaskProgress:
 
     satisfied: int
     total: int
-    by_predicate: Tuple[int, ...] = ()
+    by_predicate: Tuple[int, ...]
 
     def done(self) -> bool:
         return self.satisfied >= self.total

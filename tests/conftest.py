@@ -33,3 +33,9 @@ def stub(monkeypatch):
 def keep_alive_stub(monkeypatch):
     """An HTTP/1.1 stub that closes a connection idle for a second."""
     yield from serve(monkeypatch, StubServer(keep_alive_s=1.0))
+
+
+@pytest.fixture
+def other_stub(monkeypatch):
+    """A second stub, for replies that send the client to another host."""
+    yield from serve(monkeypatch, StubServer())

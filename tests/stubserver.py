@@ -2,8 +2,11 @@
 shape for backend tests: queued replies first, then a policy callable that
 answers from the request body. A reply is a status and a JSON payload, or
 raw bytes sent as they are, optionally followed by headers that replace the
-stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, and
-a ``Content-Length`` past the body's end closes the connection after it.
+stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, a
+``Content-Length`` past the body's end closes the connection after it, and a
+``RESET`` header is not sent but resets the connection after the body
+(``SO_LINGER`` 0, then close). The stub answers POST only, so a client that
+follows a redirect with a GET is answered 501.
 Every request lands in ``seen``, its body both parsed and as the raw bytes
 received; each one is held for ``delay_s`` before the reply goes out, and
 ``max_in_flight`` is the most requests it was handling at once.
@@ -17,9 +20,14 @@ from __future__ import annotations
 
 import json
 import re
+import socket
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+
+RESET = "X-Stub-Reset"
 
 
 def completion(text, **usage):
@@ -112,6 +120,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             "Content-Length": str(len(data)),
             **dict(headers),
         }
+        reset = headers.pop(RESET, None) is not None
         chunked = headers.get("Transfer-Encoding") == "chunked"
         if chunked:
             del headers["Content-Length"]
@@ -128,6 +137,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             # The client waits for the rest of a short body until the connection ends.
             if int(headers["Content-Length"]) > len(data):
                 self.close_connection = True
+        if reset:
+            # A zero linger turns close into a reset (RST) instead of a FIN.
+            linger = struct.pack("ii", 1, 0)
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+            self.connection.close()
+            self.close_connection = True
 
     def log_message(self, *args):
         pass

@@ -180,13 +180,14 @@ def random_instance(
                 alternatives=alternatives,
             )
         )
-    team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
-    context = assemble_context(proposals, beliefs, observations, house, team)
     return AllocationInputs(
-        context=context,
+        tick=state.tick,
+        entries=assemble_context(proposals, beliefs, observations),
+        house=house,
         summaries=(),
         progress=evaluate_progress(state, goal),
         goal=goal,
+        team=merge_team_belief([beliefs[i] for i in sorted(beliefs)]),
     )
 
 
@@ -217,11 +218,10 @@ def conflict_violations(joint: JointAction, remaining) -> list:
 def exhaustive_argmax(inputs: AllocationInputs) -> JointAction:
     """Own product loop, own option listing, own conflict filter; first
     strict maximum in the same canonical order the engine documents."""
-    context = inputs.context
     remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    agent_ids = [entry.agent_id for entry in context.entries]
+    agent_ids = [entry.agent_id for entry in inputs.entries]
     pools = []
-    for entry in context.entries:
+    for entry in inputs.entries:
         pool = [entry.proposal.candidate]
         for alternative in entry.proposal.alternatives[:3]:
             if alternative not in pool:
@@ -234,7 +234,7 @@ def exhaustive_argmax(inputs: AllocationInputs) -> JointAction:
         joint = JointAction(tasks=dict(zip(agent_ids, combo)))
         if conflict_violations(joint, remaining):
             continue
-        score = score_joint(joint, context, inputs.progress, inputs.goal)
+        score = score_joint(joint, inputs)
         if best is None or score > best_score:
             best, best_score = joint, score
     return best
@@ -304,7 +304,7 @@ def test_contended_allocations_stay_conflict_free():
             joint = heuristic_allocation(inputs)
             remaining = remaining_by_predicate(inputs.goal, inputs.progress)
             assert conflict_violations(joint, remaining) == [], f"trial {trial}"
-            assert sorted(joint.tasks) == sorted(inputs.context.agent_ids())
+            assert sorted(joint.tasks) == sorted(inputs.agent_ids())
 
 
 def test_allocator_stays_exact_on_larger_teams(monkeypatch):
@@ -322,14 +322,14 @@ def test_allocator_stays_exact_on_larger_teams(monkeypatch):
             joint = heuristic_allocation(inputs)
             remaining = remaining_by_predicate(inputs.goal, inputs.progress)
             assert conflict_violations(joint, remaining) == [], f"trial {trial}"
-            assert sorted(joint.tasks) == sorted(inputs.context.agent_ids())
+            assert sorted(joint.tasks) == sorted(inputs.agent_ids())
             assert joint == exhaustive_argmax(inputs), f"trial {trial} diverged"
         for trial in range(60):
             inputs = random_instance(rng, contentious=True, num_agents=4 + trial % 3)
             joint = heuristic_allocation(inputs)
             remaining = remaining_by_predicate(inputs.goal, inputs.progress)
             assert conflict_violations(joint, remaining) == [], f"trial {trial}"
-            assert sorted(joint.tasks) == sorted(inputs.context.agent_ids())
+            assert sorted(joint.tasks) == sorted(inputs.agent_ids())
 
 
 def check_partition(records) -> None:
@@ -525,8 +525,7 @@ def test_allocation_reuses_the_round_team_belief(monkeypatch):
     with criterion("allocation with the round's team belief equals a fresh merge"):
         for trial in range(240):
             inputs = random_instance(rng, num_agents=1 + trial % 6)
-            context = inputs.context
-            team = merge_team_belief([entry.belief for entry in context.entries])
+            team = merge_team_belief([entry.belief for entry in inputs.entries])
             fresh = heuristic_allocation(inputs)
             with monkeypatch.context() as patch:
                 # The package's allocate function shadows its module name.
@@ -534,10 +533,8 @@ def test_allocation_reuses_the_round_team_belief(monkeypatch):
                     module = sys.modules[f"homecrew.coordination.{name}"]
                     if hasattr(module, "merge_team_belief"):
                         patch.setattr(module, "merge_team_belief", None)
-                given = dataclasses.replace(
-                    inputs, context=dataclasses.replace(context, team=team)
-                )
-                assert given.context == context
+                given = dataclasses.replace(inputs, team=team)
+                assert given == inputs
                 assert heuristic_allocation(given) == fresh, f"trial {trial} diverged"
 
 

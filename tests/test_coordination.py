@@ -29,7 +29,6 @@ from homecrew.coordination.negotiate import heuristic_proposal, make_proposal
 from homecrew.coordination.types import (
     AgentView,
     AllocationInputs,
-    CrossAgentContext,
     JointAction,
     Proposal,
     check_conflicts,
@@ -136,13 +135,14 @@ def build_inputs(task, num_agents, seed, drop_rate=0.0) -> AllocationInputs:
         beliefs[agent_id] = belief
         observations[agent_id] = observe(state, agent_id)
         proposals.append(heuristic_proposal(make_view(state, goal, agent_id, belief)))
-    team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
-    context = assemble_context(proposals, beliefs, observations, state.house, team)
     return AllocationInputs(
-        context=context,
+        tick=state.tick,
+        entries=assemble_context(proposals, beliefs, observations),
+        house=state.house,
         summaries=(),
         progress=evaluate_progress(state, goal),
         goal=goal,
+        team=merge_team_belief([beliefs[i] for i in sorted(beliefs)]),
     )
 
 
@@ -179,7 +179,11 @@ class TestProposal:
         belief = omniscient_belief(state)
         done = dataclasses.replace(
             make_view(state, goal, 1, belief),
-            progress=TaskProgress(goal.total_units(), goal.total_units()),
+            progress=TaskProgress(
+                goal.total_units(),
+                goal.total_units(),
+                tuple(p.count for p in goal.predicates),
+            ),
         )
         assert heuristic_proposal(done).candidate == MacroTask.idle()
 
@@ -343,21 +347,25 @@ class TestGrammar:
         )
 
     def test_round_trip_random_joints(self):
-        inputs = build_inputs("PrepareAMeal", 3, seed=1)
-        context = inputs.context
+        # A goal with no predicates sets no quota, so random joints stay valid.
+        inputs = dataclasses.replace(
+            build_inputs("PrepareAMeal", 3, seed=1),
+            goal=GoalSpec("none", ()),
+            progress=TaskProgress(0, 0, ()),
+        )
         rng = random.Random(99)
         for _ in range(200):
             tasks = {}
             used_ids = set()
-            for agent_id in context.agent_ids():
-                task = self.random_task(rng, context.house)
+            for agent_id in inputs.agent_ids():
+                task = self.random_task(rng, inputs.house)
                 while task.object_id is not None and task.object_id in used_ids:
-                    task = self.random_task(rng, context.house)
+                    task = self.random_task(rng, inputs.house)
                 if task.object_id is not None:
                     used_ids.add(task.object_id)
                 tasks[agent_id] = task
             joint = JointAction(tasks=tasks)
-            assert parse_allocation(format_allocation(joint), context) == joint
+            assert parse_allocation(format_allocation(joint), inputs) == joint
 
     def test_fenced_block_with_surrounding_prose(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
@@ -366,14 +374,14 @@ class TestGrammar:
             "```\n1: EXPLORE(kitchen)\n2: IDLE\n```\n"
             "1: this trailing prose must be ignored\n"
         )
-        joint = parse_allocation(raw, inputs.context)
+        joint = parse_allocation(raw, inputs)
         assert joint.task_for(1) == MacroTask.explore("kitchen")
         assert joint.task_for(2) == MacroTask.idle()
 
     def test_agent_prefix_and_dot_separator(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         raw = "Agent 1: IDLE\n2. EXPLORE(bedroom)\n"
-        joint = parse_allocation(raw, inputs.context)
+        joint = parse_allocation(raw, inputs)
         assert joint.task_for(1) == MacroTask.idle()
         assert joint.task_for(2) == MacroTask.explore("bedroom")
 
@@ -396,11 +404,11 @@ class TestGrammar:
     def test_parse_task_rejects(self, bad):
         inputs = build_inputs("PrepareAMeal", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_task(bad, inputs.context.house)
+            parse_task(bad, inputs.house)
 
     def test_parse_task_accepts_class_and_bound_forms(self):
         inputs = build_inputs("WashDishes", 2, seed=0)
-        house = inputs.context.house
+        house = inputs.house
         task = parse_task("fetch(plate, in, dishwasher)", house)
         assert task.object_id is None and task.object_class == "plate"
         bound_id = sorted(house.object_classes)[0]
@@ -410,50 +418,53 @@ class TestGrammar:
     def test_allocation_unknown_agent(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_allocation("1: IDLE\n2: IDLE\n7: IDLE", inputs.context)
+            parse_allocation("1: IDLE\n2: IDLE\n7: IDLE", inputs)
 
     def test_allocation_over_long_agent_id(self):
         inputs = build_inputs("PrepareTea", 1, seed=0)
         with pytest.raises(ResponseParseError, match="^unknown agent id 9999") as caught:
-            parse_allocation(LONG_ID_REPLY, inputs.context)
+            parse_allocation(LONG_ID_REPLY, inputs)
         assert len(str(caught.value)) == NOTE_LIMIT and str(caught.value).endswith("\u2026")
 
     def test_allocation_duplicate_agent(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_allocation("1: IDLE\n1: EXPLORE(kitchen)\n2: IDLE", inputs.context)
+            parse_allocation("1: IDLE\n1: EXPLORE(kitchen)\n2: IDLE", inputs)
 
     def test_allocation_missing_agent(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_allocation("1: IDLE", inputs.context)
+            parse_allocation("1: IDLE", inputs)
 
     def test_allocation_double_booked_object(self):
         inputs = build_inputs("WashDishes", 2, seed=0)
-        bound_id = sorted(inputs.context.house.object_classes)[0]
-        cls = inputs.context.house.object_classes[bound_id]
+        bound_id = sorted(inputs.house.object_classes)[0]
+        cls = inputs.house.object_classes[bound_id]
         raw = (
             f"1: FETCH({bound_id}, ON, kitchentable)\n"
             f"2: FETCH({bound_id}, IN, fridge)"
         )
         with pytest.raises(ResponseParseError):
-            parse_allocation(raw, inputs.context)
+            parse_allocation(raw, inputs)
 
     def test_allocation_oversubscribed_predicate(self):
         inputs = build_inputs("PrepareTea", 3, seed=0)
-        remaining = {(ON, "kettle", "kitchentable"): 1}
+        assert remaining_by_predicate(inputs.goal, inputs.progress)[
+            (ON, "kettle", "kitchentable")
+        ] == 1
         raw = (
             "1: FETCH(kettle, ON, kitchentable)\n"
             "2: FETCH(kettle, ON, kitchentable)\n"
             "3: IDLE"
         )
         with pytest.raises(ResponseParseError):
-            parse_allocation(raw, inputs.context, remaining)
-        assert parse_allocation(raw, inputs.context) is not None
+            parse_allocation(raw, inputs)
+        raw = "1: FETCH(kettle, ON, kitchentable)\n2: IDLE\n3: IDLE"
+        assert parse_allocation(raw, inputs) is not None
 
     def test_proposal_lines(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
-        house = inputs.context.house
+        house = inputs.house
         raw = (
             "why: the kettle is closest\n"
             "propose: FETCH(kettle, ON, kitchentable)\n"
@@ -470,18 +481,18 @@ class TestGrammar:
     def test_proposal_requires_propose_line(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError):
-            parse_proposal("alt: IDLE\nwhy: nothing", inputs.context.house, 1)
+            parse_proposal("alt: IDLE\nwhy: nothing", inputs.house, 1)
 
     def test_proposal_refuses_two_propose_lines(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         with pytest.raises(ResponseParseError, match="multiple propose lines"):
-            parse_proposal("propose: IDLE\npropose: IDLE", inputs.context.house, 1)
+            parse_proposal("propose: IDLE\npropose: IDLE", inputs.house, 1)
 
 
 # The remote-reply boundary: replies stitched from grammar fragments, the
 # house's own names and junk.
 _BOUNDARY = build_inputs("PrepareAMeal", 3, seed=0)
-_HOUSE = _BOUNDARY.context.house
+_HOUSE = _BOUNDARY.house
 _NAMES = sorted(
     {*_HOUSE.rooms, *_HOUSE.surfaces, *_HOUSE.containers, *_HOUSE.object_classes,
      *_HOUSE.object_classes.values()}
@@ -555,8 +566,6 @@ class TestReplyBoundary:
     @given(reply=_REPLY)
     @example(reply=LONG_ID_REPLY)
     def test_replies_parse_to_house_names_or_are_refused(self, reply):
-        context = _BOUNDARY.context
-        remaining = remaining_by_predicate(_BOUNDARY.goal, _BOUNDARY.progress)
         lines = reply.split("\n")
         for text in (reply, *lines, *(line.partition(":")[2] for line in lines)):
             try:
@@ -572,22 +581,21 @@ class TestReplyBoundary:
             for task in (proposal.candidate, *proposal.alternatives):
                 assert_names_only_the_house(task)
         try:
-            joint = parse_allocation(reply, context, remaining)
+            joint = parse_allocation(reply, _BOUNDARY)
         except ResponseParseError:
             pass
         else:
-            assert sorted(joint.tasks) == list(context.agent_ids())
+            assert sorted(joint.tasks) == list(_BOUNDARY.agent_ids())
             for _, task in joint.items():
                 assert_names_only_the_house(task)
 
 
 class TestScore:
-    def plate_context(self, *agent_specs):
+    def plate_inputs(self, *agent_specs):
         """agent_specs: (agent_id, room, held, facts, visited, proposal_task)
         with an optional trailing container_flags mapping."""
         object_classes = {"plate_1": "plate", "plate_2": "plate"}
         house = fixture_house(object_classes)
-        goal = single_plate_goal()
         proposals, beliefs, observations = [], {}, {}
         for agent_id, room, held, facts, visited, task, *rest in agent_specs:
             proposals.append(Proposal(agent_id, task))
@@ -597,94 +605,101 @@ class TestScore:
                 container_flags=rest[0] if rest else {},
             )
             observations[agent_id] = fab_observation(agent_id, room, held)
-        team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
-        context = assemble_context(proposals, beliefs, observations, house, team)
-        return context, goal
+        return AllocationInputs(
+            tick=0,
+            entries=assemble_context(proposals, beliefs, observations),
+            house=house,
+            summaries=(),
+            progress=TaskProgress(0, 1, (0,)),
+            goal=single_plate_goal(),
+            team=merge_team_belief([beliefs[i] for i in sorted(beliefs)]),
+        )
 
     def test_relevant_fetch_two_rooms_away_scores_eight(self):
         fact = Fact("plate_1", "plate", Location(LOC_ROOM, "kitchen"), 0)
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "bedroom", None, [fact], {"bedroom": 0}, task)
         )
         joint = JointAction(tasks={1: task})
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 8
+        assert score_joint(joint, inputs) == 8
 
     def test_all_idle_scores_zero(self):
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "kitchen", None, [], {"kitchen": 0}, MacroTask.idle()),
             (2, "bedroom", None, [], {"bedroom": 0}, MacroTask.idle()),
         )
         joint = JointAction(tasks={1: MacroTask.idle(), 2: MacroTask.idle()})
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 0
+        assert score_joint(joint, inputs) == 0
 
     def test_second_agent_past_quota_earns_no_relevance(self):
         fact1 = Fact("plate_1", "plate", Location(LOC_ROOM, "kitchen"), 0)
         fact2 = Fact("plate_2", "plate", Location(LOC_ROOM, "kitchen"), 0)
         task = MacroTask.fetch("plate", ON, "kitchentable")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "livingroom", None, [fact1, fact2], {"livingroom": 0}, task),
             (2, "livingroom", None, [fact1, fact2], {"livingroom": 0}, task),
         )
         joint = JointAction(tasks={1: task, 2: task})
         # agent 1: 10 - 1; agent 2 past the single remaining unit: 0 - 1
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 8
+        assert score_joint(joint, inputs) == 8
 
     def test_duplicate_explore_pays_novelty_once(self):
         explore = MacroTask.explore("bathroom")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "bedroom", None, [], {"bedroom": 0}, explore),
             (2, "livingroom", None, [], {"livingroom": 0}, explore),
         )
         joint = JointAction(tasks={1: explore, 2: explore})
         # both one room out; only agent 1 scores the still-hidden bonus of 3
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 1
+        assert score_joint(joint, inputs) == 1
 
     def test_exhausted_room_explore_earns_no_novelty(self):
         # bathroom has no containers, so one visit exhausts it
         explore = MacroTask.explore("bathroom")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "bathroom", None, [], {"bathroom": 0}, explore),
         )
         joint = JointAction(tasks={1: explore})
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 0
+        assert score_joint(joint, inputs) == 0
 
     def test_unopened_containers_keep_room_novel(self):
         explore = MacroTask.explore("kitchen")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "kitchen", None, [], {"kitchen": 0}, explore),
         )
         joint = JointAction(tasks={1: explore})
         # visited, but the fridge and friends are not believed open
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 3
+        assert score_joint(joint, inputs) == 3
 
     def test_all_containers_open_ends_kitchen_novelty(self):
         explore = MacroTask.explore("kitchen")
         flags = {c: (True, 0) for c in ("dishwasher", "fridge", "stove")}
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "kitchen", None, [], {"kitchen": 0}, explore, flags),
         )
         joint = JointAction(tasks={1: explore})
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 0
+        assert score_joint(joint, inputs) == 0
 
     def test_object_already_at_target_scores_nothing(self):
         fact = Fact("plate_1", "plate", Location("surface", "kitchentable"), 0)
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "kitchen", None, [fact], {"kitchen": 0}, task)
         )
         joint = JointAction(tasks={1: task})
-        assert score_joint(joint, context, TaskProgress(1, 1, (1,)), goal) == 0
+        done = dataclasses.replace(inputs, progress=TaskProgress(1, 1, (1,)))
+        assert score_joint(joint, done) == 0
 
     def test_holding_the_object_counts_target_distance(self):
         fact = Fact("plate_1", "plate", Location("agent", "1"), 0)
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
-        context, goal = self.plate_context(
+        inputs = self.plate_inputs(
             (1, "bathroom", "plate_1", [fact], {"bathroom": 0}, task)
         )
         joint = JointAction(tasks={1: task})
         # relevance 10 minus bathroom -> kitchen travel of 2
-        assert score_joint(joint, context, TaskProgress(0, 1, (0,)), goal) == 8
+        assert score_joint(joint, inputs) == 8
 
 
 class TestAllocator:
@@ -698,17 +713,16 @@ class TestAllocator:
         return options
 
     def brute_force(self, inputs: AllocationInputs) -> JointAction:
-        context = inputs.context
         remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-        agent_ids = [entry.agent_id for entry in context.entries]
+        agent_ids = [entry.agent_id for entry in inputs.entries]
         best, best_score = None, None
         for combo in itertools.product(
-            *[self.options_for(entry) for entry in context.entries]
+            *[self.options_for(entry) for entry in inputs.entries]
         ):
             joint = JointAction(tasks=dict(zip(agent_ids, combo)))
             if check_conflicts(joint, remaining):
                 continue
-            score = score_joint(joint, context, inputs.progress, inputs.goal)
+            score = score_joint(joint, inputs)
             if best is None or score > best_score:
                 best, best_score = joint, score
         return best
@@ -722,7 +736,7 @@ class TestAllocator:
     def test_allocation_covers_agents_conflict_free(self, task, num_agents, seed, drop):
         inputs = build_inputs(task, num_agents, seed, drop)
         joint = heuristic_allocation(inputs)
-        assert [aid for aid, _ in joint.items()] == list(inputs.context.agent_ids())
+        assert [aid for aid, _ in joint.items()] == list(inputs.agent_ids())
         remaining = remaining_by_predicate(inputs.goal, inputs.progress)
         assert check_conflicts(joint, remaining) == []
 
@@ -730,24 +744,18 @@ class TestAllocator:
         inputs = build_inputs("SetUpTable", 3, seed=4, drop_rate=0.3)
         remaining = remaining_by_predicate(inputs.goal, inputs.progress)
         expected = []
-        agent_ids = [e.agent_id for e in inputs.context.entries]
+        agent_ids = [e.agent_id for e in inputs.entries]
         for combo in itertools.product(
-            *[self.options_for(e) for e in inputs.context.entries]
+            *[self.options_for(e) for e in inputs.entries]
         ):
             joint = JointAction(tasks=dict(zip(agent_ids, combo)))
             if not check_conflicts(joint, remaining):
                 expected.append(joint)
-        assert enumerate_joint_space(inputs.context, remaining) == expected
+        assert enumerate_joint_space(inputs) == expected
 
     def test_structured_backend_equals_heuristic(self):
         inputs = build_inputs("PutGroceries", 2, seed=7)
-        via_backend = allocate(
-            HeuristicReasoner(),
-            inputs.context,
-            inputs.summaries,
-            inputs.progress,
-            inputs.goal,
-        )
+        via_backend = allocate(HeuristicReasoner(), inputs)
         assert via_backend == heuristic_allocation(inputs)
 
     def test_text_backend_honors_valid_response(self):
@@ -756,23 +764,19 @@ class TestAllocator:
             tasks={1: MacroTask.idle(), 2: MacroTask.explore("bathroom")}
         )
         scripted = ScriptedReasoner(
-            {(ALLOCATE, inputs.context.tick, 1): [format_allocation(forced)]}
+            {(ALLOCATE, inputs.tick, 1): [format_allocation(forced)]}
         )
-        joint, report = allocate_with_report(
-            scripted, inputs.context, inputs.summaries, inputs.progress, inputs.goal
-        )
+        joint, report = allocate_with_report(scripted, inputs)
         assert joint == forced
         assert report.attempts == 1 and not report.degraded
 
     def test_text_backend_retries_then_falls_back(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
-        key = (ALLOCATE, inputs.context.tick, 1)
+        key = (ALLOCATE, inputs.tick, 1)
         scripted = ScriptedReasoner(
             {key: ["no structure", "1: DANCE()\n2: IDLE", "still nothing"]}
         )
-        joint, report = allocate_with_report(
-            scripted, inputs.context, inputs.summaries, inputs.progress, inputs.goal
-        )
+        joint, report = allocate_with_report(scripted, inputs)
         assert report.degraded and report.attempts == 3
         with pytest.raises(FixtureExhausted):
             scripted.invoke(ReasonerRequest(ALLOCATE, None, tick=key[1], agent_id=key[2]))
@@ -780,29 +784,25 @@ class TestAllocator:
 
     def test_text_backend_conflicting_then_valid(self):
         inputs = build_inputs("WashDishes", 2, seed=1)
-        bound_id = sorted(inputs.context.house.object_classes)[0]
+        bound_id = sorted(inputs.house.object_classes)[0]
         conflicting = (
             f"1: FETCH({bound_id}, IN, dishwasher)\n"
             f"2: FETCH({bound_id}, IN, dishwasher)"
         )
         valid = "1: IDLE\n2: IDLE"
         scripted = ScriptedReasoner(
-            {(ALLOCATE, inputs.context.tick, 1): [conflicting, valid]}
+            {(ALLOCATE, inputs.tick, 1): [conflicting, valid]}
         )
-        joint, report = allocate_with_report(
-            scripted, inputs.context, inputs.summaries, inputs.progress, inputs.goal
-        )
+        joint, report = allocate_with_report(scripted, inputs)
         assert report.attempts == 2 and not report.degraded
         assert joint.task_for(2) == MacroTask.idle()
 
     def test_text_backend_over_long_agent_id_falls_back(self):
         inputs = build_inputs("PrepareTea", 1, seed=0)
         scripted = ScriptedReasoner(
-            {(ALLOCATE, inputs.context.tick, 1): [LONG_ID_REPLY] * 3}
+            {(ALLOCATE, inputs.tick, 1): [LONG_ID_REPLY] * 3}
         )
-        joint, report = allocate_with_report(
-            scripted, inputs.context, inputs.summaries, inputs.progress, inputs.goal
-        )
+        joint, report = allocate_with_report(scripted, inputs)
         assert report.degraded and report.attempts == 3
         assert report.note.startswith("unknown agent id 9999")
         assert len(report.note) <= NOTE_LIMIT
@@ -817,13 +817,7 @@ class TestAllocator:
                 raise RemoteBackendError("endpoint unreachable")
 
         inputs = build_inputs("SetUpTable", 2, seed=3)
-        joint, report = allocate_with_report(
-            ExplodingReasoner(),
-            inputs.context,
-            inputs.summaries,
-            inputs.progress,
-            inputs.goal,
-        )
+        joint, report = allocate_with_report(ExplodingReasoner(), inputs)
         assert report.degraded
         assert "unreachable" in report.note
         assert joint == heuristic_allocation(inputs)
@@ -871,8 +865,7 @@ class TestMakeProposal:
 class TestContext:
     def test_entries_sorted_with_digests(self):
         inputs = build_inputs("PrepareAMeal", 3, seed=2)
-        context = inputs.context
-        assert context.agent_ids() == (1, 2, 3)
+        assert inputs.agent_ids() == (1, 2, 3)
         prompts = []
 
         class CapturingReasoner(Reasoner):
@@ -883,13 +876,7 @@ class TestContext:
                 prompts.append(request.rendered_prompt)
                 raise RemoteBackendError("no reply")
 
-        allocate_with_report(
-            CapturingReasoner(),
-            context,
-            inputs.summaries,
-            inputs.progress,
-            inputs.goal,
-        )
+        allocate_with_report(CapturingReasoner(), inputs)
         blocks = prompts[0].split("\n### agent ")[1:]
         assert [block.split("\n")[0] for block in blocks] == ["1", "2", "3"]
         for agent_id, block in zip((1, 2, 3), blocks):

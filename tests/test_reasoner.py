@@ -66,12 +66,14 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
         Summary(index, (bounds[index - 1], bounds[index]), 1, text, 1)
         for index, text in enumerate(summary_texts, 1)
     )
-    team = merge_team_belief([beliefs[i] for i in agent_ids])
     return AllocationInputs(
-        context=assemble_context(proposals, beliefs, observations, state.house, team),
+        tick=state.tick,
+        entries=assemble_context(proposals, beliefs, observations),
+        house=state.house,
         summaries=summaries,
         progress=evaluate_progress(state, goal),
         goal=goal,
+        team=merge_team_belief([beliefs[i] for i in agent_ids]),
     )
 
 

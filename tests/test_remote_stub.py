@@ -16,7 +16,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stubserver import approve_candidates, completion
+from stubserver import RESET, approve_candidates, completion
 from homecrew.errors import ConfigError, RemoteBackendError
 from homecrew.harness.config import EpisodeConfig, RemoteConfig
 from homecrew.harness.episode import replay_trace, run_episode
@@ -158,6 +158,19 @@ class TestTransport:
                 assert f"after {attempts} attempt(s)" in str(err.value)
                 assert len(keep_alive_stub.seen) == 3 * call
 
+    def test_reset_mid_response_is_a_transport_error(self, keep_alive_stub, monkeypatch):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        attempts = 1 + remote_module.TRANSPORT_RETRIES
+        reset = (200, b"0123456789", {"Content-Length": "100", RESET: ""})
+        keep_alive_stub.replies = [reset] * attempts
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            with pytest.raises(RemoteBackendError) as err:
+                reasoner.invoke(wire_request())
+        assert str(err.value).startswith("transport error:")
+        assert f"after {attempts} attempt(s)" in str(err.value)
+        assert len(keep_alive_stub.seen) == attempts
+        assert keep_alive_stub.connections == attempts
+
     def test_chunked_replies_share_one_connection(self, keep_alive_stub):
         chunked = {"Transfer-Encoding": "chunked"}
         keep_alive_stub.replies = [(200, completion(text), chunked) for text in ("one", "two")]
@@ -181,6 +194,53 @@ class TestTransport:
         body = {"model": "m", "temperature": 0, "messages": [{"role": "user", "content": prompt}]}
         expected = json.dumps(body, allow_nan=False).encode("utf-8")
         assert [seen["raw"] for seen in keep_alive_stub.seen] == [expected]
+
+
+class TestRedirects:
+    """What the client does with a 3xx, chosen and pinned: a 307 or 308 is
+    followed with the same POST, and the API key never goes to another host.
+    After a 301, 302 or 303 the Location never receives a POST: the client
+    re-sends the request there as a GET, which the stub answers 501, so the
+    retry POSTs to the configured URL again."""
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_307_and_308_repost_the_same_body(self, keep_alive_stub, monkeypatch, status):
+        monkeypatch.setenv("STUB_KEY", "sk-test-123")
+        keep_alive_stub.replies = [
+            (status, {}, {"Location": "/v2/chat/completions"}),
+            (200, completion("moved")),
+        ]
+        config = RemoteConfig(keep_alive_stub.url, "m", api_key_env="STUB_KEY")
+        with contextlib.closing(RemoteReasoner(config)) as reasoner:
+            assert reasoner.invoke(wire_request()) == "moved"
+        first, second = keep_alive_stub.seen
+        assert [first["path"], second["path"]] == ["/chat/completions", "/v2/chat/completions"]
+        assert second["raw"] == first["raw"]
+        assert first["authorization"] == second["authorization"] == "Bearer sk-test-123"
+
+    def test_307_to_another_host_drops_the_api_key(self, stub, other_stub, monkeypatch):
+        monkeypatch.setenv("STUB_KEY", "sk-test-123")
+        # The first stub is reached as 127.0.0.1, the second as localhost.
+        location = f"http://localhost:{other_stub.server_address[1]}/v2/chat/completions"
+        stub.replies = [(307, {}, {"Location": location})]
+        other_stub.replies = [(200, completion("moved"))]
+        config = RemoteConfig(stub.url, "m", api_key_env="STUB_KEY")
+        with contextlib.closing(RemoteReasoner(config)) as reasoner:
+            assert reasoner.invoke(wire_request()) == "moved"
+        assert [seen["authorization"] for seen in stub.seen] == ["Bearer sk-test-123"]
+        assert [seen["authorization"] for seen in other_stub.seen] == [None]
+        assert other_stub.seen[0]["raw"] == stub.seen[0]["raw"]
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_301_302_303_never_post_to_the_location(self, stub, monkeypatch, status):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        stub.replies = [
+            (status, {}, {"Location": "/v2/chat/completions"}),
+            (200, completion("here")),
+        ]
+        with contextlib.closing(remote(stub.url)) as reasoner:
+            assert reasoner.invoke(wire_request()) == "here"
+        assert [seen["path"] for seen in stub.seen] == ["/chat/completions"] * 2
 
 
 _JSON = st.recursive(

@@ -11,7 +11,6 @@ import pytest
 
 from homecrew.agents.belief import merge_team_belief
 from homecrew.agents.records import HistoryRecord
-from homecrew.coordination.allocate import assemble_context
 from homecrew.coordination.types import AllocationInputs
 from homecrew.errors import ContractViolation, RemoteBackendError
 from homecrew.reasoner.base import ALLOCATE, SUMMARIZE, TEXT, Reasoner
@@ -127,8 +126,15 @@ class TestIntervals:
     def test_rendered_lines_most_recent_first(self):
         collected = (summary_for((0, 3), 1, "first"), summary_for((3, 5), 2, "second"))
         state, goal = init_world("PrepareTea", 1, seed=0)
-        context = assemble_context([], {}, {}, state.house, merge_team_belief([]))
-        inputs = AllocationInputs(context, collected, evaluate_progress(state, goal), goal)
+        inputs = AllocationInputs(
+            tick=0,
+            entries=(),
+            house=state.house,
+            summaries=collected,
+            progress=evaluate_progress(state, goal),
+            goal=goal,
+            team=merge_team_belief([]),
+        )
         prompt = render_prompt(ALLOCATE, inputs)
         section = prompt.split("## Collaboration summary (most recent first)\n")[1]
         lines = section.split("\n\n")[0].splitlines()
