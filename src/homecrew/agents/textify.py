@@ -51,9 +51,8 @@ def render_history(records: Sequence[HistoryRecord]) -> str:
     lines = []
     for record in records:
         line = f"t={record.tick} agent {record.agent_id}: {record.action.render()}"
-        notes = [e.note for e in record.events if e.note]
-        if notes:
-            line += f" ({'; '.join(notes)})"
+        if record.events:
+            line += f" ({'; '.join(e.note for e in record.events)})"
         lines.append(line)
     return "\n".join(lines)
 

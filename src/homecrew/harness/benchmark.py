@@ -8,7 +8,7 @@ and identical trace files.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
@@ -18,39 +18,29 @@ from .metrics import CellMetrics, aggregate, long_csv, metrics_csv, metrics_json
 from .trace import render_trace
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    base: EpisodeConfig
-    tasks: Tuple[str, ...]
-    agent_counts: Tuple[int, ...] = (1, 2, 3)
-    seeds: Tuple[int, ...] = tuple(range(20))
-    variants: Tuple[str, ...] = ("full", "no_summary", "no_allocation")
-
-    def __post_init__(self):
-        for variant in self.variants:
-            variant_flags(variant)
-        if not (self.tasks and self.agent_counts and self.seeds and self.variants):
-            raise ConfigError("benchmark grid must not be empty")
-
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    cells: Tuple[CellMetrics, ...]
-    results: Tuple[EpisodeResult, ...] = field(default=(), repr=False)
-
-
-def cell_configs(spec: BenchmarkSpec) -> List[EpisodeConfig]:
-    """The grid in canonical order: task, variant, team size, seed."""
-    ordered_variants = [v for v in VARIANTS if v in set(spec.variants)]
+def cell_configs(
+    base: EpisodeConfig,
+    tasks: Sequence[str],
+    agent_counts: Sequence[int],
+    seeds: Sequence[int],
+    variants: Sequence[str],
+) -> List[EpisodeConfig]:
+    """The grid in canonical order: task, variant, team size, seed. Every
+    cell sets its own task, team size, seed and variant flags on ``base``."""
+    for variant in variants:
+        variant_flags(variant)
+    if not (tasks and agent_counts and seeds and variants):
+        raise ConfigError("benchmark grid must not be empty")
+    ordered_variants = [v for v in VARIANTS if v in set(variants)]
     configs = []
-    for task in sorted(set(spec.tasks)):
+    for task in sorted(set(tasks)):
         for variant in ordered_variants:
             use_allocation, use_summaries = variant_flags(variant)
-            for num_agents in sorted(set(spec.agent_counts)):
-                for seed in sorted(set(spec.seeds)):
+            for num_agents in sorted(set(agent_counts)):
+                for seed in sorted(set(seeds)):
                     configs.append(
                         replace(
-                            spec.base,
+                            base,
                             task=task,
                             num_agents=num_agents,
                             seed=seed,
@@ -61,16 +51,18 @@ def cell_configs(spec: BenchmarkSpec) -> List[EpisodeConfig]:
     return configs
 
 
-def run_benchmark(spec: BenchmarkSpec, out_dir: Optional[str] = None) -> BenchmarkResult:
-    """Run every cell, each on backends built from its own config; optionally
-    write traces and metric files under out_dir."""
-    configs = cell_configs(spec)
+def run_benchmark(
+    configs: Sequence[EpisodeConfig], out_dir: Optional[str] = None
+) -> Tuple[CellMetrics, ...]:
+    """Run every cell, each on backends built from its own config, and return
+    the cells' metrics; optionally write traces and metric files under
+    out_dir."""
     results = [run_episode(config) for config in configs]
     rows = [result.as_row() for result in results]
     cells = tuple(aggregate(rows))
     if out_dir is not None:
         emit_outputs(configs, results, rows, cells, out_dir)
-    return BenchmarkResult(cells=cells, results=tuple(results))
+    return cells
 
 
 def emit_outputs(

@@ -9,7 +9,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, EngineError
 from ..world.scenarios import task_categories
-from .benchmark import BenchmarkSpec, run_benchmark
+from .benchmark import cell_configs, run_benchmark
 from .config import (
     DEFAULT_MAX_STEPS,
     EpisodeConfig,
@@ -27,7 +27,8 @@ def split_list(value: str) -> Tuple[str, ...]:
 
 
 def parse_backend(value: str) -> Tuple[str, str]:
-    """'heuristic' for both roles, or 'manager=remote,members=heuristic'."""
+    """'heuristic' for both roles, or 'manager=remote,members=heuristic'.
+    ``member`` and ``members`` name one role, and no role may be named twice."""
     if "=" not in value:
         return value, value
     parts = {}
@@ -35,10 +36,11 @@ def parse_backend(value: str) -> Tuple[str, str]:
         key, _, name = (part.strip() for part in item.partition("="))
         if key not in ("manager", "members", "member") or not name:
             raise ConfigError(f"--backend item {item!r} is not manager=, members= or member=NAME")
-        parts[key] = name
-    manager = parts.get("manager", "heuristic")
-    member = parts.get("members", parts.get("member", "heuristic"))
-    return manager, member
+        role = "manager" if key == "manager" else "members"
+        if role in parts:
+            raise ConfigError(f"--backend item {item!r} names the {role} role a second time")
+        parts[role] = name
+    return parts.get("manager", "heuristic"), parts.get("members", "heuristic")
 
 
 def parse_int_list(value: str) -> Tuple[int, ...]:
@@ -209,9 +211,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = BenchmarkSpec(
-        # Every cell sets its own task, team size and seed on this base.
-        base=episode_config_from_args(args, task_categories()[0], num_agents=1, seed=0),
+    configs = cell_configs(
+        episode_config_from_args(args, task_categories()[0], num_agents=1, seed=0),
         tasks=split_list(args.tasks),
         agent_counts=parse_int_list(args.agents),
         seeds=parse_seeds(args.seeds),
@@ -219,8 +220,7 @@ def cmd_bench(args) -> int:
     )
     if args.out:
         check_out(args.out, directory=True)
-    outcome = run_benchmark(spec, out_dir=args.out)
-    print(format_table(outcome.cells))
+    print(format_table(run_benchmark(configs, out_dir=args.out)))
     if args.out:
         print(f"\nwrote long.csv, metrics.csv, metrics.json, traces/ to {args.out}")
     return 0

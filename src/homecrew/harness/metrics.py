@@ -132,8 +132,11 @@ def read_long_csv(path: str) -> List[dict]:
                 values = [row.get(name) for name in LONG_FIELDS]
                 if None in row or None in values or row["success"] not in ("True", "False"):
                     raise ValueError(f"line {reader.line_num} is not a long.csv row")
-                for name in ("num_agents", "seed", "steps"):
-                    row[name] = int(row[name])
+                # The integer columns, each only in the spelling str() writes.
+                for name in LONG_FIELDS[2:4] + LONG_FIELDS[5:]:
+                    text, row[name] = row[name], int(row[name])
+                    if str(row[name]) != text:
+                        raise ValueError(f"line {reader.line_num}: bad {name} {text!r}")
                 row["success"] = row["success"] == "True"
                 rows.append(row)
     except (OSError, ValueError, csv.Error) as exc:

@@ -1,9 +1,11 @@
 """Deterministic structured backend.
 
 Computes every decision directly from the request's structured payload, so
-runs need no network and are exactly reproducible. This is also the engine
-behind the degraded fallbacks of the text path, which keeps fallback and
-backend behavior identical by construction.
+runs need no network and are exactly reproducible. Two of the text path's
+degraded fallbacks call the same functions, so they decide as this backend
+does: ALLOCATE (``heuristic_allocation``) and SUMMARIZE (``template_digest``).
+PROPOSE does not: ``make_proposal`` falls back to a bare sweep of the
+top-ranked room, with no alternatives.
 """
 
 from __future__ import annotations

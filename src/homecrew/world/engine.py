@@ -10,12 +10,11 @@ corrupt the world.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ContractViolation
 from .types import (
     ACTION_LABELS,
-    EXPLORE,
     LOC_AGENT,
     LOC_CONTAINER,
     LOC_ROOM,
@@ -30,11 +29,6 @@ from .types import (
     Observation,
     TaskProgress,
     WorldState,
-    go_to,
-    grab,
-    open_container,
-    put_in,
-    put_on,
 )
 
 if TYPE_CHECKING:
@@ -105,20 +99,6 @@ def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
             return not is_open
         return is_open and me.held is not None
     return False
-
-
-def legal_actions(state: WorldState, agent_id: int) -> Set[Action]:
-    """Every primitive the agent could execute this tick: the house's
-    candidate actions that pass ``is_legal``. Explore and Wait are always
-    included."""
-    house = state.house
-    candidates = [WAIT, EXPLORE]
-    candidates += [go_to(room) for room in house.rooms]
-    candidates += [grab(object_id) for object_id in state.locations]
-    for cid in house.containers:
-        candidates += [open_container(cid), put_in(cid)]
-    candidates += [put_on(sid) for sid in house.surfaces]
-    return {action for action in candidates if is_legal(state, agent_id, action)}
 
 
 def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldState, List[Event]]:

@@ -92,17 +92,17 @@ WAIT = Action("wait")
 class Event:
     """Outcome of one agent's primitive during a transition.
 
-    kind: moved, grabbed, placed, opened, failure, conflict.
+    kind: moved, grabbed, placed, opened, failure, conflict. ``note`` says
+    what happened in words, and is all that ``render`` writes of it.
     """
 
     tick: int
     agent_id: int
     kind: str
-    note: str = ""
+    note: str
 
     def render(self) -> str:
-        body = self.note if self.note else self.kind
-        return f"t={self.tick} agent {self.agent_id}: {body}"
+        return f"t={self.tick} agent {self.agent_id}: {self.note}"
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stubserver import approve_candidates, completion, propose_goal_objects
+from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
 from homecrew.agents.execution import MacroTask
 from homecrew.coordination.allocate import assemble_context, heuristic_allocation, score_joint
@@ -56,7 +57,7 @@ from homecrew.harness.trace import render_line, render_trace, trace_sha256
 from homecrew.reasoner.base import ALLOCATE, PROPOSE, SUMMARIZE, TEXT, Reasoner
 from homecrew.reasoner.remote import RemoteReasoner
 from homecrew.world import scenarios
-from homecrew.world.engine import evaluate_progress, legal_actions, observe, transition
+from homecrew.world.engine import evaluate_progress, observe, transition
 from homecrew.world.scenarios import init_world
 
 TASKS = ("PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes")
@@ -98,11 +99,7 @@ def random_instance(
         num_agents = rng.randint(2, 3) if contentious else rng.randint(1, 3)
     state, goal = init_world(task, num_agents, rng.randrange(10**6))
     for _ in range(rng.randint(0, 4)):
-        joint = {
-            i: rng.choice(sorted(legal_actions(state, i), key=lambda a: a.render()))
-            for i in state.agents
-        }
-        state, _ = transition(state, joint)
+        state, _ = transition(state, random_legal_joint(state, rng))
     house = state.house
     rooms = list(house.rooms)
     surfaces = sorted(house.surfaces)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from walks import random_legal_joint, reference_legal_actions
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
 from homecrew.agents.execution import (
     MacroTask,
@@ -25,7 +26,7 @@ from homecrew.agents.textify import (
     render_history,
     render_observation,
 )
-from homecrew.world.engine import legal_actions, observe, transition
+from homecrew.world.engine import observe, transition
 from homecrew.world.scenarios import init_world
 from homecrew.world.types import (
     IN,
@@ -55,11 +56,7 @@ def random_walk(task, num_agents, seed, ticks):
     rng = random.Random(seed * 977 + 13)
     snapshots = [state]
     for _ in range(ticks):
-        joint = {
-            i: rng.choice(sorted(legal_actions(state, i), key=lambda a: a.render()))
-            for i in state.agents
-        }
-        state, _ = transition(state, joint)
+        state, _ = transition(state, random_legal_joint(state, rng))
         snapshots.append(state)
     return snapshots, goal
 
@@ -446,7 +443,7 @@ class TestExpandMacro:
                     team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
                     for task in tasks:
                         action = expand_macro(task, team, obs, house)
-                        assert action in legal_actions(state, agent_id), (
+                        assert action in reference_legal_actions(state, agent_id), (
                             task.render(),
                             action.render(),
                             obs.room,

@@ -22,7 +22,6 @@ CALLED_FROM_OUTSIDE = {
     " the coordination tests call it",
     "enumerate_joint_space": "a perfbench hook wraps it; the allocator tests use it as their oracle",
     "score_joint": "a perfbench hook wraps it; the allocator tests use it as their oracle",
-    "legal_actions": "the simulator's rule set, and the world tests' reference",
 }
 
 
@@ -88,14 +87,11 @@ def _is_dataclass(node):
 
 
 def test_every_dataclass_field_under_src_is_read():
-    """Every field of a dataclass defined under src/ is read.
-
-    The rule is the same name-based one as the function check: a field
-    counts as read when its name is loaded anywhere in src/ or scripts/, as
-    a name or as an attribute. A shared name therefore hides a dead field:
-    ``Event.object_id``, set by every grab and placement and read nowhere,
-    escaped this check because tasks and sightings carry an ``object_id``
-    that is read."""
+    """Every field of a dataclass defined under src/ is read: its name is
+    loaded as an attribute (``.name``) somewhere in src/ or scripts/. A
+    local variable or parameter of the same name reads no field, so it
+    cannot hide a dead one. A field of one class can still be hidden by a
+    read of another class's field of the same name."""
     defined, loaded = {}, set()
     for folder in ("src", "scripts"):
         for path, tree in parsed_modules(folder):
@@ -108,8 +104,6 @@ def test_every_dataclass_field_under_src_is_read():
                             defined.setdefault(
                                 statement.target.id, f"{path}: {node.name}"
                             )
-                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     loaded.add(node.attr)
     assert defined

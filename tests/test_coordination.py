@@ -15,6 +15,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import EXPLORE_ROOM, FETCH_PLACE, MacroTask, sweep_targets
 from homecrew.coordination.allocate import (
@@ -49,7 +50,7 @@ from homecrew.reasoner.parsing import (
     parse_task,
 )
 from homecrew.reasoner.scripted import ScriptedReasoner
-from homecrew.world.engine import evaluate_progress, legal_actions, observe, transition
+from homecrew.world.engine import evaluate_progress, observe, transition
 from homecrew.world.scenarios import build_house, init_world, load_catalog
 from homecrew.world.types import (
     IN,
@@ -118,11 +119,7 @@ def build_inputs(task, num_agents, seed, drop_rate=0.0) -> AllocationInputs:
     state, goal = init_world(task, num_agents, seed)
     rng = random.Random(seed * 31 + num_agents * 7 + int(drop_rate * 100))
     for _ in range(rng.randint(0, 6)):
-        joint = {
-            i: rng.choice(sorted(legal_actions(state, i), key=lambda a: a.render()))
-            for i in state.agents
-        }
-        state, _ = transition(state, joint)
+        state, _ = transition(state, random_legal_joint(state, rng))
     beliefs, observations, proposals = {}, {}, []
     for agent_id in sorted(state.agents):
         full = omniscient_belief(state)
@@ -297,11 +294,7 @@ class TestProposalRewrite:
             for seed in range(3):
                 state, task_goal = init_world(task, 3, seed)
                 for _ in range(24):
-                    joint = {
-                        i: rng.choice(sorted(legal_actions(state, i), key=lambda a: a.render()))
-                        for i in state.agents
-                    }
-                    state, _ = transition(state, joint)
+                    state, _ = transition(state, random_legal_joint(state, rng))
                     for goal in (task_goal,) + REWRITE_GOALS:
                         targets = [loc for entries in goal.targets.values() for _, loc in entries]
                         facts = []

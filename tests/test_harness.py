@@ -22,12 +22,7 @@ from stubserver import approve_candidates
 import homecrew
 from homecrew.coordination.allocate import heuristic_allocation
 from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
-from homecrew.harness.benchmark import (
-    BenchmarkResult,
-    BenchmarkSpec,
-    cell_configs,
-    run_benchmark,
-)
+from homecrew.harness.benchmark import cell_configs, run_benchmark
 from homecrew.harness.cli import main, parse_backend, parse_seeds
 from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
 from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
@@ -313,7 +308,7 @@ class TestAggregate:
 
 
 class TestBenchmark:
-    def small_spec(self, **overrides):
+    def small_grid(self, **overrides):
         base = dict(
             base=episode_config(),
             tasks=("WashDishes",),
@@ -322,7 +317,7 @@ class TestBenchmark:
             variants=("full", "no_allocation"),
         )
         base.update(overrides)
-        return BenchmarkSpec(**base)
+        return cell_configs(**base)
 
     def test_variant_flags(self):
         assert variant_flags("full") == (True, True)
@@ -339,59 +334,60 @@ class TestBenchmark:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
-            self.small_spec(variants=("full", "bogus"))
+            self.small_grid(variants=("full", "bogus"))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            self.small_spec(seeds=())
+            self.small_grid(seeds=())
 
     def test_cell_order_ignores_spec_order(self):
-        shuffled = self.small_spec(
+        shuffled = self.small_grid(
             tasks=("WashDishes", "PrepareTea"),
             agent_counts=(2, 1),
             seeds=(1, 0),
             variants=("no_allocation", "full"),
         )
-        keys = [
-            (c.task, c.variant, c.num_agents, c.seed)
-            for c in cell_configs(shuffled)
-        ]
+        keys = [(c.task, c.variant, c.num_agents, c.seed) for c in shuffled]
         assert keys == sorted(
             keys, key=lambda k: (k[0], list(VARIANTS).index(k[1]), k[2], k[3])
         )
         assert len(keys) == len(set(keys)) == 16
 
     def test_duplicate_dimensions_collapse(self):
-        spec = self.small_spec(seeds=(0, 0, 1), agent_counts=(2, 2))
-        assert len(cell_configs(spec)) == 2 * 1 * 2
+        assert len(self.small_grid(seeds=(0, 0, 1), agent_counts=(2, 2))) == 2 * 1 * 2
 
-    def test_shuffled_spec_reproduces_rows_and_traces(self):
-        sorted_run = run_benchmark(self.small_spec())
-        shuffled_run = run_benchmark(
-            self.small_spec(
+    def test_shuffled_spec_reproduces_rows_and_traces(self, tmp_path):
+        sorted_dir, shuffled_dir = tmp_path / "sorted", tmp_path / "shuffled"
+        sorted_cells = run_benchmark(self.small_grid(), out_dir=str(sorted_dir))
+        shuffled_cells = run_benchmark(
+            self.small_grid(
                 agent_counts=(2, 1),
                 seeds=(1, 0),
                 variants=("no_allocation", "full"),
-            )
+            ),
+            out_dir=str(shuffled_dir),
         )
-        assert [r.as_row() for r in shuffled_run.results] == [
-            r.as_row() for r in sorted_run.results
-        ]
-        assert shuffled_run.cells == sorted_run.cells
-        for left, right in zip(sorted_run.results, shuffled_run.results):
-            assert render_trace(list(left.records)) == render_trace(list(right.records))
+        assert shuffled_cells == sorted_cells
+        names = ["long.csv", "metrics.csv", "metrics.json"]
+        names += sorted(f"traces/{name}" for name in os.listdir(sorted_dir / "traces"))
+        assert len(names) == 3 + 8
+        assert sorted(os.listdir(shuffled_dir / "traces")) == sorted(
+            os.listdir(sorted_dir / "traces")
+        )
+        for name in names:
+            assert (shuffled_dir / name).read_bytes() == (sorted_dir / name).read_bytes(), name
 
     def test_output_files_round_trip(self, tmp_path):
         out_dir = str(tmp_path / "bench")
-        outcome = run_benchmark(self.small_spec(), out_dir=out_dir)
+        configs = self.small_grid()
+        cells = run_benchmark(configs, out_dir=out_dir)
         for name in ("long.csv", "metrics.csv", "metrics.json"):
             assert os.path.exists(os.path.join(out_dir, name))
         rows_back = read_long_csv(os.path.join(out_dir, "long.csv"))
-        configs = cell_configs(self.small_spec())
-        assert len(configs) == len(outcome.results) == len(rows_back)
-        for config, result, row in zip(configs, outcome.results, rows_back):
+        assert len(configs) == len(rows_back)
+        for config, row in zip(configs, rows_back):
             trace = load_trace(os.path.join(out_dir, "traces", f"{config.key}.jsonl"))
-            assert trace == list(result.records)
+            assert trace == list(run_episode(config).records)
             header, end = trace[0], trace[-1]
             fields = [header[name] for name in ("task", "variant", "num_agents", "seed")]
             fields += [
@@ -400,14 +396,14 @@ class TestBenchmark:
                              "degraded_exchanges")
             ]
             assert [str(row[name]) for name in LONG_FIELDS] == [str(v) for v in fields]
-        assert tuple(aggregate(rows_back)) == outcome.cells
+        assert tuple(aggregate(rows_back)) == cells
         with open(os.path.join(out_dir, "metrics.json")) as handle:
             payload = json.load(handle)
-        assert payload == [cell.as_dict() for cell in outcome.cells]
+        assert payload == [cell.as_dict() for cell in cells]
 
     def test_metrics_json_is_stable_text(self):
-        outcome = run_benchmark(self.small_spec(seeds=(0,), agent_counts=(1,)))
-        assert metrics_json(outcome.cells) == metrics_json(list(outcome.cells))
+        cells = run_benchmark(self.small_grid(seeds=(0,), agent_counts=(1,)))
+        assert metrics_json(cells) == metrics_json(list(cells))
 
 
 class FlakyManager(Reasoner):
@@ -601,6 +597,8 @@ class TestCliParsing:
             "manager,members=remote",
             "=remote",
             "members=heuristic,bogus=x",
+            "manager=remote,members=heuristic,manager=heuristic",
+            "member=remote,members=heuristic",
         ],
     )
     def test_backend_with_unknown_role_or_no_name_is_refused(self, value, capsys):
@@ -780,10 +778,10 @@ class TestCliCommands:
             folder.rmdir()
             return result
 
-        def grid_then_block_out_dir(spec, out_dir=None):
+        def grid_then_block_out_dir(configs, out_dir=None):
             with open(out_dir, "w") as handle:
                 handle.write("in the way\n")
-            return run_benchmark(spec, out_dir=out_dir)
+            return run_benchmark(configs, out_dir=out_dir)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("homecrew.harness.cli.run_episode", episode_then_remove_folder)
@@ -966,8 +964,28 @@ class TestCliCommands:
             "degraded_exchanges\nWashDishes,full,1,0,True,many,1,1,0,0\n",
             "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
             "degraded_exchanges\nWashDishes,full,1,0,maybe,4,1,1,0,0\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,True,1_000,1,1,0,0\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,True, 5 ,1,1,0,0\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,True,\u0665,1,1,0,0\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,True,4,x,1,0,0\n",
+            "task,variant,num_agents,seed,success,steps,satisfied,total,summaries,"
+            "degraded_exchanges\nWashDishes,full,1,0,True,4,1,1,0,x\n",
         ],
-        ids=["missing", "short-row", "str-steps", "bad-success"],
+        ids=[
+            "missing",
+            "short-row",
+            "str-steps",
+            "bad-success",
+            "underscored-steps",
+            "padded-steps",
+            "arabic-indic-steps",
+            "str-satisfied",
+            "str-degraded",
+        ],
     )
     def test_report_refuses_a_missing_or_malformed_long_csv(self, tmp_path, capsys, text):
         if text is not None:
@@ -1012,7 +1030,7 @@ class TestCliFuzz:
             patch.setattr("homecrew.harness.cli.run_episode", fake_episode)
             patch.setattr(
                 "homecrew.harness.cli.run_benchmark",
-                lambda spec, out_dir=None: BenchmarkResult(cells=()),
+                lambda configs, out_dir=None: (),
             )
             for argv in argvs:
                 err = io.StringIO()

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from walks import random_legal_joint
 from homecrew.agents.belief import merge_team_belief
 from homecrew.agents.records import HistoryRecord
 from homecrew.coordination.types import AllocationInputs
@@ -26,7 +27,7 @@ from homecrew.summaries import (
     summarize,
     template_digest,
 )
-from homecrew.world.engine import evaluate_progress, legal_actions, transition
+from homecrew.world.engine import evaluate_progress, transition
 from homecrew.world.scenarios import init_world
 from homecrew.world.types import ON, WAIT, Event, GoalPredicate, GoalSpec, TaskProgress
 
@@ -64,10 +65,7 @@ def run_partitioned(task, num_agents, seed, ticks=120):
     collected = ()
     change_ticks = []
     for _ in range(ticks):
-        joint = {
-            i: rng.choice(sorted(legal_actions(state, i), key=lambda a: a.render()))
-            for i in state.agents
-        }
+        joint = random_legal_joint(state, rng)
         state, events = transition(state, joint)
         for agent_id in sorted(joint):
             records.append(
