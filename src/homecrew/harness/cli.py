@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -43,19 +44,27 @@ def parse_backend(value: str) -> Tuple[str, str]:
     return parts.get("manager", "heuristic"), parts.get("members", "heuristic")
 
 
+def integer(value: str) -> int:
+    """An integer flag's value: ASCII digits with an optional leading '-', once
+    stripped. int() alone also reads '1_0', '+5' and non-ASCII digits."""
+    text = value.strip()
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(text)
+
+
 def parse_int_list(value: str) -> Tuple[int, ...]:
     try:
-        return tuple(int(item) for item in split_list(value))
+        return tuple(integer(item) for item in split_list(value))
     except ValueError:
         raise ConfigError(f"{value!r} is not a comma-separated list of integers")
 
 
 def parse_seeds(value: str) -> Tuple[int, ...]:
     """A bare count N means seeds 0..N-1; otherwise an explicit list."""
-    stripped = value.strip()
-    if "," not in stripped and stripped.isdigit():
-        return tuple(range(parse_int_list(stripped)[0]))
-    return parse_int_list(value)
+    if "," in value or not value.strip().isdigit():
+        return parse_int_list(value)
+    return tuple(range(parse_int_list(value)[0]))
 
 
 def check_out(path: str, directory: bool) -> None:
@@ -89,7 +98,7 @@ def add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--timeout", type=float, default=RemoteConfig.timeout_s)
     parser.add_argument("--fixtures", default=None, help="scripted fixtures JSONL")
-    parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    parser.add_argument("--max-steps", type=integer, default=DEFAULT_MAX_STEPS)
     parser.add_argument(
         "--config", default=None, help="JSON file of defaults for these options"
     )
@@ -105,8 +114,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     run_parser = sub.add_parser("run", help="run a single episode")
     add_common_options(run_parser)
     run_parser.add_argument("--task", required=True, choices=task_categories())
-    run_parser.add_argument("--agents", type=int, default=2)
-    run_parser.add_argument("--seed", type=int, default=0)
+    run_parser.add_argument("--agents", type=integer, default=2)
+    run_parser.add_argument("--seed", type=integer, default=0)
     run_parser.add_argument("--no-allocation", action="store_true")
     run_parser.add_argument("--no-summary", action="store_true")
     run_parser.add_argument("--out", default=None, help="trace JSONL path")

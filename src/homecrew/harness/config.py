@@ -18,7 +18,7 @@ from ..reasoner.base import Reasoner
 from ..reasoner.heuristic import HeuristicReasoner
 from ..reasoner.remote import RemoteReasoner
 from ..reasoner.scripted import ScriptedReasoner, load_fixtures
-from ..world import scenarios
+from ..world.scenarios import task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
 
@@ -31,6 +31,8 @@ VARIANTS = {
 }
 
 DEFAULT_MAX_STEPS = 250
+
+MAX_AGENTS = 3
 
 
 def _check_int(name: str, value) -> None:
@@ -84,13 +86,11 @@ class EpisodeConfig:
     fixtures_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.task not in scenarios.task_categories():
+        if self.task not in task_categories():
             raise ConfigError(f"unknown task category {self.task!r}")
         _check_int("num_agents", self.num_agents)
-        if not 1 <= self.num_agents <= scenarios.MAX_AGENTS:
-            raise ConfigError(
-                f"num_agents must be in 1..{scenarios.MAX_AGENTS}, got {self.num_agents}"
-            )
+        if not 1 <= self.num_agents <= MAX_AGENTS:
+            raise ConfigError(f"num_agents must be in 1..{MAX_AGENTS}, got {self.num_agents}")
         _check_int("seed", self.seed)
         _check_count("max_steps", self.max_steps, 1)
         for name in (self.manager_backend, self.member_backend):

@@ -92,12 +92,11 @@ class EpisodeResult:
 class RecordingReasoner(Reasoner):
     """Pass-through wrapper around a text backend that appends every exchange
     (response, or transport failure with its message) to the list it was
-    given: the trace sink, or one round call's own buffer."""
+    given: one decision call's own buffer."""
 
     def __init__(self, inner: Reasoner, sink: List[dict]):
         self.inner = inner
         self.sink = sink
-        self.name = inner.name
 
     def invoke(self, request: ReasonerRequest) -> str:
         entry = {
@@ -118,13 +117,6 @@ class RecordingReasoner(Reasoner):
         return reply
 
 
-def _recording(inner: Reasoner, sink: List[dict]) -> Reasoner:
-    """A text backend wrapped to record into ``sink``. A structured backend
-    is returned as it is: it leaves no exchanges, and is reproduced by
-    rerunning, not by replaying text."""
-    return RecordingReasoner(inner, sink) if inner.produces == TEXT else inner
-
-
 # One decision call of a round: the backend, and the step that asks it.
 Call = Tuple[Reasoner, Callable[[Reasoner], object]]
 
@@ -132,8 +124,11 @@ Call = Tuple[Reasoner, Callable[[Reasoner], object]]
 def _recorded(
     inner: Reasoner, step: Callable[[Reasoner], object]
 ) -> Tuple[object, List[dict]]:
+    """The step's result and its exchanges with a text backend. A structured
+    backend leaves none: it is reproduced by rerunning, not by replaying text."""
     exchanges: List[dict] = []
-    return step(_recording(inner, exchanges)), exchanges
+    reasoner = RecordingReasoner(inner, exchanges) if inner.produces == TEXT else inner
+    return step(reasoner), exchanges
 
 
 def _play_round(
@@ -209,7 +204,6 @@ def _play_episode(
             "template": TEMPLATE_V1,
         }
     ]
-    recording_manager = _recording(manager, sink)
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     history: List[HistoryRecord] = []
@@ -295,7 +289,10 @@ def _play_episode(
                 goal=goal,
                 team=team,
             )
-            joint, report = allocate_with_report(recording_manager, inputs)
+            (joint, report), exchanges = _recorded(
+                manager, partial(allocate_with_report, inputs=inputs)
+            )
+            sink.extend(exchanges)
             degraded += int(report.degraded)
             mode, attempts, was_degraded = "centralized", report.attempts, report.degraded
             note = report.note

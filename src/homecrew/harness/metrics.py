@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ContractViolation
@@ -45,14 +45,9 @@ class CellMetrics:
 
     def as_dict(self) -> dict:
         return {
-            "task": self.task,
-            "variant": self.variant,
-            "num_agents": self.num_agents,
-            "episodes": self.episodes,
-            "successes": self.successes,
+            **asdict(self),
             "mean_steps": round(self.mean_steps, 3),
             "success_rate": round(self.success_rate, 3),
-            "ei_vs_single": self.ei_vs_single,
         }
 
 

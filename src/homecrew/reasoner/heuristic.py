@@ -10,10 +10,12 @@ top-ranked room, with no alternatives.
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import Any
 
+from ..coordination.allocate import heuristic_allocation
+from ..coordination.negotiate import heuristic_proposal
 from ..errors import ContractViolation
+from ..summaries import template_digest
 from .base import (
     ALLOCATE,
     PROPOSE,
@@ -28,21 +30,12 @@ class HeuristicReasoner(Reasoner):
     name = "heuristic"
     produces = STRUCTURED
 
-    def __init__(self) -> None:
-        # Looked up by path: the coordination package's ``allocate`` is the
-        # function, not its module. Each decision reads its function off the
-        # module at call time, so a function patched onto the module is the
-        # one called.
-        self._negotiate = import_module("..coordination.negotiate", __package__)
-        self._allocate = import_module("..coordination.allocate", __package__)
-        self._summaries = import_module("..summaries", __package__)
-
     def invoke(self, request: ReasonerRequest) -> Any:
         kind, payload = request.kind, request.structured_payload
         if kind == PROPOSE:
-            return self._negotiate.heuristic_proposal(payload)
+            return heuristic_proposal(payload)
         if kind == ALLOCATE:
-            return self._allocate.heuristic_allocation(payload)
+            return heuristic_allocation(payload)
         if kind == SUMMARIZE:
-            return self._summaries.template_digest(payload.records, payload.delta)
+            return template_digest(payload.records, payload.delta)
         raise ContractViolation(f"unknown request kind {kind!r}")

@@ -17,7 +17,6 @@ from .types import (
     ACTION_LABELS,
     LOC_AGENT,
     LOC_CONTAINER,
-    LOC_ROOM,
     LOC_SURFACE,
     WAIT,
     Action,
@@ -39,17 +38,10 @@ def _seen_from(state: WorldState, location: Location) -> Optional[str]:
     """The room from which an object at ``location`` can be seen: the room
     of its floor, surface or open container, or the room of the agent holding
     it. None while it is shut inside a closed container."""
-    kind = location.kind
-    if kind == LOC_ROOM:
-        return str(location.ref)
-    if kind == LOC_SURFACE:
-        return state.house.surfaces[str(location.ref)]
-    if kind == LOC_CONTAINER:
-        cid = str(location.ref)
-        return state.house.containers[cid] if state.container_open[cid] else None
-    if kind == LOC_AGENT:
+    if location.kind == LOC_AGENT:
         return state.agents[int(location.ref)].room
-    return None
+    shut = location.kind == LOC_CONTAINER and not state.container_open[str(location.ref)]
+    return None if shut else state.house.location_room(location)
 
 
 def room_sightings(state: WorldState) -> Dict[str, Tuple[Fact, ...]]:

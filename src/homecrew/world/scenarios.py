@@ -33,8 +33,6 @@ from .types import (
     WorldState,
 )
 
-MAX_AGENTS = 3
-
 # Seeded layouts land in this band; the band keeps episodes desk-scale.
 _MIN_OBJECTS = 12
 _MAX_OBJECTS = 18
@@ -203,14 +201,10 @@ def init_world(
     Goal objects are never seeded at their own predicate's target, so every
     episode starts with zero satisfied units. Each predicate gets its required
     count plus possibly one spare instance; distractor objects fill the
-    scenario to a seeded total.
+    scenario to a seeded total. It expects a checked config's arguments:
+    EpisodeConfig refuses an unknown task and a team size out of range.
     """
-    if not 1 <= num_agents <= MAX_AGENTS:
-        raise ConfigError(f"num_agents must be in 1..{MAX_AGENTS}, got {num_agents}")
     tables = _default_tables()
-    if task_category not in tables.goals:
-        known = ", ".join(tables.goals)
-        raise ConfigError(f"unknown task category {task_category!r} (known: {known})")
     goal = tables.goals[task_category]
     rng = random.Random(seed)
 

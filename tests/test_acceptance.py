@@ -304,9 +304,9 @@ def test_contended_allocations_stay_conflict_free():
             assert sorted(joint.tasks) == sorted(inputs.agent_ids())
 
 
-def test_allocator_stays_exact_on_larger_teams(monkeypatch):
-    # Teams past the shipped cap: the search must still equal the flat scan.
-    monkeypatch.setattr(scenarios, "MAX_AGENTS", 6)
+def test_allocator_stays_exact_on_larger_teams():
+    # Teams past the shipped cap, which only EpisodeConfig enforces: the
+    # search must still equal the flat scan.
     rng = random.Random(43)
     with criterion("allocator equals exhaustive argmax on teams of 4-6"):
         for trial in range(120):
@@ -516,8 +516,7 @@ def test_one_team_merge_per_tick(monkeypatch):
 
 
 def test_allocation_reuses_the_round_team_belief(monkeypatch):
-    # Teams of 1-6: the cap is lifted for the test as above.
-    monkeypatch.setattr(scenarios, "MAX_AGENTS", 6)
+    # Teams of 1-6, past the shipped cap as above.
     rng = random.Random(44)
     with criterion("allocation with the round's team belief equals a fresh merge"):
         for trial in range(240):

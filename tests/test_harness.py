@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 from stubserver import approve_candidates
 import homecrew
 from homecrew.coordination.allocate import heuristic_allocation
+from homecrew.coordination.negotiate import heuristic_proposal
 from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
 from homecrew.harness.benchmark import cell_configs, run_benchmark
-from homecrew.harness.cli import main, parse_backend, parse_seeds
+from homecrew.harness.cli import main, parse_backend, parse_int_list, parse_seeds
 from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
 from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
@@ -44,6 +46,7 @@ from homecrew.harness.trace import (
 )
 from homecrew.reasoner import prompts
 from homecrew.reasoner.base import (
+    ALLOCATE,
     PARSE_RETRIES,
     PROPOSE,
     STRUCTURED,
@@ -476,11 +479,80 @@ class TestReplay:
         assert rebuilt.variant == "no_allocation+no_summary"
 
 
+class RefusingCapture(Reasoner):
+    """A text backend for both roles that answers with the heuristic's own
+    decision in the reply grammar, except that it refuses its first reply to
+    each tick's ALLOCATE and to agent 2's PROPOSE."""
+
+    name = "capture"
+    produces = TEXT
+
+    def __init__(self):
+        self.asked = set()
+
+    def invoke(self, request):
+        kind, payload = request.kind, request.structured_payload
+        key = (kind, request.tick, request.agent_id)
+        first_ask = key not in self.asked
+        self.asked.add(key)
+        if first_ask and (kind == ALLOCATE or (kind == PROPOSE and request.agent_id == 2)):
+            return ""
+        if kind == PROPOSE:
+            proposal = heuristic_proposal(payload)
+            lines = [f"propose: {proposal.candidate.render()}"]
+            lines += [f"alt: {task}" for task in proposal.render_alternatives()]
+            return "\n".join(lines + [f"why: {proposal.rationale}"])
+        if kind == ALLOCATE:
+            return format_allocation(heuristic_allocation(payload))
+        return template_digest(payload.records, payload.delta)
+
+
+class TestTraceOrder:
+    def test_text_backend_records_follow_the_tick_order(self):
+        # Per tick: the summary's exchange and record when one is due, the
+        # proposals' exchanges by agent id with each agent's re-asks together,
+        # the ALLOCATE exchanges, the allocation record and the tick record.
+        capture = RefusingCapture()
+        config = episode_config(task="PrepareAMeal", num_agents=3, seed=2)
+        records = list(run_episode(config, capture, capture).records)
+
+        def shape(record):
+            return record["type"], record.get("kind"), record.get("agent_id"), record.get("tick")
+
+        summary_ticks = {r["tick"] for r in records if r["type"] == "summary"}
+        steps = records[-1]["steps"]
+        assert records[-1]["success"] and len(summary_ticks - {steps}) >= 2
+        expected = [("header", None, None, None)]
+        for tick in range(steps + 1):
+            if tick in summary_ticks:
+                expected += [("exchange", SUMMARIZE, 0, tick), ("summary", None, None, tick)]
+            if tick == steps:
+                break
+            for agent in (1, 2, 2, 3):
+                expected.append(("exchange", PROPOSE, agent, tick))
+            expected += [("exchange", ALLOCATE, 1, tick)] * 2
+            expected += [("allocation", None, None, tick), ("tick", None, None, tick + 1)]
+        expected.append(("end", None, None, None))
+        assert [shape(r) for r in records] == expected
+        allocations = [r for r in records if r["type"] == "allocation"]
+        assert {(r["attempts"], r["degraded"]) for r in allocations} == {(2, False)}
+
+
 def _valid_count(value, least):
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"num_agents": 0}, {"num_agents": 4}, {"task": "FoldLaundry"}],
+        ids=["no-agents", "four-agents", "unknown-task"],
+    )
+    def test_team_size_and_task_are_checked(self, overrides):
+        # The one check of both: init_world draws any team for a known task.
+        with pytest.raises(ConfigError):
+            episode_config(**overrides)
+
     @settings(max_examples=300, deadline=None)
     @given(
         timeout_s=st.one_of(
@@ -606,6 +678,30 @@ class TestCliParsing:
             parse_backend(value)
         assert main(["run", "--task", "WashDishes", "--backend", value]) == 2
         assert capsys.readouterr().err.startswith("error: --backend item")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.one_of(
+            st.text(),
+            st.lists(
+                st.one_of(
+                    st.integers(-20, 20).map(str),
+                    st.sampled_from(
+                        ["1_0", "+5", "-", " 7 ", "0x1", "\u0663", "\uff15", "\u00b2"]
+                    ),
+                    st.text(max_size=3),
+                ),
+                max_size=4,
+            ).map(",".join),
+        )
+    )
+    def test_int_list_items_are_ascii_integers(self, value):
+        items = [item.strip() for item in value.split(",") if item.strip()]
+        if all(re.fullmatch(r"-?[0-9]+", item) for item in items):
+            assert parse_int_list(value) == tuple(int(item) for item in items)
+        else:
+            with pytest.raises(ConfigError):
+                parse_int_list(value)
 
     def test_task_catalog_is_sorted(self):
         names = task_categories()
@@ -955,6 +1051,63 @@ class TestCliCommands:
         assert main(["bench", "--max-steps", "5", *flags]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def refused(self, argv, capsys):
+        """main(argv)'s exit code and stderr, where no episode may run and
+        nothing may reach stdout. argparse refuses a flag by SystemExit."""
+
+        def no_episode(*_args, **_kwargs):
+            raise AssertionError("an episode ran before the flags were checked")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homecrew.harness.cli.run_episode", no_episode)
+            patch.setattr("homecrew.harness.cli.run_benchmark", no_episode)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert out == ""
+        return code, err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("bench", "--seeds", "1_0"),
+            ("bench", "--seeds", "+5"),
+            ("bench", "--agents", "\u0662"),
+            ("run", "--seed", "1_0"),
+            ("run", "--seed", "+5"),
+            ("run", "--agents", "\u0662"),
+        ],
+        ids=[
+            "bench-underscored-seeds",
+            "bench-signed-seeds",
+            "bench-arabic-indic-agents",
+            "run-underscored-seed",
+            "run-signed-seed",
+            "run-arabic-indic-agents",
+        ],
+    )
+    def test_integer_flags_take_only_ascii_digits(self, capsys, command, flag, value):
+        # int() reads each value; the flags refuse it as they refuse 'x'.
+        scope = "--task" if command == "run" else "--tasks"
+        argv = [command, scope, "WashDishes", "--max-steps", "5", flag, value]
+        code, err = self.refused(argv, capsys)
+        assert code == 2 and repr(value) in err, err
+
+    @pytest.mark.parametrize(
+        "argv, agents",
+        [
+            (["run", "--task", "WashDishes", "--agents", "4"], 4),
+            (["bench", "--tasks", "WashDishes", "--agents", "0,1", "--seeds", "1"], 0),
+        ],
+        ids=["run-four", "bench-zero"],
+    )
+    def test_team_size_is_refused_before_any_episode(self, capsys, argv, agents):
+        code, err = self.refused(argv, capsys)
+        assert code == 2
+        assert err == f"error: num_agents must be in 1..3, got {agents}\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -1145,6 +1298,33 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_every_module_imports_first(self, tmp_path):
+        # Each module under src/homecrew is imported as the first homecrew
+        # module of the process, so no import cycle depends on load order.
+        package = os.path.join(SRC, "homecrew")
+        names = sorted(
+            os.path.relpath(os.path.join(folder, name), SRC)[: -len(".py")]
+            .replace(os.sep, ".")
+            .removesuffix(".__init__")
+            for folder, _, files in os.walk(package)
+            for name in files
+            if name.endswith(".py")
+        )
+        assert "homecrew.reasoner.heuristic" in names
+        done = run_fresh(
+            f"""
+            import importlib, sys
+            for name in {names!r}:
+                for loaded in [m for m in sys.modules if m.partition(".")[0] == "homecrew"]:
+                    del sys.modules[loaded]
+                importlib.import_module(name)
+                print(name)
+            """,
+            str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == names
 
     def test_cli_without_requests(self, tmp_path):
         fixtures = tmp_path / "fixtures.jsonl"
