@@ -13,9 +13,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from .config import VARIANTS, EpisodeConfig, variant_flags
-from .episode import EpisodeResult, run_episode
+from .episode import run_episode
 from .metrics import CellMetrics, aggregate, long_csv, metrics_csv, metrics_json
-from .trace import render_trace
+from .trace import write_trace
 
 
 def cell_configs(
@@ -55,35 +55,32 @@ def run_benchmark(
     configs: Sequence[EpisodeConfig], out_dir: Optional[str] = None
 ) -> Tuple[CellMetrics, ...]:
     """Run every cell, each on backends built from its own config, and return
-    the cells' metrics; optionally write traces and metric files under
-    out_dir."""
-    results = [run_episode(config) for config in configs]
-    rows = [result.as_row() for result in results]
+    the cells' metrics. Only each episode's row is kept. With out_dir, each
+    trace is written under out_dir/traces when its episode ends, and the
+    metric files after the last one, so a failed grid writes no long.csv."""
+    if out_dir is not None:
+        try:
+            os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write bench output to {out_dir}: {exc}") from exc
+    rows = []
+    for config in configs:
+        result = run_episode(config)
+        if out_dir is not None:
+            path = os.path.join(out_dir, "traces", f"{config.key}.jsonl")
+            write_trace(list(result.records), path)
+        rows.append(result.as_row())
     cells = tuple(aggregate(rows))
     if out_dir is not None:
-        emit_outputs(configs, results, rows, cells, out_dir)
+        files = {
+            "long.csv": long_csv(rows),
+            "metrics.csv": metrics_csv(cells),
+            "metrics.json": metrics_json(cells) + "\n",
+        }
+        try:
+            for name, text in files.items():
+                with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
+                    handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write bench output to {out_dir}: {exc}") from exc
     return cells
-
-
-def emit_outputs(
-    configs: Sequence[EpisodeConfig],
-    results: Sequence[EpisodeResult],
-    rows: Sequence[dict],
-    cells: Sequence[CellMetrics],
-    out_dir: str,
-) -> None:
-    try:
-        traces_dir = os.path.join(out_dir, "traces")
-        os.makedirs(traces_dir, exist_ok=True)
-        for config, result in zip(configs, results):
-            path = os.path.join(traces_dir, f"{config.key}.jsonl")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render_trace(list(result.records)))
-        with open(os.path.join(out_dir, "long.csv"), "w", encoding="utf-8") as handle:
-            handle.write(long_csv(rows))
-        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as handle:
-            handle.write(metrics_csv(cells))
-        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as handle:
-            handle.write(metrics_json(cells) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write bench output to {out_dir}: {exc}") from exc

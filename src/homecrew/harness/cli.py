@@ -53,6 +53,15 @@ def integer(value: str) -> int:
     return int(text)
 
 
+def seconds(value: str) -> float:
+    """A duration flag's value: ASCII digits with an optional fraction, once
+    stripped. float() alone also reads '1_0', '1e3', 'inf' and non-ASCII digits."""
+    text = value.strip()
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        raise ValueError(f"{value!r} is not a number of seconds")
+    return float(text)
+
+
 def parse_int_list(value: str) -> Tuple[int, ...]:
     try:
         return tuple(integer(item) for item in split_list(value))
@@ -67,20 +76,21 @@ def parse_seeds(value: str) -> Tuple[int, ...]:
     return tuple(range(parse_int_list(value)[0]))
 
 
-def check_out(path: str, directory: bool) -> None:
-    """Refuse an --out path before any episode runs: a bench directory, or
-    the nearest part of its path that exists, must be a directory; a trace
-    file must not be one and must go into one that exists."""
-    if directory:
-        existing = os.path.abspath(path)
-        while not os.path.exists(existing):
-            existing = os.path.dirname(existing)
-        if not os.path.isdir(existing):
-            raise ConfigError(f"--out {path}: {existing} is not a directory")
-    elif os.path.isdir(path):
+def check_out(path: str) -> None:
+    """Refuse a trace --out path before the episode runs: it must not be a
+    directory, and it must go into one that exists."""
+    if os.path.isdir(path):
         raise ConfigError(f"--out {path} is a directory, not a trace file")
-    elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise ConfigError(f"--out {path}: its directory does not exist")
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, except that a refused argument raises ConfigError,
+    which main reports in one error: line like every other refusal."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +106,7 @@ def add_common_options(parser: argparse.ArgumentParser) -> None:
         default=RemoteConfig.api_key_env,
         help="environment variable holding the remote API key",
     )
-    parser.add_argument("--timeout", type=float, default=RemoteConfig.timeout_s)
+    parser.add_argument("--timeout", type=seconds, default=RemoteConfig.timeout_s)
     parser.add_argument("--fixtures", default=None, help="scripted fixtures JSONL")
     parser.add_argument("--max-steps", type=integer, default=DEFAULT_MAX_STEPS)
     parser.add_argument(
@@ -104,8 +114,8 @@ def add_common_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> Tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+def build_parser() -> Tuple[ArgumentParser, dict]:
+    parser = ArgumentParser(
         prog="homecrew",
         description="household multi-robot coordination benchmark",
     )
@@ -202,7 +212,7 @@ def cmd_run(args) -> int:
         use_summaries=not args.no_summary,
     )
     if args.out:
-        check_out(args.out, directory=False)
+        check_out(args.out)
     result = run_episode(config)
     records = list(result.records)
     if args.out:
@@ -227,8 +237,6 @@ def cmd_bench(args) -> int:
         seeds=parse_seeds(args.seeds),
         variants=split_list(args.variants),
     )
-    if args.out:
-        check_out(args.out, directory=True)
     print(format_table(run_benchmark(configs, out_dir=args.out)))
     if args.out:
         print(f"\nwrote long.csv, metrics.csv, metrics.json, traces/ to {args.out}")
@@ -253,8 +261,8 @@ def cmd_report(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command in ("run", "bench") and apply_config_file(
             args, subparsers[args.command]
         ):
@@ -267,7 +275,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_replay(args)
         return cmd_report(args)
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even where the message quotes an argument raw.
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -57,22 +57,23 @@ def _variant_rank(variant: str) -> int:
 
 
 def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
-    """Cell metrics from per-episode rows, ordered (task, variant, agents).
-    The EI column compares each cell to the same task's full single-agent
-    cell and is omitted when that baseline is absent."""
+    """Cell metrics from typed per-episode rows, as ``EpisodeResult.as_row``
+    and read_long_csv give them, ordered (task, variant, agents). The EI
+    column compares each cell to the same task's full single-agent cell and
+    is omitted when that baseline is absent."""
     grouped: Dict[Tuple[str, str, int], List[dict]] = {}
     for row in rows:
-        key = (str(row["task"]), str(row["variant"]), int(row["num_agents"]))
+        key = (row["task"], row["variant"], row["num_agents"])
         grouped.setdefault(key, []).append(row)
     means = {
-        key: sum(int(r["steps"]) for r in cell_rows) / len(cell_rows)
+        key: sum(r["steps"] for r in cell_rows) / len(cell_rows)
         for key, cell_rows in grouped.items()
     }
     cells = []
     for key in sorted(grouped, key=lambda k: (k[0], _variant_rank(k[1]), k[2])):
         task, variant, num_agents = key
         cell_rows = grouped[key]
-        successes = sum(1 for r in cell_rows if r["success"] in (True, "True", 1))
+        successes = sum(1 for r in cell_rows if r["success"])
         baseline = means.get((task, "full", 1))
         cells.append(
             CellMetrics(

@@ -12,12 +12,14 @@ import math
 import os
 import random
 import re
+import string
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stubserver import approve_candidates
 import homecrew
@@ -25,7 +27,13 @@ from homecrew.coordination.allocate import heuristic_allocation
 from homecrew.coordination.negotiate import heuristic_proposal
 from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
 from homecrew.harness.benchmark import cell_configs, run_benchmark
-from homecrew.harness.cli import main, parse_backend, parse_int_list, parse_seeds
+from homecrew.harness.cli import (
+    build_parser,
+    main,
+    parse_backend,
+    parse_int_list,
+    parse_seeds,
+)
 from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
 from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
@@ -298,12 +306,6 @@ class TestAggregate:
             ("WashDishes", "no_allocation", 2),
         ]
 
-    def test_string_success_values_count(self):
-        rows = [row("WashDishes", "full", 1, 0, "True", 10),
-                row("WashDishes", "full", 1, 1, "False", 10)]
-        cell = aggregate(rows)[0]
-        assert cell.successes == 1
-
     def test_table_shows_dash_for_missing_ei(self):
         table = format_table(aggregate(self.hand_rows()))
         tea_line = next(line for line in table.splitlines() if "PrepareTea" in line)
@@ -407,6 +409,45 @@ class TestBenchmark:
     def test_metrics_json_is_stable_text(self):
         cells = run_benchmark(self.small_grid(seeds=(0,), agent_counts=(1,)))
         assert metrics_json(cells) == metrics_json(list(cells))
+
+    def test_failed_grid_leaves_the_finished_traces_and_no_metric_files(self, tmp_path):
+        configs = self.small_grid()
+        finished = []
+
+        def third_episode_fails(config):
+            if len(finished) == 2:
+                raise RemoteBackendError("the third episode failed")
+            finished.append((config, run_episode(config)))
+            return finished[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homecrew.harness.benchmark.run_episode", third_episode_fails)
+            with pytest.raises(RemoteBackendError):
+                run_benchmark(configs, out_dir=str(tmp_path))
+        assert [config for config, _ in finished] == configs[:2]
+        assert os.listdir(tmp_path) == ["traces"]
+        assert sorted(os.listdir(tmp_path / "traces")) == sorted(
+            f"{config.key}.jsonl" for config in configs[:2]
+        )
+        for config, result in finished:
+            text = (tmp_path / "traces" / f"{config.key}.jsonl").read_text()
+            assert text == render_trace(list(result.records))
+
+    @pytest.mark.parametrize("to_disk", [False, True], ids=["rows-only", "out-dir"])
+    def test_a_grid_holds_at_most_one_finished_episode(self, tmp_path, to_disk):
+        finished = []
+
+        def tracked_episode(config):
+            alive = sum(ref() is not None for ref in finished)
+            assert alive <= 1, f"{alive} finished episodes alive at episode {len(finished)}"
+            result = run_episode(config)
+            finished.append(weakref.ref(result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homecrew.harness.benchmark.run_episode", tracked_episode)
+            cells = run_benchmark(self.small_grid(), out_dir=str(tmp_path) if to_disk else None)
+        assert len(finished) == 8 and sum(cell.episodes for cell in cells) == 8
 
 
 class FlakyManager(Reasoner):
@@ -582,6 +623,10 @@ class TestConfigBounds:
             ["--timeout", "-5"],
             ["--timeout", "0"],
             ["--timeout", "nan"],
+            ["--timeout", "inf"],
+            ["--timeout", "1_0"],
+            ["--timeout", "\u0663"],
+            ["--timeout", "1e3"],
             ["--max-steps", "0"],
         ],
     )
@@ -840,8 +885,8 @@ class TestCliCommands:
         [
             ("run", "missing/dir/t.jsonl", "its directory does not exist"),
             ("run", ".", "is a directory"),
-            ("bench", "file.txt", "is not a directory"),
-            ("bench", "file.txt/sub", "is not a directory"),
+            ("bench", "file.txt", "cannot write bench output to"),
+            ("bench", "file.txt/sub", "cannot write bench output to"),
         ],
         ids=["run-missing-dir", "run-into-dir", "bench-onto-file", "bench-under-file"],
     )
@@ -858,7 +903,7 @@ class TestCliCommands:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("homecrew.harness.cli.run_episode", no_episode)
-            patch.setattr("homecrew.harness.cli.run_benchmark", no_episode)
+            patch.setattr("homecrew.harness.benchmark.run_episode", no_episode)
             assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err
@@ -874,22 +919,20 @@ class TestCliCommands:
             folder.rmdir()
             return result
 
-        def grid_then_block_out_dir(configs, out_dir=None):
-            with open(out_dir, "w") as handle:
-                handle.write("in the way\n")
-            return run_benchmark(configs, out_dir=out_dir)
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("homecrew.harness.cli.run_episode", episode_then_remove_folder)
-            patch.setattr("homecrew.harness.cli.run_benchmark", grid_then_block_out_dir)
             run_argv = ["run", "--task", "WashDishes", "--max-steps", "5",
                         "--out", str(folder / "t.jsonl")]
             assert main(run_argv) == 2
             assert "error: cannot write trace" in capsys.readouterr().err
-            bench_argv = ["bench", "--tasks", "WashDishes", "--agents", "1", "--seeds", "1",
-                          "--max-steps", "5", "--out", out_dir]
-            assert main(bench_argv) == 2
-            assert "error: cannot write bench output" in capsys.readouterr().err
+        # A directory in long.csv's place fails the grid's first write after
+        # its episodes, which have left their traces.
+        os.makedirs(os.path.join(out_dir, "long.csv"))
+        bench_argv = ["bench", "--tasks", "WashDishes", "--agents", "1", "--seeds", "1",
+                      "--variants", "full", "--max-steps", "5", "--out", out_dir]
+        assert main(bench_argv) == 2
+        assert "error: cannot write bench output" in capsys.readouterr().err
+        assert os.listdir(os.path.join(out_dir, "traces")) == ["WashDishes_full_a1_s0.jsonl"]
 
     def test_bench_and_report_agree(self, tmp_path, capsys):
         out_dir = str(tmp_path / "bench")
@@ -1053,7 +1096,7 @@ class TestCliCommands:
 
     def refused(self, argv, capsys):
         """main(argv)'s exit code and stderr, where no episode may run and
-        nothing may reach stdout. argparse refuses a flag by SystemExit."""
+        nothing may reach stdout."""
 
         def no_episode(*_args, **_kwargs):
             raise AssertionError("an episode ran before the flags were checked")
@@ -1061,10 +1104,7 @@ class TestCliCommands:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("homecrew.harness.cli.run_episode", no_episode)
             patch.setattr("homecrew.harness.cli.run_benchmark", no_episode)
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
         out, err = capsys.readouterr()
         assert out == ""
         return code, err
@@ -1162,17 +1202,89 @@ _LIST_FLAG = st.lists(
 ).map(",".join)
 
 
+def fake_episode(config, *_):
+    end = {"type": "end", "success": True, "steps": 0, "satisfied": 0,
+           "total": 1, "summaries": 0, "degraded_exchanges": 0}
+    return EpisodeResult(({"type": "header"}, end))
+
+
+def _fuzzed_flags():
+    """The real subcommands' flags, except those that print help or name a
+    file to read or write, with flags no subcommand has."""
+    _, subparsers = build_parser()
+    real = {
+        flag
+        for subparser in subparsers.values()
+        for action in subparser._actions
+        for flag in action.option_strings
+    }
+    real -= {"-h", "--help", "--out", "--config", "--fixtures"}
+    return sorted(real) + ["--bogus", "--seed-list", "--tasks-all", "-x"]
+
+
+_FUZZED_FLAGS = _fuzzed_flags()
+
+
+_FLAG_VALUE = st.one_of(
+    st.text(
+        alphabet="0123456789\u0660\u0661\u0662\u0663\u0669_+-., \t\n" + string.ascii_letters,
+        max_size=3,
+    ),
+    st.sampled_from(
+        task_categories() + list(VARIANTS) + ["heuristic", "1,2", "0.5", "1e3", "inf"]
+    ),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, then flags, each bare one time in four and otherwise
+    with a value; half the time the subcommand's required flag comes first."""
+    command = draw(st.sampled_from(["run", "bench", "replay", "report", "bogus", ""]))
+    flags = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_FUZZED_FLAGS), st.integers(0, 3), _FLAG_VALUE),
+            max_size=5,
+        )
+    )
+    argv = [flag if bare == 0 else f"{flag}={value}" for flag, bare, value in flags]
+    required = {"run": "--task", "replay": "--trace", "report": "--dir"}.get(command)
+    if required and draw(st.booleans()):
+        value = draw(st.sampled_from(task_categories()) if command == "run" else _FLAG_VALUE)
+        argv.insert(0, f"{required}={value}")
+    return [command, *argv]
+
+
 class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argv())
+    @example(argv=["bench", "--bogus=x\ny"])
+    def test_any_argument_list_ends_in_a_result_or_one_error_line(
+        self, argv, tmp_path_factory
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            # Only argument handling runs: no episode and no grid, and
+            # replay and report read from an empty directory.
+            patch.chdir(tmp_path_factory.mktemp("cli"))
+            patch.setattr("homecrew.harness.cli.run_episode", fake_episode)
+            patch.setattr(
+                "homecrew.harness.cli.run_benchmark",
+                lambda configs, out_dir=None: (),
+            )
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            lines = err.getvalue().split("\n")
+            assert len(lines) == 2 and lines[0].startswith("error: ") and lines[1] == ""
+
     @settings(max_examples=300, deadline=None)
     @given(tasks=_LIST_FLAG, agents=_LIST_FLAG, seeds=_LIST_FLAG, backend=_LIST_FLAG)
     def test_list_and_backend_flags_end_in_a_result_or_an_error(
         self, tasks, agents, seeds, backend
     ):
-        def fake_episode(config, *_):
-            end = {"type": "end", "success": True, "steps": 0, "satisfied": 0,
-                   "total": 1, "summaries": 0, "degraded_exchanges": 0}
-            return EpisodeResult(({"type": "header"}, end))
-
         argvs = [
             ["run", "--task", "WashDishes", f"--backend={backend}"],
             ["bench", f"--tasks={tasks}", f"--agents={agents}",
