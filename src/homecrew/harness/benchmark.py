@@ -57,18 +57,25 @@ def run_benchmark(
     """Run every cell, each on backends built from its own config, and return
     the cells' metrics. Only each episode's row is kept. With out_dir, each
     trace is written under out_dir/traces when its episode ends, and the
-    metric files after the last one, so a failed grid writes no long.csv."""
+    metric files after the last one, so a failed grid writes no long.csv; a
+    file in out_dir/traces that this grid does not write is refused first."""
     if out_dir is not None:
+        traces = os.path.join(out_dir, "traces")
         try:
-            os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
+            os.makedirs(traces, exist_ok=True)
+            stale = sorted(set(os.listdir(traces)) - {f"{c.key}.jsonl" for c in configs})
         except OSError as exc:
             raise ConfigError(f"cannot write bench output to {out_dir}: {exc}") from exc
+        if stale:
+            raise ConfigError(
+                f"bench output {traces} holds {len(stale)} file(s) this grid does not"
+                f" write, such as {stale[0]}"
+            )
     rows = []
     for config in configs:
         result = run_episode(config)
         if out_dir is not None:
-            path = os.path.join(out_dir, "traces", f"{config.key}.jsonl")
-            write_trace(list(result.records), path)
+            write_trace(list(result.records), os.path.join(traces, f"{config.key}.jsonl"))
         rows.append(result.as_row())
     cells = tuple(aggregate(rows))
     if out_dir is not None:

@@ -9,6 +9,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, EngineError
+from ..reasoner.scripted import load_fixtures
 from ..world.scenarios import task_categories
 from .benchmark import cell_configs, run_benchmark
 from .config import (
@@ -198,7 +199,7 @@ def episode_config_from_args(
         use_summaries=use_summaries,
         max_steps=args.max_steps,
         remote=remote,
-        fixtures_path=args.fixtures,
+        fixtures=None if args.fixtures is None else load_fixtures(args.fixtures),
     )
 
 

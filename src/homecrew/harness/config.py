@@ -17,7 +17,7 @@ from ..errors import ConfigError, is_int
 from ..reasoner.base import Reasoner
 from ..reasoner.heuristic import HeuristicReasoner
 from ..reasoner.remote import RemoteReasoner
-from ..reasoner.scripted import ScriptedReasoner, load_fixtures
+from ..reasoner.scripted import Fixtures, ScriptedReasoner
 from ..world.scenarios import task_categories
 
 BACKENDS = ("heuristic", "remote", "scripted")
@@ -83,7 +83,8 @@ class EpisodeConfig:
     use_summaries: bool = True
     max_steps: int = DEFAULT_MAX_STEPS
     remote: RemoteConfig = field(default_factory=RemoteConfig)
-    fixtures_path: Optional[str] = None
+    # The replies a scripted role plays, read once when the run is set up.
+    fixtures: Optional[Fixtures] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.task not in task_categories():
@@ -121,9 +122,9 @@ def build_reasoner(config: EpisodeConfig, backend: str) -> Reasoner:
     if backend == "remote":
         return RemoteReasoner(config.remote)
     # EpisodeConfig admits no backend name but these three.
-    if not config.fixtures_path:
+    if config.fixtures is None:
         raise ConfigError("scripted backend needs --fixtures")
-    return ScriptedReasoner(load_fixtures(config.fixtures_path))
+    return ScriptedReasoner(config.fixtures)
 
 
 def load_config_file(path: str) -> dict:

@@ -22,7 +22,7 @@ Every other backend runs the round inline, in that same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,12 +33,11 @@ from ..agents.records import HistoryRecord
 from ..coordination.allocate import allocate_with_report, assemble_context
 from ..coordination.negotiate import make_proposal
 from ..coordination.types import AgentView, AllocationInputs, JointAction
-from ..errors import FixtureExhausted, RemoteBackendError
-from ..reasoner.base import TEXT, Reasoner, ReasonerRequest
-from ..reasoner.heuristic import HeuristicReasoner
+from ..errors import FixtureExhausted
+from ..reasoner.base import TEXT, Reasoner
 from ..reasoner.prompts import TEMPLATE_V1
 from ..reasoner.remote import RemoteReasoner
-from ..reasoner.scripted import ScriptedReasoner
+from ..reasoner.scripted import RecordingReasoner
 from ..summaries import (
     Summary,
     progress_since,
@@ -87,34 +86,6 @@ class EpisodeResult:
         row = {name: header[name] for name in LONG_FIELDS[:4]}
         row.update((name, end[name]) for name in LONG_FIELDS[4:])
         return row
-
-
-class RecordingReasoner(Reasoner):
-    """Pass-through wrapper around a text backend that appends every exchange
-    (response, or transport failure with its message) to the list it was
-    given: one decision call's own buffer."""
-
-    def __init__(self, inner: Reasoner, sink: List[dict]):
-        self.inner = inner
-        self.sink = sink
-
-    def invoke(self, request: ReasonerRequest) -> str:
-        entry = {
-            "type": "exchange",
-            "kind": request.kind,
-            "tick": request.tick,
-            "agent_id": request.agent_id,
-        }
-        try:
-            reply = self.inner.invoke(request)
-        except RemoteBackendError as exc:
-            entry["response"] = None
-            entry["error"] = str(exc)
-            self.sink.append(entry)
-            raise
-        entry["response"] = reply
-        self.sink.append(entry)
-        return reply
 
 
 # One decision call of a round: the backend, and the step that asks it.
@@ -259,17 +230,9 @@ def _play_episode(
             sink.extend(exchanges)
             collected += (summary,)
             degraded += int(summary.degraded)
-            sink.append(
-                {
-                    "type": "summary",
-                    "tick": state.tick,
-                    "index": summary.index,
-                    "interval": list(summary.interval),
-                    "delta": summary.delta,
-                    "text": summary.text,
-                    "degraded": summary.degraded,
-                }
-            )
+            record = {"type": "summary", "tick": state.tick, **asdict(summary)}
+            record["interval"] = list(summary.interval)
+            sink.append(record)
         if finished:
             break
 
@@ -373,18 +336,17 @@ def divergence(recorded: List[dict], replayed: List[dict]) -> str:
 
 
 def replay_trace(records: List[dict]) -> Tuple[Optional[EpisodeResult], bool, str]:
-    """Rerun a trace with its text exchanges scripted back and compare every
-    record the rerun writes with the recorded one. check_trace refuses a
-    malformed trace before the rerun starts. A rerun that asks for a reply
-    the trace never recorded has diverged too, and leaves no result."""
+    """Rerun a trace's config with its text roles scripted from its exchanges,
+    and compare every record the rerun writes with the recorded one.
+    check_trace refuses a malformed trace before the rerun starts. A rerun that
+    asks for a reply the trace never recorded has diverged too, and leaves no result."""
     config, fixtures = check_trace(records)
-    scripted = ScriptedReasoner(fixtures)
-    manager, member = (
-        HeuristicReasoner() if backend == "heuristic" else scripted
-        for backend in (config.manager_backend, config.member_backend)
-    )
+    backends = {
+        role: "heuristic" if getattr(config, role) == "heuristic" else "scripted"
+        for role in BACKEND_FIELDS
+    }
     try:
-        result = run_episode(config, manager, member)
+        result = run_episode(replace(config, fixtures=fixtures, **backends))
     except FixtureExhausted as exc:
         return None, False, f"the rerun asked for a reply the trace never recorded: {exc}"
     message = divergence(records, list(result.records))

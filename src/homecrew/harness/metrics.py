@@ -51,11 +51,6 @@ class CellMetrics:
         }
 
 
-def _variant_rank(variant: str) -> int:
-    """A variant's place in VARIANTS; a name read from disk outside it sorts last."""
-    return list(VARIANTS).index(variant) if variant in VARIANTS else len(VARIANTS)
-
-
 def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
     """Cell metrics from typed per-episode rows, as ``EpisodeResult.as_row``
     and read_long_csv give them, ordered (task, variant, agents). The EI
@@ -70,7 +65,7 @@ def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
         for key, cell_rows in grouped.items()
     }
     cells = []
-    for key in sorted(grouped, key=lambda k: (k[0], _variant_rank(k[1]), k[2])):
+    for key in sorted(grouped, key=lambda k: (k[0], list(VARIANTS).index(k[1]), k[2])):
         task, variant, num_agents = key
         cell_rows = grouped[key]
         successes = sum(1 for r in cell_rows if r["success"])
@@ -128,6 +123,8 @@ def read_long_csv(path: str) -> List[dict]:
                 values = [row.get(name) for name in LONG_FIELDS]
                 if None in row or None in values or row["success"] not in ("True", "False"):
                     raise ValueError(f"line {reader.line_num} is not a long.csv row")
+                if row["variant"] not in VARIANTS:
+                    raise ValueError(f"line {reader.line_num}: unknown variant {row['variant']!r}")
                 # The integer columns, each only in the spelling str() writes.
                 for name in LONG_FIELDS[2:4] + LONG_FIELDS[5:]:
                     text, row[name] = row[name], int(row[name])

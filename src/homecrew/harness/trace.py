@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from ..errors import ConfigError, ContractViolation, is_int
 from ..reasoner.prompts import TEMPLATE_V1
-from ..reasoner.scripted import Fixtures, exchange_entry
+from ..reasoner.scripted import Fixtures, exchange_entry, read_jsonl
 from .config import EpisodeConfig, variant_flags
 
 TRACE_FORMAT = 1
@@ -60,20 +60,7 @@ def write_trace(records: List[dict], path: str) -> None:
 
 
 def load_trace(path: str) -> List[dict]:
-    records = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"line {number} is not a JSON object")
-                records.append(record)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ContractViolation(f"cannot read trace {path}: {exc}")
-    return records
+    return [record for _, record in read_jsonl(path, "trace", ContractViolation)]
 
 
 def check_trace(records: List[dict]) -> Tuple[EpisodeConfig, Fixtures]:

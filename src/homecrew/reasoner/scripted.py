@@ -1,4 +1,4 @@
-"""Replay backend: canned text responses keyed by decision point.
+"""Recorded replies: the exchange records a run writes, and the replay backend.
 
 Fixtures map (kind, tick, agent_id) to a FIFO queue of raw responses, which
 is exactly the information a trace's exchange records carry. Replaying a
@@ -10,9 +10,9 @@ improvisation.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
-from ..errors import ConfigError, FixtureExhausted, RemoteBackendError, is_int
+from ..errors import ConfigError, EngineError, FixtureExhausted, RemoteBackendError, is_int
 from .base import REQUEST_KINDS, TEXT, Reasoner, ReasonerRequest
 
 FixtureKey = Tuple[str, int, int]
@@ -22,6 +22,31 @@ FixtureValue = Union[str, RemoteBackendError]
 
 # Each decision point's replies, queued in recorded order.
 Fixtures = Dict[FixtureKey, List[FixtureValue]]
+
+
+class RecordingReasoner(Reasoner):
+    """Pass-through wrapper around a text backend that appends every exchange
+    (response, or transport failure with its message) to the list it was
+    given: one decision call's own buffer."""
+
+    def __init__(self, inner: Reasoner, sink: List[dict]):
+        self.inner = inner
+        self.sink = sink
+
+    def invoke(self, request: ReasonerRequest) -> str:
+        entry = {
+            "type": "exchange",
+            "kind": request.kind,
+            "tick": request.tick,
+            "agent_id": request.agent_id,
+        }
+        try:
+            reply = self.inner.invoke(request)
+        except RemoteBackendError as exc:
+            self.sink.append({**entry, "response": None, "error": str(exc)})
+            raise
+        self.sink.append({**entry, "response": reply})
+        return reply
 
 
 def exchange_entry(record) -> Optional[Tuple[FixtureKey, FixtureValue]]:
@@ -64,25 +89,35 @@ class ScriptedReasoner(Reasoner):
         return value
 
 
-def load_fixtures(path: str) -> Fixtures:
-    """Read fixtures from JSONL: one object per line with kind, tick,
-    agent_id, and response fields (a null response replays a transport
-    failure, with the line's ``error`` as its message). Repeated keys queue
-    in file order. A file that cannot be read or a line that is not such an
-    object is refused, naming the line."""
+def read_jsonl(path: str, what: str, error: Type[EngineError]) -> List[Tuple[int, dict]]:
+    """Each non-blank line of a file, numbered, as a JSON object. An unreadable
+    file or a line that is not a JSON object raises ``cannot read {what} {path}``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read fixtures {path}: {exc}")
-    fixtures: Fixtures = {}
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    objects = []
     for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            entry = exchange_entry(json.loads(line))
-        except (ValueError, RecursionError):
-            entry = None
+        if line.strip():
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError):
+                value = None
+            if not isinstance(value, dict):
+                raise error(f"cannot read {what} {path}: line {number} is not a JSON object")
+            objects.append((number, value))
+    return objects
+
+
+def load_fixtures(path: str) -> Fixtures:
+    """Read fixtures from JSONL: one object per line with kind, tick,
+    agent_id, and response fields (a null response replays a transport
+    failure, with the line's ``error`` as its message). Repeated keys queue
+    in file order; any other line is refused, naming it."""
+    fixtures: Fixtures = {}
+    for number, value in read_jsonl(path, "fixtures", ConfigError):
+        entry = exchange_entry(value)
         if entry is None:
             raise ConfigError(
                 f"fixtures {path} line {number} is not an object with a request "

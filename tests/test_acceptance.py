@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib.util
-import itertools
 import json
 import os
 import random
@@ -37,14 +36,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import conflict_violations, exhaustive_argmax
 from stubserver import approve_candidates, completion, propose_goal_objects
 from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
 from homecrew.agents.execution import MacroTask
-from homecrew.coordination.allocate import assemble_context, heuristic_allocation, score_joint
+from homecrew.coordination.allocate import assemble_context, heuristic_allocation
 from homecrew.coordination.types import (
     AllocationInputs,
-    JointAction,
     Proposal,
     remaining_by_predicate,
 )
@@ -186,55 +185,6 @@ def random_instance(
         goal=goal,
         team=merge_team_belief([beliefs[i] for i in sorted(beliefs)]),
     )
-
-
-# ------------------------------------------------------- independent oracles
-
-
-def conflict_violations(joint: JointAction, remaining) -> list:
-    """Re-stated conflict rules: one agent per bound object, and no goal
-    predicate loaded past its remaining unit count."""
-    violations = []
-    owners = {}
-    load = {}
-    for agent_id, task in sorted(joint.tasks.items()):
-        if task.object_id is not None:
-            owners.setdefault(task.object_id, []).append(agent_id)
-        key = task.predicate_key()
-        if key is not None:
-            load[key] = load.get(key, 0) + 1
-    for object_id, agents in sorted(owners.items()):
-        if len(agents) > 1:
-            violations.append(f"object {object_id} double-booked by {agents}")
-    for key, count in sorted(load.items()):
-        if key in remaining and count > remaining[key]:
-            violations.append(f"predicate {key} oversubscribed: {count}")
-    return violations
-
-
-def exhaustive_argmax(inputs: AllocationInputs) -> JointAction:
-    """Own product loop, own option listing, own conflict filter; first
-    strict maximum in the same canonical order the engine documents."""
-    remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-    agent_ids = [entry.agent_id for entry in inputs.entries]
-    pools = []
-    for entry in inputs.entries:
-        pool = [entry.proposal.candidate]
-        for alternative in entry.proposal.alternatives[:3]:
-            if alternative not in pool:
-                pool.append(alternative)
-        if MacroTask.idle() not in pool:
-            pool.append(MacroTask.idle())
-        pools.append(pool)
-    best, best_score = None, None
-    for combo in itertools.product(*pools):
-        joint = JointAction(tasks=dict(zip(agent_ids, combo)))
-        if conflict_violations(joint, remaining):
-            continue
-        score = score_joint(joint, inputs)
-        if best is None or score > best_score:
-            best, best_score = joint, score
-    return best
 
 
 @lru_cache(maxsize=None)

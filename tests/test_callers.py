@@ -5,7 +5,8 @@ __init__.py imports only the names listed in ``PACKAGE_IMPORTS``.
 A name counts as called when it is read anywhere in src/ or scripts/ other
 than where it is defined: as a name, or as an attribute. ``main``, dunder
 methods and the names in ``CALLED_FROM_OUTSIDE`` are exempt, because they
-are called by Python itself or only from outside src/ and scripts/.
+are called by Python itself or only from outside src/ and scripts/; an
+exempt name that gains a reader there must lose its exemption.
 """
 
 from __future__ import annotations
@@ -54,19 +55,27 @@ def parsed_modules(folder):
                     yield os.path.relpath(path, ROOT), ast.parse(handle.read(), path)
 
 
-def test_every_function_under_src_has_a_caller():
-    defined, read = {}, set()
+def names_read():
+    """Every name read under src/ or scripts/: as a name, or as an attribute."""
+    read = set()
     for folder in ("src", "scripts"):
-        for path, tree in parsed_modules(folder):
+        for _, tree in parsed_modules(folder):
             for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if folder == "src":
-                        defined.setdefault(node.name, path)
-                elif isinstance(node, ast.Name):
+                if isinstance(node, ast.Name):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
+    return read
+
+
+def test_every_function_under_src_has_a_caller():
+    defined = {}
+    for path, tree in parsed_modules("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, path)
     assert defined
+    read = names_read()
     uncalled = sorted(
         f"{path}: {name}"
         for name, path in defined.items()
@@ -76,6 +85,12 @@ def test_every_function_under_src_has_a_caller():
         and not (name.startswith("__") and name.endswith("__"))
     )
     assert uncalled == []
+
+
+def test_names_called_from_outside_have_no_caller_inside():
+    """An exemption lasts only while nothing under src/ or scripts/ reads
+    the name: a caller there makes it stale."""
+    assert sorted(names_read() & set(CALLED_FROM_OUTSIDE)) == []
 
 
 def _is_dataclass(node):

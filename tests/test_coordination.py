@@ -1,20 +1,20 @@
 """Coordination tests: proposals, the response grammar, scoring, allocation.
 
 Score semantics are pinned by hand-computed examples on the fixed floor
-plan; a test-local exhaustive argmax (own product loop, own option listing)
-then checks the allocator's selection over randomized scenarios, so the
-enumeration order and tie-breaking stay honest.
+plan; the exhaustive argmax of tests/oracle.py (own product loop, own option
+listing, own conflict filter) then checks the allocator's selection over
+randomized scenarios, so the enumeration order and tie-breaking stay honest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle import conflict_free_joints, exhaustive_argmax
 from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import EXPLORE_ROOM, FETCH_PLACE, MacroTask, sweep_targets
@@ -696,34 +696,10 @@ class TestScore:
 
 
 class TestAllocator:
-    def options_for(self, entry):
-        options = [entry.proposal.candidate]
-        for task in entry.proposal.alternatives[:3]:
-            if task not in options:
-                options.append(task)
-        if MacroTask.idle() not in options:
-            options.append(MacroTask.idle())
-        return options
-
-    def brute_force(self, inputs: AllocationInputs) -> JointAction:
-        remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-        agent_ids = [entry.agent_id for entry in inputs.entries]
-        best, best_score = None, None
-        for combo in itertools.product(
-            *[self.options_for(entry) for entry in inputs.entries]
-        ):
-            joint = JointAction(tasks=dict(zip(agent_ids, combo)))
-            if check_conflicts(joint, remaining):
-                continue
-            score = score_joint(joint, inputs)
-            if best is None or score > best_score:
-                best, best_score = joint, score
-        return best
-
     @pytest.mark.parametrize("task,num_agents,seed,drop", INSTANCE_GRID)
     def test_matches_exhaustive_argmax(self, task, num_agents, seed, drop):
         inputs = build_inputs(task, num_agents, seed, drop)
-        assert heuristic_allocation(inputs) == self.brute_force(inputs)
+        assert heuristic_allocation(inputs) == exhaustive_argmax(inputs)
 
     @pytest.mark.parametrize("task,num_agents,seed,drop", INSTANCE_GRID[::3])
     def test_allocation_covers_agents_conflict_free(self, task, num_agents, seed, drop):
@@ -735,16 +711,7 @@ class TestAllocator:
 
     def test_enumeration_matches_product_filter(self):
         inputs = build_inputs("SetUpTable", 3, seed=4, drop_rate=0.3)
-        remaining = remaining_by_predicate(inputs.goal, inputs.progress)
-        expected = []
-        agent_ids = [e.agent_id for e in inputs.entries]
-        for combo in itertools.product(
-            *[self.options_for(e) for e in inputs.entries]
-        ):
-            joint = JointAction(tasks=dict(zip(agent_ids, combo)))
-            if not check_conflicts(joint, remaining):
-                expected.append(joint)
-        assert enumerate_joint_space(inputs) == expected
+        assert enumerate_joint_space(inputs) == conflict_free_joints(inputs)
 
     def test_structured_backend_equals_heuristic(self):
         inputs = build_inputs("PutGroceries", 2, seed=7)

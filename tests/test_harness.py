@@ -34,7 +34,13 @@ from homecrew.harness.cli import (
     parse_int_list,
     parse_seeds,
 )
-from homecrew.harness.config import VARIANTS, EpisodeConfig, RemoteConfig, variant_flags
+from homecrew.harness.config import (
+    VARIANTS,
+    EpisodeConfig,
+    RemoteConfig,
+    build_reasoner,
+    variant_flags,
+)
 from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
     LONG_FIELDS,
@@ -65,6 +71,7 @@ from homecrew.reasoner.base import (
 from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.parsing import format_allocation
 from homecrew.reasoner.prompts import render_prompt
+from homecrew.reasoner.scripted import load_fixtures
 from homecrew.summaries import template_digest
 from homecrew.world.scenarios import task_categories
 
@@ -1033,6 +1040,109 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and path in err and where in err
 
+    def test_fixtures_are_read_even_when_no_role_is_scripted(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.jsonl")
+        assert main(["run", "--task", "WashDishes", "--fixtures", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read fixtures {path}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["replay", "--trace", "{path}"], "trace"),
+            (["run", "--task", "WashDishes", "--fixtures", "{path}"], "fixtures"),
+        ],
+        ids=["trace", "fixtures"],
+    )
+    def test_a_non_utf8_byte_is_an_error(self, tmp_path, capsys, argv, what):
+        path = str(tmp_path / "latin1.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b'{"type": "header", "task": "caf\xe9"}\n')
+        assert main([item.format(path=path) for item in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {what} {path}: ")
+
+    def test_bench_reads_its_fixtures_once(self, tmp_path, capsys, monkeypatch):
+        # The manager answers no decision without allocation and summaries,
+        # so one line serves every episode.
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(
+            '{"kind": "ALLOCATE", "tick": 0, "agent_id": 1, "response": "1: IDLE"}\n'
+        )
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_fixtures(path)
+
+        monkeypatch.setattr("homecrew.harness.cli.load_fixtures", counted)
+        out_dir = str(tmp_path / "bench")
+        argv = ["bench", "--tasks", "WashDishes", "--agents", "1,2", "--seeds", "2",
+                "--variants", "no_allocation+no_summary", "--max-steps", "5",
+                "--backend", "manager=scripted,members=heuristic",
+                "--fixtures", str(fixtures), "--out", out_dir]
+        assert main(argv) == 0
+        assert len(read_long_csv(os.path.join(out_dir, "long.csv"))) == 4
+        assert reads == [str(fixtures)]
+
+    def test_replay_builds_both_roles_through_build_reasoner(
+        self, tmp_path, capsys, stub, monkeypatch
+    ):
+        stub.policy = approve_candidates
+        argv, out = self.run_argv(
+            tmp_path,
+            "--backend", "manager=remote,members=heuristic",
+            "--endpoint-url", stub.url, "--model", "m",
+        )
+        assert main(argv) == 0
+        built = []
+
+        def counted(config, backend):
+            built.append(backend)
+            return build_reasoner(config, backend)
+
+        monkeypatch.setattr("homecrew.harness.episode.build_reasoner", counted)
+        replayed, ok, message = replay_trace(load_trace(out))
+        assert ok, message
+        assert built == ["scripted", "heuristic"]
+        assert replayed.header["manager_backend"] == "scripted"
+
+    def bench_argv(self, out_dir, seeds):
+        return ["bench", "--tasks", "WashDishes", "--agents", "1", "--seeds", seeds,
+                "--variants", "full", "--max-steps", "5", "--out", out_dir]
+
+    def test_bench_refuses_traces_it_does_not_write(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "bench")
+        assert main(self.bench_argv(out_dir, "3")) == 0
+        before = {
+            name: (tmp_path / "bench" / name).read_bytes()
+            for name in ["long.csv", "metrics.csv", "metrics.json"]
+            + [f"traces/{n}" for n in os.listdir(os.path.join(out_dir, "traces"))]
+        }
+        capsys.readouterr()
+        assert main(self.bench_argv(out_dir, "1")) == 2
+        captured = capsys.readouterr()
+        traces = os.path.join(out_dir, "traces")
+        assert captured.err == (
+            f"error: bench output {traces} holds 2 file(s) this grid does not write,"
+            " such as WashDishes_full_a1_s1.jsonl\n"
+        )
+        assert captured.out == ""
+        after = {
+            os.path.relpath(os.path.join(folder, name), out_dir)
+            for folder, _, names in os.walk(out_dir)
+            for name in names
+        }
+        assert after == set(before)
+        for name, data in before.items():
+            assert (tmp_path / "bench" / name).read_bytes() == data, name
+
+    def test_bench_overwrites_its_own_grid(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "bench")
+        assert main(self.bench_argv(out_dir, "2")) == 0
+        assert main(self.bench_argv(out_dir, "2")) == 0
+        assert len(os.listdir(os.path.join(out_dir, "traces"))) == 2
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1187,6 +1297,16 @@ class TestCliCommands:
         assert main(["report", "--dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "long.csv" in err
+
+    def test_report_refuses_a_variant_outside_the_grid(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            ",".join(LONG_FIELDS) + "\nWashDishes,bogus,1,0,True,4,1,1,0,0\n"
+        )
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot read {path}: line 2: unknown variant 'bogus'\n"
+        assert captured.out == ""
 
 
 _LIST_ITEM = st.one_of(
