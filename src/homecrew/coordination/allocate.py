@@ -28,7 +28,6 @@ from ..agents.execution import (
     room_hides_content,
 )
 from ..reasoner.base import ALLOCATE, Reasoner, ask
-from ..reasoner.parsing import parse_allocation
 from ..world.types import LOC_AGENT, HouseMap, Observation, goal_location
 from .types import (
     AllocationInputs,
@@ -290,14 +289,7 @@ def allocate_with_report(
     re-asks (or once the backend errors out) the deterministic path takes
     over and the report is marked degraded."""
     manager_id = min(inputs.agent_ids()) if inputs.entries else 0
-    joint, attempts, note = ask(
-        reasoner,
-        ALLOCATE,
-        inputs,
-        lambda raw: parse_allocation(raw, inputs),
-        inputs.tick,
-        manager_id,
-    )
+    joint, attempts, note = ask(reasoner, ALLOCATE, inputs, inputs.tick, manager_id)
     if joint is not None:
         return joint, AllocationReport(attempts=attempts, degraded=False)
     joint = heuristic_allocation(inputs)

@@ -14,9 +14,8 @@ from typing import List, Tuple
 from ..agents.belief import Fact
 from ..agents.execution import MacroTask, sweep_targets
 from ..reasoner.base import PROPOSE, Reasoner, ask
-from ..reasoner.parsing import MAX_ALTERNATIVES, parse_proposal
 from ..world.types import LOC_AGENT
-from .types import AgentView, Proposal
+from .types import MAX_ALTERNATIVES, AgentView, Proposal
 
 
 def _ranked_fetch_options(view: AgentView) -> List[Tuple[MacroTask, Fact]]:
@@ -95,14 +94,7 @@ def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
     """One member's proposal via the given backend, never raising on bad
     responses: text parse failures re-ask with the identical prompt up to
     PARSE_RETRIES times, then degrade to a deterministic sweep."""
-    proposal, _, _ = ask(
-        reasoner,
-        PROPOSE,
-        view,
-        lambda raw: parse_proposal(raw, view.house, view.agent_id),
-        view.tick,
-        view.agent_id,
-    )
+    proposal, _, _ = ask(reasoner, PROPOSE, view, view.tick, view.agent_id)
     if proposal is not None:
         return proposal
     sweep_room = sweep_targets(view.belief, view.house, view.observation.room)[0]

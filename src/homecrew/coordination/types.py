@@ -12,10 +12,15 @@ from ..summaries import Summary
 from ..world.types import GoalSpec, HouseMap, Observation, TaskProgress
 
 
+# The most ranked backups a proposal carries: the heuristic builds no more and
+# replies are cut to it, so the allocator reads every alternative it gets.
+MAX_ALTERNATIVES = 3
+
+
 @dataclass(frozen=True)
 class Proposal:
     """One member's bid for this round: a candidate task, short reasoning,
-    and up to a handful of ranked backups."""
+    and up to MAX_ALTERNATIVES ranked backups."""
 
     agent_id: int
     candidate: MacroTask

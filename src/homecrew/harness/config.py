@@ -74,6 +74,9 @@ class RemoteConfig:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
+    """One episode's settings: task, team size, seed, each role's backend,
+    the variant's two flags and the step cap. A bad value is a ConfigError."""
+
     task: str
     num_agents: int = 2
     seed: int = 0

@@ -34,8 +34,7 @@ from ..coordination.allocate import allocate_with_report, assemble_context
 from ..coordination.negotiate import make_proposal
 from ..coordination.types import AgentView, AllocationInputs, JointAction
 from ..errors import FixtureExhausted
-from ..reasoner.base import TEXT, Reasoner
-from ..reasoner.prompts import TEMPLATE_V1
+from ..reasoner.base import TEMPLATE_V1, TEXT, Reasoner
 from ..reasoner.remote import RemoteReasoner
 from ..reasoner.scripted import RecordingReasoner
 from ..summaries import (
@@ -48,11 +47,17 @@ from ..summaries import (
 from ..world.engine import evaluate_progress, observe, room_sightings, transition
 from ..world.scenarios import init_world
 from .config import EpisodeConfig, build_reasoner
-from .metrics import LONG_FIELDS
 from .trace import TRACE_FORMAT, check_trace, render_line
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
+
+# An episode's long.csv columns: the first four are read from its trace's
+# header, the rest from its end record.
+LONG_FIELDS = [
+    "task", "variant", "num_agents", "seed",
+    "success", "steps", "satisfied", "total", "summaries", "degraded_exchanges",
+]
 
 
 @dataclass(frozen=True)

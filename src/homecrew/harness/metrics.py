@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ContractViolation
 from .config import VARIANTS
+from .episode import LONG_FIELDS
 
 
 def efficiency_fraction(first: float, second: float) -> float:
@@ -34,6 +35,9 @@ def compute_ei(first: float, second: float) -> int:
 
 @dataclass(frozen=True)
 class CellMetrics:
+    """One bench cell, a (task, variant, agents) triple over its seeds. EI is
+    against the task's full single-agent cell, None when the grid lacks it."""
+
     task: str
     variant: str
     num_agents: int
@@ -85,22 +89,6 @@ def aggregate(rows: Sequence[dict]) -> List[CellMetrics]:
             )
         )
     return cells
-
-
-# An episode's long.csv columns: the first four are read from its trace's
-# header, the rest from its end record.
-LONG_FIELDS = [
-    "task",
-    "variant",
-    "num_agents",
-    "seed",
-    "success",
-    "steps",
-    "satisfied",
-    "total",
-    "summaries",
-    "degraded_exchanges",
-]
 
 
 def long_csv(rows: Sequence[dict]) -> str:

@@ -15,7 +15,7 @@ import json
 from typing import List, Tuple
 
 from ..errors import ConfigError, ContractViolation, is_int
-from ..reasoner.prompts import TEMPLATE_V1
+from ..reasoner.base import TEMPLATE_V1
 from ..reasoner.scripted import Fixtures, exchange_entry, read_jsonl
 from .config import EpisodeConfig, variant_flags
 

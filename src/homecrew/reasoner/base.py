@@ -4,13 +4,15 @@ Every decision point (member proposals, the manager's allocation, progress
 summaries) is asked through ``ask``: it builds the request, invokes the
 backend and reads what ``invoke`` returns. Structured backends return the
 decision itself, computed from the decision's typed inputs; text backends
-return the reply text, which the calling module's ``parse`` validates.
+return the reply text. ``ask`` owns both halves of the text grammar: it
+renders the prompt (``prompts.render_prompt``) and reads the reply
+(``parsing.parse_reply``), so a structured run loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Tuple
 
 from ..errors import RemoteBackendError, ResponseParseError
 
@@ -24,8 +26,13 @@ REQUEST_KINDS = (PROPOSE, ALLOCATE, SUMMARIZE)
 STRUCTURED = "structured"
 TEXT = "text"
 
-# How many times a decision re-asks a text backend after an unusable reply.
+# How many times a proposal or allocation re-asks a text backend after an
+# unusable reply; a summary is never re-asked.
 PARSE_RETRIES = 2
+
+# The prompt layout's name, written into every trace header. A new layout
+# gets a new name, never an edit of this one in place.
+TEMPLATE_V1 = "template_v1"
 
 
 @dataclass(frozen=True)
@@ -57,35 +64,32 @@ class Reasoner:
 
 
 def ask(
-    reasoner: Reasoner,
-    kind: str,
-    inputs: Any,
-    parse: Callable[[str], Any],
-    tick: int,
-    agent_id: int,
-    retries: int = PARSE_RETRIES,
+    reasoner: Reasoner, kind: str, inputs: Any, tick: int, agent_id: int
 ) -> Tuple[Any, int, str]:
     """(decision or None, attempts made, note) for one decision of ``kind``
     on ``inputs``. A structured backend is invoked once with the inputs alone
     and no prompt is built. A text backend gets the prompt rendered once from
-    the inputs; a reply that ``parse`` refuses with ResponseParseError is
-    re-asked with the identical request up to ``retries`` times, and a
+    the inputs, and ``parse_reply`` reads each reply; a reply it refuses with
+    ResponseParseError is re-asked with the identical request up to
+    PARSE_RETRIES times, except a summary, which is never re-asked. A
     transport failure ends the asking at once. The note is the last
     failure's message, and empty when a reply was accepted."""
     if reasoner.produces == STRUCTURED:
         return reasoner.invoke(ReasonerRequest(kind, inputs)), 1, ""
-    # Deferred: prompts imports this module for the request kinds.
+    # Deferred: the text grammar imports this module for the request kinds.
+    from .parsing import parse_reply
     from .prompts import render_prompt
 
     request = ReasonerRequest(kind, inputs, render_prompt(kind, inputs), tick, agent_id)
+    attempts = 1 if kind == SUMMARIZE else 1 + PARSE_RETRIES
     note = ""
-    for attempt in range(1, 2 + retries):
+    for attempt in range(1, attempts + 1):
         try:
             reply = reasoner.invoke(request)
         except RemoteBackendError as exc:
             return None, attempt, str(exc)
         try:
-            return parse(reply), attempt, ""
+            return parse_reply(kind, reply, inputs), attempt, ""
         except ResponseParseError as exc:
             note = str(exc)
-    return None, 1 + retries, note
+    return None, attempts, note

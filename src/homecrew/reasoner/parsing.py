@@ -2,9 +2,11 @@
 
 Allocations are one assignment line per agent, ``<agent_id>: MACRO(args)``,
 preferably inside a fenced block; proposals are ``propose:``/``alt:``/``why:``
-lines. Every referenced name is validated against the house (its rooms,
-surfaces, containers, object ids and classes), and a parsed allocation must
-also pass the conflict rules before it is accepted.
+lines; a summary is any non-blank text, read as one line. ``parse_reply``
+reads a reply by its request kind, as prompts.render_prompt renders it. Every
+referenced name is validated against the house (its rooms, surfaces,
+containers, object ids and classes), and a parsed allocation must also pass
+the conflict rules before it is accepted.
 All violations raise ResponseParseError so callers can retry or fall back.
 """
 
@@ -14,15 +16,15 @@ import re
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..agents.execution import MacroTask
-from ..errors import ResponseParseError
+from ..coordination.types import (
+    MAX_ALTERNATIVES, JointAction, Proposal, check_conflicts, remaining_by_predicate
+)
+from ..errors import ContractViolation, ResponseParseError
+from .base import ALLOCATE, PROPOSE, SUMMARIZE
 
 if TYPE_CHECKING:
-    from ..coordination.types import AllocationInputs, JointAction, Proposal
+    from ..coordination.types import AllocationInputs
     from ..world.types import HouseMap
-
-# The most ranked backups a proposal carries: the heuristic builds no more and
-# replies are cut to it, so the allocator reads every alternative it gets.
-MAX_ALTERNATIVES = 3
 
 _ASSIGN_RE = re.compile(r"^\s*(?:agent\s+)?(\d+)\s*[:.]\s*(.+?)\s*$", re.IGNORECASE)
 _MACRO_RE = re.compile(r"^([A-Za-z_]+)\s*(?:\((.*)\))?\s*$")
@@ -92,9 +94,6 @@ def parse_allocation(raw_response: str, inputs: AllocationInputs) -> JointAction
     """Parse and validate a full allocation response: exactly one well-formed
     task per agent of ``inputs``, no unknown agents, and no conflicts under
     the quota that the inputs' goal and progress leave."""
-    # Deferred: coordination imports this module for its text path.
-    from ..coordination.types import JointAction, check_conflicts, remaining_by_predicate
-
     expected = set(inputs.agent_ids())
     tasks: Dict[int, MacroTask] = {}
     for line in _fenced_body(raw_response).split("\n"):
@@ -135,9 +134,6 @@ def parse_proposal(
 ) -> Proposal:
     """Parse a member proposal: one propose line, optional alt/why lines.
     Alternatives past the first MAX_ALTERNATIVES are dropped."""
-    # Deferred: coordination imports this module for its text path.
-    from ..coordination.types import Proposal
-
     candidate: Optional[MacroTask] = None
     alternatives: List[MacroTask] = []
     rationale = ""
@@ -162,3 +158,23 @@ def parse_proposal(
         rationale=rationale,
         alternatives=tuple(alternatives[:MAX_ALTERNATIVES]),
     )
+
+
+def parse_note(raw: str) -> str:
+    """A summary reply as one line of text; an empty reply is refused."""
+    text = " ".join(raw.split())
+    if not text:
+        raise ResponseParseError("empty summary")
+    return text
+
+
+def parse_reply(kind: str, raw: str, inputs):
+    """The decision a text reply to a ``kind`` request on ``inputs`` states:
+    the counterpart of prompts.render_prompt."""
+    if kind == PROPOSE:
+        return parse_proposal(raw, inputs.house, inputs.agent_id)
+    if kind == ALLOCATE:
+        return parse_allocation(raw, inputs)
+    if kind == SUMMARIZE:
+        return parse_note(raw)
+    raise ContractViolation(f"unknown request kind: {kind}")

@@ -2,10 +2,9 @@
 
 Rendering is a pure function of (kind, inputs), where the inputs are the
 decision's own: an AgentView, AllocationInputs or SummaryInputs. The same
-inputs always yield byte-identical prompts. There is one layout; its name,
-TEMPLATE_V1, is written into every trace header so that a trace names the
-layout its prompts were rendered with. A new layout gets a new name, never
-an edit of this one in place.
+inputs always yield byte-identical prompts. There is one layout, named
+``base.TEMPLATE_V1`` in every trace header; a new layout gets a new name,
+never an edit of this one in place.
 """
 
 from __future__ import annotations
@@ -13,16 +12,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from ..agents.textify import belief_digest, render_belief, render_history, render_observation
+from ..coordination.types import MAX_ALTERNATIVES
 from ..errors import ContractViolation
 from .base import ALLOCATE, PROPOSE, SUMMARIZE
-from .parsing import MAX_ALTERNATIVES
 
 if TYPE_CHECKING:
     from ..coordination.types import AgentView, AllocationInputs
     from ..summaries import SummaryInputs
     from ..world.types import HouseMap, TaskProgress
-
-TEMPLATE_V1 = "template_v1"
 
 NO_SUMMARIES_MARKER = "(no summaries yet)"
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .agents.records import HistoryRecord
-from .errors import ContractViolation, ResponseParseError
+from .errors import ContractViolation
 from .reasoner.base import SUMMARIZE, Reasoner, ask
 from .world.types import GoalSpec, TaskProgress
 
@@ -77,14 +77,6 @@ def template_digest(records: Sequence[HistoryRecord], delta: int) -> str:
     return "; ".join(parts)
 
 
-def _note(raw: str) -> str:
-    """A reply as one line of text; an empty reply is refused."""
-    text = " ".join(raw.split())
-    if not text:
-        raise ResponseParseError("empty summary")
-    return text
-
-
 @dataclass(frozen=True)
 class SummaryInputs:
     """The inputs of a SUMMARIZE decision, for any backend."""
@@ -110,7 +102,7 @@ def summarize(
 
     Text backends get a prompt and may answer freely; on transport failure or
     an empty answer the deterministic template digest is used instead and the
-    summary is flagged degraded. No answer is re-asked (``retries=0``).
+    summary is flagged degraded. ``ask`` never re-asks a summary.
     The text is always clipped to the character budget.
     """
     if not records:
@@ -123,7 +115,7 @@ def summarize(
     inputs = SummaryInputs(
         records=tuple(records), delta=delta_progress, interval=interval, goal=goal
     )
-    text, _, _ = ask(reasoner, SUMMARIZE, inputs, _note, tick, 0, retries=0)
+    text, _, _ = ask(reasoner, SUMMARIZE, inputs, tick, 0)
     degraded = text is None
     if degraded:
         text = template_digest(records, delta_progress)

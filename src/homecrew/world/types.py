@@ -132,6 +132,9 @@ class GoalPredicate:
 
 @dataclass(frozen=True)
 class GoalSpec:
+    """A task's goal: its category and the predicates that must all hold at
+    once; total_units() is the goal-unit count progress is measured against."""
+
     category: str
     predicates: Tuple[GoalPredicate, ...]
 
@@ -173,6 +176,8 @@ class TaskProgress:
 
 @dataclass(frozen=True)
 class AgentState:
+    """One agent in WorldState: the room it stands in, the object it holds if any."""
+
     room: str
     held: Optional[str] = None
 

@@ -9,7 +9,8 @@ stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, a
 follows a redirect with a GET is answered 501.
 Every request lands in ``seen``, its body both parsed and as the raw bytes
 received; each one is held for ``delay_s`` before the reply goes out, and
-``max_in_flight`` is the most requests it was handling at once.
+``max_in_flight`` is the most requests it was handling at once. A client
+that hangs up before its reply is written ends its connection quietly.
 
 The stub speaks HTTP/1.0 and closes each connection after one reply. Built
 with ``keep_alive_s``, it speaks HTTP/1.1 and keeps a connection open until
@@ -110,6 +111,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             time.sleep(server.delay_s)
             data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
             self.send_reply(status, data, *headers)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up before the reply went out; nobody reads it.
+            self.close_connection = True
         finally:
             with server.lock:
                 server.in_flight -= 1

@@ -41,9 +41,8 @@ from homecrew.harness.config import (
     build_reasoner,
     variant_flags,
 )
-from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
+from homecrew.harness.episode import LONG_FIELDS, EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
-    LONG_FIELDS,
     aggregate,
     compute_ei,
     efficiency_fraction,
@@ -1525,6 +1524,32 @@ class TestStartup:
             from homecrew.harness.episode import run_episode
             assert run_episode(EpisodeConfig(task="WashDishes")).success
             print(sorted({"requests", "concurrent.futures"} & set(sys.modules)))
+            """,
+            str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_heuristic_episode_loads_no_text_grammar_or_metrics(self, tmp_path):
+        # Prompts, reply parsing and the bench metrics serve text backends
+        # and bench output only; a heuristic episode reads none of them. The
+        # first imports are those perfbench's set-up probe makes.
+        done = run_fresh(
+            """
+            import sys
+            import homecrew.harness, homecrew.harness.trace
+            from homecrew.world import init_world
+            from homecrew.harness.config import EpisodeConfig
+            from homecrew.harness.episode import run_episode
+            assert run_episode(EpisodeConfig(task="PrepareAMeal", num_agents=3)).success
+            unused = {
+                "homecrew.reasoner.prompts",
+                "homecrew.reasoner.parsing",
+                "homecrew.agents.textify",
+                "homecrew.harness.metrics",
+                "csv",
+            }
+            print(sorted(unused & set(sys.modules)))
             """,
             str(tmp_path),
         )

@@ -14,17 +14,18 @@ import pytest
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import MacroTask
 from homecrew.agents.records import HistoryRecord
-from homecrew.coordination.allocate import assemble_context
+from homecrew.coordination.allocate import allocate_with_report, assemble_context, heuristic_allocation
+from homecrew.coordination.negotiate import make_proposal
 from homecrew.coordination.types import AgentView, AllocationInputs, Proposal
 from homecrew.errors import ContractViolation, FixtureExhausted
 from homecrew.harness.config import EpisodeConfig
 from homecrew.harness.episode import run_episode
 from homecrew.harness.trace import check_trace
-from homecrew.reasoner.base import ALLOCATE, PROPOSE, SUMMARIZE, ReasonerRequest
+from homecrew.reasoner.base import ALLOCATE, PARSE_RETRIES, PROPOSE, SUMMARIZE, ReasonerRequest
 from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.prompts import NO_SUMMARIES_MARKER, render_prompt
 from homecrew.reasoner.scripted import ScriptedReasoner, load_fixtures
-from homecrew.summaries import Summary, SummaryInputs
+from homecrew.summaries import Summary, SummaryInputs, summarize, template_digest
 from homecrew.world.engine import evaluate_progress, observe
 from homecrew.world.scenarios import init_world
 from homecrew.world.types import IN, Action, goal_location
@@ -183,6 +184,43 @@ class TestScripted:
         )
         fixtures = load_fixtures(str(path))
         assert fixtures == {(PROPOSE, 2, 1): ["one", "two"]}
+
+
+class TestAsk:
+    """The re-ask rule ``ask`` applies by request kind, seen through the
+    queue a scripted backend has left: the reply after the last one asked
+    stays queued."""
+
+    BLANK = "  \n "
+
+    @staticmethod
+    def next_reply(scripted, kind, tick, agent_id):
+        return scripted.invoke(ReasonerRequest(kind, None, tick=tick, agent_id=agent_id))
+
+    def test_a_blank_summary_degrades_after_one_ask(self):
+        inputs = summary_inputs()
+        tick = inputs.interval[1]
+        scripted = ScriptedReasoner({(SUMMARIZE, tick, 0): [self.BLANK, "unasked"]})
+        summary = summarize(scripted, (), inputs.records, inputs.delta, tick, goal=inputs.goal)
+        assert summary.degraded
+        assert summary.text == template_digest(inputs.records, inputs.delta)
+        assert self.next_reply(scripted, SUMMARIZE, tick, 0) == "unasked"
+
+    def test_a_blank_proposal_is_re_asked_then_degrades(self):
+        view = propose_view()
+        key = (PROPOSE, view.tick, view.agent_id)
+        scripted = ScriptedReasoner({key: [self.BLANK] * (1 + PARSE_RETRIES) + ["unasked"]})
+        assert make_proposal(scripted, view).degraded
+        assert self.next_reply(scripted, *key) == "unasked"
+
+    def test_a_blank_allocation_is_re_asked_then_degrades(self):
+        inputs = allocation_inputs()
+        key = (ALLOCATE, inputs.tick, min(inputs.agent_ids()))
+        scripted = ScriptedReasoner({key: [self.BLANK] * (1 + PARSE_RETRIES) + ["unasked"]})
+        joint, report = allocate_with_report(scripted, inputs)
+        assert report.degraded and report.attempts == 1 + PARSE_RETRIES
+        assert joint == heuristic_allocation(inputs)
+        assert self.next_reply(scripted, *key) == "unasked"
 
 
 class TestHeuristicBackend:

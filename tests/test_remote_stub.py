@@ -12,6 +12,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import socket
+import struct
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -194,6 +197,21 @@ class TestTransport:
         body = {"model": "m", "temperature": 0, "messages": [{"role": "user", "content": prompt}]}
         expected = json.dumps(body, allow_nan=False).encode("utf-8")
         assert [seen["raw"] for seen in keep_alive_stub.seen] == [expected]
+
+    def test_a_client_that_hangs_up_early_leaves_the_stub_quiet(self, stub, capsys):
+        # The stub holds the reply while the client resets the connection,
+        # so writing the reply fails.
+        stub.delay_s = 0.2
+        host, port = stub.server_address
+        with socket.create_connection((host, port)) as client:
+            client.sendall(b"POST /chat/completions HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}")
+            deadline = time.monotonic() + 5.0
+            while not stub.seen:
+                assert time.monotonic() < deadline, "the stub never read the request"
+                time.sleep(0.005)
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        stub.wait_closed(1)
+        assert "Exception occurred during processing of request" not in capsys.readouterr().err
 
 
 class TestRedirects:
