@@ -11,7 +11,6 @@ from typing import List, Optional, Tuple
 from ..errors import ConfigError, EngineError
 from ..reasoner.scripted import load_fixtures
 from ..world.scenarios import task_categories
-from .benchmark import cell_configs, run_benchmark
 from .config import (
     DEFAULT_MAX_STEPS,
     EpisodeConfig,
@@ -19,7 +18,6 @@ from .config import (
     load_config_file,
 )
 from .episode import replay_trace, run_episode
-from .metrics import aggregate, format_table, read_long_csv
 from .trace import load_trace, trace_sha256, write_trace
 
 
@@ -165,7 +163,7 @@ def apply_config_file(args, subparser) -> bool:
     for key, value in values.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("command", "config"):
-            raise EngineError(f"config file sets unknown option {key!r}")
+            raise ConfigError(f"config file sets unknown option {key!r}")
         # Numbers are checked by the configs, except that argparse would
         # convert a string through the flag's type; all else is checked here.
         default = subparser.get_default(dest)
@@ -231,6 +229,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # Imported here, as in cmd_report, so that run and replay never load them.
+    from .benchmark import cell_configs, run_benchmark
+    from .metrics import format_table
+
     configs = cell_configs(
         episode_config_from_args(args, task_categories()[0], num_agents=1, seed=0),
         tasks=split_list(args.tasks),
@@ -255,6 +257,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .metrics import aggregate, format_table, read_long_csv
+
     rows = read_long_csv(os.path.join(args.dir, "long.csv"))
     print(format_table(aggregate(rows)))
     return 0

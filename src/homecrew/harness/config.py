@@ -9,7 +9,6 @@ named environment variable when a request is sent.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -34,6 +33,9 @@ DEFAULT_MAX_STEPS = 250
 
 MAX_AGENTS = 3
 
+# One day, in seconds: socket timeouts far beyond it overflow the platform's time_t.
+MAX_TIMEOUT_S = 86400
+
 
 def _check_int(name: str, value) -> None:
     if not is_int(value):
@@ -48,10 +50,11 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class RemoteConfig:
-    """The remote backend's settings. timeout_s bounds each attempt's connect
-    and each wait for reply data; max_concurrency bounds how many of one
-    tick's decisions are in flight at once (1 sends them in turn). The
-    endpoint and model may stay empty until a RemoteReasoner checks them."""
+    """The remote backend's settings. timeout_s (at most MAX_TIMEOUT_S) bounds
+    each attempt's connect and each wait for reply data; max_concurrency
+    bounds how many of one tick's decisions are in flight at once (1 sends
+    them in turn). The endpoint and model may stay empty until a
+    RemoteReasoner checks them."""
 
     endpoint_url: str = ""
     model: str = ""
@@ -64,10 +67,10 @@ class RemoteConfig:
         if (
             isinstance(timeout, bool)
             or not isinstance(timeout, (int, float))
-            or not 0 < timeout < math.inf
+            or not 0 < timeout <= MAX_TIMEOUT_S
         ):
             raise ConfigError(
-                f"timeout must be a positive number of seconds, got {timeout!r}"
+                f"timeout must be a number of seconds in (0, {MAX_TIMEOUT_S}], got {timeout!r}"
             )
         _check_count("max_concurrency", self.max_concurrency, 1)
 

@@ -30,11 +30,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from ..agents.belief import Belief, merge_team_belief, perceive
 from ..agents.execution import expand_macro
 from ..agents.records import HistoryRecord
-from ..coordination.allocate import allocate_with_report, assemble_context
+from ..coordination.allocate import AllocationReport, allocate_with_report, assemble_context
 from ..coordination.negotiate import make_proposal
 from ..coordination.types import AgentView, AllocationInputs, JointAction
 from ..errors import FixtureExhausted
-from ..reasoner.base import TEMPLATE_V1, TEXT, Reasoner
+from ..reasoner.base import TEXT, Reasoner
 from ..reasoner.remote import RemoteReasoner
 from ..reasoner.scripted import RecordingReasoner
 from ..summaries import (
@@ -47,7 +47,7 @@ from ..summaries import (
 from ..world.engine import evaluate_progress, observe, room_sightings, transition
 from ..world.scenarios import init_world
 from .config import EpisodeConfig, build_reasoner
-from .trace import TRACE_FORMAT, check_trace, render_line
+from .trace import BACKEND_FIELDS, check_trace, header_record, render_line
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -166,20 +166,7 @@ def _play_episode(
 ) -> EpisodeResult:
     state, goal = init_world(config.task, config.num_agents, config.seed)
     agent_ids = sorted(state.agents)
-    sink: List[dict] = [
-        {
-            "type": "header",
-            "format": TRACE_FORMAT,
-            "task": config.task,
-            "num_agents": config.num_agents,
-            "seed": config.seed,
-            "variant": config.variant,
-            "manager_backend": manager.name,
-            "member_backend": member.name,
-            "max_steps": config.max_steps,
-            "template": TEMPLATE_V1,
-        }
-    ]
+    sink: List[dict] = [header_record(config, manager.name, member.name)]
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
     history: List[HistoryRecord] = []
@@ -246,7 +233,6 @@ def _play_episode(
             sink.extend(exchanges)
             degraded += int(proposal.degraded)
             proposals.append(proposal)
-        proposal_lines = {str(p.agent_id): p.candidate.render() for p in proposals}
         if config.use_allocation:
             inputs = AllocationInputs(
                 tick=state.tick,
@@ -261,24 +247,22 @@ def _play_episode(
                 manager, partial(allocate_with_report, inputs=inputs)
             )
             sink.extend(exchanges)
-            degraded += int(report.degraded)
-            mode, attempts, was_degraded = "centralized", report.attempts, report.degraded
-            note = report.note
         else:
             joint = JointAction(tasks={p.agent_id: p.candidate for p in proposals})
-            mode, attempts, was_degraded, note = "self", 0, False, ""
+            report = AllocationReport(attempts=0, degraded=False)
+        degraded += int(report.degraded)
         allocation = {
             "type": "allocation",
             "tick": state.tick,
-            "mode": mode,
-            "attempts": attempts,
-            "degraded": was_degraded,
+            "mode": "centralized" if config.use_allocation else "self",
+            "attempts": report.attempts,
+            "degraded": report.degraded,
             "joint": {str(a): task.render() for a, task in joint.items()},
-            "proposals": proposal_lines,
+            "proposals": {str(p.agent_id): p.candidate.render() for p in proposals},
         }
         # Only a degraded decision has a note, so clean traces keep their bytes.
-        if note:
-            allocation["note"] = note
+        if report.note:
+            allocation["note"] = report.note
         sink.append(allocation)
         actions = {
             i: expand_macro(joint.task_for(i), team, observations[i], state.house)
@@ -314,11 +298,6 @@ def _play_episode(
         }
     )
     return EpisodeResult(tuple(sink))
-
-
-# The header fields naming each role's backend. A replay writes the backend
-# that really answered (``scripted`` for a text one), so it skips them.
-BACKEND_FIELDS = ("manager_backend", "member_backend")
 
 
 def divergence(recorded: List[dict], replayed: List[dict]) -> str:

@@ -21,18 +21,24 @@ from .config import EpisodeConfig, variant_flags
 
 TRACE_FORMAT = 1
 
+# The header fields read off the EpisodeConfig as they are.
+CONFIG_FIELDS = ("task", "num_agents", "seed", "max_steps")
+# The header fields naming each role's backend. A replay writes the backend
+# that really answered (``scripted`` for a text one), so it skips them.
+BACKEND_FIELDS = ("manager_backend", "member_backend")
 # What a replay rebuilds the run from; a header missing any of them is refused.
-HEADER_FIELDS = (
-    "format",
-    "task",
-    "num_agents",
-    "seed",
-    "variant",
-    "manager_backend",
-    "member_backend",
-    "max_steps",
-    "template",
-)
+HEADER_FIELDS = ("format", "variant", "template") + CONFIG_FIELDS + BACKEND_FIELDS
+
+
+def header_record(config: EpisodeConfig, manager_backend: str, member_backend: str) -> dict:
+    """The record a trace starts with: the trace format, the config's variant
+    and CONFIG_FIELDS, the backend answering each role, and the prompt layout."""
+    return {
+        "type": "header", "format": TRACE_FORMAT, "template": TEMPLATE_V1,
+        "variant": config.variant,
+        **{name: getattr(config, name) for name in CONFIG_FIELDS},
+        **dict(zip(BACKEND_FIELDS, (manager_backend, member_backend))),
+    }
 
 
 # json.dumps with these settings builds a new encoder on every call.
@@ -87,14 +93,9 @@ def check_trace(records: List[dict]) -> Tuple[EpisodeConfig, Fixtures]:
         )
     use_allocation, use_summaries = variant_flags(header["variant"])
     config = EpisodeConfig(
-        task=header["task"],
-        num_agents=header["num_agents"],
-        seed=header["seed"],
-        manager_backend=header["manager_backend"],
-        member_backend=header["member_backend"],
+        **{name: header[name] for name in CONFIG_FIELDS + BACKEND_FIELDS},
         use_allocation=use_allocation,
         use_summaries=use_summaries,
-        max_steps=header["max_steps"],
     )
     end = records[-1]
     if end.get("type") != "end":

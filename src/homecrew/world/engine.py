@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ContractViolation
 from .types import (
-    ACTION_LABELS,
+    ACTION_KINDS,
     LOC_AGENT,
     LOC_CONTAINER,
     LOC_SURFACE,
@@ -67,15 +67,15 @@ def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
     if not isinstance(action, Action):
         return False
     kind, target = action.kind, action.target
-    if kind == "wait" or kind == "explore":
+    if kind == "WAIT" or kind == "EXPLORE":
         return target is None
     if not isinstance(target, str):
         return False
     me = state.agents[agent_id]
     room = me.room
-    if kind == "goto":
+    if kind == "GOTO":
         return target in state.house.adjacency[room]
-    if kind == "grab":
+    if kind == "GRAB":
         location = state.locations.get(target)
         return (
             me.held is None
@@ -83,11 +83,11 @@ def is_legal(state: WorldState, agent_id: int, action: object) -> bool:
             and location.kind != LOC_AGENT
             and _seen_from(state, location) == room
         )
-    if kind == "put_on":
+    if kind == "PUTON":
         return me.held is not None and target in state.house.surfaces_in(room)
-    if kind in ("open", "put_in") and target in state.house.containers_in(room):
+    if kind in ("OPEN", "PUTIN") and target in state.house.containers_in(room):
         is_open = state.container_open[target]
-        if kind == "open":
+        if kind == "OPEN":
             return not is_open
         return is_open and me.held is not None
     return False
@@ -112,8 +112,8 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
         if is_legal(state, agent_id, action):
             final[agent_id] = action
         else:
-            known = isinstance(action, Action) and isinstance(action.kind, str)
-            label = action.render() if known and action.kind in ACTION_LABELS else repr(action)
+            known = isinstance(action, Action) and action.kind in ACTION_KINDS
+            label = action.render() if known else repr(action)
             final[agent_id] = WAIT
             events.append(
                 Event(tick, agent_id, "failure", note=f"illegal action {label}")
@@ -123,7 +123,7 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
     grabs: Dict[str, List[int]] = {}
     for agent_id in ids:
         action = final[agent_id]
-        if action.kind == "grab":
+        if action.kind == "GRAB":
             grabs.setdefault(str(action.target), []).append(agent_id)
     for object_id in sorted(grabs):
         contenders = grabs[object_id]
@@ -138,26 +138,26 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
     agents = dict(state.agents)
     for agent_id in ids:
         action = final[agent_id]
-        if action.kind == "goto":
+        if action.kind == "GOTO":
             room = str(action.target)
             agents[agent_id] = AgentState(room, agents[agent_id].held)
             events.append(Event(tick, agent_id, "moved", note=f"moved to {room}"))
-        elif action.kind == "grab":
+        elif action.kind == "GRAB":
             object_id = str(action.target)
             locations[object_id] = Location(LOC_AGENT, agent_id)
             agents[agent_id] = AgentState(agents[agent_id].room, object_id)
             events.append(Event(tick, agent_id, "grabbed", note=f"grabbed {object_id}"))
-        elif action.kind == "open":
+        elif action.kind == "OPEN":
             cid = str(action.target)
             container_open[cid] = True
             events.append(Event(tick, agent_id, "opened", note=f"opened {cid}"))
-        elif action.kind in ("put_on", "put_in"):
+        elif action.kind in ("PUTON", "PUTIN"):
             target = str(action.target)
             object_id = str(agents[agent_id].held)
-            kind = LOC_SURFACE if action.kind == "put_on" else LOC_CONTAINER
+            kind = LOC_SURFACE if action.kind == "PUTON" else LOC_CONTAINER
             locations[object_id] = Location(kind, target)
             agents[agent_id] = AgentState(agents[agent_id].room, None)
-            note_rel = "on" if action.kind == "put_on" else "in"
+            note_rel = "on" if action.kind == "PUTON" else "in"
             events.append(
                 Event(tick, agent_id, "placed", note=f"placed {object_id} {note_rel} {target}")
             )

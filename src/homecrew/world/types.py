@@ -1,7 +1,9 @@
 """Core value types for the symbolic household world.
 
-Everything here is a plain immutable snapshot. State evolution happens in
-``engine.transition`` which returns fresh instances; nothing mutates in place.
+Every type here is a frozen dataclass except WorldState, which is mutable
+(tests assign to it). ``scenarios.init_world`` builds the first one and
+``engine.transition`` a fresh one each tick; nothing in the program mutates
+one in place.
 """
 
 from __future__ import annotations
@@ -34,58 +36,49 @@ class Location:
         return f"{self.kind}:{self.ref}"
 
 
-# Each primitive action kind and the label its rendering starts with.
-ACTION_LABELS = {
-    "goto": "GOTO",
-    "grab": "GRAB",
-    "open": "OPEN",
-    "put_on": "PUTON",
-    "put_in": "PUTIN",
-    "explore": "EXPLORE",
-    "wait": "WAIT",
-}
+# Each primitive action kind, spelled as its rendering spells it.
+ACTION_KINDS = ("GOTO", "GRAB", "OPEN", "PUTON", "PUTIN", "EXPLORE", "WAIT")
 
 
 @dataclass(frozen=True)
 class Action:
     """One primitive world action.
 
-    kind is one of the keys of ACTION_LABELS. target names the room, object,
-    surface, or container the kind needs; explore and wait take none.
+    kind is one of ACTION_KINDS. target names the room, object, surface, or
+    container the kind needs; EXPLORE and WAIT take none.
     """
 
     kind: str
     target: Optional[str] = None
 
     def render(self) -> str:
-        label = ACTION_LABELS[self.kind]
         if self.target is None:
-            return label
-        return f"{label}({self.target})"
+            return self.kind
+        return f"{self.kind}({self.target})"
 
 
 def go_to(room: str) -> Action:
-    return Action("goto", room)
+    return Action("GOTO", room)
 
 
 def grab(object_id: str) -> Action:
-    return Action("grab", object_id)
+    return Action("GRAB", object_id)
 
 
 def open_container(container_id: str) -> Action:
-    return Action("open", container_id)
+    return Action("OPEN", container_id)
 
 
 def put_on(surface_id: str) -> Action:
-    return Action("put_on", surface_id)
+    return Action("PUTON", surface_id)
 
 
 def put_in(container_id: str) -> Action:
-    return Action("put_in", container_id)
+    return Action("PUTIN", container_id)
 
 
-EXPLORE = Action("explore")
-WAIT = Action("wait")
+EXPLORE = Action("EXPLORE")
+WAIT = Action("WAIT")
 
 
 @dataclass(frozen=True)

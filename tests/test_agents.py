@@ -357,7 +357,7 @@ class TestExpandMacro:
         state.container_open = {c: True for c in state.container_open}
         obs = observe(state, 1)
         action = expand_macro(MacroTask.explore("kitchen"), perceive(obs, Belief.empty()), obs, state.house)
-        assert action.kind == "explore"
+        assert action.kind == "EXPLORE"
 
     def test_unvisited_room_hides_content(self):
         state, _ = self.setup_kitchen()

@@ -8,7 +8,6 @@ import copy
 import io
 import itertools
 import json
-import math
 import os
 import random
 import re
@@ -35,6 +34,9 @@ from homecrew.harness.cli import (
     parse_seeds,
 )
 from homecrew.harness.config import (
+    BACKENDS,
+    MAX_AGENTS,
+    MAX_TIMEOUT_S,
     VARIANTS,
     EpisodeConfig,
     RemoteConfig,
@@ -51,7 +53,9 @@ from homecrew.harness.metrics import (
     read_long_csv,
 )
 from homecrew.harness.trace import (
+    HEADER_FIELDS,
     check_trace,
+    header_record,
     load_trace,
     render_trace,
     trace_sha256,
@@ -130,6 +134,28 @@ class TestTraceDeterminism:
     def test_header_requires_header_record(self):
         with pytest.raises(ContractViolation):
             check_trace([{"type": "tick"}])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=st.builds(
+            EpisodeConfig,
+            task=st.sampled_from(task_categories()),
+            num_agents=st.integers(1, MAX_AGENTS),
+            seed=st.integers(),
+            manager_backend=st.sampled_from(BACKENDS),
+            member_backend=st.sampled_from(BACKENDS),
+            use_allocation=st.booleans(),
+            use_summaries=st.booleans(),
+            max_steps=st.integers(min_value=1),
+        )
+    )
+    def test_header_round_trips(self, config):
+        # The header a run writes, as a replay reads it back from disk.
+        header = header_record(config, config.manager_backend, config.member_backend)
+        end = {"type": "end", "steps": 0, "success": False}
+        lines = render_trace([header, end]).splitlines()
+        assert check_trace([json.loads(line) for line in lines])[0] == config
+        assert sorted(set(header) - {"type"}) == sorted(HEADER_FIELDS)
 
     def test_end_requires_end_record(self):
         records = list(run_episode(episode_config()).records)
@@ -603,7 +629,12 @@ class TestConfigBounds:
     @settings(max_examples=300, deadline=None)
     @given(
         timeout_s=st.one_of(
-            st.floats(), st.integers(-4, 4), st.booleans(), st.just("5"), st.none()
+            st.floats(),
+            st.integers(-4, 4),
+            st.integers(MAX_TIMEOUT_S - 1, MAX_TIMEOUT_S + 1),
+            st.booleans(),
+            st.just("5"),
+            st.none(),
         ),
         max_concurrency=st.integers(-4, 8),
     )
@@ -611,7 +642,7 @@ class TestConfigBounds:
         timeout_ok = (
             isinstance(timeout_s, (int, float))
             and not isinstance(timeout_s, bool)
-            and 0 < timeout_s < math.inf
+            and 0 < timeout_s <= MAX_TIMEOUT_S
         )
         valid = timeout_ok and _valid_count(max_concurrency, 1)
         try:
@@ -634,11 +665,14 @@ class TestConfigBounds:
             ["--timeout", "\u0663"],
             ["--timeout", "1e3"],
             ["--max-steps", "0"],
+            ["--timeout", "9999999999"],
+            ["--timeout", "86400.5"],
         ],
     )
     def test_cli_rejects_bad_numbers(self, flags, capsys):
         assert main(["run", "--task", "WashDishes", *flags]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "values",
@@ -652,6 +686,7 @@ class TestConfigBounds:
             {"no-summary": "yes"},
             {"timeout": "5"},
             [1],
+            {"timeout": 1e12},
         ],
     )
     def test_config_file_values_are_checked_too(self, values, tmp_path, capsys):
@@ -663,7 +698,8 @@ class TestConfigBounds:
         with open(config_path, "w") as handle:
             json.dump(values, handle)
         assert main(["run", "--task", "WashDishes", "--config", config_path]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
     @settings(max_examples=60, deadline=None)
@@ -1212,7 +1248,7 @@ class TestCliCommands:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("homecrew.harness.cli.run_episode", no_episode)
-            patch.setattr("homecrew.harness.cli.run_benchmark", no_episode)
+            patch.setattr("homecrew.harness.benchmark.run_benchmark", no_episode)
             code = main(argv)
         out, err = capsys.readouterr()
         assert out == ""
@@ -1387,7 +1423,7 @@ class TestCliFuzz:
             patch.chdir(tmp_path_factory.mktemp("cli"))
             patch.setattr("homecrew.harness.cli.run_episode", fake_episode)
             patch.setattr(
-                "homecrew.harness.cli.run_benchmark",
+                "homecrew.harness.benchmark.run_benchmark",
                 lambda configs, out_dir=None: (),
             )
             out, err = io.StringIO(), io.StringIO()
@@ -1413,7 +1449,7 @@ class TestCliFuzz:
             # Only argument handling runs: no episode, no grid.
             patch.setattr("homecrew.harness.cli.run_episode", fake_episode)
             patch.setattr(
-                "homecrew.harness.cli.run_benchmark",
+                "homecrew.harness.benchmark.run_benchmark",
                 lambda configs, out_dir=None: (),
             )
             for argv in argvs:
@@ -1549,6 +1585,20 @@ class TestStartup:
                 "homecrew.harness.metrics",
                 "csv",
             }
+            print(sorted(unused & set(sys.modules)))
+            """,
+            str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_loads_no_grid_or_metrics(self, tmp_path):
+        # Only bench and report use them, and import them where they run.
+        done = run_fresh(
+            """
+            import sys
+            import homecrew.harness.cli
+            unused = {"csv", "homecrew.harness.metrics", "homecrew.harness.benchmark"}
             print(sorted(unused & set(sys.modules)))
             """,
             str(tmp_path),

@@ -80,7 +80,7 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
 
 def summary_inputs(interval=(3, 8), delta=2) -> SummaryInputs:
     _, goal = init_world("PrepareTea", 1, seed=0)
-    records = (HistoryRecord(5, 1, Action("grab", "cup_1"), ()),)
+    records = (HistoryRecord(5, 1, Action("GRAB", "cup_1"), ()),)
     return SummaryInputs(records=records, delta=delta, interval=interval, goal=goal)
 
 

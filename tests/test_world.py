@@ -55,7 +55,7 @@ from homecrew.world.types import (
 )
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
-PRIMITIVE_KINDS = ["explore", "goto", "grab", "open", "put_in", "put_on", "wait"]
+PRIMITIVE_KINDS = ["EXPLORE", "GOTO", "GRAB", "OPEN", "PUTIN", "PUTON", "WAIT"]
 
 
 def bfs_distance(adjacency, src, dst):
@@ -459,9 +459,9 @@ def malformed_actions(state):
     surface = sorted(state.house.surfaces)[0]
     container = sorted(state.house.containers)[0]
     return [
-        Action("wait", "x"),
-        Action("explore", "x"),
-        Action("goto", None),
+        Action("WAIT", "x"),
+        Action("EXPLORE", "x"),
+        Action("GOTO", None),
         grab("no_such_object"),
         put_in(surface),
         put_on(container),
@@ -480,7 +480,7 @@ class TestIsLegal:
                     legal = is_legal(state, agent_id, action)
                     assert legal == (action in reference), (action, agent_id)
                     checked += 1
-                    grabs += legal and action.kind == "grab"
+                    grabs += legal and action.kind == "GRAB"
                 seen = [s.object_id for s in observe(state, agent_id).objects]
                 assert seen == reference_visible_objects(state, state.agents[agent_id].room)
         # The walks reach states where grabs are legal, not only trivial ones.
@@ -492,11 +492,11 @@ class TestIsLegal:
         state.agents[1] = state.agents[1].__class__(room="kitchen", held=None)
         state.container_open["fridge"] = True
         for entry in (
-            Action("grab", ["x"]),
-            Action(["goto"], "kitchen"),
+            Action("GRAB", ["x"]),
+            Action(["GOTO"], "kitchen"),
             "grab",
             None,
-            Action("close", "fridge"),
+            Action("CLOSE", "fridge"),
         ):
             nxt, events = transition(state, {1: entry, 2: WAIT})
             assert nxt.agents[1] == state.agents[1]
@@ -710,7 +710,7 @@ def belief_walk(task, num_agents, seed, steps):
         joint = {}
         for i in state.agents:
             legal = sorted(reference_legal_actions(state, i), key=lambda a: a.render())
-            grabs = [a for a in legal if a.kind == "grab"]
+            grabs = [a for a in legal if a.kind == "GRAB"]
             joint[i] = rng.choice(grabs if grabs and rng.random() < 0.5 else legal)
         state, _ = transition(state, joint)
 
