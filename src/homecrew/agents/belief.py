@@ -34,10 +34,6 @@ class Belief:
         return cls(facts={}, visited_rooms={}, container_flags={})
 
 
-# Team beliefs share the structure; the alias marks intent at call sites.
-TeamBelief = Belief
-
-
 def _contradicted(fact: Fact, obs: Observation, seen_now: set) -> bool:
     """True when the fact places the object somewhere inside the observed
     room that the observation, which covers the whole room, does not show."""
@@ -81,7 +77,7 @@ def perceive(observation: Observation, prior: Belief) -> Belief:
     return Belief(facts=facts, visited_rooms=visited, container_flags=flags)
 
 
-def merge_team_belief(beliefs: Sequence[Belief]) -> TeamBelief:
+def merge_team_belief(beliefs: Sequence[Belief]) -> Belief:
     """Union of member beliefs. Per object the newest fact wins; on equal
     timestamps the earliest belief in the sequence wins, so callers pass
     beliefs in ascending agent-id order."""

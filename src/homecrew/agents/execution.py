@@ -19,29 +19,21 @@ from ..world.types import (
     LOC_CONTAINER,
     WAIT,
     Action,
+    Fact,
     HouseMap,
     Observation,
-    go_to,
     goal_location,
-    grab,
-    open_container,
-    put_in,
-    put_on,
 )
-from .belief import Fact, TeamBelief
-
-FETCH_PLACE = "fetch_place"
-EXPLORE_ROOM = "explore_room"
-IDLE = "idle"
+from .belief import Belief
 
 
 @dataclass(frozen=True)
 class MacroTask:
-    """One allocatable unit of work.
+    """One allocatable unit of work. kind is the label render() prints.
 
-    fetch_place: bring an object of object_class (a specific object_id when
-    bound) ON a surface or IN a container named target. explore_room: sweep
-    one room, opening whatever is closed there. idle: stand by.
+    FETCH: bring an object of object_class (a specific object_id when bound)
+    ON a surface or IN a container named target. EXPLORE: sweep one room,
+    opening whatever is closed there. IDLE: stand by.
     """
 
     kind: str
@@ -60,7 +52,7 @@ class MacroTask:
         object_id: Optional[str] = None,
     ) -> "MacroTask":
         return cls(
-            kind=FETCH_PLACE,
+            kind="FETCH",
             object_class=object_class,
             object_id=object_id,
             relation=relation,
@@ -69,27 +61,27 @@ class MacroTask:
 
     @classmethod
     def explore(cls, room: str) -> "MacroTask":
-        return cls(kind=EXPLORE_ROOM, room=room)
+        return cls(kind="EXPLORE", room=room)
 
     @classmethod
     def idle(cls) -> "MacroTask":
-        return cls(kind=IDLE)
+        return cls(kind="IDLE")
 
     def predicate_key(self) -> Optional[Tuple[str, str, str]]:
-        if self.kind != FETCH_PLACE:
+        if self.kind != "FETCH":
             return None
         return (str(self.relation), str(self.object_class), str(self.target))
 
     def render(self) -> str:
-        if self.kind == IDLE:
-            return "IDLE"
-        if self.kind == EXPLORE_ROOM:
-            return f"EXPLORE({self.room})"
+        if self.kind == "IDLE":
+            return self.kind
+        if self.kind == "EXPLORE":
+            return f"{self.kind}({self.room})"
         ref = self.object_id if self.object_id else self.object_class
-        return f"FETCH({ref}, {self.relation}, {self.target})"
+        return f"{self.kind}({ref}, {self.relation}, {self.target})"
 
 
-def room_hides_content(belief: TeamBelief, room: str, house: HouseMap) -> bool:
+def room_hides_content(belief: Belief, room: str, house: HouseMap) -> bool:
     """Whether sweeping this room can still reveal objects: it was never
     visited, or some container there is not believed open."""
     if room not in belief.visited_rooms:
@@ -102,7 +94,7 @@ def room_hides_content(belief: TeamBelief, room: str, house: HouseMap) -> bool:
     return False
 
 
-def sweep_targets(belief: TeamBelief, house: HouseMap, from_room: str) -> List[str]:
+def sweep_targets(belief: Belief, house: HouseMap, from_room: str) -> List[str]:
     """Rooms ranked by expected reveal. Rooms that can still hide something
     come first, nearest first so a sweep in progress is finished before a new
     one starts; spent rooms follow in visit-age order. Ties break on names."""
@@ -121,7 +113,7 @@ def sweep_targets(belief: TeamBelief, house: HouseMap, from_room: str) -> List[s
 
 
 def believed_instance(
-    task: MacroTask, belief: TeamBelief, from_room: str, house: HouseMap
+    task: MacroTask, belief: Belief, from_room: str, house: HouseMap
 ) -> Optional[Fact]:
     """The fact to chase for a fetch task: the bound object if any, else the
     nearest believed instance of the class that is not already at the target
@@ -150,10 +142,10 @@ def believed_instance(
 
 def _sweep_step(target_room: str, obs: Observation, house: HouseMap) -> Action:
     if obs.room != target_room:
-        return go_to(house.next_hop(obs.room, target_room))
+        return Action("GOTO", house.next_hop(obs.room, target_room))
     closed = [cid for cid in sorted(obs.containers) if not obs.containers[cid]]
     if closed:
-        return open_container(closed[0])
+        return Action("OPEN", closed[0])
     return EXPLORE
 
 
@@ -161,16 +153,16 @@ def _unload_step(obs: Observation, house: HouseMap) -> Action:
     """Free the hand of an object the current task does not want."""
     surfaces = house.surfaces_in(obs.room)
     if surfaces:
-        return put_on(surfaces[0])
+        return Action("PUTON", surfaces[0])
     open_here = [cid for cid in sorted(obs.containers) if obs.containers[cid]]
     if open_here:
-        return put_in(open_here[0])
+        return Action("PUTIN", open_here[0])
     closed_here = [cid for cid in sorted(obs.containers) if not obs.containers[cid]]
     if closed_here:
-        return open_container(closed_here[0])
+        return Action("OPEN", closed_here[0])
     surface_rooms = sorted(set(house.surfaces.values()))
     nearest = min(surface_rooms, key=lambda r: (house.distance(obs.room, r), r))
-    return go_to(house.next_hop(obs.room, nearest))
+    return Action("GOTO", house.next_hop(obs.room, nearest))
 
 
 def held_matches(task: MacroTask, held: str, house: HouseMap) -> bool:
@@ -182,15 +174,15 @@ def held_matches(task: MacroTask, held: str, house: HouseMap) -> bool:
 
 
 def expand_macro(
-    task: MacroTask, belief: TeamBelief, obs: Observation, house: HouseMap
+    task: MacroTask, belief: Belief, obs: Observation, house: HouseMap
 ) -> Action:
     """One legal primitive advancing the macro from this agent's position."""
-    if task.kind == IDLE:
+    if task.kind == "IDLE":
         return WAIT
-    if task.kind == EXPLORE_ROOM:
+    if task.kind == "EXPLORE":
         return _sweep_step(str(task.room), obs, house)
 
-    if task.kind != FETCH_PLACE:
+    if task.kind != "FETCH":
         return WAIT
 
     if obs.held is not None:
@@ -198,12 +190,12 @@ def expand_macro(
             return _unload_step(obs, house)
         target_room = house.room_of(str(task.target))
         if obs.room != target_room:
-            return go_to(house.next_hop(obs.room, target_room))
+            return Action("GOTO", house.next_hop(obs.room, target_room))
         if task.relation == IN:
             if not obs.containers.get(str(task.target), False):
-                return open_container(str(task.target))
-            return put_in(str(task.target))
-        return put_on(str(task.target))
+                return Action("OPEN", str(task.target))
+            return Action("PUTIN", str(task.target))
+        return Action("PUTON", str(task.target))
 
     fact = believed_instance(task, belief, obs.room, house)
     if fact is None or fact.location.kind == LOC_AGENT:
@@ -211,15 +203,15 @@ def expand_macro(
         return _sweep_step(sweep_targets(belief, house, obs.room)[0], obs, house)
     believed_room = house.location_room(fact.location)
     if obs.room != believed_room:
-        return go_to(house.next_hop(obs.room, str(believed_room)))
+        return Action("GOTO", house.next_hop(obs.room, str(believed_room)))
     sighting = next((s for s in obs.objects if s.object_id == fact.object_id), None)
     if sighting is not None and sighting.location.kind != LOC_AGENT:
-        return grab(fact.object_id)
+        return Action("GRAB", fact.object_id)
     if (
         sighting is None
         and fact.location.kind == LOC_CONTAINER
         and obs.containers.get(str(fact.location.ref)) is False
     ):
-        return open_container(str(fact.location.ref))
+        return Action("OPEN", str(fact.location.ref))
     # the belief was wrong for this room; fall back to sweeping
     return _sweep_step(sweep_targets(belief, house, obs.room)[0], obs, house)

@@ -17,18 +17,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..agents.belief import Belief, Fact, TeamBelief, merge_team_belief
+from ..agents.belief import Belief, merge_team_belief
 from ..agents.execution import (
-    EXPLORE_ROOM,
-    FETCH_PLACE,
-    IDLE,
     MacroTask,
     believed_instance,
     held_matches,
     room_hides_content,
 )
 from ..reasoner.base import ALLOCATE, Reasoner, ask
-from ..world.types import LOC_AGENT, HouseMap, Observation, goal_location
+from ..world.types import LOC_AGENT, Fact, HouseMap, Observation, goal_location
 from .types import (
     AllocationInputs,
     ContextEntry,
@@ -149,18 +146,18 @@ def score_joint(joint: JointAction, inputs: AllocationInputs) -> int:
     fetch_assignees: Dict[Tuple[str, str, str], List[int]] = {}
     explore_assignees: Dict[str, List[int]] = {}
     for agent_id, task in joint.items():
-        if task.kind == FETCH_PLACE:
+        if task.kind == "FETCH":
             key = task.predicate_key()
             assert key is not None
             fetch_assignees.setdefault(key, []).append(agent_id)
-        elif task.kind == EXPLORE_ROOM:
+        elif task.kind == "EXPLORE":
             explore_assignees.setdefault(str(task.room), []).append(agent_id)
     total = 0
     for agent_id, task in joint.items():
-        if task.kind == IDLE:
+        if task.kind == "IDLE":
             continue
         entry = inputs.entry(agent_id)
-        if task.kind == EXPLORE_ROOM:
+        if task.kind == "EXPLORE":
             room = str(task.room)
             novel = (
                 room_hides_content(team, room, house)
@@ -187,7 +184,7 @@ _Term = Tuple[int, Optional[Tuple[str, str, str]], Optional[str], Optional[str]]
 def _option_term(
     task: MacroTask,
     entry: ContextEntry,
-    team: TeamBelief,
+    team: Belief,
     remaining: Dict[Tuple[str, str, str], int],
     house: HouseMap,
 ) -> _Term:
@@ -195,12 +192,12 @@ def _option_term(
     bonus left out. In a conflict-free joint no predicate is loaded past its
     remaining units, so every assignee of a needed predicate is within
     quota and the fetch term depends on this agent alone."""
-    if task.kind == FETCH_PLACE:
+    if task.kind == "FETCH":
         key = task.predicate_key()
         relevant = remaining.get(key, 0) > 0 and _can_complete(task, entry, house)
         own = RELEVANCE_WEIGHT * int(relevant) - _fetch_distance(task, entry, house)
         return own, key, task.object_id, None
-    if task.kind == EXPLORE_ROOM:
+    if task.kind == "EXPLORE":
         room = str(task.room)
         novel = room if room_hides_content(team, room, house) else None
         own = -house.distance(entry.observation.room, room)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..agents.belief import Fact
 from ..agents.execution import MacroTask, sweep_targets
 from ..reasoner.base import PROPOSE, Reasoner, ask
-from ..world.types import LOC_AGENT
+from ..world.types import LOC_AGENT, Fact
 from .types import MAX_ALTERNATIVES, AgentView, Proposal
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from ..agents.belief import Belief, TeamBelief
+from ..agents.belief import Belief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
 from ..summaries import Summary
@@ -52,9 +52,6 @@ class JointAction:
     def items(self) -> List[Tuple[int, MacroTask]]:
         return sorted(self.tasks.items())
 
-    def task_for(self, agent_id: int) -> MacroTask:
-        return self.tasks[agent_id]
-
 
 @dataclass(frozen=True)
 class AgentView:
@@ -86,7 +83,7 @@ class AllocationInputs:
     goal: GoalSpec
     # merge_team_belief of the entries' beliefs in entry (agent-id) order.
     # Never compared.
-    team: TeamBelief = field(compare=False, repr=False)
+    team: Belief = field(compare=False, repr=False)
 
     def entry(self, agent_id: int) -> ContextEntry:
         for entry in self.entries:

@@ -162,7 +162,7 @@ def apply_config_file(args, subparser) -> bool:
     mapped = {}
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("command", "config"):
+        if dest not in vars(args) or dest in ("command", "config"):
             raise ConfigError(f"config file sets unknown option {key!r}")
         # Numbers are checked by the configs, except that argparse would
         # convert a string through the flag's type; all else is checked here.

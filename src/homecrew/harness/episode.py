@@ -47,17 +47,12 @@ from ..summaries import (
 from ..world.engine import evaluate_progress, observe, room_sightings, transition
 from ..world.scenarios import init_world
 from .config import EpisodeConfig, build_reasoner
-from .trace import BACKEND_FIELDS, check_trace, header_record, render_line
+from .trace import (
+    BACKEND_FIELDS, LONG_END_FIELDS, LONG_HEADER_FIELDS, check_trace, header_record, render_line
+)
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
-
-# An episode's long.csv columns: the first four are read from its trace's
-# header, the rest from its end record.
-LONG_FIELDS = [
-    "task", "variant", "num_agents", "seed",
-    "success", "steps", "satisfied", "total", "summaries", "degraded_exchanges",
-]
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,6 @@ class EpisodeResult:
     """An episode as its trace records it: the header first, the end last."""
 
     records: Tuple[dict, ...]
-
-    @property
-    def header(self) -> dict:
-        return self.records[0]
 
     @property
     def end(self) -> dict:
@@ -87,9 +78,9 @@ class EpisodeResult:
         return self.end["degraded_exchanges"]
 
     def as_row(self) -> dict:
-        header, end = self.header, self.end
-        row = {name: header[name] for name in LONG_FIELDS[:4]}
-        row.update((name, end[name]) for name in LONG_FIELDS[4:])
+        header, end = self.records[0], self.end
+        row = {name: header[name] for name in LONG_HEADER_FIELDS}
+        row.update((name, end[name]) for name in LONG_END_FIELDS)
         return row
 
 
@@ -265,7 +256,7 @@ def _play_episode(
             allocation["note"] = report.note
         sink.append(allocation)
         actions = {
-            i: expand_macro(joint.task_for(i), team, observations[i], state.house)
+            i: expand_macro(joint.tasks[i], team, observations[i], state.house)
             for i in agent_ids
         }
         state, events = transition(state, actions)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ContractViolation
 from .config import VARIANTS
-from .episode import LONG_FIELDS
+from .trace import LONG_FIELDS, LONG_INT_FIELDS
 
 
 def efficiency_fraction(first: float, second: float) -> float:
@@ -114,7 +114,7 @@ def read_long_csv(path: str) -> List[dict]:
                 if row["variant"] not in VARIANTS:
                     raise ValueError(f"line {reader.line_num}: unknown variant {row['variant']!r}")
                 # The integer columns, each only in the spelling str() writes.
-                for name in LONG_FIELDS[2:4] + LONG_FIELDS[5:]:
+                for name in LONG_INT_FIELDS:
                     text, row[name] = row[name], int(row[name])
                     if str(row[name]) != text:
                         raise ValueError(f"line {reader.line_num}: bad {name} {text!r}")

@@ -21,21 +21,30 @@ from .config import EpisodeConfig, variant_flags
 
 TRACE_FORMAT = 1
 
-# The header fields read off the EpisodeConfig as they are.
-CONFIG_FIELDS = ("task", "num_agents", "seed", "max_steps")
+# long.csv's columns, one row per episode: LONG_HEADER_FIELDS off its trace's
+# header, then LONG_END_FIELDS off its end record. Success is a bool, the
+# LONG_INT_FIELDS are integers, and the rest are text.
+LONG_HEADER_FIELDS = ("task", "variant", "num_agents", "seed")
+LONG_END_FIELDS = ("success", "steps", "satisfied", "total", "summaries", "degraded_exchanges")
+LONG_FIELDS = LONG_HEADER_FIELDS + LONG_END_FIELDS
+LONG_INT_FIELDS = (
+    "num_agents", "seed", "steps", "satisfied", "total", "summaries", "degraded_exchanges"
+)
+# The header fields read off the EpisodeConfig; a replay turns the variant
+# back into its two flags.
+CONFIG_FIELDS = LONG_HEADER_FIELDS + ("max_steps",)
 # The header fields naming each role's backend. A replay writes the backend
 # that really answered (``scripted`` for a text one), so it skips them.
 BACKEND_FIELDS = ("manager_backend", "member_backend")
 # What a replay rebuilds the run from; a header missing any of them is refused.
-HEADER_FIELDS = ("format", "variant", "template") + CONFIG_FIELDS + BACKEND_FIELDS
+HEADER_FIELDS = ("format", "template") + CONFIG_FIELDS + BACKEND_FIELDS
 
 
 def header_record(config: EpisodeConfig, manager_backend: str, member_backend: str) -> dict:
-    """The record a trace starts with: the trace format, the config's variant
-    and CONFIG_FIELDS, the backend answering each role, and the prompt layout."""
+    """The record a trace starts with: the trace format, the config's
+    CONFIG_FIELDS, the backend answering each role, and the prompt layout."""
     return {
         "type": "header", "format": TRACE_FORMAT, "template": TEMPLATE_V1,
-        "variant": config.variant,
         **{name: getattr(config, name) for name in CONFIG_FIELDS},
         **dict(zip(BACKEND_FIELDS, (manager_backend, member_backend))),
     }
@@ -91,11 +100,10 @@ def check_trace(records: List[dict]) -> Tuple[EpisodeConfig, Fixtures]:
         raise ContractViolation(
             f"trace header names unknown prompt template {header['template']!r}"
         )
-    use_allocation, use_summaries = variant_flags(header["variant"])
+    settings = {name: header[name] for name in CONFIG_FIELDS + BACKEND_FIELDS}
+    use_allocation, use_summaries = variant_flags(settings.pop("variant"))
     config = EpisodeConfig(
-        **{name: header[name] for name in CONFIG_FIELDS + BACKEND_FIELDS},
-        use_allocation=use_allocation,
-        use_summaries=use_summaries,
+        **settings, use_allocation=use_allocation, use_summaries=use_summaries
     )
     end = records[-1]
     if end.get("type") != "end":

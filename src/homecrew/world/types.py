@@ -57,26 +57,6 @@ class Action:
         return f"{self.kind}({self.target})"
 
 
-def go_to(room: str) -> Action:
-    return Action("GOTO", room)
-
-
-def grab(object_id: str) -> Action:
-    return Action("GRAB", object_id)
-
-
-def open_container(container_id: str) -> Action:
-    return Action("OPEN", container_id)
-
-
-def put_on(surface_id: str) -> Action:
-    return Action("PUTON", surface_id)
-
-
-def put_in(container_id: str) -> Action:
-    return Action("PUTIN", container_id)
-
-
 EXPLORE = Action("EXPLORE")
 WAIT = Action("WAIT")
 

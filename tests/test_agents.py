@@ -38,12 +38,7 @@ from homecrew.world.types import (
     WAIT,
     Action,
     Location,
-    go_to,
     goal_location,
-    grab,
-    open_container,
-    put_in,
-    put_on,
 )
 
 TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
@@ -225,7 +220,7 @@ class TestRendering:
 
     def test_render_history_lines(self):
         records = [
-            HistoryRecord(tick=3, agent_id=1, action=go_to("kitchen")),
+            HistoryRecord(tick=3, agent_id=1, action=Action("GOTO", "kitchen")),
             HistoryRecord(tick=3, agent_id=2, action=WAIT),
         ]
         text = render_history(records)
@@ -270,7 +265,7 @@ class TestExpandMacro:
         obs = observe(state, 1)
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
-        assert expand_macro(task, belief, obs, state.house) == put_on("kitchentable")
+        assert expand_macro(task, belief, obs, state.house) == Action("PUTON", "kitchentable")
 
     def test_holding_demanded_opens_closed_container_first(self):
         state, _ = self.setup_kitchen(task="WashDishes", held="plate_1")
@@ -278,10 +273,10 @@ class TestExpandMacro:
         obs = observe(state, 1)
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", IN, "dishwasher", object_id="plate_1")
-        assert expand_macro(task, belief, obs, state.house) == open_container("dishwasher")
+        assert expand_macro(task, belief, obs, state.house) == Action("OPEN", "dishwasher")
         state.container_open["dishwasher"] = True
         obs = observe(state, 1)
-        assert expand_macro(task, belief, obs, state.house) == put_in("dishwasher")
+        assert expand_macro(task, belief, obs, state.house) == Action("PUTIN", "dishwasher")
 
     def test_holding_wrong_object_unloads(self):
         state, _ = self.setup_kitchen(held="book_1")
@@ -291,7 +286,7 @@ class TestExpandMacro:
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", ON, "kitchentable")
         action = expand_macro(task, belief, obs, state.house)
-        assert action == put_on("kitchentable"), "first surface in the room"
+        assert action == Action("PUTON", "kitchentable"), "first surface in the room"
 
     def test_walks_toward_believed_object(self):
         state, _ = self.setup_kitchen(room="bedroom")
@@ -303,7 +298,7 @@ class TestExpandMacro:
         )
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
         action = expand_macro(task, belief, obs, state.house)
-        assert action == go_to("livingroom"), "next hop on bedroom->kitchen"
+        assert action == Action("GOTO", "livingroom"), "next hop on bedroom->kitchen"
 
     def test_grabs_visible_object_in_room(self):
         state, _ = self.setup_kitchen()
@@ -311,7 +306,7 @@ class TestExpandMacro:
         obs = observe(state, 1)
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
-        assert expand_macro(task, belief, obs, state.house) == grab("plate_1")
+        assert expand_macro(task, belief, obs, state.house) == Action("GRAB", "plate_1")
 
     def test_opens_container_believed_to_hold_object(self):
         state, _ = self.setup_kitchen()
@@ -324,7 +319,7 @@ class TestExpandMacro:
             container_flags={},
         )
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
-        assert expand_macro(task, belief, obs, state.house) == open_container("fridge")
+        assert expand_macro(task, belief, obs, state.house) == Action("OPEN", "fridge")
 
     def test_unknown_object_sweeps_nearest_hiding_room(self):
         state, _ = self.setup_kitchen()
@@ -334,7 +329,7 @@ class TestExpandMacro:
         task = MacroTask.fetch("plate", ON, "kitchentable")
         # the kitchen itself may still hide the plate: open up before leaving
         action = expand_macro(task, belief, obs, state.house)
-        assert action == open_container("dishwasher")
+        assert action == Action("OPEN", "dishwasher")
         spent = Belief(
             facts={},
             visited_rooms={"kitchen": 3},
@@ -345,7 +340,7 @@ class TestExpandMacro:
         state.container_open = {c: True for c in state.container_open}
         obs = observe(state, 1)
         action = expand_macro(task, spent, obs, state.house)
-        assert action == go_to(state.house.next_hop("kitchen", "livingroom"))
+        assert action == Action("GOTO", state.house.next_hop("kitchen", "livingroom"))
 
     def test_sweep_opens_closed_containers_then_explores(self):
         state, _ = self.setup_kitchen()
@@ -353,7 +348,7 @@ class TestExpandMacro:
         obs = observe(state, 1)
         belief = perceive(obs, Belief.empty())
         action = expand_macro(MacroTask.explore("kitchen"), belief, obs, state.house)
-        assert action == open_container("dishwasher"), "first closed container by name"
+        assert action == Action("OPEN", "dishwasher"), "first closed container by name"
         state.container_open = {c: True for c in state.container_open}
         obs = observe(state, 1)
         action = expand_macro(MacroTask.explore("kitchen"), perceive(obs, Belief.empty()), obs, state.house)

@@ -1,6 +1,7 @@
 """Every function and method defined under src/ has a caller, and every
 dataclass field and instance attribute there has a reader. A package's
-__init__.py imports only the names listed in ``PACKAGE_IMPORTS``.
+__init__.py imports only the names listed in ``PACKAGE_IMPORTS``, and every
+relative import under src/ reads a name off the module that defines it.
 
 A name counts as called when it is read anywhere in src/ or scripts/ other
 than where it is defined: as a name, or as an attribute. ``main``, dunder
@@ -168,3 +169,48 @@ def test_package_inits_hold_only_their_listed_imports():
                 names = [f"line {node.lineno}: {ast.unparse(node).splitlines()[0]}"]
             found.setdefault(package, set()).update(names)
     assert found == {package: names for package, (names, _) in PACKAGE_IMPORTS.items()}
+
+
+
+def top_level_definitions(tree):
+    """The names a module binds itself at top level: defs, classes and
+    assignment targets, never the names it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                part.id
+                for target in targets
+                for part in ast.walk(target)
+                if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Store)
+            )
+    return names
+
+
+def test_each_relative_import_names_its_defining_module():
+    """A ``from .x import name`` under src/ reads name off the module that
+    defines it (see top_level_definitions), or name is a submodule of the
+    package x. Reading a name off a module that only imports it fails."""
+    modules = {}
+    for path, tree in parsed_modules("src"):
+        parts = os.path.splitext(os.path.relpath(path, "src"))[0].split(os.sep)
+        module = parts[:-1] if parts[-1] == "__init__" else parts
+        modules[".".join(module)] = (path, tree, ".".join(parts[:-1]))
+    defined = {module: top_level_definitions(tree) for module, (_, tree, _) in modules.items()}
+    wrong = []
+    for path, tree, package in modules.values():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            base = package.rsplit(".", node.level - 1)[0]
+            source = f"{base}.{node.module}" if node.module else base
+            wrong.extend(
+                f"{path}:{node.lineno}: {alias.name} from {source}"
+                for alias in node.names
+                if alias.name not in defined.get(source, ())
+                and f"{source}.{alias.name}" not in modules
+            )
+    assert defined and wrong == []

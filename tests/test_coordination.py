@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import conflict_free_joints, exhaustive_argmax
 from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
-from homecrew.agents.execution import EXPLORE_ROOM, FETCH_PLACE, MacroTask, sweep_targets
+from homecrew.agents.execution import MacroTask, sweep_targets
 from homecrew.coordination.allocate import (
     allocate,
     allocate_with_report,
@@ -157,10 +157,25 @@ class TestProposal:
         state, goal = init_world("WashDishes", 1, seed=3)
         proposal = heuristic_proposal(make_view(state, goal, 1))
         task = proposal.candidate
-        assert task.kind == "fetch_place"
+        assert task.kind == "FETCH"
         assert task.object_id is not None
         assert task.predicate_key() in {p.key() for p in goal.predicates}
         assert proposal.rationale
+
+    def test_kind_is_the_rendered_label(self):
+        house = init_world("WashDishes", 1, seed=3)[0].house
+        object_id = sorted(house.object_classes)[0]
+        object_class = house.object_classes[object_id]
+        tasks = [
+            MacroTask.fetch(object_class, ON, sorted(house.surfaces)[0], object_id=object_id),
+            MacroTask.fetch(object_class, IN, sorted(house.containers)[0]),
+            MacroTask.explore(house.rooms[0]),
+            MacroTask.idle(),
+        ]
+        assert [task.kind for task in tasks] == ["FETCH", "FETCH", "EXPLORE", "IDLE"]
+        for task in tasks:
+            assert task.render().split("(")[0] == task.kind
+            assert parse_task(task.render(), house) == task
 
     def test_empty_belief_falls_back_to_sweep(self):
         state, goal = init_world("PrepareTea", 1, seed=0)
@@ -368,15 +383,15 @@ class TestGrammar:
             "1: this trailing prose must be ignored\n"
         )
         joint = parse_allocation(raw, inputs)
-        assert joint.task_for(1) == MacroTask.explore("kitchen")
-        assert joint.task_for(2) == MacroTask.idle()
+        assert joint.tasks[1] == MacroTask.explore("kitchen")
+        assert joint.tasks[2] == MacroTask.idle()
 
     def test_agent_prefix_and_dot_separator(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
         raw = "Agent 1: IDLE\n2. EXPLORE(bedroom)\n"
         joint = parse_allocation(raw, inputs)
-        assert joint.task_for(1) == MacroTask.idle()
-        assert joint.task_for(2) == MacroTask.explore("bedroom")
+        assert joint.tasks[1] == MacroTask.idle()
+        assert joint.tasks[2] == MacroTask.explore("bedroom")
 
     @pytest.mark.parametrize(
         "bad",
@@ -542,9 +557,9 @@ _REPLY = st.builds(
 
 def assert_names_only_the_house(task):
     house = _HOUSE
-    if task.kind == EXPLORE_ROOM:
+    if task.kind == "EXPLORE":
         assert task.room in house.rooms
-    elif task.kind == FETCH_PLACE:
+    elif task.kind == "FETCH":
         fixtures = house.surfaces if task.relation == ON else house.containers
         assert task.relation in (ON, IN) and task.target in fixtures
         assert task.object_class in house.object_classes.values()
@@ -755,7 +770,7 @@ class TestAllocator:
         )
         joint, report = allocate_with_report(scripted, inputs)
         assert report.attempts == 2 and not report.degraded
-        assert joint.task_for(2) == MacroTask.idle()
+        assert joint.tasks[2] == MacroTask.idle()
 
     def test_text_backend_over_long_agent_id_falls_back(self):
         inputs = build_inputs("PrepareTea", 1, seed=0)

@@ -43,7 +43,7 @@ from homecrew.harness.config import (
     build_reasoner,
     variant_flags,
 )
-from homecrew.harness.episode import LONG_FIELDS, EpisodeResult, replay_trace, run_episode
+from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
     aggregate,
     compute_ei,
@@ -54,6 +54,7 @@ from homecrew.harness.metrics import (
 )
 from homecrew.harness.trace import (
     HEADER_FIELDS,
+    LONG_FIELDS,
     check_trace,
     header_record,
     load_trace,
@@ -1009,11 +1010,13 @@ class TestCliCommands:
         assert " seed=2 " in capsys.readouterr().out
 
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        # Every Namespace has the dunder attributes; none of them is an option.
         config_path = str(tmp_path / "defaults.json")
-        with open(config_path, "w") as handle:
-            json.dump({"bogus": 1}, handle)
-        assert main(["run", "--task", "WashDishes", "--config", config_path]) == 2
-        assert "unknown option 'bogus'" in capsys.readouterr().err
+        for key in ("bogus", "__class__", "__dict__", "__doc__", "__init__", "__module__"):
+            with open(config_path, "w") as handle:
+                json.dump({key: 1 if key == "bogus" else "x"}, handle)
+            assert main(["run", "--task", "WashDishes", "--config", config_path]) == 2
+            assert f"error: config file sets unknown option {key!r}" in capsys.readouterr().err
 
     def test_unknown_backend_is_an_error(self, capsys):
         assert main(["run", "--task", "WashDishes", "--backend", "nope"]) == 2
@@ -1140,7 +1143,7 @@ class TestCliCommands:
         replayed, ok, message = replay_trace(load_trace(out))
         assert ok, message
         assert built == ["scripted", "heuristic"]
-        assert replayed.header["manager_backend"] == "scripted"
+        assert replayed.records[0]["manager_backend"] == "scripted"
 
     def bench_argv(self, out_dir, seeds):
         return ["bench", "--tasks", "WashDishes", "--agents", "1", "--seeds", seeds,

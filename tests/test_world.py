@@ -46,12 +46,7 @@ from homecrew.world.types import (
     Location,
     Observation,
     TaskProgress,
-    go_to,
     goal_location,
-    grab,
-    open_container,
-    put_in,
-    put_on,
 )
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
@@ -95,11 +90,11 @@ def all_primitives(state):
     """Every syntactically well-formed primitive for this scenario."""
     house = state.house
     prims = [WAIT, EXPLORE]
-    prims += [go_to(r) for r in house.rooms]
-    prims += [grab(o) for o in sorted(state.locations)]
-    prims += [open_container(c) for c in house.containers]
-    prims += [put_on(s) for s in house.surfaces]
-    prims += [put_in(c) for c in house.containers]
+    prims += [Action("GOTO", r) for r in house.rooms]
+    prims += [Action("GRAB", o) for o in sorted(state.locations)]
+    prims += [Action("OPEN", c) for c in house.containers]
+    prims += [Action("PUTON", s) for s in house.surfaces]
+    prims += [Action("PUTIN", c) for c in house.containers]
     return prims
 
 
@@ -462,10 +457,10 @@ def malformed_actions(state):
         Action("WAIT", "x"),
         Action("EXPLORE", "x"),
         Action("GOTO", None),
-        grab("no_such_object"),
-        put_in(surface),
-        put_on(container),
-        open_container(surface),
+        Action("GRAB", "no_such_object"),
+        Action("PUTIN", surface),
+        Action("PUTON", container),
+        Action("OPEN", surface),
     ]
 
 
@@ -560,7 +555,7 @@ class TestTransition:
         state, goal = init_world("SetUpTable", 2, 0)
         room = state.agents[1].room
         state.locations["plate_1"] = Location(LOC_ROOM, room)
-        joint = {1: grab("plate_1"), 2: grab("plate_1")}
+        joint = {1: Action("GRAB", "plate_1"), 2: Action("GRAB", "plate_1")}
         nxt, events = transition(state, joint)
         assert nxt.agents[1].held == "plate_1"
         assert nxt.agents[2].held is None
@@ -592,11 +587,11 @@ class TestTransition:
         state.locations["apple_1"] = Location(LOC_ROOM, "kitchen")
         state.container_open["fridge"] = False
 
-        state, events = transition(state, {1: grab("apple_1")})
+        state, events = transition(state, {1: Action("GRAB", "apple_1")})
         assert state.agents[1].held == "apple_1"
-        state, events = transition(state, {1: open_container("fridge")})
+        state, events = transition(state, {1: Action("OPEN", "fridge")})
         assert state.container_open["fridge"] is True
-        state, events = transition(state, {1: put_in("fridge")})
+        state, events = transition(state, {1: Action("PUTIN", "fridge")})
         assert state.agents[1].held is None
         assert state.locations["apple_1"] == Location(LOC_CONTAINER, "fridge")
         assert [e.kind for e in events] == ["placed"]
@@ -738,7 +733,7 @@ class TestTickEquivalence:
                 assert observation == reference_observation(state, agent_id)
                 reference = reference_legal_actions(state, agent_id)
                 for object_id in list(state.locations) + ["no_such_object"]:
-                    action = grab(object_id)
+                    action = Action("GRAB", object_id)
                     assert is_legal(state, agent_id, action) == (action in reference)
             team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
             for belief in list(beliefs.values()) + [team]:
@@ -916,15 +911,14 @@ class TestReachability:
                     continue
                 target_room = house.room_of(pred.target)
                 if me.room != target_room:
-                    return step(go_to(house.next_hop(me.room, target_room)))
+                    return step(Action("GOTO", house.next_hop(me.room, target_room)))
                 if pred.relation == IN and not state.container_open[pred.target]:
-                    return step(open_container(pred.target))
-                action = put_in(pred.target) if pred.relation == IN else put_on(pred.target)
-                return step(action)
+                    return step(Action("OPEN", pred.target))
+                return step(Action("PUTIN" if pred.relation == IN else "PUTON", pred.target))
             # held object is useless: drop it anywhere legal
             if house.surfaces_in(me.room):
-                return step(put_on(house.surfaces_in(me.room)[0]))
-            return step(go_to(house.next_hop(me.room, "kitchen")))
+                return step(Action("PUTON", house.surfaces_in(me.room)[0]))
+            return step(Action("GOTO", house.next_hop(me.room, "kitchen")))
 
         # otherwise head for the nearest object that still helps (omniscient)
         progress = evaluate_progress(state, goal)
@@ -945,7 +939,7 @@ class TestReachability:
         candidates.sort(key=lambda c: (c[0], c[1]))
         _, oid, loc, room = candidates[0]
         if me.room != room:
-            return step(go_to(house.next_hop(me.room, room)))
+            return step(Action("GOTO", house.next_hop(me.room, room)))
         if loc.kind == LOC_CONTAINER and not state.container_open[str(loc.ref)]:
-            return step(open_container(str(loc.ref)))
-        return step(grab(oid))
+            return step(Action("OPEN", str(loc.ref)))
+        return step(Action("GRAB", oid))

@@ -15,11 +15,7 @@ from homecrew.world.types import (
     LOC_ROOM,
     LOC_SURFACE,
     WAIT,
-    go_to,
-    grab,
-    open_container,
-    put_in,
-    put_on,
+    Action,
 )
 
 
@@ -51,20 +47,20 @@ def reference_legal_actions(state, agent_id):
     room = me.room
     legal = {WAIT, EXPLORE}
     for nb in state.house.adjacency[room]:
-        legal.add(go_to(nb))
+        legal.add(Action("GOTO", nb))
     if me.held is None:
         for object_id in reference_visible_objects(state, room):
             if state.locations[object_id].kind != LOC_AGENT:
-                legal.add(grab(object_id))
+                legal.add(Action("GRAB", object_id))
     for cid in state.house.containers_in(room):
         if state.container_open[cid]:
             if me.held is not None:
-                legal.add(put_in(cid))
+                legal.add(Action("PUTIN", cid))
         else:
-            legal.add(open_container(cid))
+            legal.add(Action("OPEN", cid))
     if me.held is not None:
         for sid in state.house.surfaces_in(room):
-            legal.add(put_on(sid))
+            legal.add(Action("PUTON", sid))
     return legal
 
 
