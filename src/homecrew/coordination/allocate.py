@@ -285,7 +285,7 @@ def allocate_with_report(
     prompt after malformed or conflicting responses; after PARSE_RETRIES
     re-asks (or once the backend errors out) the deterministic path takes
     over and the report is marked degraded."""
-    manager_id = min(inputs.agent_ids()) if inputs.entries else 0
+    manager_id = min(inputs.agent_ids())
     joint, attempts, note = ask(reasoner, ALLOCATE, inputs, inputs.tick, manager_id)
     if joint is not None:
         return joint, AllocationReport(attempts=attempts, degraded=False)

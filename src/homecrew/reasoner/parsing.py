@@ -121,12 +121,6 @@ def parse_allocation(raw_response: str, inputs: AllocationInputs) -> JointAction
     return joint
 
 
-def format_allocation(joint: JointAction) -> str:
-    """Inverse of parse_allocation, used by fixtures and round-trip tests."""
-    lines = [f"{agent_id}: {task.render()}" for agent_id, task in joint.items()]
-    return "```\n" + "\n".join(lines) + "\n```"
-
-
 def parse_proposal(
     raw_response: str,
     house: HouseMap,

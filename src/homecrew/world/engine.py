@@ -174,13 +174,11 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
 def observe(
     state: WorldState,
     agent_id: int,
-    sightings: Optional[Mapping[str, Tuple[Fact, ...]]] = None,
+    sightings: Mapping[str, Tuple[Fact, ...]],
 ) -> Observation:
     """Room-local view for one agent; closed containers and other rooms stay
-    opaque. ``sightings`` is this state's ``room_sightings``, passed in when
-    several agents observe one state; it is built here when absent."""
-    if sightings is None:
-        sightings = room_sightings(state)
+    opaque. ``sightings`` is this state's ``room_sightings``, built once for
+    every agent that observes the state."""
     me = state.agents[agent_id]
     room = me.room
     containers = {cid: state.container_open[cid] for cid in state.house.containers_in(room)}

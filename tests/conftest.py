@@ -1,12 +1,18 @@
-"""Shared fixtures."""
+"""Shared fixtures, and scripts/ on the import path: the tests share
+update_goldens' pinned episodes, capture backend and reply writer."""
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 
 import pytest
 
 from stubserver import StubServer
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 
 def serve(monkeypatch, server):

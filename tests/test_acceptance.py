@@ -4,16 +4,18 @@ Covered, in order: efficiency-improvement arithmetic anchors; allocator
 equality with an exhaustive argmax on 1000 randomized instances; conflict
 freedom on 500 contention-heavy instances; the same two checks on teams of
 4-6 with the team-size cap lifted for the test; summary intervals partitioning
-the acted history; pinned golden trace digests, also recomputed in fresh
-interpreters under two PYTHONHASHSEED values; pinned prompt digests of
-episodes whose manager and members answer as text; the same digests with every
-text renderer made to raise, so heuristic episodes build no prompt or digest
+the acted history; pinned golden trace digests and one digest over a
+240-episode grid, the golden digests also recomputed in fresh interpreters
+under two PYTHONHASHSEED values; pinned prompt digests of episodes whose
+manager and members answer as text; the same digests with every text
+renderer made to raise, so heuristic episodes build no prompt or digest
 text; one team-belief merge per tick, reused by the allocator for teams of
 1-6; larger teams finishing faster; ablation ordering; exact replay of
 recorded remote traces; episodes under an adversarial text backend that run,
-say why each allocation degraded and replay record for record; a stub-backed
-remote episode end to end; and a concurrent remote round that records the
-same trace as a sequential one.
+say why each allocation degraded and replay record for record; episodes
+whose text backend answers as the heuristic, which write the heuristic's
+records; a stub-backed remote episode end to end; and a concurrent remote
+round that records the same trace as a sequential one.
 Each test prints one "acceptance <name>: PASS|FAIL" line.
 """
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import importlib.util
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import conflict_violations, exhaustive_argmax
 from stubserver import approve_candidates, completion, propose_goal_objects
+import update_goldens as goldens
 from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
 from homecrew.agents.execution import MacroTask
@@ -56,19 +58,13 @@ from homecrew.harness.trace import render_line, render_trace, trace_sha256
 from homecrew.reasoner.base import ALLOCATE, PROPOSE, SUMMARIZE, TEXT, Reasoner
 from homecrew.reasoner.remote import RemoteReasoner
 from homecrew.world import scenarios
-from homecrew.world.engine import evaluate_progress, observe, transition
+from homecrew.world.engine import evaluate_progress, observe, room_sightings, transition
 from homecrew.world.scenarios import init_world
 
 TASKS = ("PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes")
 
 # The pinned episodes, the capture backend and the file paths are the ones
 # scripts/update_goldens.py writes the digests with.
-_spec = importlib.util.spec_from_file_location(
-    "update_goldens",
-    os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "update_goldens.py"),
-)
-goldens = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(goldens)
 GOLDEN_PATH = goldens.OUT_PATH
 GOLDEN_CONFIGS = goldens.GOLDEN_CONFIGS
 
@@ -159,7 +155,7 @@ def random_instance(
             visited_rooms={room: state.tick for room in visited},
             container_flags={},
         )
-        observations[agent_id] = observe(state, agent_id)
+        observations[agent_id] = observe(state, agent_id, room_sightings(state))
         if contentious:
             candidate = shared_pool[0]
             alternatives = tuple(
@@ -338,6 +334,8 @@ def test_golden_traces_stay_pinned():
                 list(second.records)
             )
             assert trace_sha256(list(first.records)) == stored[key], key
+        with open(goldens.GRID_PATH) as handle:
+            assert goldens.grid_digest() == json.load(handle)
 
 
 def test_golden_traces_ignore_the_hash_seed():
@@ -356,7 +354,7 @@ def test_golden_traces_ignore_the_hash_seed():
         )
         for seed in ("0", "12345"):
             done = subprocess.run(
-                [sys.executable, "-c", script, _spec.origin],
+                [sys.executable, "-c", script, goldens.__file__],
                 env=dict(os.environ, PYTHONHASHSEED=seed),
                 capture_output=True,
                 text=True,
@@ -457,7 +455,7 @@ def test_one_team_merge_per_tick(monkeypatch):
 
         state, _ = init_world("WashDishes", 3, 0)
         for agent_id in state.agents:
-            observation = observe(state, agent_id)
+            observation = observe(state, agent_id, room_sightings(state))
             belief = perceive(observation, Belief.empty())
             assert observation.objects
             for sighting in observation.objects:
@@ -582,6 +580,34 @@ def check_any_reply_stream(task, num_agents, variant, seed, stream):
 def test_any_reply_stream_runs_says_why_and_replays():
     with criterion("any reply stream runs, says why it degraded and replays"):
         check_any_reply_stream()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    task=st.sampled_from(TASKS),
+    variant=st.sampled_from(list(VARIANTS)),
+    num_agents=st.integers(1, 3),
+    seed=st.integers(0, 99),
+)
+def check_text_path_matches_heuristic(task, variant, num_agents, seed):
+    use_allocation, use_summaries = variant_flags(variant)
+    config = EpisodeConfig(
+        task=task,
+        num_agents=num_agents,
+        seed=seed,
+        use_allocation=use_allocation,
+        use_summaries=use_summaries,
+    )
+    heuristic = list(run_episode(config).records)
+    capture = goldens.PromptCapture()
+    text = [r for r in run_episode(config, capture, capture).records if r["type"] != "exchange"]
+    # The headers differ only in the backend names.
+    assert text[1:] == heuristic[1:], episode_module.divergence(heuristic, text)
+
+
+def test_text_path_decides_as_the_heuristic():
+    with criterion("a text backend answering as the heuristic writes its records"):
+        check_text_path_matches_heuristic()
 
 
 JSON_VALUES = st.recursive(

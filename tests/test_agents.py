@@ -6,6 +6,7 @@ truth, then audits every surviving fact against the snapshot at its stamp.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from homecrew.agents.textify import (
     render_history,
     render_observation,
 )
-from homecrew.world.engine import observe, transition
+from homecrew.world.engine import observe, room_sightings, transition
 from homecrew.world.scenarios import init_world
 from homecrew.world.types import (
     IN,
@@ -38,6 +39,7 @@ from homecrew.world.types import (
     WAIT,
     Action,
     Location,
+    Observation,
     goal_location,
 )
 
@@ -59,7 +61,7 @@ def random_walk(task, num_agents, seed, ticks):
 class TestPerceive:
     def test_upsert_from_observation(self):
         state, _ = init_world("SetUpTable", 1, 5)
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = perceive(obs, Belief.empty())
         assert len(belief.facts) == len(obs.objects)
         for sighting in obs.objects:
@@ -74,7 +76,7 @@ class TestPerceive:
         state, _ = init_world("SetUpTable", 1, 5)
         room = state.agents[1].room
         other_room = next(r for r in state.house.rooms if r != room)
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         stale_here = Fact("plate_99", "plate", Location(LOC_ROOM, room), 0)
         stale_elsewhere = Fact("fork_99", "fork", Location(LOC_ROOM, other_room), 0)
         prior = Belief(
@@ -86,6 +88,22 @@ class TestPerceive:
         assert "plate_99" not in belief.facts, "contradicted fact must be evicted"
         assert "fork_99" in belief.facts, "facts about other rooms must survive"
 
+    def test_own_hand_fact_survives_only_while_that_object_is_held(self):
+        state, _ = init_world("SetUpTable", 1, 5)
+        state.agents[1] = state.agents[1].__class__(room=state.agents[1].room, held="fork_1")
+        state.locations["fork_1"] = Location(LOC_AGENT, 1)
+        prior = Belief(
+            facts={
+                "fork_1": Fact("fork_1", "fork", Location(LOC_AGENT, 1), 0),
+                "plate_1": Fact("plate_1", "plate", Location(LOC_AGENT, 1), 0),
+            },
+            visited_rooms={},
+            container_flags={},
+        )
+        belief = perceive(observe(state, 1, room_sightings(state)), prior)
+        assert "fork_1" in belief.facts, "the object in hand stays believed there"
+        assert "plate_1" not in belief.facts, "the hand holds something else"
+
     def test_closed_container_belief_survives_visit(self):
         state, _ = init_world("PutGroceries", 1, 3)
         state.agents[1] = state.agents[1].__class__(room="kitchen", held=None)
@@ -95,11 +113,11 @@ class TestPerceive:
             visited_rooms={},
             container_flags={},
         )
-        belief = perceive(observe(state, 1), prior)
+        belief = perceive(observe(state, 1, room_sightings(state)), prior)
         assert "apple_9" in belief.facts
 
         state.container_open["fridge"] = True
-        belief = perceive(observe(state, 1), prior)
+        belief = perceive(observe(state, 1, room_sightings(state)), prior)
         assert "apple_9" not in belief.facts, "open container contradicts the fact"
 
     def test_belief_soundness_after_random_replay(self):
@@ -108,8 +126,10 @@ class TestPerceive:
             snapshots, _ = random_walk(TASKS[seed % len(TASKS)], 2, seed, 40)
             beliefs = {1: Belief.empty(), 2: Belief.empty()}
             for state in snapshots:
+                sightings = room_sightings(state)
                 for agent_id in beliefs:
-                    beliefs[agent_id] = perceive(observe(state, agent_id), beliefs[agent_id])
+                    obs = observe(state, agent_id, sightings)
+                    beliefs[agent_id] = perceive(obs, beliefs[agent_id])
             for agent_id, belief in beliefs.items():
                 for object_id, fact in belief.facts.items():
                     truth = snapshots[fact.observed_at].locations[object_id]
@@ -214,7 +234,7 @@ class TestRendering:
 
     def test_render_observation_stable(self):
         state, _ = init_world("WashDishes", 2, 1)
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         text = render_observation(obs)
         assert text.splitlines()[0].startswith("observation: agent 1 in ")
 
@@ -256,13 +276,13 @@ class TestExpandMacro:
 
     def test_idle_waits(self):
         state, _ = self.setup_kitchen()
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         action = expand_macro(MacroTask.idle(), Belief.empty(), obs, state.house)
         assert action == WAIT
 
     def test_holding_demanded_places_it(self):
         state, _ = self.setup_kitchen(held="plate_1")
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
         assert expand_macro(task, belief, obs, state.house) == Action("PUTON", "kitchentable")
@@ -270,27 +290,43 @@ class TestExpandMacro:
     def test_holding_demanded_opens_closed_container_first(self):
         state, _ = self.setup_kitchen(task="WashDishes", held="plate_1")
         state.container_open["dishwasher"] = False
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", IN, "dishwasher", object_id="plate_1")
         assert expand_macro(task, belief, obs, state.house) == Action("OPEN", "dishwasher")
         state.container_open["dishwasher"] = True
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         assert expand_macro(task, belief, obs, state.house) == Action("PUTIN", "dishwasher")
 
     def test_holding_wrong_object_unloads(self):
         state, _ = self.setup_kitchen(held="book_1")
         state.house.object_classes["book_1"] = "book"
         state.locations["book_1"] = Location(LOC_AGENT, 1)
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", ON, "kitchentable")
         action = expand_macro(task, belief, obs, state.house)
         assert action == Action("PUTON", "kitchentable"), "first surface in the room"
 
+    def test_holding_wrong_object_opens_a_closed_container_when_no_surface_is_here(self):
+        state, _ = self.setup_kitchen()
+        # The living room without its coffee table: the cabinet is all it has.
+        surfaces = {s: r for s, r in state.house.surfaces.items() if r != "livingroom"}
+        house = dataclasses.replace(
+            state.house, surfaces=surfaces, object_classes={"book_1": "book"}
+        )
+        obs = Observation(
+            agent_id=1, tick=0, room="livingroom", held="book_1", objects=(),
+            containers={"cabinet": False},
+        )
+        task = MacroTask.fetch("plate", ON, "kitchentable")
+        assert expand_macro(task, Belief.empty(), obs, house) == Action("OPEN", "cabinet")
+        obs = dataclasses.replace(obs, containers={"cabinet": True})
+        assert expand_macro(task, Belief.empty(), obs, house) == Action("PUTIN", "cabinet")
+
     def test_walks_toward_believed_object(self):
         state, _ = self.setup_kitchen(room="bedroom")
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = Belief(
             facts={"plate_1": Fact("plate_1", "plate", Location(LOC_ROOM, "kitchen"), 1)},
             visited_rooms={},
@@ -303,7 +339,7 @@ class TestExpandMacro:
     def test_grabs_visible_object_in_room(self):
         state, _ = self.setup_kitchen()
         state.locations["plate_1"] = Location(LOC_ROOM, "kitchen")
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = perceive(obs, Belief.empty())
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
         assert expand_macro(task, belief, obs, state.house) == Action("GRAB", "plate_1")
@@ -312,7 +348,7 @@ class TestExpandMacro:
         state, _ = self.setup_kitchen()
         state.locations["plate_1"] = Location(LOC_CONTAINER, "fridge")
         state.container_open["fridge"] = False
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = Belief(
             facts={"plate_1": Fact("plate_1", "plate", Location(LOC_CONTAINER, "fridge"), 1)},
             visited_rooms={},
@@ -321,10 +357,24 @@ class TestExpandMacro:
         task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
         assert expand_macro(task, belief, obs, state.house) == Action("OPEN", "fridge")
 
+    def test_object_missing_from_its_believed_surface_sweeps_from_here(self):
+        state, _ = self.setup_kitchen()
+        state.locations["plate_1"] = Location(LOC_ROOM, "bedroom")
+        state.container_open = {c: False for c in state.container_open}
+        obs = observe(state, 1, room_sightings(state))
+        belief = Belief(
+            facts={"plate_1": Fact("plate_1", "plate", Location(LOC_SURFACE, "kitchentable"), 1)},
+            visited_rooms={},
+            container_flags={},
+        )
+        task = MacroTask.fetch("plate", ON, "sink", object_id="plate_1")
+        # the never-visited kitchen is the nearest room that may hide it
+        assert expand_macro(task, belief, obs, state.house) == Action("OPEN", "dishwasher")
+
     def test_unknown_object_sweeps_nearest_hiding_room(self):
         state, _ = self.setup_kitchen()
         state.container_open = {c: False for c in state.container_open}
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = Belief(facts={}, visited_rooms={"kitchen": 3}, container_flags={})
         task = MacroTask.fetch("plate", ON, "kitchentable")
         # the kitchen itself may still hide the plate: open up before leaving
@@ -338,19 +388,19 @@ class TestExpandMacro:
             },
         )
         state.container_open = {c: True for c in state.container_open}
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         action = expand_macro(task, spent, obs, state.house)
         assert action == Action("GOTO", state.house.next_hop("kitchen", "livingroom"))
 
     def test_sweep_opens_closed_containers_then_explores(self):
         state, _ = self.setup_kitchen()
         state.container_open = {c: False for c in state.container_open}
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         belief = perceive(obs, Belief.empty())
         action = expand_macro(MacroTask.explore("kitchen"), belief, obs, state.house)
         assert action == Action("OPEN", "dishwasher"), "first closed container by name"
         state.container_open = {c: True for c in state.container_open}
-        obs = observe(state, 1)
+        obs = observe(state, 1, room_sightings(state))
         action = expand_macro(MacroTask.explore("kitchen"), perceive(obs, Belief.empty()), obs, state.house)
         assert action.kind == "EXPLORE"
 
@@ -433,7 +483,7 @@ class TestExpandMacro:
                         )
                     )
                 for agent_id in state.agents:
-                    obs = observe(state, agent_id)
+                    obs = observe(state, agent_id, room_sightings(state))
                     beliefs[agent_id] = perceive(obs, beliefs[agent_id])
                     team = merge_team_belief([beliefs[i] for i in sorted(beliefs)])
                     for task in tasks:

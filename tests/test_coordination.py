@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle import conflict_free_joints, exhaustive_argmax
+from update_goldens import format_allocation
 from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import MacroTask, sweep_targets
@@ -43,14 +44,9 @@ from homecrew.errors import (
 )
 from homecrew.reasoner.base import ALLOCATE, PROPOSE, TEXT, Reasoner, ReasonerRequest
 from homecrew.reasoner.heuristic import HeuristicReasoner
-from homecrew.reasoner.parsing import (
-    format_allocation,
-    parse_allocation,
-    parse_proposal,
-    parse_task,
-)
+from homecrew.reasoner.parsing import parse_allocation, parse_proposal, parse_task
 from homecrew.reasoner.scripted import ScriptedReasoner
-from homecrew.world.engine import evaluate_progress, observe, transition
+from homecrew.world.engine import evaluate_progress, observe, room_sightings, transition
 from homecrew.world.scenarios import build_house, init_world, load_catalog
 from homecrew.world.types import (
     IN,
@@ -108,7 +104,7 @@ def make_view(state, goal, agent_id, belief=None) -> AgentView:
         house=state.house,
         goal=goal,
         progress=evaluate_progress(belief, goal),
-        observation=observe(state, agent_id),
+        observation=observe(state, agent_id, room_sightings(state)),
         belief=belief,
     )
 
@@ -130,7 +126,7 @@ def build_inputs(task, num_agents, seed, drop_rate=0.0) -> AllocationInputs:
         }
         belief = dataclasses.replace(full, facts=facts)
         beliefs[agent_id] = belief
-        observations[agent_id] = observe(state, agent_id)
+        observations[agent_id] = observe(state, agent_id, room_sightings(state))
         proposals.append(heuristic_proposal(make_view(state, goal, agent_id, belief)))
     return AllocationInputs(
         tick=state.tick,

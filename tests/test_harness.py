@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stubserver import approve_candidates
+from update_goldens import format_allocation
 import homecrew
 from homecrew.coordination.allocate import heuristic_allocation
 from homecrew.coordination.negotiate import heuristic_proposal
@@ -73,7 +74,6 @@ from homecrew.reasoner.base import (
     Reasoner,
 )
 from homecrew.reasoner.heuristic import HeuristicReasoner
-from homecrew.reasoner.parsing import format_allocation
 from homecrew.reasoner.prompts import render_prompt
 from homecrew.reasoner.scripted import load_fixtures
 from homecrew.summaries import template_digest

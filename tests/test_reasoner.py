@@ -26,7 +26,7 @@ from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.prompts import NO_SUMMARIES_MARKER, render_prompt
 from homecrew.reasoner.scripted import ScriptedReasoner, load_fixtures
 from homecrew.summaries import Summary, SummaryInputs, summarize, template_digest
-from homecrew.world.engine import evaluate_progress, observe
+from homecrew.world.engine import evaluate_progress, observe, room_sightings
 from homecrew.world.scenarios import init_world
 from homecrew.world.types import IN, Action, goal_location
 
@@ -46,7 +46,7 @@ def propose_view() -> AgentView:
         house=state.house,
         goal=goal,
         progress=evaluate_progress(belief, goal),
-        observation=observe(state, 2),
+        observation=observe(state, 2, room_sightings(state)),
         belief=belief,
     )
 
@@ -61,7 +61,7 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
         for i in agent_ids
     ]
     beliefs = {i: Belief.empty() for i in agent_ids}
-    observations = {i: observe(state, i) for i in agent_ids}
+    observations = {i: observe(state, i, room_sightings(state)) for i in agent_ids}
     bounds = (0, 4, 9)
     summaries = tuple(
         Summary(index, (bounds[index - 1], bounds[index]), 1, text, 1)
