@@ -115,13 +115,15 @@ def sweep_targets(belief: Belief, house: HouseMap, from_room: str) -> List[str]:
 def believed_instance(
     task: MacroTask, belief: Belief, from_room: str, house: HouseMap
 ) -> Optional[Fact]:
-    """The fact to chase for a fetch task: the bound object if any, else the
-    nearest believed instance of the class that is not already at the target
-    and not in someone's hand. Ties break by object id."""
+    """The fact to chase for a fetch task: the bound object, else the nearest
+    believed instance of the class (ties break by object id). None when no
+    such object is believed off the target and out of every hand. Callers
+    check their own hand first; perceive keeps an own-hand fact only for
+    the object held."""
     target_loc = goal_location(str(task.relation), str(task.target))
     if task.object_id is not None:
         fact = belief.facts.get(task.object_id)
-        if fact is None or fact.location == target_loc:
+        if fact is None or fact.location.kind == LOC_AGENT or fact.location == target_loc:
             return None
         return fact
     return min(
@@ -182,9 +184,6 @@ def expand_macro(
     if task.kind == "EXPLORE":
         return _sweep_step(str(task.room), obs, house)
 
-    if task.kind != "FETCH":
-        return WAIT
-
     if obs.held is not None:
         if not held_matches(task, obs.held, house):
             return _unload_step(obs, house)
@@ -198,7 +197,7 @@ def expand_macro(
         return Action("PUTON", str(task.target))
 
     fact = believed_instance(task, belief, obs.room, house)
-    if fact is None or fact.location.kind == LOC_AGENT:
+    if fact is None:
         # nothing to chase (or someone is carrying it): sweep instead
         return _sweep_step(sweep_targets(belief, house, obs.room)[0], obs, house)
     believed_room = house.location_room(fact.location)

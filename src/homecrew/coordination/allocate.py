@@ -25,7 +25,7 @@ from ..agents.execution import (
     room_hides_content,
 )
 from ..reasoner.base import ALLOCATE, Reasoner, ask
-from ..world.types import LOC_AGENT, Fact, HouseMap, Observation, goal_location
+from ..world.types import HouseMap, Observation
 from .types import (
     AllocationInputs,
     ContextEntry,
@@ -94,43 +94,28 @@ def enumerate_joint_space(inputs: AllocationInputs) -> List[JointAction]:
     return joints
 
 
-def _fetch_distance(task: MacroTask, entry: ContextEntry, house: HouseMap) -> int:
-    """Believed rooms of travel left: straight to the target when the agent
-    already holds a matching object, else out to the believed object and from
-    there to the target. Counting both legs keeps a carried object from
-    looking dearer than one still on a shelf, which would tell the agent to
-    drop it. Unknown positions cost nothing rather than guessing."""
+def _fetch_term(
+    task: MacroTask, entry: ContextEntry, house: HouseMap
+) -> Tuple[bool, int]:
+    """Whether this agent's belief leaves the fetch achievable, and the
+    believed rooms of travel left. An object in hand that the task wants
+    goes straight to the target. Else the instance believed_instance offers
+    counts both legs, out to it and on to the target, so a carried object
+    never looks dearer than one on a shelf (which would tell the agent to
+    drop it). Else no travel is known, and the fetch stays achievable only
+    while no instance of it is believed."""
     room = entry.observation.room
-    target_room = house.room_of(str(task.target))
+    target = house.room_of(str(task.target))
     held = entry.observation.held
     if held is not None and held_matches(task, held, house):
-        return house.distance(room, target_room)
+        return True, house.distance(room, target)
     fact = believed_instance(task, entry.belief, room, house)
-    if fact is None or fact.location.kind == LOC_AGENT:
-        return 0
-    object_room = str(house.location_room(fact.location))
-    return house.distance(room, object_room) + house.distance(object_room, target_room)
-
-
-def _can_complete(task: MacroTask, entry: ContextEntry, house: HouseMap) -> bool:
-    """Whether this agent's belief leaves the fetch achievable: the object
-    (or some instance of the class) is not already at the target and not in
-    another agent's hand. Unknown objects stay optimistic."""
-    held = entry.observation.held
-    if held is not None and held_matches(task, held, house):
-        return True
-    target_loc = goal_location(str(task.relation), str(task.target))
-
-    def usable(fact: Fact) -> bool:
-        loc = fact.location
-        held_by_other = loc.kind == LOC_AGENT and int(loc.ref) != entry.agent_id
-        return not held_by_other and loc != target_loc
-
+    if fact is not None:
+        object_room = str(house.location_room(fact.location))
+        return True, house.distance(room, object_room) + house.distance(object_room, target)
     if task.object_id is not None:
-        fact = entry.belief.facts.get(task.object_id)
-        return fact is None or usable(fact)
-    known = [f for f in entry.belief.facts.values() if f.object_class == task.object_class]
-    return not known or any(usable(fact) for fact in known)
+        return task.object_id not in entry.belief.facts, 0
+    return task.object_class not in (f.object_class for f in entry.belief.facts.values()), 0
 
 
 def score_joint(joint: JointAction, inputs: AllocationInputs) -> int:
@@ -170,9 +155,8 @@ def score_joint(joint: JointAction, inputs: AllocationInputs) -> int:
         assert key is not None
         need = remaining.get(key, 0)
         within_quota = agent_id in fetch_assignees[key][:need]
-        if within_quota and _can_complete(task, entry, house):
-            total += RELEVANCE_WEIGHT
-        total -= _fetch_distance(task, entry, house)
+        relevant, travel = _fetch_term(task, entry, house)
+        total += RELEVANCE_WEIGHT * int(within_quota and relevant) - travel
     return total
 
 
@@ -194,8 +178,8 @@ def _option_term(
     quota and the fetch term depends on this agent alone."""
     if task.kind == "FETCH":
         key = task.predicate_key()
-        relevant = remaining.get(key, 0) > 0 and _can_complete(task, entry, house)
-        own = RELEVANCE_WEIGHT * int(relevant) - _fetch_distance(task, entry, house)
+        relevant, travel = _fetch_term(task, entry, house)
+        own = RELEVANCE_WEIGHT * int(remaining.get(key, 0) > 0 and relevant) - travel
         return own, key, task.object_id, None
     if task.kind == "EXPLORE":
         room = str(task.room)

@@ -501,7 +501,7 @@ def sorting_believed_instance(task, belief, from_room, house):
     target_loc = goal_location(str(task.relation), str(task.target))
     if task.object_id is not None:
         fact = belief.facts.get(task.object_id)
-        if fact is None or fact.location == target_loc:
+        if fact is None or fact.location == target_loc or fact.location.kind == LOC_AGENT:
             return None
         return fact
     ranked = []
@@ -535,6 +535,14 @@ class TestBelievedInstance:
         assert believed_instance(task, belief, "livingroom", house).object_id == "plate_5"
         del facts["plate_5"]
         assert believed_instance(task, belief, "livingroom", house).object_id == "plate_2"
+
+    def test_bound_object_in_a_hand_is_not_offered(self):
+        state, _ = init_world("SetUpTable", 1, 0)
+        task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
+        for holder in (1, 2):
+            fact = Fact("plate_1", "plate", Location(LOC_AGENT, holder), 0)
+            belief = Belief(facts={"plate_1": fact}, visited_rooms={}, container_flags={})
+            assert believed_instance(task, belief, "kitchen", state.house) is None
 
     def test_min_equals_the_sorting_definition(self):
         """Random walks, thinned beliefs with shuffled insertion order, every

@@ -52,6 +52,7 @@ from homecrew.world.types import (
     IN,
     LOC_AGENT,
     LOC_ROOM,
+    LOC_SURFACE,
     ON,
     GoalPredicate,
     GoalSpec,
@@ -704,6 +705,38 @@ class TestScore:
         joint = JointAction(tasks={1: task})
         # relevance 10 minus bathroom -> kitchen travel of 2
         assert score_joint(joint, inputs) == 8
+
+    def test_bound_object_in_another_hand_scores_nothing(self):
+        fact = Fact("plate_1", "plate", Location(LOC_AGENT, 2), 0)
+        task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
+        inputs = self.plate_inputs((1, "bathroom", None, [fact], {"bathroom": 0}, task))
+        # agent 2 carries it: no relevance, and no travel is believed
+        assert score_joint(JointAction(tasks={1: task}), inputs) == 0
+
+    def test_bound_object_not_believed_anywhere_stays_relevant(self):
+        task = MacroTask.fetch("plate", ON, "kitchentable", object_id="plate_1")
+        inputs = self.plate_inputs((1, "bathroom", None, [], {"bathroom": 0}, task))
+        # unknown position: relevance 10, travel costs nothing
+        assert score_joint(JointAction(tasks={1: task}), inputs) == 10
+
+    def test_class_with_every_instance_placed_or_carried_scores_nothing(self):
+        placed = Fact("plate_1", "plate", Location(LOC_SURFACE, "kitchentable"), 0)
+        carried = Fact("plate_2", "plate", Location(LOC_AGENT, 2), 0)
+        task = MacroTask.fetch("plate", ON, "kitchentable")
+        inputs = self.plate_inputs(
+            (1, "bathroom", None, [placed, carried], {"bathroom": 0}, task)
+        )
+        assert score_joint(JointAction(tasks={1: task}), inputs) == 0
+
+    def test_class_fetch_counts_both_legs_to_the_chased_instance(self):
+        placed = Fact("plate_1", "plate", Location(LOC_SURFACE, "kitchentable"), 0)
+        loose = Fact("plate_2", "plate", Location(LOC_ROOM, "bedroom"), 0)
+        task = MacroTask.fetch("plate", ON, "kitchentable")
+        inputs = self.plate_inputs(
+            (1, "bathroom", None, [placed, loose], {"bathroom": 0}, task)
+        )
+        # relevance 10 minus bathroom -> bedroom (1) and bedroom -> kitchen (2)
+        assert score_joint(JointAction(tasks={1: task}), inputs) == 7
 
 
 class TestAllocator:
