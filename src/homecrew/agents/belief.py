@@ -80,7 +80,10 @@ def perceive(observation: Observation, prior: Belief) -> Belief:
 def merge_team_belief(beliefs: Sequence[Belief]) -> Belief:
     """Union of member beliefs. Per object the newest fact wins; on equal
     timestamps the earliest belief in the sequence wins, so callers pass
-    beliefs in ascending agent-id order."""
+    beliefs in ascending agent-id order. A one-member team's belief is that
+    member's belief itself."""
+    if len(beliefs) == 1:
+        return beliefs[0]
     facts: Dict[str, Fact] = {}
     visited: Dict[str, int] = {}
     flags: Dict[str, Tuple[bool, int]] = {}

@@ -40,6 +40,7 @@ RELEVANCE_WEIGHT = 10
 # Sweeping a room that can still hide objects must beat idling from anywhere,
 # so this exceeds the longest path in the house.
 NOVELTY_WEIGHT = 3
+IDLE = MacroTask.idle()
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,8 @@ def assemble_context(
 
 
 def _agent_options(entry: ContextEntry) -> List[MacroTask]:
-    options: List[MacroTask] = [entry.proposal.candidate]
-    for task in entry.proposal.alternatives:
-        if task not in options:
-            options.append(task)
-    idle = MacroTask.idle()
-    if idle not in options:
-        options.append(idle)
-    return options
+    proposal = entry.proposal
+    return list(dict.fromkeys((proposal.candidate, *proposal.alternatives, IDLE)))
 
 
 def enumerate_joint_space(inputs: AllocationInputs) -> List[JointAction]:
@@ -189,6 +184,46 @@ def _option_term(
     return 0, None, task.object_id, None
 
 
+def _descend(
+    terms: List[List[_Term]], ceiling: List[int], picks: Tuple[int, ...], score: int,
+    units_left: Dict[Tuple[str, str, str], int], bound_ids: Set[str], claimed: Set[str],
+    best: Optional[Tuple[int, Tuple[int, ...]]],
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """The best leaf below the branch ``picks`` (an option index per agent so
+    far) as (score, picks), or ``best`` when none beats it. The branch's
+    ``units_left``, ``bound_ids`` and ``claimed`` are restored on return."""
+    depth = len(picks)
+    if depth == len(terms):
+        # The bound below lets a leaf through only if it beats the best
+        # strictly (ceiling[len(terms)] is 0), or if it is the first.
+        return score, picks
+    for index, (own, key, object_id, room) in enumerate(terms[depth]):
+        if units_left.get(key) == 0:
+            continue
+        if object_id is not None and object_id in bound_ids:
+            continue
+        novel = room is not None and room not in claimed
+        gain = own + NOVELTY_WEIGHT * int(novel)
+        if best is not None and score + gain + ceiling[depth + 1] <= best[0]:
+            continue
+        if key in units_left:
+            units_left[key] -= 1
+        if object_id is not None:
+            bound_ids.add(object_id)
+        if novel:
+            claimed.add(room)
+        best = _descend(
+            terms, ceiling, picks + (index,), score + gain, units_left, bound_ids, claimed, best
+        )
+        if novel:
+            claimed.discard(room)
+        if object_id is not None:
+            bound_ids.discard(object_id)
+        if key in units_left:
+            units_left[key] += 1
+    return best
+
+
 def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     """First strict maximum of score_joint over the enumerated joint space,
     found without scoring each joint. A conflict-free joint scores the sum of
@@ -213,51 +248,12 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
         ceiling[i] = ceiling[i + 1] + max(
             own + NOVELTY_WEIGHT * (room is not None) for own, _, _, room in terms[i]
         )
-    units_left = dict(remaining)
-    bound_ids: Set[str] = set()
-    claimed: Set[str] = set()
-    picks: List[int] = []
-    best: Optional[List[int]] = None
-    best_score = 0
-
-    def descend(depth: int, score: int) -> None:
-        nonlocal best, best_score
-        if depth == len(terms):
-            # The bound below lets a leaf through only if it beats the best
-            # strictly (ceiling[len(terms)] is 0), or if it is the first.
-            best, best_score = list(picks), score
-            return
-        for index, (own, key, object_id, room) in enumerate(terms[depth]):
-            if units_left.get(key) == 0:
-                continue
-            if object_id is not None and object_id in bound_ids:
-                continue
-            novel = room is not None and room not in claimed
-            gain = own + NOVELTY_WEIGHT * int(novel)
-            if best is not None and score + gain + ceiling[depth + 1] <= best_score:
-                continue
-            if key in units_left:
-                units_left[key] -= 1
-            if object_id is not None:
-                bound_ids.add(object_id)
-            if novel:
-                claimed.add(room)
-            picks.append(index)
-            descend(depth + 1, score + gain)
-            picks.pop()
-            if novel:
-                claimed.discard(room)
-            if object_id is not None:
-                bound_ids.discard(object_id)
-            if key in units_left:
-                units_left[key] += 1
-
-    descend(0, 0)
+    best = _descend(terms, ceiling, (), 0, dict(remaining), set(), set(), None)
     assert best is not None
     return JointAction(
         tasks={
             entry.agent_id: row[pick]
-            for entry, row, pick in zip(inputs.entries, options, best)
+            for entry, row, pick in zip(inputs.entries, options, best[1])
         }
     )
 

@@ -22,7 +22,7 @@ Every other backend runs the round inline, in that same order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -37,13 +37,7 @@ from ..errors import FixtureExhausted
 from ..reasoner.base import TEXT, Reasoner
 from ..reasoner.remote import RemoteReasoner
 from ..reasoner.scripted import RecordingReasoner
-from ..summaries import (
-    Summary,
-    progress_since,
-    slice_history,
-    summarized_until,
-    summarize,
-)
+from ..summaries import Summary, progress_since, summarize
 from ..world.engine import evaluate_progress, observe, room_sightings, transition
 from ..world.scenarios import init_world
 from .config import EpisodeConfig, build_reasoner
@@ -160,13 +154,15 @@ def _play_episode(
     sink: List[dict] = [header_record(config, manager.name, member.name)]
 
     beliefs: Dict[int, Belief] = {i: Belief.empty() for i in agent_ids}
-    history: List[HistoryRecord] = []
+    # The records since the last summary: the window the next one covers.
+    unsummarized: List[HistoryRecord] = []
     # The summaries written so far: where the last ended, and the progress
     # they have seen, are read off them.
     collected: Tuple[Summary, ...] = ()
     degraded = 0
-    # Ground truth for the current state: computed once per state, it feeds
-    # the tick record that closes a tick and the done check that opens the next.
+    # Ground truth for the current state: computed again only after a tick
+    # that moves an object, it feeds the tick record that closes a tick and
+    # the done check that opens the next.
     progress = evaluate_progress(state, goal)
 
     while True:
@@ -178,7 +174,7 @@ def _play_episode(
         believed = evaluate_progress(team, goal)
         # Whether a summary is due, and the window it covers, never depend on
         # the summary's text, so both are settled before the round starts.
-        window = tuple(slice_history(history, summarized_until(collected), state.tick))
+        window = tuple(unsummarized)
         delta = progress_since(collected, believed)
         summary_due = config.use_summaries and delta != 0 and bool(window)
         calls: List[Call] = []
@@ -212,10 +208,13 @@ def _play_episode(
             summary, exchanges = outcomes.pop(0)
             sink.extend(exchanges)
             collected += (summary,)
+            unsummarized.clear()
             degraded += int(summary.degraded)
-            record = {"type": "summary", "tick": state.tick, **asdict(summary)}
-            record["interval"] = list(summary.interval)
-            sink.append(record)
+            sink.append(
+                {"type": "summary", "tick": state.tick, "index": summary.index,
+                 "interval": list(summary.interval), "delta": summary.delta,
+                 "text": summary.text, "degraded": summary.degraded}
+            )
         if finished:
             break
 
@@ -260,13 +259,15 @@ def _play_episode(
             for i in agent_ids
         }
         state, events = transition(state, actions)
-        history.extend(
+        unsummarized.extend(
             HistoryRecord(
                 state.tick, i, actions[i], tuple(e for e in events if e.agent_id == i)
             )
             for i in agent_ids
         )
-        progress = evaluate_progress(state, goal)
+        # Progress reads only object locations, and only grabs and placements move one.
+        if any(e.kind in ("grabbed", "placed") for e in events):
+            progress = evaluate_progress(state, goal)
         sink.append(
             {
                 "type": "tick",

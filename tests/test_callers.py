@@ -24,6 +24,8 @@ CALLED_FROM_OUTSIDE = {
     " the coordination tests call it",
     "enumerate_joint_space": "a perfbench hook wraps it; the allocator tests use it as their oracle",
     "score_joint": "a perfbench hook wraps it; the allocator tests use it as their oracle",
+    "slice_history": "a perfbench hook wraps it; the summary tests use it as the reference"
+    " for the episode loop's running window",
 }
 
 

@@ -9,6 +9,7 @@ randomized scenarios, so the enumeration order and tie-breaking stay honest.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -753,6 +754,22 @@ class TestAllocator:
         remaining = remaining_by_predicate(inputs.goal, inputs.progress)
         assert check_conflicts(joint, remaining) == []
 
+    def test_search_leaves_no_reference_cycle(self):
+        # Cyclic garbage waits for the collector, whose passes every later
+        # tick pays for; an allocation must free all it made as it returns.
+        instances = [
+            build_inputs(task, num_agents, seed, drop)
+            for task, num_agents, seed, drop in INSTANCE_GRID
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for inputs in instances:
+                heuristic_allocation(inputs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_enumeration_matches_product_filter(self):
         inputs = build_inputs("SetUpTable", 3, seed=4, drop_rate=0.3)
         assert enumerate_joint_space(inputs) == conflict_free_joints(inputs)
@@ -867,6 +884,12 @@ class TestMakeProposal:
 
 
 class TestContext:
+    def test_entry_of_an_absent_agent_is_a_key_error(self):
+        inputs = build_inputs("PrepareAMeal", 2, seed=0)
+        assert inputs.entry(2).agent_id == 2
+        with pytest.raises(KeyError, match="agent 3 not in context"):
+            inputs.entry(3)
+
     def test_entries_sorted_with_digests(self):
         inputs = build_inputs("PrepareAMeal", 3, seed=2)
         assert inputs.agent_ids() == (1, 2, 3)

@@ -23,8 +23,10 @@ from hypothesis import example, given, settings, strategies as st
 from stubserver import approve_candidates
 from update_goldens import format_allocation
 import homecrew
+from homecrew.agents.execution import MacroTask
 from homecrew.coordination.allocate import heuristic_allocation
 from homecrew.coordination.negotiate import heuristic_proposal
+from homecrew.coordination.types import Proposal
 from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
 from homecrew.harness.benchmark import cell_configs, run_benchmark
 from homecrew.harness.cli import (
@@ -44,6 +46,7 @@ from homecrew.harness.config import (
     build_reasoner,
     variant_flags,
 )
+from homecrew.harness import episode
 from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
     aggregate,
@@ -77,7 +80,9 @@ from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.prompts import render_prompt
 from homecrew.reasoner.scripted import load_fixtures
 from homecrew.summaries import template_digest
-from homecrew.world.scenarios import task_categories
+from homecrew.world.engine import evaluate_progress, transition
+from homecrew.world.scenarios import init_world, task_categories
+from homecrew.world.types import ON
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(homecrew.__file__)))
 
@@ -226,6 +231,46 @@ class TestHistoryWindow:
         for key, asked in sent.items():
             assert len(asked) == 1 + PARSE_RETRIES, key
             assert len(set(asked)) == 1 and asked[0], key
+
+
+class Undoer(Reasoner):
+    """A member that proposes as the heuristic does until it believes a goal
+    object sits at its target, then proposes to carry that object to another
+    surface, so that a grab takes a satisfied unit back off the goal."""
+
+    name = "undoer"
+    produces = STRUCTURED
+
+    def invoke(self, request):
+        view = request.structured_payload
+        if request.kind == PROPOSE:
+            for object_id, fact in sorted(view.belief.facts.items()):
+                for _, target in view.goal.targets.get(fact.object_class, ()):
+                    if fact.location == target:
+                        elsewhere = min(set(view.house.surfaces) - {target.ref})
+                        task = MacroTask.fetch(fact.object_class, ON, elsewhere, object_id)
+                        return Proposal(view.agent_id, task, "undo")
+        return HeuristicReasoner().invoke(request)
+
+
+class TestTickProgress:
+    def test_each_tick_record_counts_the_world_it_closes_on(self, monkeypatch):
+        # The loop recomputes ground-truth progress only after a tick that
+        # moves an object. A grab off a goal target is one: the count falls.
+        states = []
+
+        def recording_transition(state, joint):
+            after, events = transition(state, joint)
+            states.append(after)
+            return after, events
+
+        monkeypatch.setattr(episode, "transition", recording_transition)
+        config = episode_config(num_agents=1, use_allocation=False, max_steps=40)
+        result = run_episode(config, HeuristicReasoner(), Undoer())
+        _, goal = init_world(config.task, config.num_agents, config.seed)
+        satisfied = [r["satisfied"] for r in result.records if r["type"] == "tick"]
+        assert satisfied == [evaluate_progress(state, goal).satisfied for state in states]
+        assert any(now < before for before, now in zip(satisfied, satisfied[1:]))
 
 
 # Functions perfbench's tracer wraps on the heuristic path: (module, attribute).

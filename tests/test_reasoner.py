@@ -21,8 +21,11 @@ from homecrew.errors import ContractViolation, FixtureExhausted
 from homecrew.harness.config import EpisodeConfig
 from homecrew.harness.episode import run_episode
 from homecrew.harness.trace import check_trace
-from homecrew.reasoner.base import ALLOCATE, PARSE_RETRIES, PROPOSE, SUMMARIZE, ReasonerRequest
+from homecrew.reasoner.base import (
+    ALLOCATE, PARSE_RETRIES, PROPOSE, SUMMARIZE, Reasoner, ReasonerRequest
+)
 from homecrew.reasoner.heuristic import HeuristicReasoner
+from homecrew.reasoner.parsing import parse_reply
 from homecrew.reasoner.prompts import NO_SUMMARIES_MARKER, render_prompt
 from homecrew.reasoner.scripted import ScriptedReasoner, load_fixtures
 from homecrew.summaries import Summary, SummaryInputs, summarize, template_digest
@@ -230,3 +233,12 @@ class TestHeuristicBackend:
         )
         with pytest.raises(ContractViolation):
             HeuristicReasoner().invoke(request)
+
+    def test_a_reply_to_an_unknown_kind_is_not_parsed(self):
+        with pytest.raises(ContractViolation, match="unknown request kind: daydream"):
+            parse_reply("daydream", "IDLE", None)
+
+    def test_the_base_backend_decides_nothing(self):
+        request = ReasonerRequest(kind=PROPOSE, rendered_prompt="", structured_payload=None)
+        with pytest.raises(NotImplementedError):
+            Reasoner().invoke(request)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import socket
 import struct
+import sys
 import time
 
 import pytest
@@ -60,6 +61,12 @@ class TestWireFormat:
     def test_empty_model_is_a_config_error(self):
         with pytest.raises(ConfigError, match="got endpoint 'http://127.0.0.1:1' and model ''"):
             RemoteReasoner(RemoteConfig("http://127.0.0.1:1", ""))
+
+    def test_without_requests_the_backend_is_a_config_error(self, monkeypatch):
+        # None in sys.modules makes ``import requests`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "requests", None)
+        with pytest.raises(ConfigError, match="remote backend needs the requests package"):
+            RemoteReasoner(RemoteConfig("http://127.0.0.1:1", "m"))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -14,6 +14,8 @@ from homecrew.agents.belief import merge_team_belief
 from homecrew.agents.records import HistoryRecord
 from homecrew.coordination.types import AllocationInputs
 from homecrew.errors import ContractViolation, RemoteBackendError
+from homecrew.harness import episode
+from homecrew.harness.config import EpisodeConfig
 from homecrew.reasoner.base import ALLOCATE, SUMMARIZE, TEXT, Reasoner
 from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.prompts import render_prompt
@@ -233,3 +235,37 @@ class TestPartitionProperty:
                 assert rebuilt == slice_history(records, 0, change_ticks[-1])
         # random walks reliably bump progress at least somewhere in 12 seeds
         assert total_changes > 0
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_episode_summaries_digest_the_reference_slice(self, task, monkeypatch):
+        """Every summary a heuristic episode writes is the template digest of
+        slice_history over the episode's whole history for its interval, so
+        the loop's running window holds exactly the records since the last
+        summary."""
+        history = []
+
+        def recording_transition(state, joint):
+            after, events = transition(state, joint)
+            history.extend(
+                HistoryRecord(
+                    after.tick, i, joint[i], tuple(e for e in events if e.agent_id == i)
+                )
+                for i in sorted(joint)
+            )
+            return after, events
+
+        monkeypatch.setattr(episode, "transition", recording_transition)
+        checked = 0
+        for num_agents in (1, 2, 3):
+            for seed in range(3):
+                history.clear()
+                config = EpisodeConfig(task=task, num_agents=num_agents, seed=seed)
+                for record in episode.run_episode(config).records:
+                    if record["type"] != "summary":
+                        continue
+                    lo, hi = record["interval"]
+                    assert record["text"] == template_digest(
+                        slice_history(history, lo, hi), record["delta"]
+                    )[:SUMMARY_CHAR_BUDGET]
+                    checked += 1
+        assert checked > 0

@@ -310,6 +310,13 @@ class TestInitWorld:
 
 
 class TestPaths:
+    def test_room_of_an_unknown_fixture_is_a_key_error(self):
+        house = init_world("SetUpTable", 1, 0)[0].house
+        for fixture, room in {**house.containers, **house.surfaces}.items():
+            assert house.room_of(fixture) == room
+        with pytest.raises(KeyError, match="unknown fixture: nowhere"):
+            house.room_of("nowhere")
+
     def test_distance_matches_bfs_oracle(self):
         state, _ = init_world("SetUpTable", 1, 0)
         house = state.house
