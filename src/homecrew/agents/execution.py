@@ -10,6 +10,7 @@ is always legal for that agent, degrading to Wait when nothing applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..world.types import (
@@ -33,7 +34,8 @@ class MacroTask:
 
     FETCH: bring an object of object_class (a specific object_id when bound)
     ON a surface or IN a container named target. EXPLORE: sweep one room,
-    opening whatever is closed there. IDLE: stand by.
+    opening whatever is closed there. IDLE: stand by. fetch, explore and
+    idle hand out one shared instance per distinct task.
     """
 
     kind: str
@@ -43,29 +45,22 @@ class MacroTask:
     target: Optional[str] = None
     room: Optional[str] = None
 
-    @classmethod
+    @staticmethod
     def fetch(
-        cls,
         object_class: str,
         relation: str,
         target: str,
         object_id: Optional[str] = None,
     ) -> "MacroTask":
-        return cls(
-            kind="FETCH",
-            object_class=object_class,
-            object_id=object_id,
-            relation=relation,
-            target=target,
-        )
+        return _interned("FETCH", object_class, object_id, relation, target, None)
 
-    @classmethod
-    def explore(cls, room: str) -> "MacroTask":
-        return cls(kind="EXPLORE", room=room)
+    @staticmethod
+    def explore(room: str) -> "MacroTask":
+        return _interned("EXPLORE", None, None, None, None, room)
 
-    @classmethod
-    def idle(cls) -> "MacroTask":
-        return cls(kind="IDLE")
+    @staticmethod
+    def idle() -> "MacroTask":
+        return _interned("IDLE", None, None, None, None, None)
 
     def predicate_key(self) -> Optional[Tuple[str, str, str]]:
         if self.kind != "FETCH":
@@ -79,6 +74,15 @@ class MacroTask:
             return f"{self.kind}({self.room})"
         ref = self.object_id if self.object_id else self.object_class
         return f"{self.kind}({ref}, {self.relation}, {self.target})"
+
+
+@lru_cache(maxsize=None)
+def _interned(*fields: Optional[str]) -> MacroTask:
+    """One shared MacroTask per distinct field tuple. Its arguments name
+    only the house's classes, objects, fixtures and rooms, so the cache is
+    bounded by that vocabulary. Two threads that miss at once may each build
+    a copy, so tasks compare by value, never by identity."""
+    return MacroTask(*fields)
 
 
 def room_hides_content(belief: Belief, room: str, house: HouseMap) -> bool:

@@ -15,9 +15,10 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 from ..errors import ContractViolation
 from .types import (
     ACTION_KINDS,
+    IN,
     LOC_AGENT,
     LOC_CONTAINER,
-    LOC_SURFACE,
+    ON,
     WAIT,
     Action,
     AgentState,
@@ -28,6 +29,7 @@ from .types import (
     Observation,
     TaskProgress,
     WorldState,
+    goal_location,
 )
 
 if TYPE_CHECKING:
@@ -154,12 +156,11 @@ def transition(state: WorldState, joint: Mapping[int, Action]) -> Tuple[WorldSta
         elif action.kind in ("PUTON", "PUTIN"):
             target = str(action.target)
             object_id = str(agents[agent_id].held)
-            kind = LOC_SURFACE if action.kind == "PUTON" else LOC_CONTAINER
-            locations[object_id] = Location(kind, target)
+            relation = ON if action.kind == "PUTON" else IN
+            locations[object_id] = goal_location(relation, target)
             agents[agent_id] = AgentState(agents[agent_id].room, None)
-            note_rel = "on" if action.kind == "PUTON" else "in"
             events.append(
-                Event(tick, agent_id, "placed", note=f"placed {object_id} {note_rel} {target}")
+                Event(tick, agent_id, "placed", note=f"placed {object_id} {relation.lower()} {target}")
             )
     new_state = WorldState(
         tick=tick,
@@ -217,7 +218,7 @@ def evaluate_progress(source: Union[WorldState, Belief], goal: GoalSpec) -> Task
             for idx, target in targets.get(fact.object_class, ()):
                 if fact.location == target:
                     raw[idx] += 1
-    by_predicate = tuple(min(pred.count, raw[idx]) for idx, pred in enumerate(goal.predicates))
+    by_predicate = tuple([min(pred.count, n) for pred, n in zip(goal.predicates, raw)])
     return TaskProgress(
         satisfied=sum(by_predicate),
         total=goal.total_units(),

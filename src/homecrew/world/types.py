@@ -121,8 +121,12 @@ class GoalSpec:
             index[pred.object_class] = index.get(pred.object_class, ()) + (entry,)
         return MappingProxyType(index)
 
-    def total_units(self) -> int:
+    @cached_property
+    def _units(self) -> int:
         return sum(p.count for p in self.predicates)
+
+    def total_units(self) -> int:
+        return self._units
 
     def render(self) -> str:
         lines = [f"task: {self.category}"]

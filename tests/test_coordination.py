@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,9 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import conflict_free_joints, exhaustive_argmax
 from update_goldens import format_allocation
 from walks import random_legal_joint
+from homecrew.agents import execution
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import MacroTask, sweep_targets
 from homecrew.coordination.allocate import (
+    _agent_options,
     allocate,
     allocate_with_report,
     assemble_context,
@@ -32,6 +35,7 @@ from homecrew.coordination.negotiate import heuristic_proposal, make_proposal
 from homecrew.coordination.types import (
     AgentView,
     AllocationInputs,
+    ContextEntry,
     JointAction,
     Proposal,
     check_conflicts,
@@ -43,6 +47,8 @@ from homecrew.errors import (
     RemoteBackendError,
     ResponseParseError,
 )
+from homecrew.harness.config import VARIANTS, EpisodeConfig
+from homecrew.harness.episode import run_episode
 from homecrew.reasoner.base import ALLOCATE, PROPOSE, TEXT, Reasoner, ReasonerRequest
 from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.parsing import parse_allocation, parse_proposal, parse_task
@@ -919,3 +925,93 @@ class TestContext:
                                tuple(p.count for p in goal.predicates))
         )
         assert all(v == 0 for v in done.values())
+
+
+class TestInternedTasks:
+    """fetch, explore and idle share one instance per distinct task; tasks
+    still compare and hash by value, so a directly built twin is the same
+    task everywhere."""
+
+    def test_fetch_returns_one_shared_instance(self):
+        first = MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1")
+        assert MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1") is first
+        assert MacroTask.explore("kitchen") is MacroTask.explore("kitchen")
+        assert MacroTask.idle() is MacroTask.idle()
+
+    def test_shared_instance_equals_and_hashes_like_a_built_one(self):
+        shared = MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1")
+        built = MacroTask("FETCH", "cup", "cup_1", ON, "kitchentable")
+        assert built is not shared
+        assert built == shared and hash(built) == hash(shared)
+        assert MacroTask("EXPLORE", room="kitchen") == MacroTask.explore("kitchen")
+        assert MacroTask("IDLE") == MacroTask.idle()
+
+    def test_parsed_task_is_the_heuristics_instance(self):
+        state, goal = init_world("PrepareTea", 1, seed=0)
+        parsed = parse_task("FETCH(cup_1, ON, kitchentable)", state.house)
+        assert parsed is MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1")
+        proposal = heuristic_proposal(make_view(state, goal, 1))
+        for task in (proposal.candidate, *proposal.alternatives):
+            assert parse_task(task.render(), state.house) is task
+
+    def test_shared_instance_stays_frozen(self):
+        task = MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.target = "sink"
+        assert task == MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1")
+
+    def test_options_dedupe_a_built_task_with_its_shared_twin(self):
+        built = MacroTask("FETCH", "cup", "cup_1", ON, "kitchentable")
+        shared = MacroTask.fetch("cup", ON, "kitchentable", object_id="cup_1")
+        proposal = Proposal(1, built, "why", (shared, MacroTask("IDLE")))
+        entry = ContextEntry(1, proposal, Belief.empty(), fab_observation(1, "kitchen"))
+        options = _agent_options(entry)
+        assert options == [shared, MacroTask.idle()]
+        assert options[0] is built
+
+    def test_cache_holds_only_the_house_vocabulary(self, monkeypatch):
+        # lru_cache keeps every distinct argument tuple for the life of the
+        # process, so the factory must see nothing but house names.
+        built = []
+        real = execution.MacroTask
+
+        def recording(*fields):
+            built.append(real(*fields))
+            return built[-1]
+
+        execution._interned.cache_clear()
+        monkeypatch.setattr(execution, "MacroTask", recording)
+        for task in TASKS:
+            for variant in ("full", "no_allocation"):
+                use_allocation, use_summaries = VARIANTS[variant]
+                for num_agents in (1, 2, 3):
+                    for seed in range(4):
+                        run_episode(EpisodeConfig(
+                            task, num_agents, seed,
+                            use_allocation=use_allocation, use_summaries=use_summaries,
+                        ))
+        catalog = load_catalog()
+        classes = {p["object_class"] for t in catalog["tasks"].values() for p in t["goal"]}
+        classes |= set(catalog["distractor_classes"])
+        counts = {}
+        for entry in catalog["tasks"].values():
+            for p in entry["goal"]:
+                key = (p["relation"], p["object_class"], p["target"])
+                counts[key] = max(counts.get(key, 0), p["count"])
+        # Idle, one sweep per room, and per goal predicate its unbound fetch
+        # plus one bound fetch per instance (the count and one spare).
+        bound = 1 + len(catalog["rooms"]) + sum(count + 2 for count in counts.values())
+        info = execution._interned.cache_info()
+        assert info.currsize == len(built) == len(set(built))
+        assert 0 < info.currsize <= bound
+        fixtures = {ON: catalog["surfaces"], IN: catalog["containers"]}
+        for task in built:
+            if task.kind == "EXPLORE":
+                assert task.room in catalog["rooms"]
+            elif task.kind == "FETCH":
+                assert task.object_class in classes
+                assert task.target in fixtures[task.relation]
+                if task.object_id is not None:
+                    assert re.fullmatch(re.escape(task.object_class) + r"_[1-9][0-9]*", task.object_id)
+            else:
+                assert task == real("IDLE")

@@ -610,6 +610,16 @@ class TestTransition:
         assert state.agents[1].held is None
         assert state.locations["apple_1"] == Location(LOC_CONTAINER, "fridge")
         assert [e.kind for e in events] == ["placed"]
+        assert events[0].note == "placed apple_1 in fridge"
+
+    def test_a_placement_shares_the_goal_location(self):
+        state, goal = init_world("PrepareTea", 1, 0)
+        state.agents[1] = state.agents[1].__class__(room="kitchen", held="cup_1")
+        state.locations["cup_1"] = Location(LOC_AGENT, 1)
+        state, events = transition(state, {1: Action("PUTON", "kitchentable")})
+        assert state.locations["cup_1"] is goal_location(ON, "kitchentable")
+        assert goal.targets["cup"] == ((0, state.locations["cup_1"]),)
+        assert events[0].note == "placed cup_1 on kitchentable"
 
 
 class TestObservation:
