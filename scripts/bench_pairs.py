@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Alternating perfbench pairs of a parent commit against this checkout.
 
-    python3 scripts/bench_pairs.py --parent REV --pr N [--pairs 10]
-        [--workloads grid alloc3 remote-stub] [--seconds 20] [--seed 0]
+    python3 scripts/bench_pairs.py --parent REV --pr N
+        [--workloads grid alloc3 remote-stub] [--seed 0]
 
 REV is unpacked with ``git archive`` into a temporary directory, so the
-repository's ``.git`` is left alone. Each pair runs
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in that
-tree and once in this checkout, each side with its own ``perfbench/``; the
-side that runs first alternates from pair to pair. Every run writes into its
-own ``--out`` directory under ``.bench_results/pairs-<N>/``, so no run
-overwrites another's file, and a later call with the same REV and seconds
-adds pairs (another workload, seed or more of the same) to that set.
+repository's ``.git`` is left alone, and this checkout is copied into
+another without its dot-directories and ``__pycache__``. Each call runs ten
+pairs per workload of ``perfbench/run.py --workload W --seed S --trace 0``
+at the benchmark's own run length, once in each tree, each side with its own
+``perfbench/``; the side that runs first alternates from pair to pair. Every
+run writes into its own ``--out`` directory under
+``.bench_results/pairs-<N>/``, so no run overwrites another's file, and a
+later call with the same REV adds ten more pairs (of another workload, seed
+or the same one) to that set.
 
 ``BENCH_<N>.json`` at the repository root is then rewritten from every
 complete pair in that directory: per side and workload the median [Q1, Q3]
@@ -23,7 +25,8 @@ verdict against its bound in BENCHMARK.json. Sets run with a seed other than
 0 are labelled ``W (--seed S)``.
 
 Children run with PYTHONDONTWRITEBYTECODE=1, because ``setup_s`` depends on
-the bytecode setting. A REV that does not resolve, or a run that fails or
+the bytecode setting; as neither tree holds a ``__pycache__``, both sides
+compile the project's modules at every start. A REV that does not resolve, or a run that fails or
 reports ``correct: false``, ends as ``error: ...`` with exit 2.
 """
 
@@ -50,6 +53,7 @@ from stats import quartiles, verdict  # noqa: E402
 
 CLAIM_METRIC = "ms_per_tick"
 SIDES = ("parent", "change")
+PAIRS = 10
 DEFAULT_SEED = 0
 _SPEED_RE = re.compile(r"machine speed: mean factor ([0-9.]+)")
 
@@ -84,11 +88,11 @@ def unpack(commit: str, dest: str) -> None:
         raise BenchError(f"git archive {commit} failed")
 
 
-def run_one(tree: str, workload: str, seed: int, seconds: float, out: str) -> None:
+def run_one(tree: str, workload: str, seed: int, out: str) -> None:
     """One ``run.py --trace 0`` in ``tree``; its record lands in ``out``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", f"{seconds:g}", "--trace", "0", "--out", out,
+        "--seconds", f"{spec.RUN_SECONDS:g}", "--trace", "0", "--out", out,
     ]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
@@ -147,9 +151,9 @@ def _side_summary(records: List[dict]) -> dict:
 
 
 def _pair_claim(parent: List[float], change: List[float], better: str) -> dict:
-    """Choosing-metrics section 8: a gain needs the change to win at least
-    nine tenths of the pairs (ties count for neither) and the medians to
-    differ, in the better direction, by more than the parent's IQR."""
+    """A gain needs the change to win at least nine tenths of the pairs
+    (ties count for neither) and the medians to differ, in the better
+    direction, by more than the parent's IQR."""
     sign = 1 if better == "lower" else -1
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     p1, p_median, p3 = quartiles(parent)
@@ -200,7 +204,7 @@ def summarize(root: str, pr: int) -> dict:
     return {
         "pr": pr,
         "benchmark": (
-            f"perfbench/run.py --workload W --seed S --seconds {settings['seconds']:g} --trace 0, "
+            f"perfbench/run.py --workload W --seed S --seconds {spec.RUN_SECONDS:g} --trace 0, "
             "pairs per set as listed, parent and change alternating which runs first"
         ),
         "environment": {
@@ -215,15 +219,15 @@ def summarize(root: str, pr: int) -> dict:
     }
 
 
-def _settings(root: str, parent: str, seconds: float) -> None:
-    """Pin the directory to one parent and run length; refuse a mix."""
+def _settings(root: str, parent: str) -> None:
+    """Pin the directory to one parent; refuse a mix."""
     path = os.path.join(root, "settings.json")
-    wanted = {"parent": parent, "seconds": seconds}
+    wanted = {"parent": parent}
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as handle:
             held = json.load(handle)
         if held != wanted:
-            raise BenchError(f"{root} holds runs of {held}; remove it or pass those settings")
+            raise BenchError(f"{root} holds runs of {held}; remove it or pass that parent")
         return
     os.makedirs(root, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
@@ -234,37 +238,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to measure against")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<PR>.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", nargs="+", default=sorted(spec.WORKLOAD_WHY), choices=sorted(spec.WORKLOAD_WHY))
-    parser.add_argument("--seconds", type=float, default=spec.RUN_SECONDS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
-    if args.pr < 0 or args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
-        parser.error("--pr and --seed must be >= 0, --pairs >= 1 and --seconds > 0")
+    if args.pr < 0 or args.seed < 0:
+        parser.error("--pr and --seed must be >= 0")
 
     root = os.path.join(ROOT, ".bench_results", f"pairs-{args.pr}")
-    tree = tempfile.mkdtemp(prefix="bench-parent-")
+    scratch = tempfile.mkdtemp(prefix="bench-pairs-")
+    trees = {side: os.path.join(scratch, side) for side in SIDES}
     try:
         parent = resolve(args.parent)
-        _settings(root, parent, args.seconds)
-        unpack(parent, tree)
-        trees = {"parent": tree, "change": ROOT}
+        _settings(root, parent)
+        unpack(parent, trees["parent"])
+        shutil.copytree(ROOT, trees["change"], ignore=shutil.ignore_patterns(".*", "__pycache__"))
         for workload in args.workloads:
             stem = f"{workload}-s{args.seed}"
             start = len(glob.glob(os.path.join(root, "parent", f"{stem}-*")))
-            for index in range(start, start + args.pairs):
+            for index in range(start, start + PAIRS):
                 order = SIDES if index % 2 == 0 else SIDES[::-1]
                 for side in order:
                     out = os.path.join(root, side, f"{stem}-{index:03d}")
                     shutil.rmtree(out, ignore_errors=True)
-                    run_one(trees[side], workload, args.seed, args.seconds, out)
-                print(f"{stem} pair {index + 1 - start}/{args.pairs} done", file=sys.stderr)
+                    run_one(trees[side], workload, args.seed, out)
+                print(f"{stem} pair {index + 1 - start}/{PAIRS} done", file=sys.stderr)
         result = summarize(root, args.pr)
     except (BenchError, OSError, tarfile.TarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        shutil.rmtree(tree, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=1)

@@ -218,9 +218,9 @@ def evaluate_progress(source: Union[WorldState, Belief], goal: GoalSpec) -> Task
             for idx, target in targets.get(fact.object_class, ()):
                 if fact.location == target:
                     raw[idx] += 1
-    by_predicate = tuple([min(pred.count, n) for pred, n in zip(goal.predicates, raw)])
+    by_predicate = tuple(min(pred.count, raw[idx]) for idx, pred in enumerate(goal.predicates))
     return TaskProgress(
         satisfied=sum(by_predicate),
-        total=goal.total_units(),
+        total=goal.total_units,
         by_predicate=by_predicate,
     )

@@ -106,7 +106,7 @@ class GoalPredicate:
 @dataclass(frozen=True)
 class GoalSpec:
     """A task's goal: its category and the predicates that must all hold at
-    once; total_units() is the goal-unit count progress is measured against."""
+    once; total_units is the goal-unit count progress is measured against."""
 
     category: str
     predicates: Tuple[GoalPredicate, ...]
@@ -122,11 +122,8 @@ class GoalSpec:
         return MappingProxyType(index)
 
     @cached_property
-    def _units(self) -> int:
-        return sum(p.count for p in self.predicates)
-
     def total_units(self) -> int:
-        return self._units
+        return sum(p.count for p in self.predicates)
 
     def render(self) -> str:
         lines = [f"task: {self.category}"]

@@ -37,7 +37,7 @@ def write_run(root, side, name, workload, seed, ms_per_tick, correct=True):
 def write_settings(root):
     os.makedirs(root, exist_ok=True)
     with open(os.path.join(root, "settings.json"), "w", encoding="utf-8") as handle:
-        json.dump({"parent": PARENT, "seconds": 20}, handle)
+        json.dump({"parent": PARENT}, handle)
 
 
 def write_set(root, workload, seed, parent_values, change_values):

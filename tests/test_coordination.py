@@ -196,8 +196,8 @@ class TestProposal:
         done = dataclasses.replace(
             make_view(state, goal, 1, belief),
             progress=TaskProgress(
-                goal.total_units(),
-                goal.total_units(),
+                goal.total_units,
+                goal.total_units,
                 tuple(p.count for p in goal.predicates),
             ),
         )
@@ -919,9 +919,9 @@ class TestContext:
     def test_remaining_by_predicate_counts_down(self):
         state, goal = init_world("WashDishes", 1, seed=0)
         start = remaining_by_predicate(goal, evaluate_progress(state, goal))
-        assert sum(start.values()) == goal.total_units()
+        assert sum(start.values()) == goal.total_units
         done = remaining_by_predicate(
-            goal, TaskProgress(goal.total_units(), goal.total_units(),
+            goal, TaskProgress(goal.total_units, goal.total_units,
                                tuple(p.count for p in goal.predicates))
         )
         assert all(v == 0 for v in done.values())

@@ -287,7 +287,7 @@ class TestInitWorld:
                     assert have >= pred.count, (task, seed, pred)
                 progress = evaluate_progress(state, goal)
                 assert progress.satisfied == 0, (task, seed)
-                assert progress.total == goal.total_units()
+                assert progress.total == goal.total_units
 
     def test_object_count_in_band(self):
         for task in ALL_TASKS:
@@ -832,7 +832,7 @@ def brute_progress(source, goal):
             ):
                 raw[idx] += 1
     by_predicate = tuple(min(p.count, n) for p, n in zip(goal.predicates, raw))
-    return TaskProgress(sum(by_predicate), goal.total_units(), by_predicate)
+    return TaskProgress(sum(by_predicate), goal.total_units, by_predicate)
 
 
 # One class in two predicates with different targets, and a predicate whose
