@@ -7,8 +7,8 @@ candidate plus alternatives plus Idle, among joints that pass the conflict
 rules (agents ascending, option order as listed). It finds that joint with a
 pruned search over per-option terms; enumerate_joint_space and score_joint
 state the same result directly. Text backends are asked for an assignment
-line per agent and fall back to that same deterministic path after
-PARSE_RETRIES re-asks.
+line per agent; with no usable reply the joint is that same deterministic
+one (``ask``).
 """
 
 from __future__ import annotations
@@ -262,15 +262,12 @@ def allocate_with_report(
     reasoner: Reasoner, inputs: AllocationInputs
 ) -> Tuple[JointAction, AllocationReport]:
     """Allocation plus how it went. Text backends re-ask with the identical
-    prompt after malformed or conflicting responses; after PARSE_RETRIES
-    re-asks (or once the backend errors out) the deterministic path takes
-    over and the report is marked degraded."""
+    prompt after malformed or conflicting responses; with no usable reply
+    the joint is heuristic_allocation's and the report is marked degraded,
+    with ask's note."""
     manager_id = min(inputs.agent_ids())
     joint, attempts, note = ask(reasoner, ALLOCATE, inputs, inputs.tick, manager_id)
-    if joint is not None:
-        return joint, AllocationReport(attempts=attempts, degraded=False)
-    joint = heuristic_allocation(inputs)
-    return joint, AllocationReport(attempts=attempts, degraded=True, note=note)
+    return joint, AllocationReport(attempts, degraded=note is not None, note=note or "")
 
 
 def allocate(reasoner: Reasoner, inputs: AllocationInputs) -> JointAction:

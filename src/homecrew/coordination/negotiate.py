@@ -2,13 +2,13 @@
 
 Each member ranks candidate tasks from its own belief: believed goal objects
 by travel distance, or a sweep of the room most likely to still hide one when
-none are known. Text backends are re-asked with the identical prompt up to
-PARSE_RETRIES times; after that the member falls back to a deterministic
-sweep proposal flagged as degraded.
+none are known. A text backend's proposal with no usable reply is this
+heuristic proposal (``ask``), flagged as degraded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Tuple
 
 from ..agents.execution import MacroTask, sweep_targets
@@ -91,15 +91,6 @@ def heuristic_proposal(view: AgentView) -> Proposal:
 
 def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
     """One member's proposal via the given backend, never raising on bad
-    responses: text parse failures re-ask with the identical prompt up to
-    PARSE_RETRIES times, then degrade to a deterministic sweep."""
-    proposal, _, _ = ask(reasoner, PROPOSE, view, view.tick, view.agent_id)
-    if proposal is not None:
-        return proposal
-    sweep_room = sweep_targets(view.belief, view.house, view.observation.room)[0]
-    return Proposal(
-        view.agent_id,
-        MacroTask.explore(sweep_room),
-        "fallback after unusable responses",
-        degraded=True,
-    )
+    responses: with no usable reply it is heuristic_proposal's, degraded."""
+    proposal, _, note = ask(reasoner, PROPOSE, view, view.tick, view.agent_id)
+    return proposal if note is None else dataclasses.replace(proposal, degraded=True)

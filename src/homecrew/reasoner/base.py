@@ -6,13 +6,15 @@ backend and reads what ``invoke`` returns. Structured backends return the
 decision itself, computed from the decision's typed inputs; text backends
 return the reply text. ``ask`` owns both halves of the text grammar: it
 renders the prompt (``prompts.render_prompt``) and reads the reply
-(``parsing.parse_reply``), so a structured run loads neither.
+(``parsing.parse_reply``), so a structured run loads neither. It is also
+the one fallback: a text decision with no usable reply is the heuristic
+backend's decision on the same inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from ..errors import RemoteBackendError, ResponseParseError
 
@@ -65,31 +67,35 @@ class Reasoner:
 
 def ask(
     reasoner: Reasoner, kind: str, inputs: Any, tick: int, agent_id: int
-) -> Tuple[Any, int, str]:
-    """(decision or None, attempts made, note) for one decision of ``kind``
-    on ``inputs``. A structured backend is invoked once with the inputs alone
+) -> Tuple[Any, int, Optional[str]]:
+    """(decision, attempts made, note) for one decision of ``kind`` on
+    ``inputs``. A structured backend is invoked once with the inputs alone
     and no prompt is built. A text backend gets the prompt rendered once from
     the inputs, and ``parse_reply`` reads each reply; a reply it refuses with
     ResponseParseError is re-asked with the identical request up to
     PARSE_RETRIES times, except a summary, which is never re-asked. A
-    transport failure ends the asking at once. The note is the last
-    failure's message, and empty when a reply was accepted."""
+    transport failure ends the asking at once. When no reply is accepted,
+    the decision is the heuristic backend's on the same inputs and the note
+    is the last failure's message, which may be empty; the note is None
+    exactly when a reply or a structured backend decided."""
     if reasoner.produces == STRUCTURED:
-        return reasoner.invoke(ReasonerRequest(kind, inputs)), 1, ""
-    # Deferred: the text grammar imports this module for the request kinds.
+        return reasoner.invoke(ReasonerRequest(kind, inputs)), 1, None
+    # Deferred: the text grammar and the heuristic import this module for
+    # the request kinds.
+    from .heuristic import HeuristicReasoner
     from .parsing import parse_reply
     from .prompts import render_prompt
 
     request = ReasonerRequest(kind, inputs, render_prompt(kind, inputs), tick, agent_id)
     attempts = 1 if kind == SUMMARIZE else 1 + PARSE_RETRIES
-    note = ""
     for attempt in range(1, attempts + 1):
         try:
             reply = reasoner.invoke(request)
         except RemoteBackendError as exc:
-            return None, attempt, str(exc)
+            attempts, note = attempt, str(exc)
+            break
         try:
-            return parse_reply(kind, reply, inputs), attempt, ""
+            return parse_reply(kind, reply, inputs), attempt, None
         except ResponseParseError as exc:
             note = str(exc)
-    return None, attempts, note
+    return HeuristicReasoner().invoke(ReasonerRequest(kind, inputs)), attempts, note

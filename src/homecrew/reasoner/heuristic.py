@@ -1,11 +1,8 @@
 """Deterministic structured backend.
 
 Computes every decision directly from the request's structured payload, so
-runs need no network and are exactly reproducible. Two of the text path's
-degraded fallbacks call the same functions, so they decide as this backend
-does: ALLOCATE (``heuristic_allocation``) and SUMMARIZE (``template_digest``).
-PROPOSE does not: ``make_proposal`` falls back to a bare sweep of the
-top-ranked room, with no alternatives.
+runs need no network and are exactly reproducible. A text decision with no
+usable reply is this backend's decision on the same inputs (``base.ask``).
 """
 
 from __future__ import annotations

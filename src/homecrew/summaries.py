@@ -101,8 +101,8 @@ def summarize(
     ``tick``.
 
     Text backends get a prompt and may answer freely; on transport failure or
-    an empty answer the deterministic template digest is used instead and the
-    summary is flagged degraded. ``ask`` never re-asks a summary.
+    an empty answer ``ask`` returns the heuristic's template digest instead
+    and the summary is flagged degraded. ``ask`` never re-asks a summary.
     The text is always clipped to the character budget.
     """
     if not records:
@@ -115,15 +115,12 @@ def summarize(
     inputs = SummaryInputs(
         records=tuple(records), delta=delta_progress, interval=interval, goal=goal
     )
-    text, _, _ = ask(reasoner, SUMMARIZE, inputs, tick, 0)
-    degraded = text is None
-    if degraded:
-        text = template_digest(records, delta_progress)
+    text, _, note = ask(reasoner, SUMMARIZE, inputs, tick, 0)
     return Summary(
         index=len(collected) + 1,
         interval=interval,
         delta=delta_progress,
         text=str(text)[:SUMMARY_CHAR_BUDGET],
-        degraded=degraded,
+        degraded=note is not None,
     )
 

@@ -215,3 +215,8 @@ def propose_goal_objects(body):
     options.append(f"EXPLORE({rooms[0]})")
     lines = [f"propose: {options[0]}"] + [f"alt: {task}" for task in options[1:4]]
     return 200, completion("\n".join(lines))
+
+
+def unavailable(body):
+    """Policy of an endpoint that is down: every request is answered 503."""
+    return 503, {"error": {"message": "service unavailable"}}

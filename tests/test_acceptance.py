@@ -14,8 +14,10 @@ text; one team-belief merge per tick, reused by the allocator for teams of
 recorded remote traces; episodes under an adversarial text backend that run,
 say why each allocation degraded and replay record for record; episodes
 whose text backend answers as the heuristic, which write the heuristic's
-records; a stub-backed remote episode end to end; and a concurrent remote
-round that records the same trace as a sequential one.
+records; episodes whose manager, members or both get no usable reply, which
+decide as the heuristic; a stub-backed remote episode end to end, and one
+whose endpoint refuses every request; and a concurrent remote round that
+records the same trace as a sequential one.
 Each test prints one "acceptance <name>: PASS|FAIL" line.
 """
 
@@ -38,7 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import conflict_violations, exhaustive_argmax
-from stubserver import approve_candidates, completion, propose_goal_objects
+from stubserver import approve_candidates, completion, propose_goal_objects, unavailable
 import update_goldens as goldens
 from walks import random_legal_joint
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
@@ -56,7 +58,8 @@ from homecrew.harness.episode import replay_trace, run_episode
 from homecrew.harness.metrics import compute_ei
 from homecrew.harness.trace import render_line, render_trace, trace_sha256
 from homecrew.reasoner.base import ALLOCATE, PROPOSE, SUMMARIZE, TEXT, Reasoner
-from homecrew.reasoner.remote import RemoteReasoner
+from homecrew.reasoner.heuristic import HeuristicReasoner
+from homecrew.reasoner.remote import TRANSPORT_RETRIES, RemoteReasoner
 from homecrew.world import scenarios
 from homecrew.world.engine import evaluate_progress, observe, room_sightings, transition
 from homecrew.world.scenarios import init_world
@@ -610,6 +613,70 @@ def test_text_path_decides_as_the_heuristic():
         check_text_path_matches_heuristic()
 
 
+class DeadBackend(Reasoner):
+    """A text backend whose every call fails in transport."""
+
+    name = "remote"
+    produces = TEXT
+
+    def invoke(self, request):
+        raise RemoteBackendError("connection refused")
+
+
+class BlankBackend(Reasoner):
+    """A text backend whose every reply is blank, which every kind refuses."""
+
+    name = "remote"
+    produces = TEXT
+
+    def invoke(self, request):
+        return "  \n "
+
+
+# What a degraded run may record differently from a heuristic one.
+DEGRADATION_FIELDS = ("attempts", "degraded", "note", "degraded_exchanges")
+
+
+def decisions(records):
+    """The records after the header, exchanges dropped, without the fields
+    that say how a decision was reached."""
+    return [
+        {key: value for key, value in record.items() if key not in DEGRADATION_FIELDS}
+        for record in records[1:]
+        if record["type"] != "exchange"
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    task=st.sampled_from(TASKS),
+    variant=st.sampled_from(list(VARIANTS)),
+    num_agents=st.integers(1, 3),
+    seed=st.integers(0, 99),
+    failing=st.sampled_from(("manager", "members", "both")),
+)
+def check_unusable_backend_decides_as_heuristic(task, variant, num_agents, seed, failing):
+    use_allocation, use_summaries = variant_flags(variant)
+    config = EpisodeConfig(
+        task=task,
+        num_agents=num_agents,
+        seed=seed,
+        use_allocation=use_allocation,
+        use_summaries=use_summaries,
+    )
+    heuristic = decisions(run_episode(config).records)
+    for backend in (DeadBackend(), BlankBackend()):
+        manager = backend if failing != "members" else HeuristicReasoner()
+        member = backend if failing != "manager" else HeuristicReasoner()
+        records = list(run_episode(config, manager, member).records)
+        assert decisions(records) == heuristic, (backend.__class__.__name__, failing)
+
+
+def test_a_backend_with_no_usable_reply_decides_as_the_heuristic():
+    with criterion("a backend with no usable reply decides as the heuristic"):
+        check_unusable_backend_decides_as_heuristic()
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -692,6 +759,25 @@ def test_stub_remote_episode_end_to_end(stub):
         degraded_run = run_episode(remote_episode_config(stub))
         assert degraded_run.success
         assert degraded_run.degraded_exchanges >= 1
+
+
+def test_an_endpoint_refusing_every_request_runs_the_heuristic_episode(stub):
+    stub.policy = unavailable
+    with criterion("an endpoint refusing every request runs the heuristic episode"):
+        config = remote_episode_config(stub, member_backend="remote")
+        heuristic = run_episode(
+            dataclasses.replace(config, manager_backend="heuristic", member_backend="heuristic")
+        )
+        result = run_episode(config)
+        assert result.success
+        assert result.end["steps"] == heuristic.end["steps"]
+        assert result.degraded_exchanges > 0
+        ticks = [r for r in result.records if r["type"] == "tick"]
+        assert ticks == [r for r in heuristic.records if r["type"] == "tick"]
+        # A transport failure ends a decision's asking at once.
+        exchanges = [r for r in result.records if r["type"] == "exchange"]
+        assert all(r["response"] is None for r in exchanges)
+        assert len(stub.seen) == len(exchanges) * (1 + TRANSPORT_RETRIES)
 
 
 class CrashingReasoner(RemoteReasoner):

@@ -11,23 +11,26 @@ import dataclasses
 
 import pytest
 
+import update_goldens as goldens
 from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import MacroTask
 from homecrew.agents.records import HistoryRecord
-from homecrew.coordination.allocate import allocate_with_report, assemble_context, heuristic_allocation
-from homecrew.coordination.negotiate import make_proposal
+from homecrew.coordination.allocate import (
+    AllocationReport, allocate_with_report, assemble_context, heuristic_allocation
+)
+from homecrew.coordination.negotiate import heuristic_proposal, make_proposal
 from homecrew.coordination.types import AgentView, AllocationInputs, Proposal
 from homecrew.errors import ContractViolation, FixtureExhausted
 from homecrew.harness.config import EpisodeConfig
 from homecrew.harness.episode import run_episode
 from homecrew.harness.trace import check_trace
 from homecrew.reasoner.base import (
-    ALLOCATE, PARSE_RETRIES, PROPOSE, SUMMARIZE, Reasoner, ReasonerRequest
+    ALLOCATE, PARSE_RETRIES, PROPOSE, SUMMARIZE, TEXT, Reasoner, ReasonerRequest
 )
 from homecrew.reasoner.heuristic import HeuristicReasoner
 from homecrew.reasoner.parsing import parse_reply
 from homecrew.reasoner.prompts import NO_SUMMARIES_MARKER, render_prompt
-from homecrew.reasoner.scripted import ScriptedReasoner, load_fixtures
+from homecrew.reasoner.scripted import ScriptedReasoner, exchange_entry, load_fixtures
 from homecrew.summaries import Summary, SummaryInputs, summarize, template_digest
 from homecrew.world.engine import evaluate_progress, observe, room_sightings
 from homecrew.world.scenarios import init_world
@@ -224,6 +227,44 @@ class TestAsk:
         assert report.degraded and report.attempts == 1 + PARSE_RETRIES
         assert joint == heuristic_allocation(inputs)
         assert self.next_reply(scripted, *key) == "unasked"
+
+    def test_a_transport_failure_with_no_message_still_degrades(self):
+        """Whether a decision degraded never reads its note."""
+        failure = {"response": None, "error": ""}
+        view, inputs = propose_view(), allocation_inputs()
+        keys = [(PROPOSE, view.tick, view.agent_id), (ALLOCATE, inputs.tick, 1)]
+        entries = [
+            exchange_entry({**failure, "kind": kind, "tick": tick, "agent_id": agent_id})
+            for kind, tick, agent_id in keys
+        ]
+        scripted = ScriptedReasoner({key: [value] for key, value in entries})
+        proposal = make_proposal(scripted, view)
+        assert proposal == dataclasses.replace(heuristic_proposal(view), degraded=True)
+        joint, report = allocate_with_report(scripted, inputs)
+        assert report == AllocationReport(attempts=1, degraded=True, note="")
+        assert joint == heuristic_allocation(inputs)
+
+        class FailingAtTickZero(Reasoner):
+            """The fixtures' empty failures at tick 0; the heuristic's
+            replies everywhere else."""
+
+            produces = TEXT
+
+            def __init__(self):
+                self.scripted = ScriptedReasoner({key: [value] for key, value in entries})
+                self.capture = goldens.PromptCapture()
+
+            def invoke(self, request):
+                try:
+                    return self.scripted.invoke(request)
+                except FixtureExhausted:
+                    return self.capture.invoke(request)
+
+        backend = FailingAtTickZero()
+        config = EpisodeConfig(task="PrepareTea", num_agents=3, seed=0)
+        result = run_episode(config, backend, backend)
+        assert result.success
+        assert result.degraded_exchanges == 2
 
 
 class TestHeuristicBackend:
