@@ -8,14 +8,22 @@ manager and members are both text backends. Run this after an intentional
 behavior or prompt change and review the diff; the tests compare freshly
 produced traces and prompts against these hashes. The script puts the repo's
 src/ on the import path itself.
+
+    python3 scripts/update_goldens.py
+
+It takes no arguments: ``-h``/``--help`` prints this text, and any other
+argument ends as ``error: ...`` with exit 2 before any episode runs or any
+file is written.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import sys
+from typing import List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -135,7 +143,10 @@ def write_json(path: str, data: dict) -> None:
     print(f"wrote {path}")
 
 
-def main() -> None:
+def main(argv: Optional[List[str]] = None) -> None:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args(argv)
     hashes = {}
     for config in GOLDEN_CONFIGS:
         result = run_episode(config)

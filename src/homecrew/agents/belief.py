@@ -8,7 +8,6 @@ room view is evicted entirely so stale locations cannot be chased forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 from ..world.types import (
@@ -18,10 +17,11 @@ from ..world.types import (
     LOC_SURFACE,
     Fact,
     Observation,
+    value_type,
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class Belief:
     """Immutable belief snapshot. perceive/merge return new instances."""
 

@@ -9,7 +9,6 @@ is always legal for that agent, degrading to Wait when nothing applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -24,11 +23,12 @@ from ..world.types import (
     HouseMap,
     Observation,
     goal_location,
+    value_type,
 )
 from .belief import Belief
 
 
-@dataclass(frozen=True)
+@value_type
 class MacroTask:
     """One allocatable unit of work. kind is the label render() prints.
 

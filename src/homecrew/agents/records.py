@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
-from ..world.types import Action, Event
+from ..world.types import Action, Event, value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class HistoryRecord:
     """What one agent did at one tick and what came of it.
 

@@ -14,7 +14,6 @@ one (``ask``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..agents.belief import Belief, merge_team_belief
@@ -25,7 +24,7 @@ from ..agents.execution import (
     room_hides_content,
 )
 from ..reasoner.base import ALLOCATE, Reasoner, ask
-from ..world.types import HouseMap, Observation
+from ..world.types import HouseMap, Observation, value_type
 from .types import (
     AllocationInputs,
     ContextEntry,
@@ -43,7 +42,7 @@ NOVELTY_WEIGHT = 3
 IDLE = MacroTask.idle()
 
 
-@dataclass(frozen=True)
+@value_type
 class AllocationReport:
     """How the decision was reached; recorded in traces, never in prompts."""
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Mapping, Tuple
 
 from ..agents.belief import Belief
 from ..agents.execution import MacroTask
 from ..agents.records import HistoryRecord
 from ..summaries import Summary
-from ..world.types import GoalSpec, HouseMap, Observation, TaskProgress
+from ..world.types import GoalSpec, HouseMap, Observation, TaskProgress, value_type
 
 
 # The most ranked backups a proposal carries: the heuristic builds no more and
@@ -17,7 +17,7 @@ from ..world.types import GoalSpec, HouseMap, Observation, TaskProgress
 MAX_ALTERNATIVES = 3
 
 
-@dataclass(frozen=True)
+@value_type
 class Proposal:
     """One member's bid for this round: a candidate task, short reasoning,
     and up to MAX_ALTERNATIVES ranked backups."""
@@ -32,7 +32,7 @@ class Proposal:
         return tuple(task.render() for task in self.alternatives)
 
 
-@dataclass(frozen=True)
+@value_type
 class ContextEntry:
     """One agent's contribution to the shared round context: its proposal,
     belief and observation."""
@@ -43,7 +43,7 @@ class ContextEntry:
     observation: Observation
 
 
-@dataclass(frozen=True)
+@value_type
 class JointAction:
     """One macro task per agent for this round."""
 
@@ -53,7 +53,7 @@ class JointAction:
         return sorted(self.tasks.items())
 
 
-@dataclass(frozen=True)
+@value_type
 class AgentView:
     """Everything one member knows when proposing: its own belief and
     observation, its own recent records, and the shared goal/progress."""
@@ -69,7 +69,7 @@ class AgentView:
     history_window: Tuple[HistoryRecord, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_type
 class AllocationInputs:
     """The inputs of an ALLOCATE decision, for any backend: every agent's
     round contribution in agent-id order, plus the shared goal, progress

@@ -13,10 +13,10 @@ backend's decision on the same inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ..errors import RemoteBackendError, ResponseParseError
+from ..world.types import value_type
 
 PROPOSE = "PROPOSE"
 ALLOCATE = "ALLOCATE"
@@ -37,7 +37,7 @@ PARSE_RETRIES = 2
 TEMPLATE_V1 = "template_v1"
 
 
-@dataclass(frozen=True)
+@value_type
 class ReasonerRequest:
     """rendered_prompt is built only for text backends; structured ones read
     structured_payload alone."""

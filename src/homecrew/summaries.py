@@ -14,18 +14,17 @@ the last ended, so the summaries tile the history by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .agents.records import HistoryRecord
 from .errors import ContractViolation
 from .reasoner.base import SUMMARIZE, Reasoner, ask
-from .world.types import GoalSpec, TaskProgress
+from .world.types import GoalSpec, TaskProgress, value_type
 
 SUMMARY_CHAR_BUDGET = 512
 
 
-@dataclass(frozen=True)
+@value_type
 class Summary:
     """One collaboration note covering the half-open tick interval
     (interval[0], interval[1]]."""
@@ -77,7 +76,7 @@ def template_digest(records: Sequence[HistoryRecord], delta: int) -> str:
     return "; ".join(parts)
 
 
-@dataclass(frozen=True)
+@value_type
 class SummaryInputs:
     """The inputs of a SUMMARIZE decision, for any backend."""
 

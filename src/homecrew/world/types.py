@@ -1,22 +1,66 @@
 """Core value types for the symbolic household world.
 
-Every type here is a frozen dataclass except WorldState, which is mutable
-(tests assign to it). ``scenarios.init_world`` builds the first one and
-``engine.transition`` a fresh one each tick; nothing in the program mutates
-one in place.
+The types built on every tick (Location, Action, Event, TaskProgress,
+AgentState, Fact, Observation) are ``value_type``s: slotted frozen
+dataclasses whose ``__init__`` stores through the slot descriptors.
+GoalPredicate, GoalSpec, RoomTables and HouseMap stay plain frozen
+dataclasses: they are built once per process or episode, GoalSpec's cached
+properties need an instance dict, and HouseMap's ``__post_init__`` hands
+its tables over. WorldState is mutable (tests assign to it).
+``scenarios.init_world`` builds the first one and ``engine.transition`` a
+fresh one each tick; nothing in the program mutates one in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
 
 ON = "ON"
 IN = "IN"
+
+
+def value_type(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` with a faster ``__init__``.
+
+    The generated frozen ``__init__`` stores each field through
+    ``object.__setattr__``; this one calls each slot's own ``__set__``. It
+    keeps the generated signature (order, defaults, a fresh
+    ``default_factory`` value per call), and everything else (eq, hash,
+    repr, ``replace``, FrozenInstanceError) is still generated by
+    ``dataclass``. A class that needs what this ``__init__`` does not do
+    (``__post_init__``, ``InitVar``, ``field(init=False)``, ``kw_only``) is
+    refused with TypeError. The ``__init__`` is compiled under the file name
+    ``<Class.__init__>``, so a profile keeps one row per class.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    generated = cls.__init__
+    code = generated.__code__
+    names = tuple(f.name for f in fields(cls))
+    positional = code.co_varnames[1 : code.co_argcount]
+    if hasattr(cls, "__post_init__") or code.co_kwonlyargcount or positional != names:
+        raise TypeError(f"value_type {cls.__name__}: only positional init fields, no __post_init__")
+    unset = dict(zip(reversed(names), reversed(generated.__defaults__ or ())))
+    env: Dict[str, object] = {}
+    lines = [f"def __init__(self, {', '.join(names)}):"]
+    for f in fields(cls):
+        env[f"set_{f.name}"] = cls.__dict__[f.name].__set__
+        value = f.name
+        if f.default_factory is not MISSING:
+            env[f"new_{f.name}"], env[f"unset_{f.name}"] = f.default_factory, unset[f.name]
+            value = f"new_{f.name}() if {f.name} is unset_{f.name} else {f.name}"
+        lines.append(f"    set_{f.name}(self, {value})")
+    exec(compile("\n".join(lines), f"<{cls.__qualname__}.__init__>", "exec"), env)
+    init: Any = env["__init__"]
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
+
 
 # Location kinds. An object is in exactly one place at any tick.
 LOC_ROOM = "room"
@@ -25,7 +69,7 @@ LOC_CONTAINER = "container"
 LOC_AGENT = "agent"
 
 
-@dataclass(frozen=True)
+@value_type
 class Location:
     """Where an object is: a room floor, a surface, a container, or a hand."""
 
@@ -40,7 +84,7 @@ class Location:
 ACTION_KINDS = ("GOTO", "GRAB", "OPEN", "PUTON", "PUTIN", "EXPLORE", "WAIT")
 
 
-@dataclass(frozen=True)
+@value_type
 class Action:
     """One primitive world action.
 
@@ -61,7 +105,7 @@ EXPLORE = Action("EXPLORE")
 WAIT = Action("WAIT")
 
 
-@dataclass(frozen=True)
+@value_type
 class Event:
     """Outcome of one agent's primitive during a transition.
 
@@ -132,7 +176,7 @@ class GoalSpec:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@value_type
 class TaskProgress:
     """Satisfied goal units out of the total, plus the per-predicate split.
 
@@ -148,7 +192,7 @@ class TaskProgress:
         return self.satisfied >= self.total
 
 
-@dataclass(frozen=True)
+@value_type
 class AgentState:
     """One agent in WorldState: the room it stands in, the object it holds if any."""
 
@@ -274,7 +318,7 @@ class WorldState:
     agents: Dict[int, AgentState]
 
 
-@dataclass(frozen=True)
+@value_type
 class Fact:
     """One object placement, stamped with the tick it was observed at. An
     observation's sightings are facts, and beliefs store them as they are."""
@@ -285,7 +329,7 @@ class Fact:
     observed_at: int
 
 
-@dataclass(frozen=True)
+@value_type
 class Observation:
     """What one agent can see from inside its room at one tick: every object
     in the room that is not shut inside a closed container, the open/closed

@@ -876,7 +876,7 @@ class TestMakeProposal:
         assert proposal.candidate == MacroTask.idle()
         assert not proposal.degraded
 
-    def test_exhausted_budget_degrades_to_sweep(self):
+    def test_exhausted_budget_degrades_to_the_heuristic_proposal(self):
         state, goal = init_world("PrepareTea", 2, seed=0)
         view = make_view(state, goal, 1, Belief.empty())
         scripted = ScriptedReasoner(

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stubserver import approve_candidates
+import update_goldens
 from update_goldens import format_allocation
 import homecrew
 from homecrew.agents.execution import MacroTask
@@ -1733,3 +1734,26 @@ class TestStartup:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["-h"], 0), (["--help"], 0), (["--dry-run"], 2), (["tests/data"], 2)]
+    )
+    def test_update_goldens_takes_no_arguments(self, argv, code, monkeypatch, tmp_path, capsys):
+        # Its output paths point at tmp_path, so a run that went ahead could
+        # not touch tests/data; none may start an episode or write a file.
+        for name in ("OUT_PATH", "GRID_PATH", "PROMPT_PATH"):
+            monkeypatch.setattr(update_goldens, name, str(tmp_path / name))
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(update_goldens, "run_episode", no_episode)
+        with pytest.raises(SystemExit) as done:
+            update_goldens.main(argv)
+        assert done.value.code == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert update_goldens.__doc__.strip().splitlines()[0] in out
+        else:
+            assert "error: unrecognized arguments" in err
+        assert os.listdir(tmp_path) == []

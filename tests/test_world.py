@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
+import inspect
 import itertools
+import os
 import random
+import re
 from collections import deque
 
 import pytest
@@ -19,7 +23,16 @@ from hypothesis import given, settings, strategies as st
 
 from walks import random_legal_joint, reference_legal_actions, reference_visible_objects
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
-from homecrew.agents.execution import sweep_targets
+from homecrew.agents.execution import MacroTask, sweep_targets
+from homecrew.agents.records import HistoryRecord
+from homecrew.coordination.allocate import AllocationReport
+from homecrew.coordination.types import (
+    AgentView,
+    AllocationInputs,
+    ContextEntry,
+    JointAction,
+    Proposal,
+)
 from homecrew.errors import ConfigError, ContractViolation, is_int
 from homecrew.world.engine import (
     evaluate_progress,
@@ -28,6 +41,8 @@ from homecrew.world.engine import (
     room_sightings,
     transition,
 )
+from homecrew.reasoner.base import ReasonerRequest
+from homecrew.summaries import Summary, SummaryInputs
 from homecrew.world.scenarios import build_house, init_world, load_catalog, task_categories
 from homecrew.world.types import (
     EXPLORE,
@@ -39,6 +54,8 @@ from homecrew.world.types import (
     ON,
     WAIT,
     Action,
+    AgentState,
+    Event,
     GoalPredicate,
     GoalSpec,
     HouseMap,
@@ -46,6 +63,7 @@ from homecrew.world.types import (
     Observation,
     TaskProgress,
     goal_location,
+    value_type,
 )
 
 ALL_TASKS = ["PrepareAMeal", "PrepareTea", "PutGroceries", "SetUpTable", "WashDishes"]
@@ -970,3 +988,150 @@ class TestReachability:
         if loc.kind == LOC_CONTAINER and not state.container_open[str(loc.ref)]:
             return step(Action("OPEN", str(loc.ref)))
         return step(Action("GRAB", oid))
+
+
+# Every class value_type builds, each once; the first test below holds this
+# tuple to the decorated classes under src/.
+VALUE_TYPES = (
+    Location, Action, Event, TaskProgress, AgentState, Fact, Observation,
+    Belief, HistoryRecord, MacroTask, ReasonerRequest,
+    Proposal, ContextEntry, JointAction, AgentView, AllocationInputs,
+    AllocationReport, Summary, SummaryInputs,
+)
+
+# The frozen dataclasses that stay plain, and why. A per-tick type added as a
+# plain frozen dataclass fails the first test below until it is listed here.
+PLAIN_FROZEN = {
+    "GoalSpec": "its cached properties need an instance dict",
+    "HouseMap": "its __post_init__ hands the tables over",
+    "EpisodeConfig": "it validates in __post_init__",
+    "RemoteConfig": "it validates in __post_init__",
+    "EpisodeResult": "tests take a weakref to it",
+    "GoalPredicate": "built once per process",
+    "RoomTables": "built once per floor plan",
+    "_Tables": "built once per process",
+    "CellMetrics": "built once per bench cell",
+}
+
+SRC_PACKAGE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "homecrew"
+)
+
+
+def decorated_classes(decorator):
+    """Names of the src/ classes whose last decorator line matches the regex."""
+    pattern = re.compile(rf"^@{decorator}\n(?:@.*\n)*class (\w+)", re.MULTILINE)
+    names = []
+    for folder, _, files in os.walk(SRC_PACKAGE):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as handle:
+                    names += pattern.findall(handle.read())
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def reference_twin(cls):
+    """What ``@dataclass(frozen=True)`` builds from the same fields."""
+    specs = [
+        (
+            f.name,
+            f.type,
+            dataclasses.field(
+                default=f.default,
+                default_factory=f.default_factory,
+                repr=f.repr,
+                hash=f.hash,
+                compare=f.compare,
+            ),
+        )
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+# Hashable values from a small domain, so two draws are often equal.
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.text("ab", max_size=2),
+    st.tuples(st.integers(0, 1)),
+)
+
+# Namespaces of classes that use a dataclass feature value_type's __init__
+# does not reproduce; each is a valid plain frozen dataclass.
+REFUSED = {
+    "post_init": lambda: {"__annotations__": {"x": "int"}, "__post_init__": lambda self: None},
+    "init_var": lambda: {"__annotations__": {"x": "int", "y": dataclasses.InitVar[int]}},
+    "init_false": lambda: {
+        "__annotations__": {"x": "int", "y": "int"},
+        "y": dataclasses.field(default=0, init=False),
+    },
+    "kw_only": lambda: {
+        "__annotations__": {"x": "int", "y": "int"},
+        "y": dataclasses.field(default=0, kw_only=True),
+    },
+    "kw_only_init_var": lambda: {
+        "__annotations__": {"x": "int", "_": dataclasses.KW_ONLY, "y": dataclasses.InitVar[int]},
+    },
+}
+
+
+class TestValueType:
+    def test_every_frozen_dataclass_is_a_value_type_or_listed_as_plain(self):
+        assert sorted(decorated_classes("value_type")) == sorted(c.__name__ for c in VALUE_TYPES)
+        plain = decorated_classes(r"(?:dataclasses\.)?dataclass\([^)\n]*frozen=True[^)\n]*\)")
+        assert sorted(plain) == sorted(PLAIN_FROZEN)
+        for cls in VALUE_TYPES:
+            assert "__setattr__" not in cls.__init__.__code__.co_names, cls
+            setters = cls.__init__.__globals__
+            for f in dataclasses.fields(cls):
+                assert setters[f"set_{f.name}"] == cls.__dict__[f.name].__set__, (cls, f.name)
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+    def test_signature_is_the_frozen_dataclass_one(self, cls):
+        twin = reference_twin(cls)
+        assert inspect.signature(cls) == inspect.signature(twin)
+        assert cls.__match_args__ == twin.__match_args__
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_behaves_as_the_frozen_dataclass(self, cls, data):
+        twin = reference_twin(cls)
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        first, second = (data.draw(st.tuples(*[FIELD_VALUES] * len(fields))) for _ in range(2))
+        value, other = cls(*first), cls(*second)
+        assert repr(value) == repr(twin(*first))
+        assert hash(value) == hash(twin(*first))
+        assert (value == other) == (twin(*first) == twin(*second))
+        assert (value != other) == (twin(*first) != twin(*second))
+        assert value == cls(*first) == cls(**dict(zip(names, first)))
+        required = sum(
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            for f in fields
+        )
+        assert repr(cls(*first[:required])) == repr(twin(*first[:required]))
+        assert dataclasses.replace(value) == value
+        for idx, name in enumerate(names):
+            mixed = first[:idx] + second[idx : idx + 1] + first[idx + 1 :]
+            assert dataclasses.replace(value, **{name: second[idx]}) == cls(*mixed)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert value == cls(*first)  # the refused writes left it as it was
+
+    def test_default_factory_values_are_fresh_per_instance(self):
+        first = Observation(0, 0, "kitchen", None, ())
+        second = Observation(1, 0, "kitchen", None, ())
+        assert first.containers == first.agents_here == {}
+        assert first.containers is not second.containers
+        assert first.agents_here is not second.agents_here
+        given_flags = {"fridge": True}
+        assert Observation(0, 0, "kitchen", None, (), given_flags).containers is given_flags
+
+    @pytest.mark.parametrize("feature", sorted(REFUSED))
+    def test_refuses_a_feature_its_init_does_not_reproduce(self, feature):
+        with pytest.raises(TypeError, match="value_type Synthetic"):
+            value_type(type("Synthetic", (), REFUSED[feature]()))
+        dataclasses.dataclass(frozen=True)(type("Synthetic", (), REFUSED[feature]()))
