@@ -10,15 +10,21 @@ RemoteBackendError for the caller's fallback path to handle.
 
 One instance may serve several threads at once; how many calls are in flight
 is bounded by the caller (the episode loop's round pool), not here.
+``requests`` builds each request and follows redirects, but it is sent over a
+kept-alive ``http.client`` connection from an idle stack those threads share,
+so no more are open than calls in flight. A failure closes its connection, is
+not re-sent, and raises what requests' HTTPAdapter raises; a request sent to
+a proxy goes through that adapter.
 
 An instance reads its settings from a RemoteConfig and refuses, with
 ConfigError, an endpoint that is not an http(s) URL with a host or an empty
-model. ``requests`` is imported when the first instance is built, so a run
-that uses no remote backend never loads the HTTP stack.
+model. ``requests``, ``http.client`` and ``ssl`` are imported when the first
+instance is built, so a run with no remote backend never loads the HTTP stack.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from typing import TYPE_CHECKING
@@ -59,6 +65,9 @@ class RemoteReasoner(Reasoner):
             raise ConfigError(f"remote backend needs the requests package: {exc}") from exc
         self._transport_error = requests.RequestException
         self._session = requests.Session()
+        transport = _keep_alive_adapter()()
+        for prefix in ("http://", "https://"):
+            self._session.mount(prefix, transport)
 
     def close(self) -> None:
         self._session.close()
@@ -107,3 +116,122 @@ class RemoteReasoner(Reasoner):
                 return text
             last_error = "malformed completion payload"
         raise RemoteBackendError(f"{last_error} after {made} attempt(s) to {self._url}")
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_alive_adapter():
+    """The session's transport adapter class, built on first use, not at import."""
+    import http.client
+    import io
+    import select
+    import ssl
+    import threading
+    import zlib
+
+    import requests
+    from requests import exceptions
+    from urllib3 import HTTPHeaderDict
+
+    class Body(io.RawIOBase):
+        """A reply's body as requests reads it: all of it at the first read.
+        When reading it off the connection failed, a read of a given size
+        raises that failure instead, as urllib3 does: once, or for as long as
+        the part that arrived before the failure (``data``) is left unread."""
+
+        def read(self, size=None, decode_content=True):
+            error = self.error
+            if error is not None and size is not None:
+                self.error = error if self.data else None
+                raise error
+            data, self.data = self.data, b""
+            return data
+
+    class KeepAliveAdapter(requests.adapters.HTTPAdapter):
+        def __init__(self):
+            super().__init__()
+            self._idle = {}  # (scheme, host, port) -> connections free for reuse
+            self._lock = threading.Lock()
+            self._closed = False
+
+        def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+            if requests.utils.select_proxy(request.url, proxies):
+                # Only the stock adapter this class extends speaks to a proxy.
+                return super().send(request, stream, timeout, verify, cert, proxies)
+            connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
+            parts = urlsplit(request.url)
+            origin = (parts.scheme, parts.hostname, parts.port)
+            with self._lock:
+                idle = self._idle.get(origin)
+                conn = idle.pop() if idle else None
+            if conn is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()  # something to read on an idle connection: the server closed it
+                conn = None
+            context = None
+            if conn is None and parts.scheme == "https":
+                # Verified as HTTPAdapter.cert_verify has urllib3 verify.
+                bundle = requests.certs.where() if verify is True else verify or None
+                where = "capath" if bundle and os.path.isdir(bundle) else "cafile"
+                context = ssl.create_default_context(**{where: bundle})
+                if not verify:
+                    context.check_hostname, context.verify_mode = False, ssl.CERT_NONE
+                if cert:
+                    context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
+                conn = http.client.HTTPSConnection(parts.hostname, parts.port, context=context)
+            elif conn is None:
+                conn = http.client.HTTPConnection(parts.hostname, parts.port)
+            # What HTTPAdapter raises at each stage, on a timeout and on any other failure.
+            on_timeout, on_error = exceptions.ConnectTimeout, exceptions.ConnectionError
+            reply, reusable, error = None, False, None
+            try:
+                if conn.sock is None:
+                    conn.timeout = connect_s
+                    http.client.HTTPConnection.connect(conn)  # TCP only
+                on_timeout = exceptions.ReadTimeout  # urllib3 times a TLS handshake as a read
+                if context is not None:
+                    conn.sock = context.wrap_socket(conn.sock, server_hostname=parts.hostname)
+                conn.sock.settimeout(read_s)
+                conn.request(request.method, request.path_url, request.body, request.headers)
+                reply = conn.getresponse()
+                on_timeout, on_error = exceptions.ConnectionError, exceptions.ChunkedEncodingError
+                data = reply.read()
+                reusable = not reply.will_close
+            except (OSError, http.client.HTTPException) as exc:
+                if isinstance(exc, TimeoutError):
+                    on_error = on_timeout
+                elif isinstance(exc, ssl.SSLError):
+                    on_error = exceptions.SSLError
+                error = on_error(exc, request=request)
+                if reply is None:
+                    raise error from None
+                data = getattr(exc, "partial", b"")  # read before the failure
+            finally:
+                with self._lock:
+                    pooled = reusable and not self._closed
+                    if pooled:
+                        self._idle.setdefault(origin, []).append(conn)
+                if not pooled:
+                    conn.close()
+                    if reply is not None:  # a reply to "Connection: close" holds the socket
+                        reply.close()
+            coding = reply.getheader("Content-Encoding", "").lower()
+            if coding in ("gzip", "x-gzip", "deflate") and error is None:
+                try:
+                    data = zlib.decompress(data, 32 + zlib.MAX_WBITS)  # a gzip or zlib header
+                except zlib.error as exc:
+                    error = exceptions.ContentDecodingError(exc, request=request)
+            raw = Body()
+            raw.data, raw.error = data, error
+            raw.headers = HTTPHeaderDict(reply.msg.items())  # repeats joined, as urllib3 joins them
+            raw.status, raw.reason = reply.status, reply.reason
+            raw._original_response = reply  # requests reads Set-Cookie off it
+            return self.build_response(request, raw)
+
+        def close(self):
+            with self._lock:
+                self._closed = True
+                idle, self._idle = self._idle, {}
+            for conn in (conn for conns in idle.values() for conn in conns):
+                conn.close()
+            super().close()
+
+    return KeepAliveAdapter

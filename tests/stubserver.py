@@ -7,10 +7,11 @@ stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, a
 ``RESET`` header is not sent but resets the connection after the body
 (``SO_LINGER`` 0, then close). The stub answers POST only, so a client that
 follows a redirect with a GET is answered 501.
-Every request lands in ``seen``, its body both parsed and as the raw bytes
-received; each one is held for ``delay_s`` before the reply goes out, and
-``max_in_flight`` is the most requests it was handling at once. A client
-that hangs up before its reply is written ends its connection quietly.
+Every request lands in ``seen`` with its path, Authorization and Cookie
+headers, and its body both parsed and as the raw bytes received; each one
+is held for ``delay_s`` before the reply goes out, and ``max_in_flight`` is
+the most requests it was handling at once. A client that hangs up before
+its reply is written ends its connection quietly.
 
 The stub speaks HTTP/1.0 and closes each connection after one reply. Built
 with ``keep_alive_s``, it speaks HTTP/1.1 and keeps a connection open until
@@ -45,6 +46,7 @@ class StubServer(ThreadingHTTPServer):
     def __init__(self, keep_alive_s=None):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.keep_alive_s = keep_alive_s
+        self.scheme = "http"  # "https" once the caller wraps the socket in TLS
         self.connections = 0
         self.closed = 0
         self.seen = []
@@ -57,7 +59,7 @@ class StubServer(ThreadingHTTPServer):
 
     @property
     def url(self):
-        return f"http://127.0.0.1:{self.server_address[1]}"
+        return f"{self.scheme}://127.0.0.1:{self.server_address[1]}"
 
     def next_reply(self, body):
         with self.lock:
@@ -100,6 +102,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                 {
                     "path": self.path,
                     "authorization": self.headers.get("Authorization"),
+                    "cookie": self.headers.get("Cookie"),
                     "body": body,
                     "raw": raw,
                 }

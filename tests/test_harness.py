@@ -1608,7 +1608,7 @@ class TestStartup:
             from homecrew.harness.config import EpisodeConfig
             from homecrew.harness.episode import run_episode
             assert run_episode(EpisodeConfig(task="WashDishes")).success
-            print(sorted({"requests", "concurrent.futures"} & set(sys.modules)))
+            print(sorted({"requests", "concurrent.futures", "http.client", "ssl"} & set(sys.modules)))
             """,
             str(tmp_path),
         )

@@ -3,24 +3,36 @@
 The stub speaks just enough of the chat-completions shape to pin the wire
 format (auth header, temperature, model), the retry ladder (which statuses
 are retried and which fail at once), how the client reuses and replaces
-connections, and one full episode where every manager decision crosses HTTP
-while members stay structured.
+connections, that the keep-alive transport answers every scripted reply as
+requests' stock adapter does, and one full episode where every manager
+decision crosses HTTP while members stay structured.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import datetime
+import gzip
+import ipaddress
 import json
 import socket
+import ssl
 import struct
 import sys
 import time
+import zlib
 
 import pytest
+import requests
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stubserver import RESET, approve_candidates, completion
+from conftest import serve
+from stubserver import RESET, StubServer, approve_candidates, completion, propose_goal_objects
 from homecrew.errors import ConfigError, RemoteBackendError
 from homecrew.harness.config import EpisodeConfig, RemoteConfig
 from homecrew.harness.episode import replay_trace, run_episode
@@ -219,6 +231,233 @@ class TestTransport:
             client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         stub.wait_closed(1)
         assert "Exception occurred during processing of request" not in capsys.readouterr().err
+
+
+# One reply from the stub's vocabulary: a status, how the body is framed and
+# ended, and a usable completion or not. A redirect sends the client to /v2.
+_REDIRECT = {"Location": "/v2/chat/completions"}
+_FRAMINGS = {
+    "content-length": {},
+    "chunked": {"Transfer-Encoding": "chunked"},
+    "connection close": {"Connection": "close"},
+    "cut short": {"Content-Length": "1000"},
+    "reset": {"Content-Length": "1000", RESET: ""},
+}
+_SCRIPTED_REPLY = st.builds(
+    lambda status, framing, payload: (
+        status,
+        payload,
+        {**_FRAMINGS[framing], **(_REDIRECT if 300 <= status < 400 else {})},
+    ),
+    st.sampled_from([200, 301, 307, 308, 404, 429, 500]),
+    st.sampled_from(sorted(_FRAMINGS)),
+    st.sampled_from([completion("propose: IDLE"), {"choices": []}]),
+)
+
+
+# The session's transport adapter class, then requests' stock one.
+ADAPTERS = (remote_module._keep_alive_adapter(), requests.adapters.HTTPAdapter)
+
+
+def answer(adapter, monkeypatch, url, timeout_s=5.0):
+    """invoke's reply, or its RemoteBackendError message up to " to http",
+    with ``adapter`` built as the session's transport."""
+    with monkeypatch.context() as patch:
+        patch.setattr(remote_module, "_keep_alive_adapter", lambda: adapter)
+        with contextlib.closing(remote(url, timeout_s)) as reasoner:
+            try:
+                return reasoner.invoke(wire_request())
+            except RemoteBackendError as exc:
+                return str(exc).split(" to http")[0]
+
+
+def self_signed(path):
+    """A certificate for 127.0.0.1 signed by its own key, written to
+    ``path``.pem with the key in ``path``.key; returns both file names."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(hours=1))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+            critical=False,
+        )
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .sign(key, hashes.SHA256())
+    )
+    cert_path, key_path = f"{path}.pem", f"{path}.key"
+    with open(cert_path, "wb") as handle:
+        handle.write(cert.public_bytes(serialization.Encoding.PEM))
+    with open(key_path, "wb") as handle:
+        handle.write(
+            key.private_bytes(
+                serialization.Encoding.PEM,
+                serialization.PrivateFormat.PKCS8,
+                serialization.NoEncryption(),
+            )
+        )
+    return cert_path, key_path
+
+
+@pytest.fixture
+def tls_stub(monkeypatch, tmp_path):
+    """A keep-alive stub speaking TLS with a certificate for 127.0.0.1 that
+    only the file ``cert_path`` vouches for. A client may present that same
+    certificate (``key_path`` holds its key); one the server cannot verify
+    ends the handshake."""
+    server = StubServer(keep_alive_s=1.0)
+    server.cert_path, server.key_path = self_signed(tmp_path / "stub")
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(server.cert_path, server.key_path)
+    context.verify_mode = ssl.CERT_OPTIONAL
+    context.load_verify_locations(server.cert_path)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    server.scheme = "https"
+    yield from serve(monkeypatch, server)
+
+
+class TestKeepAliveAdapter:
+    """What the transport adapter keeps of requests' stock one: the answer to
+    every scripted reply and encoded body, cookies, the proxy path, TLS
+    verification and its failures, and no more connections than calls in
+    flight."""
+
+    def test_set_cookie_reaches_the_next_request(self, keep_alive_stub, monkeypatch):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        keep_alive_stub.replies = [
+            (200, {"nope": True}, {"Set-Cookie": "sid=abc; Path=/"}),
+            (200, completion("ok")),
+        ]
+        with contextlib.closing(remote(keep_alive_stub.url)) as reasoner:
+            assert reasoner.invoke(wire_request()) == "ok"
+        assert [seen["cookie"] for seen in keep_alive_stub.seen] == [None, "sid=abc"]
+
+    def test_a_proxied_endpoint_goes_through_the_stock_adapter(
+        self, stub, other_stub, monkeypatch
+    ):
+        monkeypatch.setenv("HTTP_PROXY", other_stub.url)
+        for name in ("NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        other_stub.replies = [(200, completion("via the proxy"))]
+        with contextlib.closing(remote(stub.url)) as reasoner:
+            assert reasoner.invoke(wire_request()) == "via the proxy"
+        assert stub.seen == []
+        # A proxy is sent the request line in absolute form.
+        assert [seen["path"] for seen in other_stub.seen] == [f"{stub.url}/chat/completions"]
+
+    def test_an_episode_opens_no_more_connections_than_calls_in_flight(self, keep_alive_stub):
+        keep_alive_stub.policy = propose_goal_objects
+        config = remote_manager_config(
+            keep_alive_stub,
+            task="PrepareAMeal",
+            num_agents=3,
+            member_backend="remote",
+            max_steps=20,
+            remote=RemoteConfig(keep_alive_stub.url, "house-7b", max_concurrency=2),
+        )
+        keep_alive_stub.delay_s = 0.002  # so that the round's calls overlap
+        run_episode(config)
+        assert keep_alive_stub.connections <= 2 < len(keep_alive_stub.seen)
+        # Closing the reasoner at the episode's end closed every connection.
+        keep_alive_stub.wait_closed(keep_alive_stub.connections)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(script=st.lists(_SCRIPTED_REPLY, min_size=1, max_size=3))
+    def test_replies_are_answered_as_the_stock_adapter_answers_them(self, monkeypatch, script):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setenv("HOMECREW_API_KEY", "sk-test-123")
+        outcomes = []
+        for adapter in ADAPTERS:
+            server = StubServer(keep_alive_s=1.0)
+            server.replies = list(script)
+            with contextlib.contextmanager(serve)(monkeypatch, server):
+                result = answer(adapter, monkeypatch, server.url)
+            sent = [(seen["path"], seen["raw"], seen["authorization"]) for seen in server.seen]
+            outcomes.append((result, sent))
+        transport, stock = outcomes
+        assert transport == stock
+
+    def test_https_verifies_against_the_bundle_requests_names(self, tls_stub, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_stub.cert_path)
+        with contextlib.closing(remote(tls_stub.url)) as reasoner:
+            assert [reasoner.invoke(wire_request()) for _ in range(2)] == ["propose: IDLE"] * 2
+        assert len(tls_stub.seen) == 2
+        assert tls_stub.connections == 1
+
+    def test_verify_false_accepts_an_unknown_certificate(self, tls_stub):
+        # No RemoteConfig field turns verification off; a session can.
+        with requests.Session() as session:
+            session.mount("https://", ADAPTERS[0]())
+            reply = session.post(f"{tls_stub.url}/chat/completions", json={}, verify=False)
+        assert reply.json() == completion("propose: IDLE")
+
+    def test_the_client_cert_is_presented_as_by_the_stock_adapter(self, tls_stub, tmp_path):
+        certs = [(tls_stub.cert_path, tls_stub.key_path), self_signed(tmp_path / "unknown")]
+        outcomes = []
+        for adapter in ADAPTERS:
+            for cert in certs:
+                with requests.Session() as session:
+                    session.mount("https://", adapter())
+                    try:
+                        reply = session.post(
+                            f"{tls_stub.url}/chat/completions",
+                            json={},
+                            verify=tls_stub.cert_path,
+                            cert=cert,
+                        )
+                        outcomes.append(reply.status_code)
+                    except requests.RequestException as exc:
+                        outcomes.append(type(exc).__name__)
+        assert outcomes == [200, "SSLError"] * 2
+
+    @pytest.mark.parametrize(
+        "coding, body, expected",
+        [
+            ("gzip", gzip.compress(json.dumps(completion("zipped")).encode()), "zipped"),
+            ("deflate", zlib.compress(json.dumps(completion("deflated")).encode()), "deflated"),
+            ("gzip", b"not gzip", "transport error: ContentDecodingError after 3 attempt(s)"),
+        ],
+    )
+    def test_encoded_bodies_are_decoded_as_by_the_stock_adapter(
+        self, monkeypatch, coding, body, expected
+    ):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        answers = []
+        for adapter in ADAPTERS:
+            server = StubServer(keep_alive_s=1.0)
+            server.replies = [(200, body, {"Content-Encoding": coding})] * 3
+            with contextlib.contextmanager(serve)(monkeypatch, server):
+                answers.append(answer(adapter, monkeypatch, server.url))
+        transport, stock = answers
+        assert transport == stock == expected
+
+    def test_an_unknown_certificate_fails_as_with_the_stock_adapter(self, tls_stub, monkeypatch):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        answers = [answer(adapter, monkeypatch, tls_stub.url) for adapter in ADAPTERS]
+        assert answers == ["transport error: SSLError after 3 attempt(s)"] * 2
+        assert tls_stub.seen == []
+
+    def test_a_stalled_tls_handshake_times_out_as_with_the_stock_adapter(self, monkeypatch):
+        # The kernel completes the TCP handshake for a socket that is
+        # listening, but nothing ever answers the TLS handshake.
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"https://127.0.0.1:{listener.getsockname()[1]}"
+            answers = [answer(adapter, monkeypatch, url, timeout_s=0.1) for adapter in ADAPTERS]
+        assert answers == ["transport error: ReadTimeout after 3 attempt(s)"] * 2
 
 
 class TestRedirects:
