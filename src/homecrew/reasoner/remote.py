@@ -6,15 +6,19 @@ never stored on the instance, logged, or echoed into traces. Transport
 failures, timeouts (408), throttling (429) and server errors retry with a
 short backoff up to TRANSPORT_RETRIES times; any other 4xx cannot succeed on a
 retry and fails at once. Either way the failure surfaces as
-RemoteBackendError for the caller's fallback path to handle.
+RemoteBackendError for the caller's fallback path to handle. A transport
+failure is named by its class, including the urllib3 error or RuntimeError
+that requests lets escape when a redirect's encoded body breaks.
 
 One instance may serve several threads at once; how many calls are in flight
 is bounded by the caller (the episode loop's round pool), not here.
 ``requests`` builds each request and follows redirects, but it is sent over a
-kept-alive ``http.client`` connection from an idle stack those threads share,
-so no more are open than calls in flight. A failure closes its connection, is
-not re-sent, and raises what requests' HTTPAdapter raises; a request sent to
-a proxy goes through that adapter.
+kept-alive ``http.client`` connection from an idle stack those threads share.
+urllib3's HTTPResponse reads the reply, as it does for requests' stock
+HTTPAdapter, and puts the connection back once it has read the whole body, so
+no more are open than calls in flight. A failure closes its connection, is
+not re-sent, and raises what the stock adapter raises; a request sent to a
+proxy goes through that adapter.
 
 An instance reads its settings from a RemoteConfig and refuses, with
 ConfigError, an endpoint that is not an http(s) URL with a host or an empty
@@ -63,7 +67,11 @@ class RemoteReasoner(Reasoner):
             import requests
         except ImportError as exc:
             raise ConfigError(f"remote backend needs the requests package: {exc}") from exc
-        self._transport_error = requests.RequestException
+        from urllib3.exceptions import HTTPError
+
+        # Following a redirect whose encoded body broke, requests reads that body
+        # again, and the second read's urllib3 error or RuntimeError escapes post.
+        self._transport_error = (requests.RequestException, HTTPError, RuntimeError)
         self._session = requests.Session()
         transport = _keep_alive_adapter()()
         for prefix in ("http://", "https://"):
@@ -122,29 +130,13 @@ class RemoteReasoner(Reasoner):
 def _keep_alive_adapter():
     """The session's transport adapter class, built on first use, not at import."""
     import http.client
-    import io
     import select
     import ssl
     import threading
-    import zlib
 
     import requests
     from requests import exceptions
-    from urllib3 import HTTPHeaderDict
-
-    class Body(io.RawIOBase):
-        """A reply's body as requests reads it: all of it at the first read.
-        When reading it off the connection failed, a read of a given size
-        raises that failure instead, as urllib3 does: once, or for as long as
-        the part that arrived before the failure (``data``) is left unread."""
-
-        def read(self, size=None, decode_content=True):
-            error = self.error
-            if error is not None and size is not None:
-                self.error = error if self.data else None
-                raise error
-            data, self.data = self.data, b""
-            return data
+    from urllib3 import HTTPHeaderDict, HTTPResponse
 
     class KeepAliveAdapter(requests.adapters.HTTPAdapter):
         def __init__(self):
@@ -157,7 +149,6 @@ def _keep_alive_adapter():
             if requests.utils.select_proxy(request.url, proxies):
                 # Only the stock adapter this class extends speaks to a proxy.
                 return super().send(request, stream, timeout, verify, cert, proxies)
-            connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
             parts = urlsplit(request.url)
             origin = (parts.scheme, parts.hostname, parts.port)
             with self._lock:
@@ -179,52 +170,44 @@ def _keep_alive_adapter():
                 conn = http.client.HTTPSConnection(parts.hostname, parts.port, context=context)
             elif conn is None:
                 conn = http.client.HTTPConnection(parts.hostname, parts.port)
+            conn.origin = origin
             # What HTTPAdapter raises at each stage, on a timeout and on any other failure.
             on_timeout, on_error = exceptions.ConnectTimeout, exceptions.ConnectionError
-            reply, reusable, error = None, False, None
             try:
                 if conn.sock is None:
-                    conn.timeout = connect_s
+                    conn.timeout = timeout
                     http.client.HTTPConnection.connect(conn)  # TCP only
                 on_timeout = exceptions.ReadTimeout  # urllib3 times a TLS handshake as a read
                 if context is not None:
                     conn.sock = context.wrap_socket(conn.sock, server_hostname=parts.hostname)
-                conn.sock.settimeout(read_s)
+                conn.sock.settimeout(timeout)
                 conn.request(request.method, request.path_url, request.body, request.headers)
                 reply = conn.getresponse()
-                on_timeout, on_error = exceptions.ConnectionError, exceptions.ChunkedEncodingError
-                data = reply.read()
-                reusable = not reply.will_close
             except (OSError, http.client.HTTPException) as exc:
+                conn.close()
                 if isinstance(exc, TimeoutError):
                     on_error = on_timeout
                 elif isinstance(exc, ssl.SSLError):
                     on_error = exceptions.SSLError
-                error = on_error(exc, request=request)
-                if reply is None:
-                    raise error from None
-                data = getattr(exc, "partial", b"")  # read before the failure
-            finally:
-                with self._lock:
-                    pooled = reusable and not self._closed
-                    if pooled:
-                        self._idle.setdefault(origin, []).append(conn)
-                if not pooled:
-                    conn.close()
-                    if reply is not None:  # a reply to "Connection: close" holds the socket
-                        reply.close()
-            coding = reply.getheader("Content-Encoding", "").lower()
-            if coding in ("gzip", "x-gzip", "deflate") and error is None:
-                try:
-                    data = zlib.decompress(data, 32 + zlib.MAX_WBITS)  # a gzip or zlib header
-                except zlib.error as exc:
-                    error = exceptions.ContentDecodingError(exc, request=request)
-            raw = Body()
-            raw.data, raw.error = data, error
-            raw.headers = HTTPHeaderDict(reply.msg.items())  # repeats joined, as urllib3 joins them
-            raw.status, raw.reason = reply.status, reply.reason
-            raw._original_response = reply  # requests reads Set-Cookie off it
+                raise on_error(exc, request=request) from None
+            # The body is read, decoded and its failures raised by urllib3's
+            # reply, as for the stock adapter; it hands the connection to _put_conn.
+            raw = HTTPResponse(
+                body=reply, headers=HTTPHeaderDict(reply.msg.items()), status=reply.status,
+                version=reply.version, reason=reply.reason, preload_content=False,
+                decode_content=False, original_response=reply, pool=self, connection=conn,
+                request_method=request.method, request_url=request.url,
+            )
             return self.build_response(request, raw)
+
+        def _put_conn(self, conn):
+            """Called by urllib3's reply once it has read the body or closed the
+            connection on a failure: keep the connection only while it is open."""
+            with self._lock:
+                if conn.sock is not None and not self._closed:
+                    self._idle.setdefault(conn.origin, []).append(conn)
+                    return
+            conn.close()
 
         def close(self):
             with self._lock:

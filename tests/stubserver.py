@@ -5,8 +5,11 @@ raw bytes sent as they are, optionally followed by headers that replace the
 stub's own: ``Transfer-Encoding: chunked`` sends the body in two chunks, a
 ``Content-Length`` past the body's end closes the connection after it, and a
 ``RESET`` header is not sent but resets the connection after the body
-(``SO_LINGER`` 0, then close). The stub answers POST only, so a client that
-follows a redirect with a GET is answered 501.
+(``SO_LINGER`` 0, then close). A ``STALL`` header is not sent either: the
+stub waits its value in seconds after a body that is not chunked, so a body
+short of its ``Content-Length`` stalls mid-read before the connection ends.
+The stub answers POST only, so a client that follows a redirect with a GET
+is answered 501.
 Every request lands in ``seen`` with its path, Authorization and Cookie
 headers, and its body both parsed and as the raw bytes received; each one
 is held for ``delay_s`` before the reply goes out, and ``max_in_flight`` is
@@ -30,6 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 RESET = "X-Stub-Reset"
+STALL = "X-Stub-Stall"
 
 
 def completion(text, **usage):
@@ -128,6 +132,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             **dict(headers),
         }
         reset = headers.pop(RESET, None) is not None
+        stall_s = float(headers.pop(STALL, 0))
         chunked = headers.get("Transfer-Encoding") == "chunked"
         if chunked:
             del headers["Content-Length"]
@@ -144,6 +149,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             # The client waits for the rest of a short body until the connection ends.
             if int(headers["Content-Length"]) > len(data):
                 self.close_connection = True
+            time.sleep(stall_s)
         if reset:
             # A zero linger turns close into a reset (RST) instead of a FIN.
             linger = struct.pack("ii", 1, 0)

@@ -26,6 +26,7 @@ CALLED_FROM_OUTSIDE = {
     "score_joint": "a perfbench hook wraps it; the allocator tests use it as their oracle",
     "slice_history": "a perfbench hook wraps it; the summary tests use it as the reference"
     " for the episode loop's running window",
+    "_put_conn": "urllib3's reply hands the keep-alive adapter its connection back through it",
 }
 
 

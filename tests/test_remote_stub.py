@@ -32,7 +32,14 @@ from cryptography.x509.oid import NameOID
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import serve
-from stubserver import RESET, StubServer, approve_candidates, completion, propose_goal_objects
+from stubserver import (
+    RESET,
+    STALL,
+    StubServer,
+    approve_candidates,
+    completion,
+    propose_goal_objects,
+)
 from homecrew.errors import ConfigError, RemoteBackendError
 from homecrew.harness.config import EpisodeConfig, RemoteConfig
 from homecrew.harness.episode import replay_trace, run_episode
@@ -234,7 +241,9 @@ class TestTransport:
 
 
 # One reply from the stub's vocabulary: a status, how the body is framed and
-# ended, and a usable completion or not. A redirect sends the client to /v2.
+# ended, a usable completion or not, and how the body is encoded: as it is,
+# compressed to match its Content-Encoding, or not gzip under a gzip header.
+# A redirect sends the client to /v2.
 _REDIRECT = {"Location": "/v2/chat/completions"}
 _FRAMINGS = {
     "content-length": {},
@@ -243,15 +252,26 @@ _FRAMINGS = {
     "cut short": {"Content-Length": "1000"},
     "reset": {"Content-Length": "1000", RESET: ""},
 }
+_ENCODINGS = {
+    "identity": ({}, lambda data: data),
+    "gzip": ({"Content-Encoding": "gzip"}, gzip.compress),
+    "deflate": ({"Content-Encoding": "deflate"}, zlib.compress),
+    "broken gzip": ({"Content-Encoding": "gzip"}, lambda data: b"not gzip"),
+}
 _SCRIPTED_REPLY = st.builds(
-    lambda status, framing, payload: (
+    lambda status, framing, payload, encoding: (
         status,
-        payload,
-        {**_FRAMINGS[framing], **(_REDIRECT if 300 <= status < 400 else {})},
+        _ENCODINGS[encoding][1](json.dumps(payload).encode()),
+        {
+            **_FRAMINGS[framing],
+            **_ENCODINGS[encoding][0],
+            **(_REDIRECT if 300 <= status < 400 else {}),
+        },
     ),
     st.sampled_from([200, 301, 307, 308, 404, 429, 500]),
     st.sampled_from(sorted(_FRAMINGS)),
     st.sampled_from([completion("propose: IDLE"), {"choices": []}]),
+    st.sampled_from(list(_ENCODINGS)),
 )
 
 
@@ -325,9 +345,9 @@ def tls_stub(monkeypatch, tmp_path):
 
 class TestKeepAliveAdapter:
     """What the transport adapter keeps of requests' stock one: the answer to
-    every scripted reply and encoded body, cookies, the proxy path, TLS
-    verification and its failures, and no more connections than calls in
-    flight."""
+    every scripted reply, encoded body and stalled body, cookies, the proxy
+    path, TLS verification and its failures, and no more connections than
+    calls in flight."""
 
     def test_set_cookie_reaches_the_next_request(self, keep_alive_stub, monkeypatch):
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
@@ -422,25 +442,53 @@ class TestKeepAliveAdapter:
         assert outcomes == [200, "SSLError"] * 2
 
     @pytest.mark.parametrize(
-        "coding, body, expected",
+        "status, framing, coding, body, expected",
         [
-            ("gzip", gzip.compress(json.dumps(completion("zipped")).encode()), "zipped"),
-            ("deflate", zlib.compress(json.dumps(completion("deflated")).encode()), "deflated"),
-            ("gzip", b"not gzip", "transport error: ContentDecodingError after 3 attempt(s)"),
+            (200, {}, "gzip", gzip.compress(json.dumps(completion("zipped")).encode()), "zipped"),
+            (200, {}, "deflate", zlib.compress(json.dumps(completion("deflated")).encode()), "deflated"),
+            (200, {}, "gzip", b"not gzip", "transport error: ContentDecodingError after 3 attempt(s)"),
+            # Once decoding a redirect's body has failed, requests reads it
+            # again undecoded, and what that read raises escapes Session.post.
+            (
+                307,
+                {**_FRAMINGS["cut short"], **_REDIRECT},
+                "gzip",
+                gzip.compress(json.dumps(completion("moved")).encode()),
+                "transport error: RuntimeError after 3 attempt(s)",
+            ),
+            (
+                307,
+                {**_FRAMINGS["cut short"], **_REDIRECT},
+                "gzip",
+                b"not gzip",
+                "transport error: ProtocolError after 3 attempt(s)",
+            ),
         ],
+        ids=["gzip", "deflate", "broken gzip", "307 gzip cut short", "307 broken gzip cut short"],
     )
     def test_encoded_bodies_are_decoded_as_by_the_stock_adapter(
-        self, monkeypatch, coding, body, expected
+        self, monkeypatch, status, framing, coding, body, expected
     ):
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
         answers = []
         for adapter in ADAPTERS:
             server = StubServer(keep_alive_s=1.0)
-            server.replies = [(200, body, {"Content-Encoding": coding})] * 3
+            server.replies = [(status, body, {"Content-Encoding": coding, **framing})] * 3
             with contextlib.contextmanager(serve)(monkeypatch, server):
                 answers.append(answer(adapter, monkeypatch, server.url))
         transport, stock = answers
         assert transport == stock == expected
+
+    def test_a_body_that_stalls_mid_read_times_out_as_with_the_stock_adapter(self, monkeypatch):
+        monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
+        stalled = (200, completion("slow"), {"Content-Length": "1000", STALL: "0.4"})
+        answers = []
+        for adapter in ADAPTERS:
+            server = StubServer(keep_alive_s=1.0)
+            server.replies = [stalled] * 3
+            with contextlib.contextmanager(serve)(monkeypatch, server):
+                answers.append(answer(adapter, monkeypatch, server.url, timeout_s=0.1))
+        assert answers == ["transport error: ConnectionError after 3 attempt(s)"] * 2
 
     def test_an_unknown_certificate_fails_as_with_the_stock_adapter(self, tls_stub, monkeypatch):
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
