@@ -68,11 +68,20 @@ def parse_int_list(value: str) -> Tuple[int, ...]:
         raise ConfigError(f"{value!r} is not a comma-separated list of integers")
 
 
+# The largest bare seed count: 10,000 seeds already make a 450,000-episode
+# default grid, and a larger count is refused before its range is built.
+MAX_SEEDS = 10_000
+
+
 def parse_seeds(value: str) -> Tuple[int, ...]:
-    """A bare count N means seeds 0..N-1; otherwise an explicit list."""
+    """A bare count N, at most MAX_SEEDS, means seeds 0..N-1; otherwise an
+    explicit list."""
     if "," in value or not value.strip().isdigit():
         return parse_int_list(value)
-    return tuple(range(parse_int_list(value)[0]))
+    count = parse_int_list(value)[0]
+    if count > MAX_SEEDS:
+        raise ConfigError(f"--seeds {count} is more than {MAX_SEEDS} seeds")
+    return tuple(range(count))
 
 
 def check_out(path: str) -> None:

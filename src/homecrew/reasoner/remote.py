@@ -12,18 +12,19 @@ that requests lets escape when a redirect's encoded body breaks.
 
 One instance may serve several threads at once; how many calls are in flight
 is bounded by the caller (the episode loop's round pool), not here.
-``requests`` builds each request and follows redirects, but it is sent over a
-kept-alive ``http.client`` connection from an idle stack those threads share.
-urllib3's HTTPResponse reads the reply, as it does for requests' stock
-HTTPAdapter, and puts the connection back once it has read the whole body, so
-no more are open than calls in flight. A failure closes its connection, is
-not re-sent, and raises what the stock adapter raises; a request sent to a
-proxy goes through that adapter.
+``requests`` builds each request and follows redirects. A plain-http request
+is sent over a kept-alive ``http.client`` connection from an idle stack those
+threads share. urllib3's HTTPResponse reads the reply, as it does for
+requests' stock HTTPAdapter, and puts the connection back once it has read
+the whole body, so no more are open than calls in flight. A failure closes
+its connection, is not re-sent, and raises what the stock adapter raises.
+An https request and a request sent to a proxy both go through that stock
+adapter, so TLS verification is requests' own and homecrew holds no TLS code.
 
 An instance reads its settings from a RemoteConfig and refuses, with
 ConfigError, an endpoint that is not an http(s) URL with a host or an empty
-model. ``requests``, ``http.client`` and ``ssl`` are imported when the first
-instance is built, so a run with no remote backend never loads the HTTP stack.
+model. ``requests`` and ``http.client`` are imported when the first instance
+is built, so a run with no remote backend never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ class RemoteReasoner(Reasoner):
         # again, and the second read's urllib3 error or RuntimeError escapes post.
         self._transport_error = (requests.RequestException, HTTPError, RuntimeError)
         self._session = requests.Session()
-        transport = _keep_alive_adapter()()
-        for prefix in ("http://", "https://"):
-            self._session.mount(prefix, transport)
+        # https:// keeps the stock adapter that Session() mounts for it.
+        self._session.mount("http://", _keep_alive_adapter()())
 
     def close(self) -> None:
         self._session.close()
@@ -131,7 +131,6 @@ def _keep_alive_adapter():
     """The session's transport adapter class, built on first use, not at import."""
     import http.client
     import select
-    import ssl
     import threading
 
     import requests
@@ -141,7 +140,7 @@ def _keep_alive_adapter():
     class KeepAliveAdapter(requests.adapters.HTTPAdapter):
         def __init__(self):
             super().__init__()
-            self._idle = {}  # (scheme, host, port) -> connections free for reuse
+            self._idle = {}  # (host, port) -> connections free for reuse
             self._lock = threading.Lock()
             self._closed = False
 
@@ -150,46 +149,29 @@ def _keep_alive_adapter():
                 # Only the stock adapter this class extends speaks to a proxy.
                 return super().send(request, stream, timeout, verify, cert, proxies)
             parts = urlsplit(request.url)
-            origin = (parts.scheme, parts.hostname, parts.port)
+            origin = (parts.hostname, parts.port)
             with self._lock:
                 idle = self._idle.get(origin)
                 conn = idle.pop() if idle else None
             if conn is not None and select.select([conn.sock], [], [], 0)[0]:
                 conn.close()  # something to read on an idle connection: the server closed it
                 conn = None
-            context = None
-            if conn is None and parts.scheme == "https":
-                # Verified as HTTPAdapter.cert_verify has urllib3 verify.
-                bundle = requests.certs.where() if verify is True else verify or None
-                where = "capath" if bundle and os.path.isdir(bundle) else "cafile"
-                context = ssl.create_default_context(**{where: bundle})
-                if not verify:
-                    context.check_hostname, context.verify_mode = False, ssl.CERT_NONE
-                if cert:
-                    context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
-                conn = http.client.HTTPSConnection(parts.hostname, parts.port, context=context)
-            elif conn is None:
-                conn = http.client.HTTPConnection(parts.hostname, parts.port)
-            conn.origin = origin
-            # What HTTPAdapter raises at each stage, on a timeout and on any other failure.
-            on_timeout, on_error = exceptions.ConnectTimeout, exceptions.ConnectionError
+            if conn is None:
+                conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+                conn.origin = origin
+            # What HTTPAdapter raises on a timeout: connecting, then reading.
+            on_timeout = exceptions.ConnectTimeout
             try:
                 if conn.sock is None:
-                    conn.timeout = timeout
-                    http.client.HTTPConnection.connect(conn)  # TCP only
-                on_timeout = exceptions.ReadTimeout  # urllib3 times a TLS handshake as a read
-                if context is not None:
-                    conn.sock = context.wrap_socket(conn.sock, server_hostname=parts.hostname)
+                    conn.connect()
+                on_timeout = exceptions.ReadTimeout
                 conn.sock.settimeout(timeout)
                 conn.request(request.method, request.path_url, request.body, request.headers)
                 reply = conn.getresponse()
             except (OSError, http.client.HTTPException) as exc:
                 conn.close()
-                if isinstance(exc, TimeoutError):
-                    on_error = on_timeout
-                elif isinstance(exc, ssl.SSLError):
-                    on_error = exceptions.SSLError
-                raise on_error(exc, request=request) from None
+                error = on_timeout if isinstance(exc, TimeoutError) else exceptions.ConnectionError
+                raise error(exc, request=request) from None
             # The body is read, decoded and its failures raised by urllib3's
             # reply, as for the stock adapter; it hands the connection to _put_conn.
             raw = HTTPResponse(

@@ -31,6 +31,7 @@ from homecrew.coordination.types import Proposal
 from homecrew.errors import NOTE_LIMIT, ConfigError, ContractViolation, RemoteBackendError
 from homecrew.harness.benchmark import cell_configs, run_benchmark
 from homecrew.harness.cli import (
+    MAX_SEEDS,
     build_parser,
     main,
     parse_backend,
@@ -47,7 +48,7 @@ from homecrew.harness.config import (
     build_reasoner,
     variant_flags,
 )
-from homecrew.harness import episode
+from homecrew.harness import benchmark, episode
 from homecrew.harness.episode import EpisodeResult, replay_trace, run_episode
 from homecrew.harness.metrics import (
     aggregate,
@@ -794,6 +795,25 @@ class TestCliParsing:
         assert parse_seeds("3") == (0, 1, 2)
         assert parse_seeds("0,2,5") == (0, 2, 5)
         assert parse_seeds("7,") == (7,)
+        assert len(parse_seeds(str(MAX_SEEDS))) == MAX_SEEDS
+
+    @pytest.mark.parametrize("count", [MAX_SEEDS + 1, 99999999999999999999])
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_a_seed_count_above_the_cap_is_refused_before_the_grid(
+        self, count, source, tmp_path, monkeypatch, capsys
+    ):
+        def build_no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(benchmark, "cell_configs", build_no_grid)
+        argv = ["bench", "--seeds", str(count)]
+        if source == "config file":
+            path = tmp_path / "bench.json"
+            path.write_text(json.dumps({"seeds": str(count)}))
+            argv = ["bench", "--config", str(path)]
+        assert main(argv) == 2
+        error = f"error: --seeds {count} is more than {MAX_SEEDS} seeds\n"
+        assert capsys.readouterr().err == error
 
     @pytest.mark.parametrize(
         "value",

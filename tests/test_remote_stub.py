@@ -3,9 +3,11 @@
 The stub speaks just enough of the chat-completions shape to pin the wire
 format (auth header, temperature, model), the retry ladder (which statuses
 are retried and which fail at once), how the client reuses and replaces
-connections, that the keep-alive transport answers every scripted reply as
-requests' stock adapter does, and one full episode where every manager
-decision crosses HTTP while members stay structured.
+connections, that the keep-alive transport answers every scripted plain-http
+reply as requests' stock adapter does, that https and proxied requests both
+go through that stock adapter, which verifies TLS (homecrew holds no TLS
+code), and one full episode where every manager decision crosses HTTP while
+members stay structured.
 """
 
 from __future__ import annotations
@@ -329,25 +331,22 @@ def self_signed(path):
 @pytest.fixture
 def tls_stub(monkeypatch, tmp_path):
     """A keep-alive stub speaking TLS with a certificate for 127.0.0.1 that
-    only the file ``cert_path`` vouches for. A client may present that same
-    certificate (``key_path`` holds its key); one the server cannot verify
-    ends the handshake."""
+    only the file ``cert_path`` vouches for."""
     server = StubServer(keep_alive_s=1.0)
-    server.cert_path, server.key_path = self_signed(tmp_path / "stub")
+    server.cert_path, key_path = self_signed(tmp_path / "stub")
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    context.load_cert_chain(server.cert_path, server.key_path)
-    context.verify_mode = ssl.CERT_OPTIONAL
-    context.load_verify_locations(server.cert_path)
+    context.load_cert_chain(server.cert_path, key_path)
     server.socket = context.wrap_socket(server.socket, server_side=True)
     server.scheme = "https"
     yield from serve(monkeypatch, server)
 
 
 class TestKeepAliveAdapter:
-    """What the transport adapter keeps of requests' stock one: the answer to
-    every scripted reply, encoded body and stalled body, cookies, the proxy
-    path, TLS verification and its failures, and no more connections than
-    calls in flight."""
+    """What the transport adapter keeps of requests' stock one on plain http:
+    the answer to every scripted reply, encoded body and stalled body,
+    cookies, and no more connections than calls in flight. An https or a
+    proxied request goes through the stock adapter itself, so TLS
+    verification and its failures are requests' own."""
 
     def test_set_cookie_reaches_the_next_request(self, keep_alive_stub, monkeypatch):
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
@@ -371,6 +370,12 @@ class TestKeepAliveAdapter:
         assert stub.seen == []
         # A proxy is sent the request line in absolute form.
         assert [seen["path"] for seen in other_stub.seen] == [f"{stub.url}/chat/completions"]
+
+    def test_an_https_endpoint_goes_through_the_stock_adapter(self):
+        with contextlib.closing(remote("https://127.0.0.1:1")) as reasoner:
+            adapter = reasoner._session.get_adapter
+            assert type(adapter("https://127.0.0.1:1/v1")) is requests.adapters.HTTPAdapter
+            assert type(adapter("http://127.0.0.1:1/v1")) is ADAPTERS[0]
 
     def test_an_episode_opens_no_more_connections_than_calls_in_flight(self, keep_alive_stub):
         keep_alive_stub.policy = propose_goal_objects
@@ -414,32 +419,6 @@ class TestKeepAliveAdapter:
             assert [reasoner.invoke(wire_request()) for _ in range(2)] == ["propose: IDLE"] * 2
         assert len(tls_stub.seen) == 2
         assert tls_stub.connections == 1
-
-    def test_verify_false_accepts_an_unknown_certificate(self, tls_stub):
-        # No RemoteConfig field turns verification off; a session can.
-        with requests.Session() as session:
-            session.mount("https://", ADAPTERS[0]())
-            reply = session.post(f"{tls_stub.url}/chat/completions", json={}, verify=False)
-        assert reply.json() == completion("propose: IDLE")
-
-    def test_the_client_cert_is_presented_as_by_the_stock_adapter(self, tls_stub, tmp_path):
-        certs = [(tls_stub.cert_path, tls_stub.key_path), self_signed(tmp_path / "unknown")]
-        outcomes = []
-        for adapter in ADAPTERS:
-            for cert in certs:
-                with requests.Session() as session:
-                    session.mount("https://", adapter())
-                    try:
-                        reply = session.post(
-                            f"{tls_stub.url}/chat/completions",
-                            json={},
-                            verify=tls_stub.cert_path,
-                            cert=cert,
-                        )
-                        outcomes.append(reply.status_code)
-                    except requests.RequestException as exc:
-                        outcomes.append(type(exc).__name__)
-        assert outcomes == [200, "SSLError"] * 2
 
     @pytest.mark.parametrize(
         "status, framing, coding, body, expected",
@@ -494,8 +473,10 @@ class TestKeepAliveAdapter:
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
         for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
             monkeypatch.delenv(name, raising=False)
-        answers = [answer(adapter, monkeypatch, tls_stub.url) for adapter in ADAPTERS]
-        assert answers == ["transport error: SSLError after 3 attempt(s)"] * 2
+        with contextlib.closing(remote(tls_stub.url)) as reasoner:
+            with pytest.raises(RemoteBackendError) as raised:
+                reasoner.invoke(wire_request())
+        assert str(raised.value).startswith("transport error: SSLError after 3 attempt(s)")
         assert tls_stub.seen == []
 
     def test_a_stalled_tls_handshake_times_out_as_with_the_stock_adapter(self, monkeypatch):
@@ -504,8 +485,10 @@ class TestKeepAliveAdapter:
         monkeypatch.setattr(remote_module, "RETRY_BACKOFF_S", 0.0)
         with socket.create_server(("127.0.0.1", 0)) as listener:
             url = f"https://127.0.0.1:{listener.getsockname()[1]}"
-            answers = [answer(adapter, monkeypatch, url, timeout_s=0.1) for adapter in ADAPTERS]
-        assert answers == ["transport error: ReadTimeout after 3 attempt(s)"] * 2
+            with contextlib.closing(remote(url, timeout_s=0.1)) as reasoner:
+                with pytest.raises(RemoteBackendError) as raised:
+                    reasoner.invoke(wire_request())
+            assert str(raised.value).startswith("transport error: ReadTimeout after 3 attempt(s)")
 
 
 class TestRedirects:
