@@ -23,8 +23,8 @@ from ..agents.execution import (
     held_matches,
     room_hides_content,
 )
-from ..reasoner.base import ALLOCATE, Reasoner, ask
-from ..world.types import HouseMap, Observation, value_type
+from ..reasoner.base import ALLOCATE, Outcome, Reasoner, ask
+from ..world.types import HouseMap, Observation
 from .types import (
     AllocationInputs,
     ContextEntry,
@@ -40,15 +40,6 @@ RELEVANCE_WEIGHT = 10
 # so this exceeds the longest path in the house.
 NOVELTY_WEIGHT = 3
 IDLE = MacroTask.idle()
-
-
-@value_type
-class AllocationReport:
-    """How the decision was reached; recorded in traces, never in prompts."""
-
-    attempts: int
-    degraded: bool
-    note: str = ""
 
 
 def assemble_context(
@@ -257,19 +248,13 @@ def heuristic_allocation(inputs: AllocationInputs) -> JointAction:
     )
 
 
-def allocate_with_report(
-    reasoner: Reasoner, inputs: AllocationInputs
-) -> Tuple[JointAction, AllocationReport]:
-    """Allocation plus how it went. Text backends re-ask with the identical
-    prompt after malformed or conflicting responses; with no usable reply
-    the joint is heuristic_allocation's and the report is marked degraded,
-    with ask's note."""
-    manager_id = min(inputs.agent_ids())
-    joint, attempts, note = ask(reasoner, ALLOCATE, inputs, inputs.tick, manager_id)
-    return joint, AllocationReport(attempts, degraded=note is not None, note=note or "")
+def allocate_with_report(reasoner: Reasoner, inputs: AllocationInputs) -> Outcome:
+    """``ask``'s outcome for the manager's JointAction. Text backends re-ask
+    with the identical prompt after malformed or conflicting responses; with
+    no usable reply the joint is heuristic_allocation's."""
+    return ask(reasoner, ALLOCATE, inputs, inputs.tick, min(inputs.agent_ids()))
 
 
 def allocate(reasoner: Reasoner, inputs: AllocationInputs) -> JointAction:
     """The joint assignment alone; see allocate_with_report."""
-    joint, _ = allocate_with_report(reasoner, inputs)
-    return joint
+    return allocate_with_report(reasoner, inputs)[0]

@@ -3,16 +3,15 @@
 Each member ranks candidate tasks from its own belief: believed goal objects
 by travel distance, or a sweep of the room most likely to still hide one when
 none are known. A text backend's proposal with no usable reply is this
-heuristic proposal (``ask``), flagged as degraded.
+heuristic proposal, with ``ask``'s note saying why.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Tuple
 
 from ..agents.execution import MacroTask, sweep_targets
-from ..reasoner.base import PROPOSE, Reasoner, ask
+from ..reasoner.base import PROPOSE, Outcome, Reasoner, ask
 from ..world.types import LOC_AGENT, Fact
 from .types import MAX_ALTERNATIVES, AgentView, Proposal
 
@@ -89,8 +88,7 @@ def heuristic_proposal(view: AgentView) -> Proposal:
     )
 
 
-def make_proposal(reasoner: Reasoner, view: AgentView) -> Proposal:
-    """One member's proposal via the given backend, never raising on bad
-    responses: with no usable reply it is heuristic_proposal's, degraded."""
-    proposal, _, note = ask(reasoner, PROPOSE, view, view.tick, view.agent_id)
-    return proposal if note is None else dataclasses.replace(proposal, degraded=True)
+def make_proposal(reasoner: Reasoner, view: AgentView) -> Outcome:
+    """``ask``'s outcome for one member's Proposal, never raising on bad
+    responses: with no usable reply the proposal is heuristic_proposal's."""
+    return ask(reasoner, PROPOSE, view, view.tick, view.agent_id)

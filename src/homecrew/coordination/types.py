@@ -26,7 +26,6 @@ class Proposal:
     candidate: MacroTask
     rationale: str = ""
     alternatives: Tuple[MacroTask, ...] = ()
-    degraded: bool = False
 
     def render_alternatives(self) -> Tuple[str, ...]:
         return tuple(task.render() for task in self.alternatives)

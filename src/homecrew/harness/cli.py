@@ -277,10 +277,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("run", "bench") and apply_config_file(
-            args, subparsers[args.command]
-        ):
-            args = parser.parse_args(argv)
+        if args.command in ("run", "bench"):
+            if apply_config_file(args, subparsers[args.command]):
+                args = parser.parse_args(argv)
+            # A blank path would write into the working directory, or nowhere.
+            if args.out is not None and not args.out.strip():
+                raise ConfigError(f"--out {args.out!r} is blank")
         if args.command == "run":
             return cmd_run(args)
         if args.command == "bench":

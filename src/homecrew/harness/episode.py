@@ -30,11 +30,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from ..agents.belief import Belief, merge_team_belief, perceive
 from ..agents.execution import expand_macro
 from ..agents.records import HistoryRecord
-from ..coordination.allocate import AllocationReport, allocate_with_report, assemble_context
+from ..coordination.allocate import allocate_with_report, assemble_context
 from ..coordination.negotiate import make_proposal
 from ..coordination.types import AgentView, AllocationInputs, JointAction
 from ..errors import FixtureExhausted
-from ..reasoner.base import TEXT, Reasoner
+from ..reasoner.base import TEXT, Outcome, Reasoner
 from ..reasoner.remote import RemoteReasoner
 from ..reasoner.scripted import RecordingReasoner
 from ..summaries import Summary, progress_since, summarize
@@ -79,13 +79,13 @@ class EpisodeResult:
 
 
 # One decision call of a round: the backend, and the step that asks it.
-Call = Tuple[Reasoner, Callable[[Reasoner], object]]
+Call = Tuple[Reasoner, Callable[[Reasoner], Outcome]]
 
 
 def _recorded(
-    inner: Reasoner, step: Callable[[Reasoner], object]
-) -> Tuple[object, List[dict]]:
-    """The step's result and its exchanges with a text backend. A structured
+    inner: Reasoner, step: Callable[[Reasoner], Outcome]
+) -> Tuple[Outcome, List[dict]]:
+    """The step's outcome and its exchanges with a text backend. A structured
     backend leaves none: it is reproduced by rerunning, not by replaying text."""
     exchanges: List[dict] = []
     reasoner = RecordingReasoner(inner, exchanges) if inner.produces == TEXT else inner
@@ -94,8 +94,8 @@ def _recorded(
 
 def _play_round(
     pool: Optional[ThreadPoolExecutor], calls: Sequence[Call]
-) -> List[Tuple[object, List[dict]]]:
-    """Each call's result and exchanges, in call order. Without a pool the
+) -> List[Tuple[Outcome, List[dict]]]:
+    """Each call's outcome and exchanges, in call order. Without a pool the
     calls run one after another on this thread. With one they all run at
     once, and every result is read, so the first failure in call order
     reaches the caller."""
@@ -205,23 +205,23 @@ def _play_episode(
                 calls.append((member, partial(make_proposal, view=view)))
         outcomes = _play_round(pool, calls)
         if summary_due:
-            summary, exchanges = outcomes.pop(0)
+            (summary, _, note), exchanges = outcomes.pop(0)
             sink.extend(exchanges)
             collected += (summary,)
             unsummarized.clear()
-            degraded += int(summary.degraded)
+            degraded += note is not None
             sink.append(
                 {"type": "summary", "tick": state.tick, "index": summary.index,
                  "interval": list(summary.interval), "delta": summary.delta,
-                 "text": summary.text, "degraded": summary.degraded}
+                 "text": summary.text, "degraded": note is not None}
             )
         if finished:
             break
 
         proposals = []
-        for proposal, exchanges in outcomes:
+        for (proposal, _, note), exchanges in outcomes:
             sink.extend(exchanges)
-            degraded += int(proposal.degraded)
+            degraded += note is not None
             proposals.append(proposal)
         if config.use_allocation:
             inputs = AllocationInputs(
@@ -233,26 +233,26 @@ def _play_episode(
                 goal=goal,
                 team=team,
             )
-            (joint, report), exchanges = _recorded(
+            (joint, attempts, note), exchanges = _recorded(
                 manager, partial(allocate_with_report, inputs=inputs)
             )
             sink.extend(exchanges)
         else:
             joint = JointAction(tasks={p.agent_id: p.candidate for p in proposals})
-            report = AllocationReport(attempts=0, degraded=False)
-        degraded += int(report.degraded)
+            attempts, note = 0, None
+        degraded += note is not None
         allocation = {
             "type": "allocation",
             "tick": state.tick,
             "mode": "centralized" if config.use_allocation else "self",
-            "attempts": report.attempts,
-            "degraded": report.degraded,
+            "attempts": attempts,
+            "degraded": note is not None,
             "joint": {str(a): task.render() for a, task in joint.items()},
             "proposals": {str(p.agent_id): p.candidate.render() for p in proposals},
         }
         # Only a degraded decision has a note, so clean traces keep their bytes.
-        if report.note:
-            allocation["note"] = report.note
+        if note:
+            allocation["note"] = note
         sink.append(allocation)
         actions = {
             i: expand_macro(joint.tasks[i], team, observations[i], state.house)

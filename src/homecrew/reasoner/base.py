@@ -36,6 +36,9 @@ PARSE_RETRIES = 2
 # gets a new name, never an edit of this one in place.
 TEMPLATE_V1 = "template_v1"
 
+# What ask, and so every decision step, returns: (decision, attempts, note).
+Outcome = Tuple[Any, int, Optional[str]]
+
 
 @value_type
 class ReasonerRequest:
@@ -65,9 +68,7 @@ class Reasoner:
         """Release what the backend holds open; nothing by default."""
 
 
-def ask(
-    reasoner: Reasoner, kind: str, inputs: Any, tick: int, agent_id: int
-) -> Tuple[Any, int, Optional[str]]:
+def ask(reasoner: Reasoner, kind: str, inputs: Any, tick: int, agent_id: int) -> Outcome:
     """(decision, attempts made, note) for one decision of ``kind`` on
     ``inputs``. A structured backend is invoked once with the inputs alone
     and no prompt is built. A text backend gets the prompt rendered once from

@@ -22,9 +22,10 @@ An https request and a request sent to a proxy both go through that stock
 adapter, so TLS verification is requests' own and homecrew holds no TLS code.
 
 An instance reads its settings from a RemoteConfig and refuses, with
-ConfigError, an endpoint that is not an http(s) URL with a host or an empty
-model. ``requests`` and ``http.client`` are imported when the first instance
-is built, so a run with no remote backend never loads the HTTP stack.
+ConfigError, an endpoint that is not an http(s) URL with a host, one with a
+query or fragment (even an empty one), or an empty model. ``requests`` and
+``http.client`` are imported when the first instance is built, so a run with
+no remote backend never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class RemoteReasoner(Reasoner):
             raise ConfigError(
                 "remote backend needs an http(s) endpoint URL with a host and a model, "
                 f"got endpoint {config.endpoint_url!r} and model {config.model!r}"
+            )
+        if "?" in config.endpoint_url or "#" in config.endpoint_url:
+            raise ConfigError(
+                f"remote endpoint {config.endpoint_url!r} has a query or fragment, "
+                "which would swallow the /chat/completions appended to its path"
             )
         self.config = config
         self._url = f"{config.endpoint_url.rstrip('/')}/chat/completions"

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from .agents.records import HistoryRecord
 from .errors import ContractViolation
-from .reasoner.base import SUMMARIZE, Reasoner, ask
+from .reasoner.base import SUMMARIZE, Outcome, Reasoner, ask
 from .world.types import GoalSpec, TaskProgress, value_type
 
 SUMMARY_CHAR_BUDGET = 512
@@ -33,7 +33,6 @@ class Summary:
     interval: Tuple[int, int]
     delta: int
     text: str
-    degraded: bool = False
 
     def render_line(self) -> str:
         lo, hi = self.interval
@@ -94,15 +93,15 @@ def summarize(
     tick: int,
     *,
     goal: GoalSpec,
-) -> Summary:
-    """Condense the records since the last of ``collected`` into the next
-    bounded Summary: numbered after it, over the interval from its end to
-    ``tick``.
+) -> Outcome:
+    """``ask``'s outcome with the next bounded Summary as its decision: the
+    records since the last of ``collected`` condensed, numbered after it,
+    over the interval from its end to ``tick``.
 
     Text backends get a prompt and may answer freely; on transport failure or
-    an empty answer ``ask`` returns the heuristic's template digest instead
-    and the summary is flagged degraded. ``ask`` never re-asks a summary.
-    The text is always clipped to the character budget.
+    an empty answer ``ask`` returns the heuristic's template digest instead,
+    with its note. ``ask`` never re-asks a summary. The text is always
+    clipped to the character budget.
     """
     if not records:
         raise ContractViolation("cannot summarize an empty record slice")
@@ -114,12 +113,12 @@ def summarize(
     inputs = SummaryInputs(
         records=tuple(records), delta=delta_progress, interval=interval, goal=goal
     )
-    text, _, note = ask(reasoner, SUMMARIZE, inputs, tick, 0)
-    return Summary(
+    text, attempts, note = ask(reasoner, SUMMARIZE, inputs, tick, 0)
+    summary = Summary(
         index=len(collected) + 1,
         interval=interval,
         delta=delta_progress,
         text=str(text)[:SUMMARY_CHAR_BUDGET],
-        degraded=note is not None,
     )
+    return summary, attempts, note
 

@@ -188,7 +188,6 @@ class TestProposal:
         # knowing nothing, sweep where you stand, then the nearest rooms
         assert proposal.candidate == MacroTask.explore("livingroom")
         assert proposal.alternatives == (MacroTask.explore("bathroom"),)
-        assert not proposal.degraded
 
     def test_done_goal_proposes_idle(self):
         state, goal = init_world("PutGroceries", 1, seed=5)
@@ -793,9 +792,7 @@ class TestAllocator:
         scripted = ScriptedReasoner(
             {(ALLOCATE, inputs.tick, 1): [format_allocation(forced)]}
         )
-        joint, report = allocate_with_report(scripted, inputs)
-        assert joint == forced
-        assert report.attempts == 1 and not report.degraded
+        assert allocate_with_report(scripted, inputs) == (forced, 1, None)
 
     def test_text_backend_retries_then_falls_back(self):
         inputs = build_inputs("PrepareTea", 2, seed=0)
@@ -803,8 +800,8 @@ class TestAllocator:
         scripted = ScriptedReasoner(
             {key: ["no structure", "1: DANCE()\n2: IDLE", "still nothing"]}
         )
-        joint, report = allocate_with_report(scripted, inputs)
-        assert report.degraded and report.attempts == 3
+        joint, attempts, note = allocate_with_report(scripted, inputs)
+        assert note is not None and attempts == 3
         with pytest.raises(FixtureExhausted):
             scripted.invoke(ReasonerRequest(ALLOCATE, None, tick=key[1], agent_id=key[2]))
         assert joint == heuristic_allocation(inputs)
@@ -820,8 +817,8 @@ class TestAllocator:
         scripted = ScriptedReasoner(
             {(ALLOCATE, inputs.tick, 1): [conflicting, valid]}
         )
-        joint, report = allocate_with_report(scripted, inputs)
-        assert report.attempts == 2 and not report.degraded
+        joint, attempts, note = allocate_with_report(scripted, inputs)
+        assert attempts == 2 and note is None
         assert joint.tasks[2] == MacroTask.idle()
 
     def test_text_backend_over_long_agent_id_falls_back(self):
@@ -829,10 +826,10 @@ class TestAllocator:
         scripted = ScriptedReasoner(
             {(ALLOCATE, inputs.tick, 1): [LONG_ID_REPLY] * 3}
         )
-        joint, report = allocate_with_report(scripted, inputs)
-        assert report.degraded and report.attempts == 3
-        assert report.note.startswith("unknown agent id 9999")
-        assert len(report.note) <= NOTE_LIMIT
+        joint, attempts, note = allocate_with_report(scripted, inputs)
+        assert attempts == 3
+        assert note.startswith("unknown agent id 9999")
+        assert len(note) <= NOTE_LIMIT
         assert joint == heuristic_allocation(inputs)
 
     def test_remote_error_falls_back_degraded(self):
@@ -844,9 +841,9 @@ class TestAllocator:
                 raise RemoteBackendError("endpoint unreachable")
 
         inputs = build_inputs("SetUpTable", 2, seed=3)
-        joint, report = allocate_with_report(ExplodingReasoner(), inputs)
-        assert report.degraded
-        assert "unreachable" in report.note
+        joint, attempts, note = allocate_with_report(ExplodingReasoner(), inputs)
+        assert attempts == 1
+        assert "unreachable" in note
         assert joint == heuristic_allocation(inputs)
 
 
@@ -854,17 +851,17 @@ class TestMakeProposal:
     def test_structured_backend_matches_heuristic(self):
         state, goal = init_world("WashDishes", 2, seed=9)
         view = make_view(state, goal, 2)
-        assert make_proposal(HeuristicReasoner(), view) == heuristic_proposal(view)
+        assert make_proposal(HeuristicReasoner(), view) == (heuristic_proposal(view), 1, None)
 
     def test_scripted_proposal_parsed(self):
         state, goal = init_world("PrepareTea", 2, seed=0)
         view = make_view(state, goal, 1)
         raw = "propose: EXPLORE(kitchen)\nwhy: checking the stove"
         scripted = ScriptedReasoner({(PROPOSE, view.tick, 1): [raw]})
-        proposal = make_proposal(scripted, view)
+        proposal, attempts, note = make_proposal(scripted, view)
         assert proposal.candidate == MacroTask.explore("kitchen")
         assert proposal.rationale == "checking the stove"
-        assert not proposal.degraded
+        assert (attempts, note) == (1, None)
 
     def test_malformed_then_valid_uses_retry(self):
         state, goal = init_world("PrepareTea", 2, seed=0)
@@ -872,9 +869,9 @@ class TestMakeProposal:
         scripted = ScriptedReasoner(
             {(PROPOSE, view.tick, 2): ["gibberish", "propose: IDLE"]}
         )
-        proposal = make_proposal(scripted, view)
+        proposal, attempts, note = make_proposal(scripted, view)
         assert proposal.candidate == MacroTask.idle()
-        assert not proposal.degraded
+        assert (attempts, note) == (2, None)
 
     def test_exhausted_budget_degrades_to_the_heuristic_proposal(self):
         state, goal = init_world("PrepareTea", 2, seed=0)
@@ -882,8 +879,9 @@ class TestMakeProposal:
         scripted = ScriptedReasoner(
             {(PROPOSE, view.tick, 1): ["bad", "bad", "bad"]}
         )
-        proposal = make_proposal(scripted, view)
-        assert proposal.degraded
+        proposal, attempts, note = make_proposal(scripted, view)
+        assert note is not None and attempts == 3
+        assert proposal == heuristic_proposal(view)
         assert proposal.candidate == MacroTask.explore("livingroom")
         with pytest.raises(FixtureExhausted):
             scripted.invoke(ReasonerRequest(PROPOSE, None, tick=view.tick, agent_id=1))

@@ -1018,6 +1018,31 @@ class TestCliCommands:
         assert err.startswith("error:") and where in err
         assert (tmp_path / "file.txt").read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("out", ["", "  "])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_blank_out_is_refused_before_any_episode(
+        self, tmp_path, monkeypatch, capsys, command, out, source
+    ):
+        # A blank --out once wrote the bench files into the working directory,
+        # and let run write no trace, both with exit 0.
+        monkeypatch.chdir(tmp_path)
+        scope = ["--task", "WashDishes"] if command == "run" else ["--seeds", "1"]
+        if source == "flag":
+            argv = [command, *scope, "--max-steps", "5", "--out", out]
+        else:
+            (tmp_path / "defaults.json").write_text(json.dumps({"out": out}))
+            argv = [command, *scope, "--max-steps", "5", "--config", "defaults.json"]
+
+        def no_episode(*_args, **_kwargs):
+            raise AssertionError("an episode ran before --out was checked")
+
+        monkeypatch.setattr("homecrew.harness.cli.run_episode", no_episode)
+        monkeypatch.setattr("homecrew.harness.benchmark.run_episode", no_episode)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out {out!r} is blank\n"
+        assert sorted(os.listdir(tmp_path)) == ([] if source == "flag" else ["defaults.json"])
+
     def test_write_error_after_the_run_is_an_error(self, tmp_path, capsys):
         folder = tmp_path / "vanishing"
         folder.mkdir()

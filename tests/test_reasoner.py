@@ -16,7 +16,7 @@ from homecrew.agents.belief import Belief, Fact, merge_team_belief
 from homecrew.agents.execution import MacroTask
 from homecrew.agents.records import HistoryRecord
 from homecrew.coordination.allocate import (
-    AllocationReport, allocate_with_report, assemble_context, heuristic_allocation
+    allocate_with_report, assemble_context, heuristic_allocation
 )
 from homecrew.coordination.negotiate import heuristic_proposal, make_proposal
 from homecrew.coordination.types import AgentView, AllocationInputs, Proposal
@@ -70,7 +70,7 @@ def allocation_inputs(summary_texts=()) -> AllocationInputs:
     observations = {i: observe(state, i, room_sightings(state)) for i in agent_ids}
     bounds = (0, 4, 9)
     summaries = tuple(
-        Summary(index, (bounds[index - 1], bounds[index]), 1, text, 1)
+        Summary(index, (bounds[index - 1], bounds[index]), 1, text)
         for index, text in enumerate(summary_texts, 1)
     )
     return AllocationInputs(
@@ -207,8 +207,10 @@ class TestAsk:
         inputs = summary_inputs()
         tick = inputs.interval[1]
         scripted = ScriptedReasoner({(SUMMARIZE, tick, 0): [self.BLANK, "unasked"]})
-        summary = summarize(scripted, (), inputs.records, inputs.delta, tick, goal=inputs.goal)
-        assert summary.degraded
+        summary, attempts, note = summarize(
+            scripted, (), inputs.records, inputs.delta, tick, goal=inputs.goal
+        )
+        assert (attempts, note) == (1, "empty summary")
         assert summary.text == template_digest(inputs.records, inputs.delta)
         assert self.next_reply(scripted, SUMMARIZE, tick, 0) == "unasked"
 
@@ -216,20 +218,22 @@ class TestAsk:
         view = propose_view()
         key = (PROPOSE, view.tick, view.agent_id)
         scripted = ScriptedReasoner({key: [self.BLANK] * (1 + PARSE_RETRIES) + ["unasked"]})
-        assert make_proposal(scripted, view).degraded
+        proposal, attempts, note = make_proposal(scripted, view)
+        assert note is not None and attempts == 1 + PARSE_RETRIES
+        assert proposal == heuristic_proposal(view)
         assert self.next_reply(scripted, *key) == "unasked"
 
     def test_a_blank_allocation_is_re_asked_then_degrades(self):
         inputs = allocation_inputs()
         key = (ALLOCATE, inputs.tick, min(inputs.agent_ids()))
         scripted = ScriptedReasoner({key: [self.BLANK] * (1 + PARSE_RETRIES) + ["unasked"]})
-        joint, report = allocate_with_report(scripted, inputs)
-        assert report.degraded and report.attempts == 1 + PARSE_RETRIES
+        joint, attempts, note = allocate_with_report(scripted, inputs)
+        assert note is not None and attempts == 1 + PARSE_RETRIES
         assert joint == heuristic_allocation(inputs)
         assert self.next_reply(scripted, *key) == "unasked"
 
     def test_a_transport_failure_with_no_message_still_degrades(self):
-        """Whether a decision degraded never reads its note."""
+        """An empty note still marks a decision degraded: only None does not."""
         failure = {"response": None, "error": ""}
         view, inputs = propose_view(), allocation_inputs()
         keys = [(PROPOSE, view.tick, view.agent_id), (ALLOCATE, inputs.tick, 1)]
@@ -238,11 +242,8 @@ class TestAsk:
             for kind, tick, agent_id in keys
         ]
         scripted = ScriptedReasoner({key: [value] for key, value in entries})
-        proposal = make_proposal(scripted, view)
-        assert proposal == dataclasses.replace(heuristic_proposal(view), degraded=True)
-        joint, report = allocate_with_report(scripted, inputs)
-        assert report == AllocationReport(attempts=1, degraded=True, note="")
-        assert joint == heuristic_allocation(inputs)
+        assert make_proposal(scripted, view) == (heuristic_proposal(view), 1, "")
+        assert allocate_with_report(scripted, inputs) == (heuristic_allocation(inputs), 1, "")
 
         class FailingAtTickZero(Reasoner):
             """The fixtures' empty failures at tick 0; the heuristic's
@@ -265,6 +266,65 @@ class TestAsk:
         result = run_episode(config, backend, backend)
         assert result.success
         assert result.degraded_exchanges == 2
+
+    def test_one_degraded_decision_of_each_kind_counts_three(self, monkeypatch):
+        """The loop counts a decision degraded exactly when its step returns a
+        note, and the step returns ask's note as it is."""
+
+        class OneOfEach(Reasoner):
+            """The heuristic's replies, except on agent 1's tick-0 proposal, the
+            tick-0 allocation and the first summary."""
+
+            name = "one-of-each"
+            produces = TEXT
+
+            def __init__(self):
+                self.capture = goldens.PromptCapture()
+                self.summaries = 0
+
+            def invoke(self, request):
+                if request.kind == SUMMARIZE:
+                    self.summaries += 1
+                    if self.summaries == 1:
+                        return TestAsk.BLANK
+                elif request.tick == 0 and request.kind == ALLOCATE:
+                    return "1: DANCE()\n2: IDLE"
+                elif request.tick == 0 and request.agent_id == 1:
+                    return TestAsk.BLANK
+                return self.capture.invoke(request)
+
+        notes = []
+
+        def noting(step, kind):
+            def wrapped(*args, **kwargs):
+                outcome = step(*args, **kwargs)
+                if outcome[2] is not None:
+                    notes.append((kind, outcome[1], outcome[2]))
+                return outcome
+
+            return wrapped
+
+        episode = "homecrew.harness.episode."
+        monkeypatch.setattr(episode + "make_proposal", noting(make_proposal, PROPOSE))
+        monkeypatch.setattr(
+            episode + "allocate_with_report", noting(allocate_with_report, ALLOCATE)
+        )
+        monkeypatch.setattr(episode + "summarize", noting(summarize, SUMMARIZE))
+        backend = OneOfEach()
+        config = EpisodeConfig(task="PrepareTea", num_agents=2, seed=0)
+        result = run_episode(config, backend, backend)
+        assert result.degraded_exchanges == 3
+        attempts = 1 + PARSE_RETRIES
+        assert notes == [
+            (PROPOSE, attempts, "missing propose line"),
+            (ALLOCATE, attempts, "unknown task form 'DANCE': 'DANCE()'"),
+            (SUMMARIZE, 1, "empty summary"),
+        ]
+        allocation = next(r for r in result.records if r["type"] == "allocation")
+        assert (allocation["attempts"], allocation["degraded"]) == (attempts, True)
+        assert allocation["note"] == notes[1][2]
+        summaries = [r["degraded"] for r in result.records if r["type"] == "summary"]
+        assert summaries[0] and not any(summaries[1:])
 
 
 class TestHeuristicBackend:

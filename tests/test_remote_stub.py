@@ -97,12 +97,17 @@ class TestWireFormat:
                 "{}://{}{}".format,
                 st.sampled_from(["http", "https", "HTTP", "ftp", ""]),
                 st.text(st.characters(codec="utf-8"), max_size=12),
-                st.sampled_from(["", "/v1", ":8080/v1", ":0", ":99999", ":x"]),
+                st.sampled_from(
+                    ["", "/v1", ":8080/v1", ":0", ":99999", ":x", "/v1?x=1", "/v1#frag", "?"]
+                ),
             ),
         )
     )
     @example("http://[::1")
     @example("http://[::1]:8080/v1")
+    @example("http://h:1/v1?x=1")
+    @example("http://h:1/v1#frag")
+    @example("http://h:1/v1?")
     def test_any_endpoint_builds_or_is_a_config_error(self, endpoint):
         try:
             reasoner = RemoteReasoner(RemoteConfig(endpoint, "m"))
@@ -110,6 +115,8 @@ class TestWireFormat:
             assert repr(endpoint) in str(exc)
         else:
             reasoner.close()
+            # /chat/completions is appended to the text, so it must end the path.
+            assert "?" not in endpoint and "#" not in endpoint
 
     def test_missing_key_sends_no_auth_header(self, stub, monkeypatch):
         monkeypatch.delenv("HOMECREW_API_KEY", raising=False)

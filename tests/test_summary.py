@@ -83,7 +83,10 @@ def run_partitioned(task, num_agents, seed, ticks=120):
         delta = progress_since(collected, progress)
         if delta:
             change_ticks.append(state.tick)
-            summary = summarize(reasoner, collected, window, delta, state.tick, goal=goal)
+            summary, attempts, note = summarize(
+                reasoner, collected, window, delta, state.tick, goal=goal
+            )
+            assert (attempts, note) == (1, None)
             collected += (summary,)
     return collected, change_ticks, records
 
@@ -108,8 +111,8 @@ class TestIntervals:
     def test_summarize_numbers_and_places_after_the_last(self):
         reasoner, collected = HeuristicReasoner(), ()
         for tick in (3, 5):
-            collected += (summarize(reasoner, collected, [record(tick)], 1, tick, goal=GOAL),)
-        summary = summarize(reasoner, collected, [record(9)], 1, 9, goal=GOAL)
+            collected += (summarize(reasoner, collected, [record(tick)], 1, tick, goal=GOAL)[0],)
+        summary, _, _ = summarize(reasoner, collected, [record(9)], 1, 9, goal=GOAL)
         assert [s.index for s in collected] == [1, 2]
         assert [s.interval for s in collected] == [(0, 3), (3, 5)]
         assert (summary.index, summary.interval) == (3, (5, 9))
@@ -117,7 +120,7 @@ class TestIntervals:
         assert summarized_until(collected + (summary,)) == 9
 
     def test_summarize_refuses_a_tick_not_after_the_last(self):
-        collected = (summarize(HeuristicReasoner(), (), [record(4)], 1, 4, goal=GOAL),)
+        collected = (summarize(HeuristicReasoner(), (), [record(4)], 1, 4, goal=GOAL)[0],)
         assert collected[0].render_line() == f"[1] ticks 1-4: {collected[0].text}"
         for tick in (4, 3):
             with pytest.raises(ContractViolation, match="empty or inverted summary interval"):
@@ -153,11 +156,11 @@ class TestSummarize:
     def test_structured_backend_writes_template_digest(self):
         events = [Event(2, 1, "placed", "1 placed plate_1 on kitchentable")]
         records = [record(1), record(2, events=events)]
-        summary = summarize(HeuristicReasoner(), (), records, 1, 2, goal=GOAL)
+        summary, attempts, note = summarize(HeuristicReasoner(), (), records, 1, 2, goal=GOAL)
         assert summary.text == template_digest(records, 1)
         assert "progress +1" in summary.text
         assert "plate_1" in summary.text
-        assert not summary.degraded
+        assert (attempts, note) == (1, None)
         assert summary == Summary(
             index=1, interval=(0, 2), delta=1, text=template_digest(records, 1)
         )
@@ -176,14 +179,14 @@ class TestSummarize:
         scripted = ScriptedReasoner(
             {(SUMMARIZE, 2, 0): ["  agent 1   delivered\nthe plate  "]}
         )
-        summary = summarize(scripted, (), [record(1), record(2)], 1, 2, goal=GOAL)
+        summary, attempts, note = summarize(scripted, (), [record(1), record(2)], 1, 2, goal=GOAL)
         assert summary.text == "agent 1 delivered the plate"
-        assert not summary.degraded
+        assert (attempts, note) == (1, None)
 
     def test_text_backend_blank_degrades(self):
         scripted = ScriptedReasoner({(SUMMARIZE, 1, 0): ["   \n  "]})
-        summary = summarize(scripted, (), [record(1)], 1, 1, goal=GOAL)
-        assert summary.degraded
+        summary, attempts, note = summarize(scripted, (), [record(1)], 1, 1, goal=GOAL)
+        assert (attempts, note) == (1, "empty summary")
         assert summary.text == template_digest([record(1)], 1)
 
     def test_transport_error_degrades(self):
@@ -194,14 +197,14 @@ class TestSummarize:
             def invoke(self, request):
                 raise RemoteBackendError("down")
 
-        summary = summarize(ExplodingReasoner(), (), [record(1)], 1, 1, goal=GOAL)
-        assert summary.degraded
+        summary, attempts, note = summarize(ExplodingReasoner(), (), [record(1)], 1, 1, goal=GOAL)
+        assert (attempts, note) == (1, "down")
         assert summary.text == template_digest([record(1)], 1)
 
     def test_character_budget_clips(self):
         scripted = ScriptedReasoner({(SUMMARIZE, 1, 0): ["x" * 3000]})
-        summary = summarize(scripted, (), [record(1)], 1, 1, goal=GOAL)
-        assert len(summary.text) == 512
+        summary, _, note = summarize(scripted, (), [record(1)], 1, 1, goal=GOAL)
+        assert len(summary.text) == 512 and note is None
 
 
 class TestPartitionProperty:
@@ -222,7 +225,6 @@ class TestPartitionProperty:
                     slice_history(records, lo, hi), summary.delta
                 )[:SUMMARY_CHAR_BUDGET]
                 assert summary.text and len(summary.text) <= SUMMARY_CHAR_BUDGET
-                assert not summary.degraded
                 previous_end = hi
             if change_ticks:
                 rebuilt = []

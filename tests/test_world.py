@@ -25,7 +25,6 @@ from walks import random_legal_joint, reference_legal_actions, reference_visible
 from homecrew.agents.belief import Belief, Fact, merge_team_belief, perceive
 from homecrew.agents.execution import MacroTask, sweep_targets
 from homecrew.agents.records import HistoryRecord
-from homecrew.coordination.allocate import AllocationReport
 from homecrew.coordination.types import (
     AgentView,
     AllocationInputs,
@@ -996,7 +995,7 @@ VALUE_TYPES = (
     Location, Action, Event, TaskProgress, AgentState, Fact, Observation,
     Belief, HistoryRecord, MacroTask, ReasonerRequest,
     Proposal, ContextEntry, JointAction, AgentView, AllocationInputs,
-    AllocationReport, Summary, SummaryInputs,
+    Summary, SummaryInputs,
 )
 
 # The frozen dataclasses that stay plain, and why. A per-tick type added as a
